@@ -19,7 +19,6 @@ from .channels import (
     QubitChannelCanonical,
     assemble_qubit_choi,
     rotation_aligning,
-    unitary_of_rotation,
 )
 from .linalg import PAULI, LinalgError
 
@@ -214,13 +213,7 @@ def procedure_a(g: PairGeometry) -> QubitChannelCanonical:
         betas = [np.sqrt(2.0 / (s_val * st)) * (g.r1 @ g.r_minus),
                  np.sqrt(2.0 / (s_val * st)) * (g.r2 @ g.r_minus)]
         ru = _u_rotation_from_versors(g, alpha, betas, gamma_a(g))
-    rv = _v_rotation(g)
-    return QubitChannelCanonical(
-        V=unitary_of_rotation(rv),
-        U=unitary_of_rotation(ru),
-        mu=mu,
-        s=np.array([s1, 0.0, 0.0]),
-    )
+    return QubitChannelCanonical.from_rotations(_v_rotation(g), ru, mu, np.array([s1, 0.0, 0.0]))
 
 
 def procedure_b(g: PairGeometry) -> QubitChannelCanonical:
@@ -252,12 +245,7 @@ def procedure_b(g: PairGeometry) -> QubitChannelCanonical:
         else:
             axis = -g.rb2 / len2
         ru = rotation_aligning(np.array([0.0, 0.0, 1.0]), axis) @ rot_plane
-    return QubitChannelCanonical(
-        V=unitary_of_rotation(rv),
-        U=unitary_of_rotation(ru),
-        mu=np.ones(3),
-        s=np.zeros(3),
-    )
+    return QubitChannelCanonical.from_rotations(rv, ru, np.ones(3), np.zeros(3))
 
 
 def optimal_canonical(g: PairGeometry) -> QubitChannelCanonical:

@@ -11,7 +11,9 @@ which is PSD iff the map is completely positive and satisfies
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .linalg import (
 PSD_TOL = 1e-9
 TP_TOL = 1e-9
 RSW_SLACK = 1e-10
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -215,29 +218,56 @@ def check_ppt(choi: ChoiMatrix, tol=PSD_TOL):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QubitChannelCanonical:
-    """Qubit channel as rho -> U D(V rho V^dag) U^dag.
+    """Qubit channel as rho -> U D(V rho V^dag) U^dag, kept in Bloch frames.
 
-    ``D`` scales the Bloch components by ``mu`` and translates by ``s``; ``V``
-    and ``U`` are the input and output basis rotations.
+    ``D`` scales the Bloch components by ``mu`` and translates by ``s``;
+    ``rv`` and ``ru`` are the SO(3) actions of the input and output basis
+    rotations ``V`` and ``U``.  ``QubitChannelCanonical(V, U, mu, s)`` takes
+    the unitaries and keeps them; :meth:`from_rotations` takes the rotations,
+    and ``V``/``U`` are then built as SU(2) elements when first read.
     """
 
-    V: np.ndarray
-    U: np.ndarray
+    rv: np.ndarray
+    ru: np.ndarray
     mu: np.ndarray
     s: np.ndarray
 
+    def __init__(self, V, U, mu, s):
+        self.__dict__.update(V=V, U=U, mu=mu, s=s)
+        self.__post_init__()
+
+    @classmethod
+    def from_rotations(cls, rv, ru, mu, s):
+        """Channel from proper rotations ``rv``, ``ru`` (LinalgError otherwise)."""
+        q = cls.__new__(cls)
+        q.__dict__.update(rv=rv, ru=ru, mu=mu, s=s)
+        q.__post_init__()
+        return q
+
     def __post_init__(self):
-        for name in ("V", "U"):
-            w = np.asarray(getattr(self, name), dtype=complex)
-            if np.abs(w @ w.conj().T - np.eye(2)).max() > 1e-10:
-                raise LinalgError(f"{name} is not unitary")
-            object.__setattr__(self, name, w)
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
-        object.__setattr__(self, "rv", rotation_of_unitary(self.V))
-        object.__setattr__(self, "ru", rotation_of_unitary(self.U))
+        """Check and normalise the data of either constructor; rv/ru from V/U if given."""
+        fields = self.__dict__
+        for rot, name in (("rv", "V"), ("ru", "U")):
+            if name in fields:
+                w = np.asarray(fields[name], dtype=complex)
+                if np.abs(w @ w.conj().T - np.eye(2)).max() > 1e-10:
+                    raise LinalgError(f"{name} is not unitary")
+                fields[name] = w
+                fields[rot] = rotation_of_unitary(w)
+            else:
+                fields[rot] = _proper_rotation(fields[rot])
+        fields["mu"] = np.asarray(fields["mu"], dtype=float)
+        fields["s"] = np.asarray(fields["s"], dtype=float)
+
+    @cached_property
+    def V(self):
+        return unitary_of_rotation(self.rv)
+
+    @cached_property
+    def U(self):
+        return unitary_of_rotation(self.ru)
 
     def bloch_map(self, r):
         """Affine Bloch action of the channel on a (possibly unnormalized) vector."""
@@ -245,17 +275,41 @@ class QubitChannelCanonical:
 
 
 def rotation_of_unitary(w):
-    """SO(3) matrix R with (W rho W^dag) Bloch vector = R r."""
+    """SO(3) matrix R with (W rho W^dag) Bloch vector = R r.
+
+    With the phase of sqrt(det W) removed, W = a I - i (b X + c Y + d Z), and
+    R is the rotation matrix of the quaternion (a, b, c, d); this equals the
+    trace form R_pq = tr(sigma_p W sigma_q W^dag) / 2.
+    """
+    (w00, w01), (w10, w11) = np.asarray(w, dtype=complex).tolist()
+    phase = cmath.sqrt(w00 * w11 - w01 * w10)
+    phase = phase.conjugate() / abs(phase)
+    a = 0.5 * ((w00 + w11) * phase).real
+    b = -0.5 * ((w01 + w10) * phase).imag
+    c = 0.5 * ((w10 - w01) * phase).real
+    d = 0.5 * ((w11 - w00) * phase).imag
     return np.array(
-        [[0.5 * np.trace(p @ w @ q @ w.conj().T).real for q in PAULI[1:]] for p in PAULI[1:]]
+        [
+            [a * a + b * b - c * c - d * d, 2.0 * (b * c - a * d), 2.0 * (b * d + a * c)],
+            [2.0 * (b * c + a * d), a * a - b * b + c * c - d * d, 2.0 * (c * d - a * b)],
+            [2.0 * (b * d - a * c), 2.0 * (c * d + a * b), a * a - b * b - c * c + d * d],
+        ]
     )
+
+
+def _proper_rotation(r):
+    """``r`` as a float array; LinalgError unless R R^T = I (to 1e-9) and det R > 0."""
+    r = np.asarray(r, dtype=float)
+    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if np.abs(r @ r.T - _EYE3).max() > 1e-9 or det < 0:
+        raise LinalgError("not a proper rotation matrix")
+    return r
 
 
 def unitary_of_rotation(r):
     """SU(2) element whose conjugation action on Bloch vectors is the rotation ``r``."""
-    r = np.asarray(r, dtype=float)
-    if np.abs(r @ r.T - np.eye(3)).max() > 1e-9 or np.linalg.det(r) < 0:
-        raise LinalgError("not a proper rotation matrix")
+    r = _proper_rotation(r)
     antisym = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
     sin_part = 0.5 * np.linalg.norm(antisym)  # = sin(theta)
     cos_part = 0.5 * (np.trace(r) - 1.0)
@@ -342,10 +396,7 @@ def canonical_qubit(choi: ChoiMatrix) -> QubitChannelCanonical:
     if np.linalg.det(o1) < 0:
         o1[:, 2] = -o1[:, 2]
         mu[2] = -mu[2]
-    s = o2.T @ tau
-    v = unitary_of_rotation(o1.T)
-    u = unitary_of_rotation(o2)
-    return QubitChannelCanonical(V=v, U=u, mu=mu, s=s)
+    return QubitChannelCanonical.from_rotations(o1.T, o2, mu, o2.T @ tau)
 
 
 def _bloch_of(rho_mat):

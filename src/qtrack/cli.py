@@ -2,15 +2,13 @@
 
 Exit codes: 0 success, 2 validation/input error, 3 solver failure.  Every
 randomized command requires ``--seed`` and is byte-for-byte reproducible for a
-fixed seed.  ``QTRACK_THREADS`` caps worker threads for batch commands.
+fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,21 +42,6 @@ def emit_plotdata(rows, kind):
             cells.append(val if isinstance(val, str) else "%.10e" % val)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("QTRACK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    n = _threads()
-    if n == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write(text, path=None):
@@ -278,11 +261,12 @@ def _cmd_multistep(args):
             )
 
         records = multistep.sweep_2step(
-            factory, grid, grid, multistep.ChainOptions(restarts=args.restarts),
-            seed=args.seed, mapper=lambda fn, items: _map(fn, list(items)),
+            factory, grid, grid, multistep.ChainOptions(restarts=args.restarts), seed=args.seed
         )
         _write(emit_plotdata(records, "multistep_sweep"), args.out)
         return EXIT_OK
+    if args.noise is None:
+        raise FormatError("multistep needs --noise (a chain solve) or --sweep (a noise sweep)")
     noises = [_load_noise(obj) for obj in serialize.load_json(args.noise)]
     if len(noises) != args.steps - 1:
         raise FormatError(f"{args.steps}-step chain needs {args.steps - 1} noises")

@@ -25,19 +25,12 @@ from .linalg import LinalgError
 
 
 def identity_canonical() -> QubitChannelCanonical:
-    return QubitChannelCanonical(
-        V=np.eye(2, dtype=complex), U=np.eye(2, dtype=complex), mu=np.ones(3), s=np.zeros(3)
-    )
+    return diagonal_noise(np.ones(3), np.zeros(3))
 
 
 def diagonal_noise(lam, t) -> QubitChannelCanonical:
     """Noise scaling Bloch components by ``lam`` then translating by ``t``."""
-    return QubitChannelCanonical(
-        V=np.eye(2, dtype=complex),
-        U=np.eye(2, dtype=complex),
-        mu=np.asarray(lam, dtype=float),
-        s=np.asarray(t, dtype=float),
-    )
+    return QubitChannelCanonical.from_rotations(np.eye(3), np.eye(3), lam, t)
 
 
 def extremal_noise(lam1, lam2) -> QubitChannelCanonical:
@@ -45,11 +38,6 @@ def extremal_noise(lam1, lam2) -> QubitChannelCanonical:
     lam3 = lam1 * lam2
     t3 = np.sqrt(max((1.0 - lam1**2) * (1.0 - lam2**2), 0.0))
     return diagonal_noise([lam1, lam2, lam3], [0.0, 0.0, t3])
-
-
-def _frames(q: QubitChannelCanonical):
-    """(v rows, u columns) versor frames of a canonical channel."""
-    return q.rv, q.ru  # v_k = rv[k], u_k = ru[:, k]
 
 
 def forward_state(r, controller: QubitChannelCanonical, noise: QubitChannelCanonical):
@@ -67,11 +55,11 @@ def backward_target(c_next, rb_next, controller_next: QubitChannelCanonical,
     Rb' = sum_k lam_k (Q . g_k) h_k with the matching scalar update.
     """
     rb_next = np.asarray(rb_next, dtype=float)
-    rv_c, ru_c = _frames(controller_next)
+    rv_c, ru_c = controller_next.rv, controller_next.ru  # v_k = rv[k], u_k = ru[:, k]
     u_dots = np.array([ru_c[:, k] @ rb_next for k in range(3)])
     c_mid = float(c_next + controller_next.s @ u_dots)
     q_vec = sum(controller_next.mu[k] * u_dots[k] * rv_c[k] for k in range(3))
-    rv_n, ru_n = _frames(noise)
+    rv_n, ru_n = noise.rv, noise.ru
     g_dots = np.array([ru_n[:, k] @ q_vec for k in range(3)])
     c_prev = float(c_mid + noise.s @ g_dots)
     rb_prev = sum(noise.mu[k] * g_dots[k] * rv_n[k] for k in range(3))
@@ -228,7 +216,7 @@ def _seed_chains(task: ChainTask, rng):
     """Initial guesses: do-nothing, optimal-last, and random unitary-first chains."""
     seeds = []
 
-    def propagate(first_rotations, label):
+    def propagate(first_rotations, label, optimal_last=True):
         n_steps = task.n_steps
         r_steps = np.zeros((n_steps, 2, 3))
         r_steps[0] = task.r_sources
@@ -243,7 +231,7 @@ def _seed_chains(task: ChainTask, rng):
         rb_steps[-1] = task.rb_final
         c_steps[-1] = task.c_final
         for n in range(n_steps - 2, -1, -1):
-            if n == n_steps - 2:
+            if optimal_last and n == n_steps - 2:
                 ctrl, _ = _optimal_controller(
                     r_steps[n + 1, 0], r_steps[n + 1, 1], c_steps[n + 1], rb_steps[n + 1]
                 )
@@ -256,22 +244,7 @@ def _seed_chains(task: ChainTask, rng):
         return _pack(task, r_steps, c_steps, rb_steps), label
 
     # seed 1: plain noise propagation, identity controllers backward too
-    n_steps = task.n_steps
-    r_steps = np.zeros((n_steps, 2, 3))
-    r_steps[0] = task.r_sources
-    for n in range(n_steps - 1):
-        for i in range(2):
-            r_steps[n + 1, i] = task.noises[n].bloch_map(r_steps[n, i])
-    rb_steps = np.zeros((n_steps, 2, 3))
-    c_steps = np.zeros((n_steps, 2))
-    rb_steps[-1] = task.rb_final
-    c_steps[-1] = task.c_final
-    for n in range(n_steps - 2, -1, -1):
-        for i in range(2):
-            c_steps[n, i], rb_steps[n, i] = backward_target(
-                c_steps[n + 1, i], rb_steps[n + 1, i], identity_canonical(), task.noises[n]
-            )
-    seeds.append((_pack(task, r_steps, c_steps, rb_steps), "do-nothing"))
+    seeds.append(propagate(np.eye(3), "do-nothing", optimal_last=False))
     seeds.append(propagate(np.eye(3), "optimal-last"))
     while len(seeds) < 8:
         axis = rng.standard_normal(3)

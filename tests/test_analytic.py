@@ -10,6 +10,7 @@ from qtrack.channels import (
     choi_from_kraus,
     KrausSet,
     random_state,
+    rotation_of_unitary,
 )
 from qtrack.distances import WeightedSequence, hs_inner
 
@@ -357,3 +358,17 @@ def test_omega_tie_routed_to_b():
     res = analytic.track_pair(s1, s2, s1, s2, 0.5)
     assert res.procedure == "B"
     assert not res.unique
+
+
+def test_procedure_rotations_match_their_unitaries():
+    # the SU(2) unitaries derived from procedure A/B rotations act as those rotations
+    rng = np.random.default_rng(30)
+    seen = set()
+    for k in range(60):
+        r1, r2, t1, t2, pi1 = random_instance(rng, pure_sources=k % 3 == 0)
+        g = analytic.PairGeometry.from_states(r1, r2, t1, t2, pi1)
+        q = analytic.optimal_canonical(g)
+        seen.add("A" if g.omega > analytic.OMEGA_TIE else "B")
+        assert np.abs(rotation_of_unitary(q.V) - q.rv).max() <= 1e-12
+        assert np.abs(rotation_of_unitary(q.U) - q.ru).max() <= 1e-12
+    assert seen == {"A", "B"}

@@ -286,3 +286,54 @@ def test_unitary_rotation_correspondence():
         # equal up to global phase
         phase = np.trace(back.conj().T @ u) / 2
         assert np.abs(u - phase * back).max() < 1e-8
+
+
+def test_rotation_of_unitary_matches_trace_form():
+    # closed-form quaternion map against R_pq = tr(sigma_p W sigma_q W^dag) / 2
+    # on Haar unitaries of U(2), so det W carries an arbitrary phase
+    rng = np.random.default_rng(16)
+    paulis = hermitian_basis(2)[1:]
+    for _ in range(1000):
+        w = ch.haar_random_unitary(2, rng)
+        want = np.array(
+            [[0.5 * np.trace(p @ w @ q @ w.conj().T).real for q in paulis] for p in paulis]
+        )
+        assert np.abs(ch.rotation_of_unitary(w) - want).max() <= 1e-14
+
+
+def test_from_rotations_rejects_bad_rotations():
+    with pytest.raises(LinalgError):
+        ch.QubitChannelCanonical.from_rotations(
+            np.diag([1.0, 1.0, -1.0]), np.eye(3), np.ones(3), np.zeros(3)
+        )
+    with pytest.raises(LinalgError):
+        ch.QubitChannelCanonical.from_rotations(
+            np.eye(3), np.diag([1.0, 1.0, 1.0 + 1e-8]), np.ones(3), np.zeros(3)
+        )
+
+
+def test_unitary_constructor_keeps_given_unitaries():
+    # a U(2) phase that the SU(2) rebuild from the rotation would drop
+    rng = np.random.default_rng(17)
+    v = np.exp(0.3j) * ch.haar_random_unitary(2, rng)
+    u = ch.haar_random_unitary(2, rng)
+    q = ch.QubitChannelCanonical(v, u, np.ones(3), np.zeros(3))
+    assert np.array_equal(q.V, v) and np.array_equal(q.U, u)
+    assert np.array_equal(q.rv, ch.rotation_of_unitary(v))
+
+
+def test_assemble_from_rotations_matches_su2_path():
+    # the Choi matrix of a rotation-built channel equals that of the same
+    # channel built through its SU(2) unitaries
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        rv = ch.rotation_of_unitary(ch.haar_random_unitary(2, rng))
+        ru = ch.rotation_of_unitary(ch.haar_random_unitary(2, rng))
+        mu = rng.uniform(-1, 1, 3)
+        s = rng.uniform(-0.5, 0.5, 3)
+        direct = ch.QubitChannelCanonical.from_rotations(rv, ru, mu, s)
+        via_su2 = ch.QubitChannelCanonical(
+            ch.unitary_of_rotation(rv), ch.unitary_of_rotation(ru), mu, s
+        )
+        diff = ch.assemble_qubit_choi(direct).mat - ch.assemble_qubit_choi(via_su2).mat
+        assert np.abs(diff).max() <= 1e-12

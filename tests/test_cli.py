@@ -222,3 +222,14 @@ def test_emit_plotdata_formatting():
     rows = [{"p": 0.1, "theta": 0.2, "ddr1": 1, "ddr2": 1, "sdr": 1, "dn": 1, "qc": 1}]
     text = cli.emit_plotdata(rows, "stabilize_grid")
     assert "1.0000000000e-01" in text
+
+
+def test_cli_multistep_needs_noise_or_sweep(tmp_path, capsys):
+    states = [{"pi": 0.5, "bloch": [1.0, 0.0, 0.0]}, {"pi": 0.5, "bloch": [0.0, 0.0, 1.0]}]
+    task = {"source": states, "target": states}
+    tpath = tmp_path / "task.json"
+    tpath.write_text(json.dumps(task))
+    code = cli.main(["multistep", "--task", str(tpath), "--seed", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--noise" in err and "Traceback" not in err

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 
 from qtrack import analytic, multistep as ms
@@ -180,3 +183,20 @@ def test_sweep_classification():
     for rec in records:
         assert rec["class"] in ("advantage", "tie", "suboptimal-converged")
         assert rec["f_multi"] >= rec["f_single"] - 1e-9
+
+
+def test_seed_chains_unchanged():
+    # all eight start vectors of a 3-step task, bit for bit, against values
+    # recorded (numpy 2.4, x86-64) from the seed code as it was before the
+    # do-nothing seed was folded into the shared propagation
+    recorded = json.loads((Path(__file__).parent / "data" / "seed_chains.json").read_text())
+    task = ms.ChainTask(
+        [[0.3, 0.2, 0.1], [0.0, 0.0, 0.9]],
+        [[0.6, 0.0, 0.0], [0.0, 0.5, 0.5]],
+        [0.4, 0.6],
+        [ms.extremal_noise(0.7, 0.46), ms.diagonal_noise([0.9, 0.6, 0.8], [0.05, 0.0, 0.1])],
+    )
+    seeds = ms._seed_chains(task, np.random.default_rng(3))
+    assert [label for _, label in seeds] == recorded["labels"]
+    for (z, _), want in zip(seeds, recorded["seeds"]):
+        assert np.array_equal(z, np.array(want))
