@@ -58,7 +58,7 @@ class DensityMatrix:
         """Bloch vector (d = 2 only)."""
         if self.d != 2:
             raise LinalgError("Bloch vector defined only for qubits")
-        return np.array([np.trace(self.mat @ p).real for p in PAULI[1:]])
+        return bloch_of(self.mat)
 
     def purity(self):
         return float(np.trace(self.mat @ self.mat).real)
@@ -374,10 +374,10 @@ def canonical_qubit(choi: ChoiMatrix) -> QubitChannelCanonical:
     # Bloch action: out = M r + tau
     m_aff = np.zeros((3, 3))
     basis = np.eye(3)
-    out0 = _bloch_of(apply_choi_raw(choi.mat, 0.5 * np.eye(2)))
+    out0 = bloch_of(apply_choi_raw(choi.mat, 0.5 * np.eye(2)))
     for j in range(3):
         rho_j = 0.5 * (np.eye(2) + sum(x * p for x, p in zip(basis[j], PAULI[1:])))
-        m_aff[:, j] = _bloch_of(apply_choi_raw(choi.mat, rho_j)) - out0
+        m_aff[:, j] = bloch_of(apply_choi_raw(choi.mat, rho_j)) - out0
     tau = out0
     o2, sing, o1t = np.linalg.svd(m_aff)
     o1 = o1t.T
@@ -399,7 +399,8 @@ def canonical_qubit(choi: ChoiMatrix) -> QubitChannelCanonical:
     return QubitChannelCanonical.from_rotations(o1.T, o2, mu, o2.T @ tau)
 
 
-def _bloch_of(rho_mat):
+def bloch_of(rho_mat):
+    """Bloch vector of a bare 2 x 2 matrix (no normalization checks)."""
     return np.array([np.trace(rho_mat @ p).real for p in PAULI[1:]])
 
 

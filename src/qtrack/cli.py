@@ -13,7 +13,14 @@ import sys
 import numpy as np
 
 from . import analytic, applications, distances, multistep, serialize, tracking
-from .channels import canonical_qubit, check_cptp, check_ppt, random_state
+from .channels import (
+    apply_choi_raw,
+    bloch_of,
+    canonical_qubit,
+    check_cptp,
+    check_ppt,
+    random_state,
+)
 from .linalg import LinalgError
 from .sdp import SolverError, SolverOptions
 from .serialize import FormatError
@@ -29,6 +36,27 @@ PLOT_COLUMNS = {
     "bench": ("measure", "mean_seconds"),
     "bound_report": ("measure", "value", "slack"),
 }
+
+
+def _dimension(text):
+    d = int(text)
+    if d < 2:
+        raise argparse.ArgumentTypeError(f"dimension must be at least 2, got {d}")
+    return d
+
+
+def _positive(text):
+    val = float(text)
+    if not val > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return val
+
+
+def _cell(text):
+    i, sep, d = text.partition("x")
+    if not (sep and i.isdigit() and d.isdigit() and int(i) >= 1 and int(d) >= 2):
+        raise argparse.ArgumentTypeError(f"cell must be IxD with I >= 1 and D >= 2, got {text!r}")
+    return int(i), int(d)
 
 
 def emit_plotdata(rows, kind):
@@ -142,10 +170,10 @@ def _cmd_solve(args):
         },
     }
     if tp.d == 2:
-        from .channels import apply_choi
-
+        # the controller's trace error is already reported under "cptp", so
+        # its outputs are not re-validated as states
         out["output_bloch"] = [
-            apply_choi(res.controller, s).bloch.tolist() for s in src.states
+            bloch_of(apply_choi_raw(res.controller.mat, s.mat)).tolist() for s in src.states
         ]
     _write(serialize.dump_json(out) + "\n", args.out)
     return EXIT_OK
@@ -294,9 +322,8 @@ def _cmd_multistep(args):
 
 
 def _cmd_compat(args):
-    cells = [(int(i), int(d)) for i, d in (pair.split("x") for pair in args.cells)]
     results = tracking.compatibility_experiment(
-        cells, args.samples, args.seed, target_pure=True
+        args.cells, args.samples, args.seed, target_pure=True
     )
     out = {}
     for cell, data in results.items():
@@ -338,7 +365,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_distances)
 
     p = sub.add_parser("scatter-bounds", help="random-state scatter of D vs 1 - F_N")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_dimension, required=True)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
@@ -353,7 +380,7 @@ def build_parser():
     p.add_argument("--problem", required=True)
     p.add_argument("--objective", required=True, choices=tracking.OBJECTIVES)
     p.add_argument("--feasible", default="cptp", choices=tracking.FEASIBLE_SETS)
-    p.add_argument("--gap-tol", type=float, default=1e-9)
+    p.add_argument("--gap-tol", type=_positive, default=1e-9)
     p.add_argument("--dump-problem", help="also write the assembled program as JSON")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_solve)
@@ -407,7 +434,8 @@ def build_parser():
     p.set_defaults(fn=_cmd_multistep)
 
     p = sub.add_parser("compat", help="cross-objective compatibility experiment")
-    p.add_argument("--cells", nargs="+", default=["2x2"], help="IxD cells, e.g. 2x2 3x2")
+    p.add_argument("--cells", nargs="+", type=_cell, default=[(2, 2)],
+                   help="IxD cells, e.g. 2x2 3x2")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
@@ -426,6 +454,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.fn is _cmd_stabilize and not args.grid and None in (args.p, args.theta):
+        parser.error("stabilize needs --p and --theta, or --grid")
     try:
         return args.fn(args)
     except (FormatError, LinalgError) as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-HERMITICITY_ATOL = 1e-12
 PSD_EIG_CLAMP = 1e-10
 
 
@@ -31,11 +30,6 @@ def mat(v, d):
     if v.size != d * d:
         raise LinalgError(f"vector of length {v.size} is not d^2 = {d * d}")
     return v.reshape((d, d), order="F")
-
-
-def is_hermitian(m, atol=HERMITICITY_ATOL):
-    m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= atol
 
 
 def hermitize(m, atol=1e-8):

@@ -23,6 +23,9 @@ from .analytic import (
 from .channels import DensityMatrix, QubitChannelCanonical
 from .linalg import LinalgError
 
+# restarts whose chain fidelities differ by no more than this are tied
+FIDELITY_TIE = 1e-12
+
 
 def identity_canonical() -> QubitChannelCanonical:
     return diagonal_noise(np.ones(3), np.zeros(3))
@@ -263,7 +266,9 @@ def solve_chain(task: ChainTask, opts: ChainOptions | None = None, seed=0) -> St
 
     Every returned chain satisfies the stacked fixed-point residual at
     ``opts.tol`` (non-converged restarts are discarded); among converged
-    chains the one with the highest end-to-end fidelity wins.
+    chains the one with the highest end-to-end fidelity wins.  A later restart
+    must beat the best so far by more than ``FIDELITY_TIE``, so ties at
+    round-off level go to the earlier restart.
     """
     opts = opts or ChainOptions()
     rng = np.random.default_rng(seed)
@@ -272,7 +277,7 @@ def solve_chain(task: ChainTask, opts: ChainOptions | None = None, seed=0) -> St
         chain = _solve_from(task, z0, label, opts)
         if chain is None:
             continue
-        if best is None or chain.fidelity > best.fidelity:
+        if best is None or chain.fidelity > best.fidelity + FIDELITY_TIE:
             best = chain
     if best is None:
         raise LinalgError("no restart converged; relax tolerances or add seeds")

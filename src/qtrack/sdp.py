@@ -9,8 +9,8 @@ The two are Lagrange duals of each other under ``c = -b, F0 = E0, F_j = -E_j``,
 and weak duality reads p <= d for every feasible pair.
 
 The solver is a primal-dual path-following method with Nesterov-Todd scaling
-and Mehrotra-style adaptive centering, run on the real symmetric embedding of
-complex Hermitian data.
+and Mehrotra-style adaptive centering, run directly on complex Hermitian data
+(real data is Hermitian data with a zero imaginary part).
 """
 
 from __future__ import annotations
@@ -108,52 +108,55 @@ class SdpSolution:
     iterates: list = field(default_factory=list)
 
 
-def _lift(h):
-    """Real symmetric embedding [[Re, -Im], [Im, Re]] of a Hermitian matrix."""
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
+def _flat(h):
+    """Real (Re, Im) view of a stack of complex matrices, one row of 2 n^2 per matrix.
+
+    For Hermitian A, ``_flat(A) @ _flat(B) = Re tr(A B)``, so the Hermitian
+    inner products of a whole stack are one real matrix-vector product.
+    """
+    h = np.ascontiguousarray(h, dtype=complex)
+    return h.view(float).reshape(*h.shape[:-2], 2 * h.shape[-2] * h.shape[-1])
 
 
-def _unlift(x):
-    n = x.shape[0] // 2
-    a = 0.5 * (x[:n, :n] + x[n:, n:])
-    b = 0.5 * (x[n:, :n] - x[:n, n:])
-    return a + 1j * b
+def _herm(m):
+    return 0.5 * (m + m.conj().T)
 
 
 def _max_step(m, delta):
     """Largest alpha in (0, 1] with m + alpha * delta staying PSD (m near-PD)."""
     w, u = np.linalg.eigh(m)
     w = np.clip(w, 1e-16 * max(w.max(), 1.0), None)
-    m_ihalf = (u / np.sqrt(w)) @ u.T
-    inner = m_ihalf @ delta @ m_ihalf
-    lam = np.linalg.eigvalsh(0.5 * (inner + inner.T)).min()
+    m_ihalf = (u / np.sqrt(w)) @ u.conj().T
+    lam = np.linalg.eigvalsh(_herm(m_ihalf @ delta @ m_ihalf)).min()
     if lam >= 0:
         return 1.0
     return min(1.0, -1.0 / lam)
 
 
-def _solve_textbook(c_mat, a_mats, b, opts: SolverOptions):
-    """min tr(C X) s.t. tr(A_i X) = b_i, X >= 0, via NT path following.
+def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
+    """min tr(C X) s.t. tr(A_i X) = b_i, X >= 0 over Hermitian X, via NT path following.
 
     Returns (X, y, S, info).  Infeasible start; residuals are driven to zero
     together with the complementarity gap.
     """
     n = c_mat.shape[0]
-    m = len(a_mats)
-    a_stack = np.stack(a_mats) if m else np.zeros((0, n, n))
-    x = np.eye(n)
-    s = np.eye(n)
+    m = len(b)
+    a_flat = _flat(a_stack)
+    c_flat = _flat(c_mat)
+    x = np.eye(n, dtype=complex)
     scale = max(1.0, np.abs(c_mat).max())
-    s *= scale
+    s = scale * np.eye(n, dtype=complex)
     y = np.zeros(m)
     iterates = []
 
     def a_dot(mat):
-        return np.einsum("ijk,jk->i", a_stack, mat) if m else np.zeros(0)
+        return a_flat @ _flat(mat)
 
     def a_comb(vec_):
-        return np.einsum("i,ijk->jk", vec_, a_stack) if m else np.zeros((n, n))
+        return (vec_ @ a_flat).view(complex).reshape(n, n)
+
+    def mu_of(x_, s_):
+        return float(_flat(x_) @ _flat(s_)) / n  # tr(X S) / n
 
     info = {"iterations": 0}
     best_mu = np.inf
@@ -162,8 +165,8 @@ def _solve_textbook(c_mat, a_mats, b, opts: SolverOptions):
     for it in range(opts.max_iter):
         rp = b - a_dot(x)
         rd = c_mat - s - a_comb(y)
-        mu = np.trace(x @ s) / n
-        pobj = float(np.trace(c_mat @ x))
+        mu = mu_of(x, s)
+        pobj = float(c_flat @ _flat(x))
         dobj = float(b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pres = np.linalg.norm(rp) / (1.0 + np.linalg.norm(b))
@@ -185,9 +188,6 @@ def _solve_textbook(c_mat, a_mats, b, opts: SolverOptions):
                 x, y, s, it0, gap, pres, dres = accepted
                 info.update(iterations=it0, status="optimal", gap=gap, pres=pres, dres=dres)
                 return x, y, s, info, iterates
-        if abs(dobj) > 1e12:
-            info.update(iterations=it, status="infeasible_detected", gap=gap, pres=pres, dres=dres)
-            return x, y, s, info, iterates
 
         # Anti-stall: if mu stops decreasing, lift the iterate off the cone
         # boundary (the feasibility residuals this reintroduces are handled by
@@ -212,52 +212,44 @@ def _solve_textbook(c_mat, a_mats, b, opts: SolverOptions):
             if wx.min() < -1e-10 * max(wx.max(), 1.0):
                 raise SolverError("primal iterate left the cone")
             wx = np.clip(wx, 1e-16 * max(wx.max(), 1.0), None)
-            x_half = (ux * np.sqrt(wx)) @ ux.T
-            t_mat = x_half @ s @ x_half
-            wt, ut = np.linalg.eigh(0.5 * (t_mat + t_mat.T))
+            x_half = (ux * np.sqrt(wx)) @ ux.conj().T
+            wt, ut = np.linalg.eigh(_herm(x_half @ s @ x_half))
             if wt.min() < -1e-10 * max(wt.max(), 1.0):
                 raise SolverError("dual iterate left the cone")
             wt = np.clip(wt, 1e-16 * max(wt.max(), 1.0), None)
-            t_inv_half = (ut / np.sqrt(np.sqrt(wt))) @ ut.T  # T^(-1/4) base
-            t_mhalf = t_inv_half @ t_inv_half.T  # T^(-1/2)
-            w_nt = x_half @ t_mhalf @ x_half
-            w_nt = 0.5 * (w_nt + w_nt.T)
+            t_mhalf = (ut / np.sqrt(wt)) @ ut.conj().T  # T^(-1/2)
+            w_nt = _herm(x_half @ t_mhalf @ x_half)
             ws, us = np.linalg.eigh(s)
             ws = np.clip(ws, 1e-16 * max(ws.max(), 1.0), None)
-            s_inv = (us / ws) @ us.T
+            s_inv = (us / ws) @ us.conj().T
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SolverError(f"factorization failed: {exc}") from exc
 
-        wa = np.stack([w_nt @ a_i @ w_nt for a_i in a_mats]) if m else np.zeros((0, n, n))
-        m_mat = np.einsum("ijk,ljk->il", a_stack, wa) if m else np.zeros((0, 0))
-        if m:
-            ridge = 1e-14 * max(np.trace(m_mat) / m, 1.0)
-            try:
-                m_chol = np.linalg.cholesky(m_mat + ridge * np.eye(m))
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(f"singular normal system: {exc}") from exc
+        # Schur complement M_ij = tr(A_i W A_j W), one real GEMM
+        m_mat = a_flat @ _flat(w_nt @ a_stack @ w_nt).T
+        ridge = 1e-14 * max(np.trace(m_mat) / max(m, 1), 1.0)
+        try:
+            m_chol = np.linalg.cholesky(m_mat + ridge * np.eye(m))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular normal system: {exc}") from exc
 
         def direction(sigma_mu, correction):
             rhs_mat = sigma_mu * s_inv - x if correction is None else sigma_mu * s_inv - x - correction
             rhs = rp - a_dot(rhs_mat - w_nt @ rd @ w_nt)
-            if m:
-                dy = np.linalg.solve(m_chol.T, np.linalg.solve(m_chol, rhs))
-            else:
-                dy = np.zeros(0)
+            dy = np.linalg.solve(m_chol.T, np.linalg.solve(m_chol, rhs))
             ds = rd - a_comb(dy)
             dx = rhs_mat - w_nt @ ds @ w_nt
-            return 0.5 * (dx + dx.T), dy, 0.5 * (ds + ds.T)
+            return _herm(dx), dy, _herm(ds)
 
         dx_a, dy_a, ds_a = direction(0.0, None)
         ap = _max_step(x, dx_a)
         ad = _max_step(s, ds_a)
-        mu_aff = np.trace((x + ap * dx_a) @ (s + ad * ds_a)) / n
+        mu_aff = mu_of(x + ap * dx_a, s + ad * ds_a)
         sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
         if max(pres, dres) > max(gap, 1e-15):
             # keep complementarity from racing ahead of feasibility
             sigma = max(sigma, 0.5)
-        corr = dx_a @ ds_a @ s_inv
-        corr = 0.5 * (corr + corr.T)
+        corr = _herm(dx_a @ ds_a @ s_inv)
 
         rp_norm, rd_norm = np.linalg.norm(rp), np.linalg.norm(rd)
 
@@ -265,7 +257,7 @@ def _solve_textbook(c_mat, a_mats, b, opts: SolverOptions):
             dx, dy, ds = delta
             a_p = min(opts.step_fraction * _max_step(x, dx), 1.0)
             a_d = min(opts.step_fraction * _max_step(s, ds), 1.0)
-            mu_n = np.trace((x + a_p * dx) @ (s + a_d * ds)) / n
+            mu_n = mu_of(x + a_p * dx, s + a_d * ds)
             merit = mu_n + 0.1 * ((1 - a_p) * rp_norm + (1 - a_d) * rd_norm)
             return merit, a_p, a_d, delta
 
@@ -276,9 +268,9 @@ def _solve_textbook(c_mat, a_mats, b, opts: SolverOptions):
         if min(max(c[1], c[2]) for c in candidates) < 0.2:
             candidates.append(try_step(direction(0.5 * mu, None)))
         _, a_p, a_d, (dx, dy, ds) = min(candidates, key=lambda c: c[0])
-        x = 0.5 * ((x + a_p * dx) + (x + a_p * dx).T)
+        x = _herm(x + a_p * dx)
         y = y + a_d * dy
-        s = 0.5 * ((s + a_d * ds) + (s + a_d * ds).T)
+        s = _herm(s + a_d * ds)
 
     if accepted is not None:
         x, y, s, it0, gap, pres, dres = accepted
@@ -294,118 +286,77 @@ def _solve_textbook(c_mat, a_mats, b, opts: SolverOptions):
     return x, y, s, info, iterates
 
 
-def _refine_primal(x, y, a_stack, b, c_mat, feas_tol=1e-9):
+def _refine_primal(x, y, a_stack, b, c_mat):
     """Project the converged primal onto the face annihilated by the dual slack.
 
     Interior-point iterates satisfy ||X S|| ~ sqrt(mu); restricting X to the
     numerical null space of the slack and re-solving the equality constraints
     by least squares restores complementarity to round-off level.  The input
-    is returned unchanged whenever the projection would damage feasibility.
+    is returned unchanged whenever the projection would damage feasibility:
+    its equality residual must not exceed the input's beyond round-off, and it
+    must stay PSD.
     """
-    m = len(b)
     n = x.shape[0]
-    if m == 0:
-        return x
-    slack = c_mat - np.einsum("i,ijk->jk", y, a_stack)
-    w, u = np.linalg.eigh(0.5 * (slack + slack.T))
-    tau = 1e-6 * max(w.max(), 1.0)
-    keep = w < tau
+    a_flat = _flat(a_stack)
+    w, u = np.linalg.eigh(c_mat - (y @ a_flat).view(complex).reshape(n, n))
+    keep = w < 1e-6 * max(w.max(), 1.0)
     r = int(keep.sum())
     if r == 0 or r == n:
         return x
     nbasis = u[:, keep]
-    a_red = np.stack([nbasis.T @ a @ nbasis for a in a_stack])
-    g = a_red.reshape(m, r * r)
-    w0 = nbasis.T @ x @ nbasis
-    resid = b - g @ w0.reshape(-1)
+    g = _flat(nbasis.conj().T @ a_stack @ nbasis)
+    w0 = nbasis.conj().T @ x @ nbasis
     try:
-        dw, *_ = np.linalg.lstsq(g, resid, rcond=None)
+        dw, *_ = np.linalg.lstsq(g, b - g @ _flat(w0), rcond=None)
     except np.linalg.LinAlgError:  # pragma: no cover - defensive
         return x
-    w_new = w0 + 0.5 * (dw.reshape(r, r) + dw.reshape(r, r).T)
-    x_new = nbasis @ w_new @ nbasis.T
-    feas = np.abs(b - np.einsum("ijk,jk->i", a_stack, x_new)).max()
-    lam_min = np.linalg.eigvalsh(w_new).min()
-    if feas > feas_tol * (1.0 + np.abs(b).max()) or lam_min < -1e-9:
+    w_new = w0 + _herm(dw.view(complex).reshape(r, r))
+    x_new = nbasis @ w_new @ nbasis.conj().T
+    feas_old = np.abs(b - a_flat @ _flat(x)).max(initial=0.0)
+    feas_new = np.abs(b - a_flat @ _flat(x_new)).max(initial=0.0)
+    round_off = 1e-13 * (1.0 + np.abs(b).max(initial=0.0))
+    if feas_new > max(feas_old, round_off) or np.linalg.eigvalsh(w_new).min() < -1e-9:
         return x
     return x_new
 
 
 def _prepare(problem):
-    """Map either public form onto the internal real textbook problem."""
+    """Map either public form onto the textbook problem (C, stack of A_i, b)."""
+    n = problem.dim
     if isinstance(problem, SdpStandard):
-        mats = [problem.e0] + [e for e, _ in problem.constraints]
-        complex_data = any(np.abs(m.imag).max() > 0 for m in mats)
-        b = np.array([bi for _, bi in problem.constraints])
-        if complex_data:
-            c_mat = _lift(problem.e0)
-            a_mats = [_lift(e) for e, _ in problem.constraints]
-            return c_mat, a_mats, 2.0 * b, complex_data
-        return problem.e0.real.copy(), [e.real for e, _ in problem.constraints], b, complex_data
+        a_stack = np.array([e for e, _ in problem.constraints], dtype=complex)
+        b = np.array([bi for _, bi in problem.constraints], dtype=float)
+        return problem.e0, a_stack.reshape(-1, n, n), b
     if isinstance(problem, SdpInequality):
-        mats = [problem.f0] + list(problem.fs)
-        complex_data = any(np.abs(m.imag).max() > 0 for m in mats)
-        if complex_data:
-            c_mat = _lift(problem.f0)
-            a_mats = [-_lift(f) for f in problem.fs]
-        else:
-            c_mat = problem.f0.real.copy()
-            a_mats = [-f.real for f in problem.fs]
-        return c_mat, a_mats, -problem.c, complex_data
+        a_stack = -np.array(problem.fs, dtype=complex)
+        return problem.f0, a_stack.reshape(-1, n, n), -problem.c
     raise LinalgError(f"unsupported problem type {type(problem)!r}")
 
 
 def solve(problem, opts: SolverOptions | None = None) -> SdpSolution:
     """Solve a standard- or inequality-form SDP; see the module docstring for signs."""
     opts = opts or SolverOptions()
-    c_mat, a_mats, b, complex_data = _prepare(problem)
-    x, y, s, info, iterates = _solve_textbook(c_mat, a_mats, b, opts)
-    if info["status"] == "optimal" and a_mats:
-        x = _refine_primal(x, y, np.stack(a_mats), np.asarray(b, dtype=float), c_mat)
-
-    if complex_data:
-        n2 = x.shape[0] // 2
-        j = np.block(
-            [[np.zeros((n2, n2)), -np.eye(n2)], [np.eye(n2), np.zeros((n2, n2))]]
-        )
-        x = 0.5 * (x + j @ x @ j.T)
-        z = _unlift(x)
-    else:
-        z = x.copy()
-
-    if isinstance(problem, SdpStandard):
-        pval = -float(np.trace(problem.e0 @ z).real)
-        dval = -float(np.array([bi for _, bi in problem.constraints]) @ y)
-        sol = SdpSolution(
-            status=info["status"],
-            primal_value=pval,
-            dual_value=dval,
-            gap=dval - pval,
-            z=z,
-            x=None,
-            nu=y,
-            iterations=info["iterations"],
-            residuals={"primal": info.get("pres"), "dual": info.get("dres")},
-            iterates=iterates,
-        )
-    else:
-        if complex_data:
-            z = 2.0 * z
-        value = float(problem.c @ y)
-        bound = -float(np.trace(problem.f0 @ z).real)
-        sol = SdpSolution(
-            status=info["status"],
-            primal_value=value,
-            dual_value=bound,
-            gap=value - bound,
-            z=z,
-            x=y,
-            nu=None,
-            iterations=info["iterations"],
-            residuals={"primal": info.get("pres"), "dual": info.get("dres")},
-            iterates=iterates,
-        )
-    return sol
+    c_mat, a_stack, b = _prepare(problem)
+    x, y, s, info, iterates = _solve_textbook(c_mat, a_stack, b, opts)
+    if info["status"] == "optimal":
+        x = _refine_primal(x, y, a_stack, b, c_mat)
+    # -tr(C X) and -b^T y are the standard form's primal and dual values, and
+    # the other way round for the inequality form
+    x_value = -float(np.trace(c_mat @ x).real)
+    y_value = -float(b @ y)
+    standard = isinstance(problem, SdpStandard)
+    return SdpSolution(
+        status=info["status"],
+        primal_value=x_value if standard else y_value,
+        dual_value=y_value if standard else x_value,
+        gap=y_value - x_value,
+        z=x,
+        x=None if standard else y,
+        nu=y if standard else None,
+        iterations=info["iterations"],
+        residuals={"primal": info["pres"], "dual": info["dres"]},
+        iterates=iterates,
+    )
 
 
 def verify_certificate(z, nu, problem: SdpStandard, tol=1e-8):

@@ -60,12 +60,6 @@ def _dsum(blocks):
     return out
 
 
-def _embed(block, offset, total):
-    out = np.zeros((total, total), dtype=complex)
-    out[offset : offset + block.shape[0], offset : offset + block.shape[0]] = block
-    return out
-
-
 def _choi_pairs(d):
     """Index pairs (mu, nu) of the traceless Choi expansion, nu >= 2."""
     return [(mu, nu) for mu in range(d * d) for nu in range(1, d * d)]

@@ -209,6 +209,8 @@ def test_cli_multistep_chain(workdir, tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["fidelity"] > out["single_step_fidelity"]
+    # every restart reaches the same fidelity to round-off; the first one keeps the tie
+    assert out["seed_chain"] == "do-nothing"
 
 
 def test_cli_bench(capsys):
@@ -233,3 +235,46 @@ def test_cli_multistep_needs_noise_or_sweep(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--noise" in err and "Traceback" not in err
+
+
+def test_cli_solve_reports_controller_with_small_trace_error(workdir, monkeypatch, capsys):
+    # TP residual 5e-10 passes check_cptp (1e-9) but the outputs miss unit
+    # trace by more than a DensityMatrix accepts (1e-10)
+    from qtrack import tracking as trk
+    from qtrack.channels import ChoiMatrix, check_cptp
+
+    excess = 5e-10 * np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
+    choi = ChoiMatrix(2, np.kron(np.eye(2), np.eye(2) / 2) + excess)
+    report = check_cptp(choi)
+    assert report["tp"] and abs(report["tp_residual"] - 5e-10) < 1e-15
+
+    def fake_solve(tp, opts=None):
+        return trk.TrackingResult(choi, 0.5, None, report, None)
+
+    monkeypatch.setattr(trk, "solve_tracking", fake_solve)
+    code = cli.main(["solve", "--problem", workdir["problem"], "--objective", "FHSavg1"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["cptp"]["tp_residual"] == report["tp_residual"]
+    assert len(out["output_bloch"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stabilize"],
+        ["stabilize", "--p", "0.1"],
+        ["compat", "--cells", "2y2", "--seed", "0"],
+        ["scatter-bounds", "--d", "1", "--seed", "0"],
+        ["scatter-bounds", "--d", "0", "--seed", "0"],
+        ["solve", "--problem", "p.json", "--objective", "Davg", "--gap-tol", "-1"],
+    ],
+    ids=["stabilize-no-point", "stabilize-no-theta", "compat-bad-cell", "scatter-d1",
+         "scatter-d0", "solve-negative-gap-tol"],
+)
+def test_cli_bad_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "qtrack" in err and "error: " in err and "Traceback" not in err

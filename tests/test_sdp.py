@@ -86,8 +86,7 @@ def test_weak_duality_along_iterates():
     a_mats = [np.kron(h, np.eye(2)) for h in hermitian_basis(2)]
     b = np.array([2.0, 0, 0, 0])
     feas = np.kron(np.eye(2), np.eye(2) / 2)  # maximally depolarizing Choi
-    for x, y, s in sol.iterates[1:]:
-        z = sdp._unlift(0.5 * (x + _j_conj(x)))
+    for z, y, s in sol.iterates[1:]:
         resid = np.array([np.trace(e @ z).real for e in a_mats]) - b
         # affine restoration: absorb the residual into the feasible reference
         z_fixed = z - sum(
@@ -108,10 +107,19 @@ def test_weak_duality_along_iterates():
             assert pval <= dval + 1e-12
 
 
-def _j_conj(x):
-    n = x.shape[0] // 2
-    j = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    return j @ x @ j.T
+def test_refine_primal_keeps_input_when_face_is_too_small():
+    # the slack diag(0, 1) leaves the face span(e1), which cannot carry the
+    # 5e-10 that the second constraint puts on e2
+    c_mat = np.diag([0.0, 1.0]).astype(complex)
+    a_stack = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    b = np.array([1.0 - 5e-10, 5e-10])
+    x = np.diag(b).astype(complex)
+    assert sdp._refine_primal(x, np.zeros(2), a_stack, b, c_mat) is x
+    # on a face that can satisfy the constraints the projection is taken
+    b_face = np.array([1.0, 0.0])
+    x_near = np.diag([1.0 - 1e-7, 1e-7]).astype(complex)
+    refined = sdp._refine_primal(x_near, np.zeros(2), a_stack, b_face, c_mat)
+    assert np.abs(refined - np.diag(b_face)).max() < 1e-15
 
 
 def test_solver_deterministic():
