@@ -20,9 +20,10 @@ from .channels import (
     assemble_qubit_choi,
     rotation_aligning,
 )
-from .linalg import PAULI, LinalgError
+from .linalg import PAULI, LinalgError, stacked_dot
 
 OMEGA_TIE = 1e-12
+_EYE3 = np.eye(3)
 
 
 class DegenerateGeometryError(LinalgError):
@@ -250,6 +251,82 @@ def procedure_b(g: PairGeometry) -> QubitChannelCanonical:
 
 def optimal_canonical(g: PairGeometry) -> QubitChannelCanonical:
     return procedure_a(g) if g.omega > OMEGA_TIE else procedure_b(g)
+
+
+def optimal_frames(r1, r2, rb1, rb2):
+    """Frames ``rv``, ``ru``, ``mu``, ``s`` of the optimal tracker for stacked pairs.
+
+    The stacked form of :func:`optimal_canonical` over ``(..., 3)`` Bloch
+    arrays of one shape (targets priority-scaled, as in :class:`PairGeometry`),
+    for the generic branches of procedures A and B.  Returns ``rv``, ``ru`` of
+    shape ``(..., 3, 3)``, ``mu``, ``s`` of shape ``(..., 3)`` and a mask
+    ``ok`` of the rows it covers.  There it repeats the scalar route's
+    arithmetic in the same order (BLAS dots, Python's float power), so the
+    values round as the scalar route's do.  The other rows
+    (coincident or collinear sources, maximally mixed or parallel targets,
+    S + T = 0, frames that are no proper rotation) hold no meaningful values
+    and need the scalar route.
+    """
+    lead = np.shape(r1)[:-1]
+    # component-first (3, n) stacks, so _cross3 works component-wise
+    r1, r2, rb1, rb2 = (np.asarray(v, dtype=float).reshape(-1, 3).T for v in (r1, r2, rb1, rb2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_minus, rb_plus = r1 - r2, rb1 + rb2
+        r_cross, rb_cross = _cross3(r1, r2), _cross3(rb1, rb2)
+        r11, r12, r22, rb11, rb12, rb22, rm2, rx2, rbx2, rbp2, p1, p2 = stacked_dot(
+            np.array([r1, r1, r2, rb1, rb1, rb2, r_minus, r_cross, rb_cross, rb_plus, r1, r2]
+                     ).transpose(0, 2, 1),
+            np.array([r1, r2, r2, rb1, rb2, rb2, r_minus, r_cross, rb_cross, rb_plus, r_minus,
+                      r_minus]).transpose(0, 2, 1),
+        )
+        rm, rx, rbx = np.sqrt(rm2), np.sqrt(rx2), np.sqrt(rbx2)
+        # the (1, 2) and (2, 1) terms of PairGeometry's T, which round alike
+        t_val = ((1.0 - r11) * rb11 + (1.0 - r12) * rb12 + (1.0 - r12) * rb12
+                 + (1.0 - r22) * rb22)
+        s_val = np.sqrt(t_val * t_val + 4.0 * rbx2 * (rm2 - rx2))
+        proc_a = s_val + t_val - 2.0 * np.sqrt(rbx2 * rx2) > OMEGA_TIE
+        st = s_val + t_val
+        st2, st3 = _pypow(st, 2), _pypow(st, 3)
+        # procedure A where Omega > 0, procedure B elsewhere
+        k_a = np.sqrt(2.0 / (s_val * st))
+        alpha = np.where(proc_a, np.sqrt(st / (2.0 * s_val)), rx / rm)
+        beta1 = np.where(proc_a, k_a * p1, p1 / (rbx * rm))
+        beta2 = np.where(proc_a, k_a * p2, p2 / (rbx * rm))
+        gamma = np.where(proc_a, np.sqrt(rbp2 + 2.0 * rm2 * rbx2 / st),
+                         np.sqrt(rbp2 - t_val + 2.0 * rx * rbx))
+        rbx_sq = rbx * rbx
+        mu = np.where(proc_a, [2.0 * np.sqrt(2.0 / (s_val * st3)) * rbx_sq * rx * rm,
+                               (2.0 / st) * rbx * rx, k_a * rbx * rm], 1.0)
+        s = np.zeros_like(mu)
+        s[0] = np.where(proc_a, np.sqrt(1.0 / (2.0 * s_val * st3)) * (st2 - 4.0 * rbx_sq * rx * rx),
+                        0.0)
+        v2, v3 = r_cross / rx, r_minus / rm
+        u2 = rb_cross / rbx
+        u3 = ((alpha / rbx) * _cross3(rb_plus, rb_cross) + rbx * (beta1 * rb1 + beta2 * rb2)) / gamma
+        # rows of rv and columns of ru, C-ordered like the scalar route's frames
+        # (the order decides how BLAS rounds products with them)
+        rv = np.ascontiguousarray(np.array([_cross3(v2, v3), v2, v3]).transpose(2, 0, 1))
+        ru = np.ascontiguousarray(np.array([_cross3(u2, u3), u2, u3]).transpose(2, 1, 0))
+        mixed = (np.sqrt(rb11) <= 1e-14) & (np.sqrt(rb22) <= 1e-14)
+        ok = ~((rm <= 1e-12) | mixed | (rx <= 1e-14) | (rbx <= 1e-14)
+               | (proc_a & (st <= 1e-15)) | _improper(rv) | _improper(ru))
+    return (rv.reshape(*lead, 3, 3), ru.reshape(*lead, 3, 3), mu.T.reshape(*lead, 3),
+            s.T.reshape(*lead, 3), ok.reshape(lead))
+
+
+def _pypow(x, k):
+    """``x ** k`` per element, rounded as Python's float power (numpy's may differ)."""
+    return np.array([v**k for v in x.tolist()])
+
+
+def _improper(r):
+    """Stacked ``from_rotations`` test failure: R R^T differs from I by more than 1e-9.
+
+    The frames of :func:`optimal_frames` are [a x b, a, b] (as rows or columns),
+    so det R = |a x b|^2 >= 0 and R R^T = I forces det R = 1.
+    """
+    dev = np.abs(r @ np.swapaxes(r, -1, -2) - _EYE3)
+    return dev.reshape(-1, 9).max(-1) > 1e-9
 
 
 def assemble_optimal_choi(g: PairGeometry) -> ChoiMatrix:

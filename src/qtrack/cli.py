@@ -38,11 +38,18 @@ PLOT_COLUMNS = {
 }
 
 
-def _dimension(text):
-    d = int(text)
-    if d < 2:
-        raise argparse.ArgumentTypeError(f"dimension must be at least 2, got {d}")
-    return d
+def _int_in(lo, hi=None):
+    """argparse type: an integer of at least ``lo`` (and at most ``hi``)."""
+
+    def parse(text):
+        val = int(text)
+        if val < lo or (hi is not None and val > hi):
+            span = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {val}")
+        return val
+
+    parse.__name__ = "int"
+    return parse
 
 
 def _positive(text):
@@ -365,7 +372,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_distances)
 
     p = sub.add_parser("scatter-bounds", help="random-state scatter of D vs 1 - F_N")
-    p.add_argument("--d", type=_dimension, required=True)
+    p.add_argument("--d", type=_int_in(2), required=True)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
@@ -422,12 +429,14 @@ def build_parser():
     p.set_defaults(fn=_cmd_au_check)
 
     p = sub.add_parser("multistep", help="multi-step chain solve or 2-step sweep")
-    p.add_argument("--steps", type=int, default=2)
+    p.add_argument("--steps", type=_int_in(2), default=2)
     p.add_argument("--noise", help="JSON list of noise channels")
     p.add_argument("--task", required=True, help="JSON with source/target sequences")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=_int_in(1, multistep.MAX_RESTARTS),
+                   default=multistep.MAX_RESTARTS)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--sweep", type=int, help="grid size: sweep extremal noises instead")
+    p.add_argument("--sweep", type=_int_in(1),
+                   help="grid size: sweep extremal noises instead")
     p.add_argument("--sweep-min", type=float, default=0.05)
     p.add_argument("--sweep-max", type=float, default=0.95)
     p.add_argument("--out")

@@ -60,6 +60,16 @@ def perm_d4(d):
     return out
 
 
+def stacked_dot(a, b):
+    """``a @ b`` over the last axis of broadcast stacks, rounded as for 1-D arrays.
+
+    Each product is a vector-vector ``matmul``, which takes the same BLAS dot
+    (with its fused multiply-adds) as ``a @ b`` on 1-D arrays; a sum of
+    elementwise products rounds differently.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def partial_trace(m, dims, subsystem):
     """Trace out ``subsystem`` (1 or 2) of a matrix on a d1 (x) d2 space."""
     m = np.asarray(m)

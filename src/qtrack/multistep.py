@@ -5,12 +5,19 @@ constrained to be the closed-form optimal single-step tracker for its own
 (source, virtual target) pair; the sources follow from forward propagation and
 the virtual targets from backward (adjoint) propagation, giving a coupled
 nonlinear system in the Bloch data.  The solver is a damped fixed-point sweep
-with a finite-difference Newton fallback, restarted from several seeds.
+with a finite-difference Newton fallback, restarted from several seeds.  The
+restarts are iterated together as one ``(restarts, dim)`` array: each sweep
+computes the controllers of all rows with the stacked kernel
+:func:`~qtrack.analytic.optimal_frames`, a row stops when it converges, and
+the Newton Jacobian is one batched sweep over the perturbed points.  The
+batched arithmetic repeats the scalar functions' (:func:`forward_state`,
+:func:`backward_target`, the scalar controller route) in the same order, so
+every restart gives the same bits as when it ran alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,12 +26,15 @@ from .analytic import (
     PairGeometry,
     optimal_canonical,
     optimal_fidelity,
+    optimal_frames,
 )
 from .channels import DensityMatrix, QubitChannelCanonical
-from .linalg import LinalgError
+from .linalg import LinalgError, stacked_dot
 
 # restarts whose chain fidelities differ by no more than this are tied
 FIDELITY_TIE = 1e-12
+# _seed_chains gives this many start vectors
+MAX_RESTARTS = 8
 
 
 def identity_canonical() -> QubitChannelCanonical:
@@ -90,6 +100,20 @@ class StepChain:
     residual: float
     converged: bool
     seed_label: str = ""
+    restarts: list = field(default_factory=list)  # one RestartRecord per restart
+
+
+@dataclass
+class RestartRecord:
+    """What one restart of :func:`solve_chain` did."""
+
+    label: str  # seed label, as in StepChain.seed_label
+    sweeps: int  # damped sweeps run
+    newton_ran: bool
+    newton_ok: bool
+    residual: float  # last fixed-point residual
+    fidelity: float | None = None  # chain fidelity; None when dropped
+    dropped: str | None = None  # why the restart was discarded; None when kept
 
 
 class ChainTask:
@@ -145,65 +169,86 @@ def _as_trace(state):
 
 
 def _pack(task: ChainTask, r_steps, c_steps, rb_steps):
-    parts = []
-    for n in range(1, task.n_steps):
-        parts.append(np.ravel(r_steps[n]))
-    for n in range(task.n_steps - 1):
-        parts.append(np.ravel(rb_steps[n]))
-        parts.append(np.ravel(c_steps[n]))
-    return np.concatenate(parts)
+    """Free chain data, ``(..., N, 2, 3)`` and ``(..., N, 2)``, as ``(..., dim)`` rows."""
+    lead = c_steps.shape[:-2]
+    free = task.n_steps - 1
+    targets = np.concatenate(
+        [rb_steps[..., :-1, :, :].reshape(*lead, free, 6), c_steps[..., :-1, :]], axis=-1
+    )
+    return np.concatenate(
+        [r_steps[..., 1:, :, :].reshape(*lead, 6 * free), targets.reshape(*lead, 8 * free)],
+        axis=-1,
+    )
 
 
 def _unpack(task: ChainTask, z):
-    n_steps = task.n_steps
-    r_steps = np.zeros((n_steps, 2, 3))
-    r_steps[0] = task.r_sources
-    rb_steps = np.zeros((n_steps, 2, 3))
-    c_steps = np.zeros((n_steps, 2))
-    rb_steps[-1] = task.rb_final
-    c_steps[-1] = task.c_final
-    at = 0
-    for n in range(1, n_steps):
-        r_steps[n] = z[at : at + 6].reshape(2, 3)
-        at += 6
-    for n in range(n_steps - 1):
-        rb_steps[n] = z[at : at + 6].reshape(2, 3)
-        at += 6
-        c_steps[n] = z[at : at + 2]
-        at += 2
+    """Inverse of :func:`_pack`, with the fixed sources and final targets filled in."""
+    lead = z.shape[:-1]
+    free = task.n_steps - 1
+    r_steps = np.empty((*lead, free + 1, 2, 3))
+    r_steps[..., 0, :, :] = task.r_sources
+    r_steps[..., 1:, :, :] = z[..., : 6 * free].reshape(*lead, free, 2, 3)
+    targets = z[..., 6 * free :].reshape(*lead, free, 8)
+    rb_steps = np.empty((*lead, free + 1, 2, 3))
+    rb_steps[..., :-1, :, :] = targets[..., :6].reshape(*lead, free, 2, 3)
+    rb_steps[..., -1, :, :] = task.rb_final
+    c_steps = np.empty((*lead, free + 1, 2))
+    c_steps[..., :-1, :] = targets[..., 6:]
+    c_steps[..., -1, :] = task.c_final
     return r_steps, c_steps, rb_steps
 
 
-def _controllers_for(task, r_steps, c_steps, rb_steps):
-    out = []
-    for n in range(task.n_steps):
-        ctrl, _ = _optimal_controller(
-            r_steps[n, 0], r_steps[n, 1], c_steps[n], rb_steps[n]
-        )
-        out.append(ctrl)
-    return out
+def _frames(r, c, rb):
+    """Optimal controller frames (rv, ru, mu, s) of each row of ``(R, 2, ...)`` pair data.
+
+    Rows the stacked kernel does not cover take the scalar route, which gives
+    the identity on degenerate data.
+    """
+    rv, ru, mu, s, ok = optimal_frames(r[:, 0], r[:, 1], rb[:, 0], rb[:, 1])
+    for k in np.flatnonzero(~ok):
+        ctrl, _ = _optimal_controller(r[k, 0], r[k, 1], c[k], rb[k])
+        rv[k], ru[k], mu[k], s[k] = ctrl.rv, ctrl.ru, ctrl.mu, ctrl.s
+    return rv, ru, mu, s
+
+
+def _pull_back(c, rb, frames, noise):
+    """:func:`backward_target` of both targets of each row, ``(R, 2)`` and ``(R, 2, 3)``.
+
+    The same arithmetic in the same order, so the same bits, as the scalar form.
+    """
+    rv, ru, mu, s = frames
+    u_dots = stacked_dot(np.swapaxes(ru, 1, 2)[:, None], rb[:, :, None])
+    c_mid = c + stacked_dot(s[:, None], u_dots)
+    q_vec = sum(mu[:, None, k, None] * u_dots[..., k, None] * rv[:, None, k] for k in range(3))
+    g_dots = stacked_dot(noise.ru.T, q_vec[:, :, None])
+    rb_prev = sum(noise.mu[k] * g_dots[..., k, None] * noise.rv[k] for k in range(3))
+    return c_mid + stacked_dot(noise.s, g_dots), rb_prev
+
+
+def _push(r, frames, noise):
+    """:func:`forward_state` of both sources of each row, ``(R, 2, 3)``, bit for bit."""
+    rv, ru, mu, s = frames
+    r = _matvec(ru[:, None], mu[:, None] * _matvec(rv[:, None], r) + s[:, None])
+    return _matvec(noise.ru, noise.mu * _matvec(noise.rv, r) + noise.s)
+
+
+def _matvec(m, v):
+    """``m @ v`` for stacks of 3x3 matrices and 3-vectors, rounded as unstacked."""
+    return np.matmul(m, v[..., None])[..., 0]
 
 
 def _sweep(task: ChainTask, z):
-    """One backward plus forward pass of the self-consistency map."""
+    """One backward plus forward pass of the self-consistency map on each row of ``z``."""
     r_steps, c_steps, rb_steps = _unpack(task, z)
-    n_steps = task.n_steps
-    new_rb = rb_steps.copy()
-    new_c = c_steps.copy()
-    for n in range(n_steps - 2, -1, -1):
-        ctrl, _ = _optimal_controller(
-            r_steps[n + 1, 0], r_steps[n + 1, 1], new_c[n + 1], new_rb[n + 1]
+    for n in range(task.n_steps - 2, -1, -1):
+        frames = _frames(r_steps[:, n + 1], c_steps[:, n + 1], rb_steps[:, n + 1])
+        c_steps[:, n], rb_steps[:, n] = _pull_back(
+            c_steps[:, n + 1], rb_steps[:, n + 1], frames, task.noises[n]
         )
-        for i in range(2):
-            new_c[n, i], new_rb[n, i] = backward_target(
-                new_c[n + 1, i], new_rb[n + 1, i], ctrl, task.noises[n]
-            )
-    new_r = r_steps.copy()
-    for n in range(n_steps - 1):
-        ctrl, _ = _optimal_controller(new_r[n, 0], new_r[n, 1], new_c[n], new_rb[n])
-        for i in range(2):
-            new_r[n + 1, i] = forward_state(new_r[n, i], ctrl, task.noises[n])
-    return _pack(task, new_r, new_c, new_rb)
+    for n in range(task.n_steps - 1):
+        frames = _frames(r_steps[:, n], c_steps[:, n], rb_steps[:, n])
+        r_steps[:, n + 1] = _push(r_steps[:, n], frames, task.noises[n])
+    return _pack(task, r_steps, c_steps, rb_steps)
 
 
 @dataclass
@@ -264,53 +309,83 @@ def _seed_chains(task: ChainTask, rng):
 def solve_chain(task: ChainTask, opts: ChainOptions | None = None, seed=0) -> StepChain:
     """Multi-start solve of the self-consistency system; returns the best chain.
 
+    The restarts are iterated together as one ``(restarts, dim)`` batch.
     Every returned chain satisfies the stacked fixed-point residual at
     ``opts.tol`` (non-converged restarts are discarded); among converged
     chains the one with the highest end-to-end fidelity wins.  A later restart
     must beat the best so far by more than ``FIDELITY_TIE``, so ties at
-    round-off level go to the earlier restart.
+    round-off level go to the earlier restart.  ``StepChain.restarts`` holds
+    one :class:`RestartRecord` per restart, discarded ones included.
     """
     opts = opts or ChainOptions()
-    rng = np.random.default_rng(seed)
-    best = None
-    for z0, label in _seed_chains(task, rng)[: opts.restarts]:
-        chain = _solve_from(task, z0, label, opts)
-        if chain is None:
-            continue
-        if best is None or chain.fidelity > best.fidelity + FIDELITY_TIE:
-            best = chain
+    if not 1 <= opts.restarts <= MAX_RESTARTS:
+        raise LinalgError(f"restarts must be between 1 and {MAX_RESTARTS}, got {opts.restarts}")
+    seeds = _seed_chains(task, np.random.default_rng(seed))[: opts.restarts]
+    z, residual, sweeps, newton = _solve_batch(task, np.array([z0 for z0, _ in seeds]), opts)
+    best, records = None, []
+    for k, (_, label) in enumerate(seeds):
+        record = RestartRecord(label, int(sweeps[k]), newton[k] is not None, bool(newton[k]),
+                               float(residual[k]))
+        if residual[k] > opts.tol:
+            record.dropped = f"residual above tol after {opts.max_sweeps} sweeps"
+        else:
+            chain = _chain_at(task, z[k], label, residual[k])
+            record.fidelity = chain.fidelity
+            if best is None or chain.fidelity > best.fidelity + FIDELITY_TIE:
+                best = chain
+        records.append(record)
     if best is None:
         raise LinalgError("no restart converged; relax tolerances or add seeds")
+    best.restarts = records
     return best
 
 
-def _solve_from(task, z0, label, opts: ChainOptions):
-    z = z0.copy()
-    residual = np.inf
+def _solve_batch(task, z, opts: ChainOptions):
+    """Damped sweeps of every row of ``z`` at once; a row freezes when it converges.
+
+    Returns the final rows, their last residuals, the sweeps each row ran and,
+    per row, whether Newton succeeded (None where it did not run).
+    """
+    z = z.copy()
+    residual = np.full(len(z), np.inf)
+    sweeps = np.zeros(len(z), dtype=int)
+    newton = [None] * len(z)
+    active = np.arange(len(z))
     for sweep in range(opts.max_sweeps):
-        z_new = _sweep(task, z)
-        residual = np.abs(z_new - z).max()
-        if residual <= opts.tol:
-            z = z_new
+        if not active.size:
             break
-        z = (1.0 - opts.damping) * z + opts.damping * z_new
-        if sweep == opts.newton_after and residual > opts.tol:
-            z_newton = _newton_polish(task, z, opts)
-            if z_newton is not None:
-                z = z_newton
-                residual = np.abs(_sweep(task, z) - z).max()
-                break
-    if residual > opts.tol:
-        return None
+        z_act = z[active]
+        z_new = _sweep(task, z_act)
+        res = np.abs(z_new - z_act).max(axis=1)
+        residual[active], sweeps[active] = res, sweep + 1
+        done = res <= opts.tol
+        z[active] = np.where(
+            done[:, None], z_new, (1.0 - opts.damping) * z_act + opts.damping * z_new
+        )
+        if sweep == opts.newton_after:
+            for k in active[res > opts.tol]:
+                z_newton = _newton_polish(task, z[k], opts)
+                newton[k] = z_newton is not None
+                if newton[k]:
+                    z[k] = z_newton
+                    residual[k] = np.abs(_sweep(task, z_newton[None])[0] - z_newton).max()
+                    done[active == k] = True
+        active = active[~done]
+    return z, residual, sweeps, newton
+
+
+def _chain_at(task, z, label, residual):
     r_steps, c_steps, rb_steps = _unpack(task, z)
-    controllers = _controllers_for(task, r_steps, c_steps, rb_steps)
-    fid = task.chain_fidelity(controllers)
+    controllers = [
+        _optimal_controller(r_steps[n, 0], r_steps[n, 1], c_steps[n], rb_steps[n])[0]
+        for n in range(task.n_steps)
+    ]
     return StepChain(
         sources=r_steps,
         targets_c=c_steps,
         targets_rb=rb_steps,
         controllers=controllers,
-        fidelity=fid,
+        fidelity=task.chain_fidelity(controllers),
         residual=float(residual),
         converged=True,
         seed_label=label,
@@ -318,31 +393,36 @@ def _solve_from(task, z0, label, opts: ChainOptions):
 
 
 def _newton_polish(task, z, opts: ChainOptions, max_newton=25):
-    """Damped Newton on G(z) = z - Phi(z) with a finite-difference Jacobian."""
+    """Damped Newton on G(z) = z - Phi(z) with a finite-difference Jacobian.
+
+    Each step sweeps ``z`` and its ``dim`` perturbations as one batch, then
+    scores the damped candidates with one more batch and takes the first that
+    lowers the residual.
+    """
     dim = z.size
-    z = z.copy()
+    h = 1e-7
+    damps = np.array([1.0, 0.5, 0.25, 0.1])
+    diag = np.arange(dim)
     for _ in range(max_newton):
-        g0 = z - _sweep(task, z)
+        probes = np.tile(z, (dim + 1, 1))
+        probes[diag + 1, diag] += h
+        g = probes - _sweep(task, probes)
+        g0 = g[0]
         if np.abs(g0).max() <= opts.tol:
             return z
-        jac = np.empty((dim, dim))
-        h = 1e-7
-        for j in range(dim):
-            dz = z.copy()
-            dz[j] += h
-            jac[:, j] = ((dz - _sweep(task, dz)) - g0) / h
+        jac = ((g[1:] - g0) / h).T
         try:
             step = np.linalg.solve(jac, g0)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(jac, g0, rcond=None)
-        for damp in (1.0, 0.5, 0.25, 0.1):
-            cand = z - damp * step
-            if np.abs(cand - _sweep(task, cand)).max() < np.abs(g0).max():
-                z = cand
-                break
-        else:
+        cands = z - damps[:, None] * step
+        better = np.flatnonzero(
+            np.abs(cands - _sweep(task, cands)).max(axis=1) < np.abs(g0).max()
+        )
+        if not better.size:
             return None
-    g0 = z - _sweep(task, z)
+        z = cands[better[0]]
+    g0 = z - _sweep(task, z[None])[0]
     return z if np.abs(g0).max() <= opts.tol else None
 
 

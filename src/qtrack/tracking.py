@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .channels import ChoiMatrix, DensityMatrix, apply_choi, check_cptp, check_ppt
+from .channels import TP_TOL, ChoiMatrix, DensityMatrix, apply_choi_raw, check_cptp, check_ppt
 from .distances import WeightedSequence, hs_distance, sequence_distance
 from .linalg import LinalgError, hermitian_basis, vec
 
@@ -241,10 +241,14 @@ def problem_size(assembled):
 
 
 def evaluate_objective(choi: ChoiMatrix, tp: TrackingProblem):
-    """Objective value achieved by an arbitrary controller on a tracking problem."""
+    """Objective value achieved by an arbitrary controller on a tracking problem.
+
+    Outputs whose trace misses one by no more than ``TP_TOL`` (the tolerance
+    of :func:`check_cptp`) are scored after rescaling to unit trace.
+    """
     outs = WeightedSequence(
         [
-            (p, apply_choi(choi, s))
+            (p, _output_state(choi, s))
             for p, s in zip(tp.source.priorities, tp.source.states)
         ]
     )
@@ -266,6 +270,16 @@ def evaluate_objective(choi: ChoiMatrix, tp: TrackingProblem):
     if tp.objective == "FHSavg2":
         return sequence_distance("FHS", "avg2", outs, tp.target)
     raise LinalgError(f"unhandled objective {tp.objective!r}")
+
+
+def _output_state(choi: ChoiMatrix, rho: DensityMatrix) -> DensityMatrix:
+    if rho.d != choi.d:
+        raise LinalgError("dimension mismatch between channel and state")
+    out = apply_choi_raw(choi.mat, rho.mat)
+    trace = np.trace(out).real
+    if abs(trace - 1.0) > TP_TOL:
+        raise LinalgError(f"output trace {trace:.12f} != 1")
+    return DensityMatrix(out / trace)
 
 
 @dataclass

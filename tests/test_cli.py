@@ -268,9 +268,18 @@ def test_cli_solve_reports_controller_with_small_trace_error(workdir, monkeypatc
         ["scatter-bounds", "--d", "1", "--seed", "0"],
         ["scatter-bounds", "--d", "0", "--seed", "0"],
         ["solve", "--problem", "p.json", "--objective", "Davg", "--gap-tol", "-1"],
+        ["multistep", "--task", "t.json", "--seed", "0", "--sweep", "-3"],
+        ["multistep", "--task", "t.json", "--seed", "0", "--sweep", "0"],
+        ["multistep", "--task", "t.json", "--seed", "0", "--restarts", "-1"],
+        ["multistep", "--task", "t.json", "--seed", "0", "--restarts", "0"],
+        ["multistep", "--task", "t.json", "--seed", "0", "--restarts", "50"],
+        ["multistep", "--task", "t.json", "--seed", "0", "--steps", "0"],
+        ["multistep", "--task", "t.json", "--seed", "0", "--steps", "1"],
     ],
     ids=["stabilize-no-point", "stabilize-no-theta", "compat-bad-cell", "scatter-d1",
-         "scatter-d0", "solve-negative-gap-tol"],
+         "scatter-d0", "solve-negative-gap-tol", "multistep-sweep-negative",
+         "multistep-sweep-0", "multistep-restarts-negative", "multistep-restarts-0",
+         "multistep-restarts-50", "multistep-steps-0", "multistep-steps-1"],
 )
 def test_cli_bad_arguments_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -278,3 +287,4 @@ def test_cli_bad_arguments_exit_2(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "qtrack" in err and "error: " in err and "Traceback" not in err
+    assert err.count("error: ") == 1

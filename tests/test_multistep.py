@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qtrack import analytic, multistep as ms
 from qtrack.channels import (
@@ -200,3 +202,202 @@ def test_seed_chains_unchanged():
     assert [label for _, label in seeds] == recorded["labels"]
     for (z, _), want in zip(seeds, recorded["seeds"]):
         assert np.array_equal(z, np.array(want))
+
+
+def _reference_sweep(task, z):
+    """The scalar sweep the batched one replaced: one restart, step by step."""
+    r_steps, c_steps, rb_steps = ms._unpack(task, z)
+    n_steps = task.n_steps
+    new_rb = rb_steps.copy()
+    new_c = c_steps.copy()
+    for n in range(n_steps - 2, -1, -1):
+        ctrl, _ = ms._optimal_controller(
+            r_steps[n + 1, 0], r_steps[n + 1, 1], new_c[n + 1], new_rb[n + 1]
+        )
+        for i in range(2):
+            new_c[n, i], new_rb[n, i] = ms.backward_target(
+                new_c[n + 1, i], new_rb[n + 1, i], ctrl, task.noises[n]
+            )
+    new_r = r_steps.copy()
+    for n in range(n_steps - 1):
+        ctrl, _ = ms._optimal_controller(new_r[n, 0], new_r[n, 1], new_c[n], new_rb[n])
+        for i in range(2):
+            new_r[n + 1, i] = ms.forward_state(new_r[n, i], ctrl, task.noises[n])
+    return ms._pack(task, new_r, new_c, new_rb)
+
+
+def _random_chain_task(rng, n_steps):
+    noises = []
+    for _ in range(n_steps - 1):
+        if rng.uniform() < 0.5:
+            noises.append(ms.extremal_noise(*rng.uniform(0.1, 0.95, 2)))
+        else:
+            noises.append(ms.diagonal_noise(rng.uniform(0.2, 0.9, 3), rng.uniform(-0.1, 0.1, 3)))
+    pi1 = float(rng.uniform(0.2, 0.8))
+    return ms.ChainTask([random_state(2, rng), random_state(2, rng)],
+                        [random_state(2, rng), random_state(2, rng)], [pi1, 1.0 - pi1], noises)
+
+
+@pytest.mark.parametrize("n_steps", [2, 3, 4])
+def test_batched_sweep_matches_scalar_reference(n_steps):
+    # same arithmetic in the same order, so the same bits: near-collinear
+    # sources amplify any reordering of round-off past 1e-14
+    rng = np.random.default_rng(10 + n_steps)
+    for _ in range(4):
+        task = _random_chain_task(rng, n_steps)
+        z = np.array([z0 for z0, _ in ms._seed_chains(task, rng)])
+        for _ in range(5):
+            batched = ms._sweep(task, z)
+            for row, got in zip(z, batched):
+                assert np.array_equal(got, _reference_sweep(task, row))
+            z = 0.35 * z + 0.65 * batched
+
+
+def test_newton_fallback_reaches_the_same_fixed_point():
+    task = stabilization_task(ms.extremal_noise(0.70, 0.46))
+    plain = ms.solve_chain(task)
+    assert not any(rec.newton_ran for rec in plain.restarts)
+    polished = ms.solve_chain(task, ms.ChainOptions(newton_after=3))
+    assert all(rec.newton_ran and rec.newton_ok and rec.sweeps == 4 for rec in polished.restarts)
+    assert abs(polished.fidelity - plain.fidelity) <= 1e-12
+    for name in ("sources", "targets_c", "targets_rb"):
+        assert np.abs(getattr(polished, name) - getattr(plain, name)).max() <= 1e-9
+
+
+def test_three_step_chain_restart_records():
+    noises = [ms.extremal_noise(0.8, 0.7), ms.extremal_noise(0.9, 0.6)]
+    s1, s2 = straddle_pair(np.pi / 4)
+    task = ms.ChainTask([s1, s2], [s1, s2], [0.5, 0.5], noises)
+    labels = [label for _, label in ms._seed_chains(task, np.random.default_rng(0))]
+    # without Newton these restarts need 243 to 265 sweeps, so a cap of 255
+    # keeps some and drops the others
+    opts = ms.ChainOptions(max_sweeps=255, newton_after=400)
+    chain = ms.solve_chain(task, opts)
+    assert [rec.label for rec in chain.restarts] == labels
+    kept = [rec for rec in chain.restarts if rec.dropped is None]
+    dropped = [rec for rec in chain.restarts if rec.dropped is not None]
+    assert kept and dropped
+    for rec in chain.restarts:
+        assert not rec.newton_ran and not rec.newton_ok
+    for rec in kept:
+        assert rec.sweeps < 255 and rec.residual <= opts.tol and rec.fidelity is not None
+    for rec in dropped:
+        assert rec.sweeps == 255 and rec.residual > opts.tol and rec.fidelity is None
+    winner = next(rec for rec in kept if rec.label == chain.seed_label)
+    assert winner.fidelity == chain.fidelity
+    assert chain.fidelity >= max(rec.fidelity for rec in kept) - ms.FIDELITY_TIE
+    # with the default options every restart converges through Newton
+    for rec in ms.solve_chain(task).restarts:
+        assert rec.newton_ran and rec.newton_ok and rec.dropped is None
+
+
+@pytest.mark.parametrize("restarts", [0, -1, 9])
+def test_solve_chain_rejects_restart_count(restarts):
+    with pytest.raises(ms.LinalgError):
+        ms.solve_chain(stabilization_task(ms.extremal_noise(0.7, 0.46)),
+                       ms.ChainOptions(restarts=restarts))
+
+
+# -- the stacked controller kernel against the scalar route ------------------
+
+_coord = st.floats(-1.0, 1.0, allow_nan=False)
+_direction = st.tuples(_coord, _coord, _coord).map(np.array).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: v / np.linalg.norm(v))
+_bloch = st.builds(lambda u, r: r * u, _direction, st.floats(0.05, 1.0))
+_priority = st.floats(0.1, 0.9)
+_kernel_settings = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _scalar_frames(r1, r2, rb1, rb2):
+    ctrl, _ = ms._optimal_controller(r1, r2, (0.5, 0.5), (rb1, rb2))
+    return ctrl.rv, ctrl.ru, ctrl.mu, ctrl.s
+
+
+def _generic_geometry(r1, r2, rb1, rb2):
+    """PairGeometry of data well inside the generic branches, else the draw is skipped."""
+    assume(np.linalg.norm(np.cross(r1, r2)) > 1e-3 and np.linalg.norm(np.cross(rb1, rb2)) > 1e-3)
+    return analytic.PairGeometry(r1, r2, rb1, rb2)
+
+
+def _check_generic(g):
+    want = analytic.optimal_canonical(g)
+    *got, ok = analytic.optimal_frames(g.r1, g.r2, g.rb1, g.rb2)
+    assert ok
+    for a, b in zip(got, (want.rv, want.ru, want.mu, want.s)):
+        assert np.array_equal(a, b)
+
+
+@_kernel_settings
+@given(_bloch, _bloch, _bloch, _bloch, _priority)
+def test_optimal_frames_procedure_a(r1, r2, t1, t2, p):
+    g = _generic_geometry(r1, r2, p * t1, (1 - p) * t2)
+    assume(g.omega > 1e-9)
+    _check_generic(g)
+
+
+@_kernel_settings
+@given(_direction, _direction, st.floats(0.9, 1.0), st.floats(0.9, 1.0), _direction,
+       _direction, st.floats(0.3, 1.0), st.floats(0.3, 1.0), _priority)
+def test_optimal_frames_procedure_b(u1, u2, l1, l2, w1, w, a1, a2, p):
+    # nearly pure sources less than 90 degrees apart and orthogonal targets
+    # make Omega negative for about half the draws
+    u2 = u2 if u1 @ u2 >= 0 else -u2
+    w2 = np.cross(w1, w)
+    assume(np.linalg.norm(w2) > 0.1)
+    w2 /= np.linalg.norm(w2)
+    g = _generic_geometry(l1 * u1, l2 * u2, p * a1 * w1, (1 - p) * a2 * w2)
+    assume(g.omega < -1e-9)
+    _check_generic(g)
+
+
+def _fallback_row(kind, r1, r2, rb1, rb2, k, eps):
+    if kind == "coincident-sources":
+        return r1, r1.copy(), rb1, rb2
+    if kind == "collinear-sources":
+        return r1, k * r1, rb1, rb2
+    if kind == "parallel-targets":
+        return r1, r2, rb1, k * rb1
+    if kind == "maximally-mixed-targets":
+        return r1, r2, np.zeros(3), np.zeros(3)
+    if kind == "vanishing-s-plus-t":
+        # pure sources, one maximally mixed target: S = T = 0
+        return r1 / np.linalg.norm(r1), r2 / np.linalg.norm(r2), rb1, np.zeros(3)
+    # targets parallel up to round-off: the frame is not orthogonal to 1e-9
+    return r1, r2, rb1, k * rb1 + eps * np.cross(rb1, r1)
+
+
+@_kernel_settings
+@given(st.sampled_from(["coincident-sources", "collinear-sources", "parallel-targets",
+                        "maximally-mixed-targets", "vanishing-s-plus-t", "improper-frame"]),
+       _bloch, _bloch, _bloch, _bloch, st.floats(-1.0, 1.0), st.floats(1e-13, 1e-12))
+@example("improper-frame", np.array([-0.3, 0.4, -0.5]), np.array([-0.2, 0.5, -0.2]),
+         np.array([0.3, 0.1, 0.3]), np.array([0.1, -0.1, 0.3]), -0.9, 5e-13)
+def test_optimal_frames_leaves_fallback_rows_to_the_scalar_route(kind, r1, r2, t1, t2, k, eps):
+    row = _fallback_row(kind, r1, r2, 0.5 * t1, 0.5 * t2, k, eps)
+    if kind == "vanishing-s-plus-t":
+        assume(np.linalg.norm(row[0] - row[1]) > 1e-6)
+        g = analytic.PairGeometry(*row)
+        assert g.s_scalar + g.t_scalar <= 1e-15
+    if kind == "improper-frame":
+        try:
+            analytic.optimal_canonical(analytic.PairGeometry(*row))
+        except analytic.DegenerateGeometryError:
+            assume(False)
+        except ms.LinalgError:
+            pass
+        else:
+            assume(False)
+    *_, ok = analytic.optimal_frames(*row)
+    assert not ok
+    # a stack of this row and a generic one: the scalar answer on the first
+    # row (the identity where it fails), the kernel's on the second
+    generic = (np.array([0.6, 0.0, 0.7]), np.array([0.6, 0.0, -0.7]),
+               np.array([0.0, 0.4, 0.1]), np.array([0.3, 0.0, 0.1]))
+    r = np.array([[row[0], row[1]], [generic[0], generic[1]]])
+    rb = np.array([[row[2], row[3]], [generic[2], generic[3]]])
+    frames = ms._frames(r, np.full((2, 2), 0.5), rb)
+    for got, want in zip(frames, _scalar_frames(*row)):
+        # the scalar route's NaN frames for targets along -z pass through as they are
+        assert np.array_equal(got[0], want, equal_nan=True)
+    for got, want in zip(frames, _scalar_frames(*generic)):
+        assert np.array_equal(got[1], want)

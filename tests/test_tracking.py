@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qtrack import tracking
-from qtrack.channels import DensityMatrix, apply_choi, random_state
+from qtrack.channels import ChoiMatrix, DensityMatrix, apply_choi, check_cptp, random_state
 from qtrack.distances import WeightedSequence
 
 
@@ -185,3 +185,19 @@ def test_compatibility_reproducible():
     a = tracking.compatibility_experiment([(2, 2)], samples=2, seed=7)
     b = tracking.compatibility_experiment([(2, 2)], samples=2, seed=7)
     assert a[(2, 2)]["drops"] == b[(2, 2)]["drops"]
+
+
+def test_evaluate_objective_accepts_trace_error_within_tp_tolerance():
+    # TP residual 5e-10 passes check_cptp (1e-9), but the outputs miss unit
+    # trace by more than a DensityMatrix accepts (1e-10)
+    depol = np.kron(np.eye(2), np.eye(2) / 2)
+    choi = ChoiMatrix(2, depol + 5e-10 * np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2))
+    assert check_cptp(choi)["tp"]
+    src = WeightedSequence([(0.5, DensityMatrix.from_bloch([0.0, 0.0, 0.8])),
+                            (0.5, DensityMatrix.from_bloch([0.6, 0.0, 0.6]))])
+    tgt = WeightedSequence([(0.5, DensityMatrix.from_bloch([1.0, 0.0, 0.0])),
+                            (0.5, DensityMatrix.from_bloch([0.0, 0.6, 0.0]))])
+    for objective in tracking.OBJECTIVES:
+        tp = tracking.TrackingProblem(src, tgt, objective)
+        got = tracking.evaluate_objective(choi, tp)
+        assert abs(got - tracking.evaluate_objective(ChoiMatrix(2, depol), tp)) <= 1e-8
