@@ -302,7 +302,7 @@ def _proper_rotation(r):
     r = np.asarray(r, dtype=float)
     (a, b, c), (d, e, f), (g, h, i) = r.tolist()
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if np.abs(r @ r.T - _EYE3).max() > 1e-9 or det < 0:
+    if not (np.abs(r @ r.T - _EYE3).max() <= 1e-9 and det >= 0):  # NaN fails too
         raise LinalgError("not a proper rotation matrix")
     return r
 
@@ -334,14 +334,15 @@ def rotation_aligning(a, b):
     b = np.asarray(b, dtype=float) / np.linalg.norm(b)
     v = np.cross(a, b)
     c = float(a @ b)
-    if np.linalg.norm(v) < 1e-14:
-        if c > 0:
-            return np.eye(3)
-        # half turn about any axis orthogonal to a
+    if 1.0 + c < 1e-4:
+        # nearly opposite, where dividing by 1 + c below would cost digits:
+        # a half turn about any axis orthogonal to a, then -a onto b
         helper = np.array([1.0, 0.0, 0.0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
         axis = np.cross(a, helper)
         axis /= np.linalg.norm(axis)
-        return 2.0 * np.outer(axis, axis) - np.eye(3)
+        return rotation_aligning(-a, b) @ (2.0 * np.outer(axis, axis) - np.eye(3))
+    if np.linalg.norm(v) < 1e-14:
+        return np.eye(3)
     vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
     return np.eye(3) + vx + vx @ vx / (1.0 + c)
 

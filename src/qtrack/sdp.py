@@ -122,11 +122,8 @@ def _herm(m):
     return 0.5 * (m + m.conj().T)
 
 
-def _max_step(m, delta):
-    """Largest alpha in (0, 1] with m + alpha * delta staying PSD (m near-PD)."""
-    w, u = np.linalg.eigh(m)
-    w = np.clip(w, 1e-16 * max(w.max(), 1.0), None)
-    m_ihalf = (u / np.sqrt(w)) @ u.conj().T
+def _max_step(m_ihalf, delta):
+    """Largest alpha in (0, 1] with m + alpha * delta PSD, given m_ihalf = m^(-1/2), m near-PD."""
     lam = np.linalg.eigvalsh(_herm(m_ihalf @ delta @ m_ihalf)).min()
     if lam >= 0:
         return 1.0
@@ -213,6 +210,7 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
                 raise SolverError("primal iterate left the cone")
             wx = np.clip(wx, 1e-16 * max(wx.max(), 1.0), None)
             x_half = (ux * np.sqrt(wx)) @ ux.conj().T
+            x_ihalf = (ux / np.sqrt(wx)) @ ux.conj().T  # for _max_step, as is s_ihalf
             wt, ut = np.linalg.eigh(_herm(x_half @ s @ x_half))
             if wt.min() < -1e-10 * max(wt.max(), 1.0):
                 raise SolverError("dual iterate left the cone")
@@ -222,12 +220,14 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
             ws, us = np.linalg.eigh(s)
             ws = np.clip(ws, 1e-16 * max(ws.max(), 1.0), None)
             s_inv = (us / ws) @ us.conj().T
+            s_ihalf = (us / np.sqrt(ws)) @ us.conj().T
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SolverError(f"factorization failed: {exc}") from exc
 
         # Schur complement M_ij = tr(A_i W A_j W), one real GEMM
         m_mat = a_flat @ _flat(w_nt @ a_stack @ w_nt).T
         ridge = 1e-14 * max(np.trace(m_mat) / max(m, 1), 1.0)
+        w_rd_w = w_nt @ rd @ w_nt  # the same for every direction of this iteration
         try:
             m_chol = np.linalg.cholesky(m_mat + ridge * np.eye(m))
         except np.linalg.LinAlgError as exc:
@@ -235,15 +235,15 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
 
         def direction(sigma_mu, correction):
             rhs_mat = sigma_mu * s_inv - x if correction is None else sigma_mu * s_inv - x - correction
-            rhs = rp - a_dot(rhs_mat - w_nt @ rd @ w_nt)
+            rhs = rp - a_dot(rhs_mat - w_rd_w)
             dy = np.linalg.solve(m_chol.T, np.linalg.solve(m_chol, rhs))
             ds = rd - a_comb(dy)
             dx = rhs_mat - w_nt @ ds @ w_nt
             return _herm(dx), dy, _herm(ds)
 
         dx_a, dy_a, ds_a = direction(0.0, None)
-        ap = _max_step(x, dx_a)
-        ad = _max_step(s, ds_a)
+        ap = _max_step(x_ihalf, dx_a)
+        ad = _max_step(s_ihalf, ds_a)
         mu_aff = mu_of(x + ap * dx_a, s + ad * ds_a)
         sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
         if max(pres, dres) > max(gap, 1e-15):
@@ -255,8 +255,8 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
 
         def try_step(delta):
             dx, dy, ds = delta
-            a_p = min(opts.step_fraction * _max_step(x, dx), 1.0)
-            a_d = min(opts.step_fraction * _max_step(s, ds), 1.0)
+            a_p = min(opts.step_fraction * _max_step(x_ihalf, dx), 1.0)
+            a_d = min(opts.step_fraction * _max_step(s_ihalf, ds), 1.0)
             mu_n = mu_of(x + a_p * dx, s + a_d * ds)
             merit = mu_n + 0.1 * ((1 - a_p) * rp_norm + (1 - a_d) * rd_norm)
             return merit, a_p, a_d, delta

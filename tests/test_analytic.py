@@ -372,3 +372,13 @@ def test_procedure_rotations_match_their_unitaries():
         assert np.abs(rotation_of_unitary(q.V) - q.rv).max() <= 1e-12
         assert np.abs(rotation_of_unitary(q.U) - q.ru).max() <= 1e-12
     assert seen == {"A", "B"}
+
+
+def test_anti_parallel_targets_within_round_off():
+    # targets anti-parallel up to a 1e-10 tilt, collinear sources: procedure B
+    # turns +z onto rb1, a direction within round-off of -z
+    g = analytic.PairGeometry([0, 0, 1], [0, 0, 0.5], [0, 5e-11, -0.5], [0, 0, 0])
+    q = analytic.optimal_canonical(g)
+    assert np.isfinite(q.ru).all()
+    assert np.abs(q.ru @ q.ru.T - np.eye(3)).max() <= 1e-12
+    assert np.abs(q.ru[:, 2] - g.rb1 / np.linalg.norm(g.rb1)).max() <= 1e-9

@@ -310,6 +310,27 @@ def test_from_rotations_rejects_bad_rotations():
         ch.QubitChannelCanonical.from_rotations(
             np.eye(3), np.diag([1.0, 1.0, 1.0 + 1e-8]), np.ones(3), np.zeros(3)
         )
+    with pytest.raises(LinalgError):
+        ch.QubitChannelCanonical.from_rotations(
+            np.eye(3), np.full((3, 3), np.nan), np.ones(3), np.zeros(3)
+        )
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-16, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 1.5e-2, 1e-1])
+def test_rotation_aligning_nearly_opposite_vectors(eps):
+    # 1 + a.b is at or near round-off here; the rotation must stay a proper
+    # one that takes a onto b
+    rng = np.random.default_rng(23)
+    pairs = [(np.array([0.0, 0.0, 1.0]), np.array([0.0, eps, -1.0]))]
+    for _ in range(20):
+        a = rng.normal(size=3)
+        a /= np.linalg.norm(a)
+        pairs.append((a, -a + eps * rng.normal(size=3)))
+    for a, b in pairs:
+        r = ch.rotation_aligning(a, b)
+        assert np.isfinite(r).all()
+        assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-10 and np.linalg.det(r) > 0
+        assert np.abs(r @ a - b / np.linalg.norm(b)).max() <= 1e-9
 
 
 def test_unitary_constructor_keeps_given_unitaries():

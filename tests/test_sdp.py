@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qtrack import sdp
-from qtrack.channels import random_state
+from qtrack import sdp, tracking
+from qtrack.channels import haar_random_unitary, random_state
+from qtrack.distances import WeightedSequence
 from qtrack.linalg import hermitian_basis
 
 
@@ -163,3 +164,52 @@ def test_solution_slack_is_psd():
     # inequality optimum equals the primal optimum of the original problem
     primal = sdp.solve(prob)
     assert abs(sol.primal_value - primal.primal_value) < 1e-7
+
+
+def _inverse_sqrt(m):
+    w, u = np.linalg.eigh(m)
+    return (u / np.sqrt(w)) @ u.conj().T
+
+
+def test_max_step_reaches_the_cone_boundary():
+    rng = np.random.default_rng(41)
+    shorter = 0
+    for _ in range(200):
+        d = int(rng.integers(2, 7))
+        u = haar_random_unitary(d, rng)
+        w = np.logspace(0, -rng.uniform(0, 10), d)  # condition numbers up to 1e10
+        m = (u * w) @ u.conj().T
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        delta = rng.uniform(0.01, 10) * (g + g.conj().T)
+        alpha = sdp._max_step(_inverse_sqrt(m), delta)
+        assert 0 < alpha <= 1
+        if alpha < 1:
+            shorter += 1
+            lam = np.linalg.eigvalsh(m + alpha * delta).min()
+            # m^(-1/2) delta m^(-1/2) is up to cond(m) times larger than delta, and its
+            # eigenvalues are known to round-off relative to its norm
+            scale = np.linalg.norm(m, 2) + alpha * np.linalg.norm(delta, 2)
+            assert abs(lam) <= 1e-14 * (w.max() / w.min()) * scale
+        psd = g @ g.conj().T
+        assert sdp._max_step(_inverse_sqrt(m), psd) == 1.0
+    assert shorter >= 150
+
+
+@pytest.mark.parametrize("objective,feasible", [("FHSavg1", "cptp"), ("Davg", "ppt")])
+def test_one_eigendecomposition_per_iterate(objective, feasible, monkeypatch):
+    # NT scaling decomposes X, X^(1/2) S X^(1/2) and S once per iteration, and
+    # every step-length test reuses those; the primal refinement adds one
+    rng = np.random.default_rng(43)
+    src = WeightedSequence([(0.3, random_state(2, rng)), (0.7, random_state(2, rng))])
+    tgt = WeightedSequence([(0.3, random_state(2, rng)), (0.7, random_state(2, rng, pure=True))])
+    program = tracking.assemble(tracking.TrackingProblem(src, tgt, objective, feasible))
+    assert isinstance(program, sdp.SdpStandard if feasible == "cptp" else sdp.SdpInequality)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+    sol = sdp.solve(program, sdp.SolverOptions(trace_iterates=True))
+    assert sol.status == "optimal"
+    # one traced iterate per pass of the loop, the last of which returns
+    passes = len(sol.iterates) - 1
+    assert passes == sol.iterations
+    assert len(calls) <= 3 * passes + 1

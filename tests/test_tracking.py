@@ -201,3 +201,20 @@ def test_evaluate_objective_accepts_trace_error_within_tp_tolerance():
         tp = tracking.TrackingProblem(src, tgt, objective)
         got = tracking.evaluate_objective(choi, tp)
         assert abs(got - tracking.evaluate_objective(ChoiMatrix(2, depol), tp)) <= 1e-8
+
+
+def test_havg2_ppt_extreme_priorities_converges():
+    # mixed sources, pure targets, priorities (0.999, 0.001): the solver once
+    # ended this program in max_iter
+    rng = np.random.default_rng(5)
+    sources = [random_state(2, rng) for _ in range(2)]
+    targets = [random_state(2, rng, pure=True) for _ in range(2)]
+    pis = (0.999, 0.001)
+    tp = tracking.TrackingProblem(
+        WeightedSequence(list(zip(pis, sources))), WeightedSequence(list(zip(pis, targets))),
+        "Havg2", "ppt",
+    )
+    res = tracking.solve_tracking(tp)
+    assert res.solution.status == "optimal"
+    assert abs(res.value - 1.2434e-3) <= 1e-6
+    assert abs(tracking.evaluate_objective(res.controller, tp) - res.value) <= 1e-6
