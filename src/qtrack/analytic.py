@@ -1,10 +1,12 @@
 """Closed-form optimal tracking for pairs of qubit states.
 
 Everything is driven by the Bloch-vector geometry of the two sources and the
-two priority-scaled targets.  A scalar indicator decides between a
+two priority-scaled targets.  The indicator Omega decides between a
 closed-loop extremal channel (procedure A) and an open-loop unitary
-(procedure B); both come with an optimality certificate built from the dual
-of the underlying semidefinite program.
+(procedure B).  Both are written once, in the SO(3) canonical form, by the
+stacked kernel :func:`optimal_frames`; a single pair is a stack of one.  Each
+optimum comes with a certificate built from the dual of the underlying
+semidefinite program.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .linalg import PAULI, LinalgError, stacked_dot
 
 OMEGA_TIE = 1e-12
 _EYE3 = np.eye(3)
+# Kronecker products every certificate takes: sigma_k (x) I, I (x) X, sigma_k (x) sigma_k
+_SIGMA_I = [np.kron(p, np.eye(2)) for p in PAULI[1:]]
+_I_X = np.kron(np.eye(2), PAULI[1])
+_SIGMA_SIGMA = [np.kron(p, p) for p in PAULI[1:]]
 
 
 class DegenerateGeometryError(LinalgError):
@@ -57,7 +63,6 @@ class PairGeometry:
             )
         set_ = object.__setattr__
         set_(self, "r_minus", self.r1 - self.r2)
-        set_(self, "r_plus", self.r1 + self.r2)
         set_(self, "r_cross", _cross3(self.r1, self.r2))
         set_(self, "rb_plus", self.rb1 + self.rb2)
         set_(self, "rb_cross", _cross3(self.rb1, self.rb2))
@@ -106,7 +111,7 @@ class PairGeometry:
             c2=pi2 * t2,
         )
 
-    # Derived data (set in __post_init__): r_minus, r_plus, r_cross, rb_plus,
+    # Derived data (set in __post_init__): r_minus, r_cross, rb_plus,
     # rb_cross, t_scalar, s_scalar, omega, c, xi_upper, xi_lower.
 
 
@@ -128,11 +133,6 @@ def _bloch(state):
 def _trace(state):
     m = state.mat if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
     return float(np.trace(m).real)
-
-
-def indicator(g: PairGeometry):
-    """Indicator Omega = S + T - 2 Rb_x R_x; positive means non-unitary control."""
-    return float(g.omega)
 
 
 def gamma_a(g: PairGeometry):
@@ -159,113 +159,29 @@ def optimal_fidelity(g: PairGeometry):
     return 0.5 * (g.c + gamma_b(g))
 
 
-def _v_rotation(g: PairGeometry):
-    """Rotation taking both sources into the xz half-plane with common +x part."""
-    rm = g.r_minus / np.linalg.norm(g.r_minus)
-    rx_vec = g.r_cross
-    rx = np.linalg.norm(rx_vec)
-    if rx > 1e-14:
-        v2 = rx_vec / rx
-    else:
-        # collinear sources: any unit vector orthogonal to r_minus works
-        helper = np.array([1.0, 0.0, 0.0]) if abs(rm[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        v2 = _cross3(rm, helper)
-        v2 /= np.linalg.norm(v2)
-    v3 = rm
-    v1 = _cross3(v2, v3)
-    return np.vstack([v1, v2, v3])  # rows
-
-
-def _u_rotation_from_versors(g: PairGeometry, alpha, betas, gamma):
-    rbx_vec = g.rb_cross
-    rbx = np.linalg.norm(rbx_vec)
-    u2 = rbx_vec / rbx
-    u3 = (
-        (alpha / rbx) * _cross3(g.rb_plus, rbx_vec)
-        + rbx * (betas[0] * g.rb1 + betas[1] * g.rb2)
-    ) / gamma
-    u1 = _cross3(u2, u3)
-    return np.column_stack([u1, u2, u3])  # columns
-
-
-def procedure_a(g: PairGeometry) -> QubitChannelCanonical:
-    """Extremal (closed-loop) optimal channel for Omega > 0."""
-    if g.omega <= OMEGA_TIE:
-        raise LinalgError("procedure A requires Omega > 0")
-    s_val, t_val = g.s_scalar, g.t_scalar
-    st = s_val + t_val
-    rm = np.linalg.norm(g.r_minus)
-    rx = np.linalg.norm(g.r_cross)
-    rbx = np.linalg.norm(g.rb_cross)
-    rbx2 = rbx * rbx
-
-    if rbx <= 1e-14:
-        mu = np.zeros(3)
-        s1 = 1.0
-        rbp = g.rb_plus
-        ru = rotation_aligning(np.array([1.0, 0.0, 0.0]), rbp / np.linalg.norm(rbp))
-    else:
-        mu1 = 2.0 * np.sqrt(2.0 / (s_val * st**3)) * rbx2 * rx * rm
-        mu2 = (2.0 / st) * rbx * rx
-        mu3 = np.sqrt(2.0 / (s_val * st)) * rbx * rm
-        s1 = np.sqrt(1.0 / (2.0 * s_val * st**3)) * (st**2 - 4.0 * rbx2 * rx * rx)
-        mu = np.array([mu1, mu2, mu3])
-        alpha = np.sqrt(st / (2.0 * s_val))
-        betas = [np.sqrt(2.0 / (s_val * st)) * (g.r1 @ g.r_minus),
-                 np.sqrt(2.0 / (s_val * st)) * (g.r2 @ g.r_minus)]
-        ru = _u_rotation_from_versors(g, alpha, betas, gamma_a(g))
-    return QubitChannelCanonical.from_rotations(_v_rotation(g), ru, mu, np.array([s1, 0.0, 0.0]))
-
-
-def procedure_b(g: PairGeometry) -> QubitChannelCanonical:
-    """Unitary (open-loop) optimal channel for Omega <= 0."""
-    if g.omega > OMEGA_TIE:
-        raise LinalgError("procedure B requires Omega <= 0")
-    rv = _v_rotation(g)
-    rm = np.linalg.norm(g.r_minus)
-    rx = np.linalg.norm(g.r_cross)
-    rbx = np.linalg.norm(g.rb_cross)
-    if rbx > 1e-14:
-        alpha = rx / rm
-        betas = [(g.r1 @ g.r_minus) / (rbx * rm), (g.r2 @ g.r_minus) / (rbx * rm)]
-        ru = _u_rotation_from_versors(g, alpha, betas, gamma_b(g))
-    else:
-        # anti-parallel targets: rotate within the xz-plane, then align +z
-        # with the direction of the longer target
-        len1, len2 = np.linalg.norm(g.rb1), np.linalg.norm(g.rb2)
-        rbp = np.linalg.norm(g.rb_plus)
-        denom = rm * np.sqrt(max(rbp * rbp - g.t_scalar, 1e-300))
-        sin_t = rx * (len1 - len2) / denom
-        sin_t = float(np.clip(sin_t, -1.0, 1.0))
-        cos_t = np.sqrt(1.0 - sin_t * sin_t)
-        rot_plane = np.array(
-            [[cos_t, 0.0, -sin_t], [0.0, 1.0, 0.0], [sin_t, 0.0, cos_t]]
-        )
-        if len1 > 1e-14:
-            axis = g.rb1 / len1
-        else:
-            axis = -g.rb2 / len2
-        ru = rotation_aligning(np.array([0.0, 0.0, 1.0]), axis) @ rot_plane
-    return QubitChannelCanonical.from_rotations(rv, ru, np.ones(3), np.zeros(3))
-
-
 def optimal_canonical(g: PairGeometry) -> QubitChannelCanonical:
-    return procedure_a(g) if g.omega > OMEGA_TIE else procedure_b(g)
+    """Optimal tracker of one pair: :func:`optimal_frames` on a stack of one.
+
+    LinalgError when the frames of this geometry are no proper rotations.
+    """
+    rv, ru, mu, s, ok = optimal_frames(g.r1, g.r2, g.rb1, g.rb2)
+    if not ok:
+        raise LinalgError("the optimal tracker's frames are not proper rotations")
+    return QubitChannelCanonical.from_rotations(rv, ru, mu, s)
 
 
 def optimal_frames(r1, r2, rb1, rb2):
     """Frames ``rv``, ``ru``, ``mu``, ``s`` of the optimal tracker for stacked pairs.
 
-    The stacked form of :func:`optimal_canonical` over ``(..., 3)`` Bloch
-    arrays of one shape (targets priority-scaled, as in :class:`PairGeometry`),
-    for the generic branches of procedures A and B.  Returns ``rv``, ``ru`` of
-    shape ``(..., 3, 3)``, ``mu``, ``s`` of shape ``(..., 3)`` and a mask
-    ``ok`` of the rows it covers.  There it repeats the scalar route's
-    arithmetic in the same order (BLAS dots, Python's float power), so the
-    values round as the scalar route's do.  The other rows
-    (coincident or collinear sources, maximally mixed or parallel targets,
-    S + T = 0, frames that are no proper rotation) hold no meaningful values
-    and need the scalar route.
+    Procedure A (the extremal, closed-loop channel) where Omega > 0 and
+    procedure B (the open-loop unitary) elsewhere, over ``(..., 3)`` Bloch
+    arrays of one shape (targets priority-scaled, as in :class:`PairGeometry`).
+    Returns ``rv``, ``ru`` of shape ``(..., 3, 3)``, ``mu``, ``s`` of shape
+    ``(..., 3)`` and a mask ``ok`` of the rows that have a tracker.  The other
+    rows (coincident sources, maximally mixed targets, S + T = 0 in procedure
+    A, frames that are no proper rotation) hold the identity channel.  Each
+    row is computed from its own data only, with BLAS dots and Python's float
+    power, so it rounds the same in any stack.
     """
     lead = np.shape(r1)[:-1]
     # component-first (3, n) stacks, so _cross3 works component-wise
@@ -287,7 +203,6 @@ def optimal_frames(r1, r2, rb1, rb2):
         proc_a = s_val + t_val - 2.0 * np.sqrt(rbx2 * rx2) > OMEGA_TIE
         st = s_val + t_val
         st2, st3 = _pypow(st, 2), _pypow(st, 3)
-        # procedure A where Omega > 0, procedure B elsewhere
         k_a = np.sqrt(2.0 / (s_val * st))
         alpha = np.where(proc_a, np.sqrt(st / (2.0 * s_val)), rx / rm)
         beta1 = np.where(proc_a, k_a * p1, p1 / (rbx * rm))
@@ -297,19 +212,46 @@ def optimal_frames(r1, r2, rb1, rb2):
         rbx_sq = rbx * rbx
         mu = np.where(proc_a, [2.0 * np.sqrt(2.0 / (s_val * st3)) * rbx_sq * rx * rm,
                                (2.0 / st) * rbx * rx, k_a * rbx * rm], 1.0)
-        s = np.zeros_like(mu)
+        s = np.zeros(mu.shape)
         s[0] = np.where(proc_a, np.sqrt(1.0 / (2.0 * s_val * st3)) * (st2 - 4.0 * rbx_sq * rx * rx),
                         0.0)
+        # rv takes both sources into the xz half-plane with a common +x part
         v2, v3 = r_cross / rx, r_minus / rm
+        collinear = rx <= 1e-14
+        if collinear.any():
+            # collinear sources: any unit vector orthogonal to R- will do
+            w = _cross3(v3, np.where(np.abs(v3[0]) < 0.9, _EYE3[:, :1], _EYE3[:, 1:2]))
+            v2 = np.where(collinear, w / np.sqrt(stacked_dot(w.T, w.T)), v2)
         u2 = rb_cross / rbx
         u3 = ((alpha / rbx) * _cross3(rb_plus, rb_cross) + rbx * (beta1 * rb1 + beta2 * rb2)) / gamma
-        # rows of rv and columns of ru, C-ordered like the scalar route's frames
-        # (the order decides how BLAS rounds products with them)
+        # rows of rv and columns of ru, C-ordered (the order decides how BLAS
+        # rounds products with them)
         rv = np.ascontiguousarray(np.array([_cross3(v2, v3), v2, v3]).transpose(2, 0, 1))
         ru = np.ascontiguousarray(np.array([_cross3(u2, u3), u2, u3]).transpose(2, 1, 0))
+        f = np.flatnonzero(rbx <= 1e-14)
+        if f.size:
+            # Rb x = 0 (parallel, opposite or vanishing targets): procedure A
+            # sends every state along Rb+, procedure B turns within the
+            # xz-plane and then takes +z onto the longer target
+            a = proc_a[f]
+            len1, len2, rbp = np.sqrt(rb11[f]), np.sqrt(rb22[f]), np.sqrt(rbp2[f])
+            sin_t = np.clip(rx[f] * (len1 - len2)
+                            / (rm[f] * np.sqrt(np.maximum(rbp * rbp - t_val[f], 1e-300))),
+                            -1.0, 1.0)
+            cos_t = np.sqrt(1.0 - sin_t * sin_t)
+            zero, one = np.zeros_like(cos_t), np.ones_like(cos_t)
+            plane = np.array([[cos_t, zero, -sin_t], [zero, one, zero],
+                              [sin_t, zero, cos_t]]).transpose(2, 0, 1)
+            longer = np.where(len1 > 1e-14, rb1[:, f] / len1, -rb2[:, f] / len2)
+            turn = rotation_aligning(np.where(a, _EYE3[:, :1], _EYE3[:, 2:]).T,
+                                     np.where(a, rb_plus[:, f] / rbp, longer).T)
+            ru[f] = np.where(a[:, None, None], turn, turn @ plane)
+            mu[:, f], s[0, f] = np.where(a, 0.0, 1.0), np.where(a, 1.0, 0.0)
         mixed = (np.sqrt(rb11) <= 1e-14) & (np.sqrt(rb22) <= 1e-14)
-        ok = ~((rm <= 1e-12) | mixed | (rx <= 1e-14) | (rbx <= 1e-14)
-               | (proc_a & (st <= 1e-15)) | _improper(rv) | _improper(ru))
+        ok = ~((rm <= 1e-12) | mixed | (proc_a & (st <= 1e-15)) | _improper(rv, ru))
+        if not ok.all():
+            rv[~ok] = ru[~ok] = _EYE3
+            mu[:, ~ok], s[:, ~ok] = 1.0, 0.0
     return (rv.reshape(*lead, 3, 3), ru.reshape(*lead, 3, 3), mu.T.reshape(*lead, 3),
             s.T.reshape(*lead, 3), ok.reshape(lead))
 
@@ -319,14 +261,16 @@ def _pypow(x, k):
     return np.array([v**k for v in x.tolist()])
 
 
-def _improper(r):
-    """Stacked ``from_rotations`` test failure: R R^T differs from I by more than 1e-9.
+def _improper(*frames):
+    """Rows where some R R^T differs from I by more than 1e-9, or holds NaN.
 
-    The frames of :func:`optimal_frames` are [a x b, a, b] (as rows or columns),
-    so det R = |a x b|^2 >= 0 and R R^T = I forces det R = 1.
+    The frames of :func:`optimal_frames` are [a x b, a, b] (as rows or
+    columns, so det R = |a x b|^2 >= 0) or products of rotations, so
+    R R^T = I forces det R = 1 as ``from_rotations`` demands.
     """
+    r = np.stack(frames)
     dev = np.abs(r @ np.swapaxes(r, -1, -2) - _EYE3)
-    return dev.reshape(-1, 9).max(-1) > 1e-9
+    return ~(dev.reshape(len(frames), -1, 9).max(-1) <= 1e-9).all(0)
 
 
 def assemble_optimal_choi(g: PairGeometry) -> ChoiMatrix:
@@ -336,13 +280,12 @@ def assemble_optimal_choi(g: PairGeometry) -> ChoiMatrix:
 
 def diag_choi(mu, s1):
     """Choi matrix of the diagonal map with scale ``mu`` and x-translation ``s1``."""
-    x, y, z = PAULI[1], PAULI[2], PAULI[3]
     two_d = (
         np.eye(4, dtype=complex)
-        + s1 * np.kron(np.eye(2), x)
-        + mu[0] * np.kron(x, x)
-        - mu[1] * np.kron(y, y)
-        + mu[2] * np.kron(z, z)
+        + s1 * _I_X
+        + mu[0] * _SIGMA_SIGMA[0]
+        - mu[1] * _SIGMA_SIGMA[1]
+        + mu[2] * _SIGMA_SIGMA[2]
     )
     return 0.5 * two_d
 
@@ -356,6 +299,7 @@ class DualCertificate:
     slackness_residual: float
     poly_roots: np.ndarray
     spectrum: np.ndarray
+    canonical: QubitChannelCanonical  # the optimal channel this certifies
 
     @property
     def valid(self):
@@ -397,7 +341,6 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
             (rm * rm - rx * rx) * gam**4 - xi_u * xi_u
         )
         roots = np.roots([1.0, -gam, const])
-        mu, s1 = canonical.mu, canonical.s[0]
     else:
         gam = gamma_b(g)
         x0 = 0.25 * (c_tot + gam)
@@ -409,7 +352,6 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
             * (rm * rm * gam * gam * xi_l - rx * (xi_l * xi_l + xi_u * xi_u))
         ) / (8.0 * rm**4 * gam**3)
         roots = np.roots([1.0, -gam, varpi, omega_c])
-        mu, s1 = np.ones(3), 0.0
 
     coeffs = np.array([x0, x1, 0.0, x3])
     rho_mats = [0.5 * (np.eye(2) + sum(a * p for a, p in zip(r, PAULI[1:]))) for r in (g.r1, g.r2)]
@@ -425,11 +367,11 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
     f_matrix = (
         f0_tilde
         + coeffs[0] * np.eye(4)
-        + coeffs[1] * np.kron(PAULI[1], np.eye(2))
-        + coeffs[2] * np.kron(PAULI[2], np.eye(2))
-        + coeffs[3] * np.kron(PAULI[3], np.eye(2))
+        + coeffs[1] * _SIGMA_I[0]
+        + coeffs[2] * _SIGMA_I[1]
+        + coeffs[3] * _SIGMA_I[2]
     )
-    d_choi = diag_choi(mu, s1)
+    d_choi = diag_choi(canonical.mu, canonical.s[0])
     weak = abs(2.0 * coeffs[0] + np.trace(f0_tilde @ d_choi).real)
     slackness = float(np.abs(d_choi @ f_matrix).max())
     spectrum = np.linalg.eigvalsh(0.5 * (f_matrix + f_matrix.conj().T))
@@ -441,6 +383,7 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
         slackness_residual=slackness,
         poly_roots=np.sort(np.real(roots)),
         spectrum=spectrum,
+        canonical=canonical,
     )
 
 
@@ -468,14 +411,14 @@ def track_pair(rho1, rho2, rbar1, rbar2, pi1=0.5) -> QubitTrackerResult:
 def track_geometry(g: PairGeometry) -> QubitTrackerResult:
     omega = g.omega
     procedure = "A" if omega > OMEGA_TIE else "B"
-    canonical = optimal_canonical(g)
+    certificate = dual_certificate(g)
     return QubitTrackerResult(
         omega=float(omega),
         procedure=procedure,
-        canonical=canonical,
+        canonical=certificate.canonical,
         fidelity=optimal_fidelity(g),
-        certificate=dual_certificate(g),
-        choi=assemble_qubit_choi(canonical),
+        certificate=certificate,
+        choi=assemble_qubit_choi(certificate.canonical),
         unique=abs(omega) > OMEGA_TIE,
     )
 
@@ -487,8 +430,8 @@ def feedback_decomposition(g: PairGeometry):
     (U Y M2 V) rho (.)^dag; the Y correction is applied on the second
     outcome.  Measurement strengths: sin(chi) = mu_3, sin(eta) = mu_2.
     """
+    canonical = optimal_canonical(g)
     if g.omega <= OMEGA_TIE:
-        canonical = procedure_b(g)
         return {
             "V": canonical.V,
             "U": canonical.U,
@@ -496,7 +439,6 @@ def feedback_decomposition(g: PairGeometry):
             "M2": np.zeros((2, 2), dtype=complex),
             "open_loop": True,
         }
-    canonical = procedure_a(g)
     mu = canonical.mu
     chi = np.arcsin(np.clip(mu[2], -1.0, 1.0))
     eta = np.arcsin(np.clip(mu[1], -1.0, 1.0))

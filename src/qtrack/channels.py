@@ -26,6 +26,7 @@ from .linalg import (
     partial_trace,
     partial_transpose,
     perm_d4,
+    stacked_dot,
     vec,
 )
 
@@ -176,13 +177,6 @@ def apply_choi_raw(choi_mat, rho_mat):
     return partial_trace(big, (d, d), 1)
 
 
-def adjoint_apply_raw(choi_mat, x_mat):
-    """Heisenberg-picture action C^dag(X) = (tr_2[(I (x) X) C])^T on bare arrays."""
-    d = x_mat.shape[0]
-    big = np.kron(np.eye(d), x_mat) @ choi_mat
-    return partial_trace(big, (d, d), 2).T
-
-
 def compose(a: ChoiMatrix, b: ChoiMatrix) -> ChoiMatrix:
     """Choi matrix of x -> b(a(x)) via tr_1[(C_a^T (x) I) P (|Psi><Psi| (x) C_b) P]."""
     if a.d != b.d:
@@ -329,22 +323,31 @@ def unitary_of_rotation(r):
 
 
 def rotation_aligning(a, b):
-    """A rotation sending unit vector ``a`` to unit vector ``b``."""
-    a = np.asarray(a, dtype=float) / np.linalg.norm(a)
-    b = np.asarray(b, dtype=float) / np.linalg.norm(b)
-    v = np.cross(a, b)
-    c = float(a @ b)
-    if 1.0 + c < 1e-4:
-        # nearly opposite, where dividing by 1 + c below would cost digits:
-        # a half turn about any axis orthogonal to a, then -a onto b
-        helper = np.array([1.0, 0.0, 0.0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        axis = np.cross(a, helper)
-        axis /= np.linalg.norm(axis)
-        return rotation_aligning(-a, b) @ (2.0 * np.outer(axis, axis) - np.eye(3))
-    if np.linalg.norm(v) < 1e-14:
-        return np.eye(3)
-    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
-    return np.eye(3) + vx + vx @ vx / (1.0 + c)
+    """Rotations sending the directions of ``a`` onto those of ``b``, over ``(..., 3)``."""
+    a, b = _unit(a), _unit(b)
+    # nearly opposite rows, where dividing by 1 + a.b below would cost digits:
+    # a half turn about an axis orthogonal to a, then -a onto b
+    flip = 1.0 + stacked_dot(a, b) < 1e-4
+    turned = a[flip]
+    a = np.where(flip[..., None], _unit(-a), a)
+    b = np.where(flip[..., None], _unit(b), b)
+    v, c = np.cross(a, b), stacked_dot(a, b)
+    vx = np.zeros(v.shape + (3,))
+    vx[..., 0, 1], vx[..., 0, 2], vx[..., 1, 2] = -v[..., 2], v[..., 1], -v[..., 0]
+    vx[..., 1, 0], vx[..., 2, 0], vx[..., 2, 1] = v[..., 2], -v[..., 1], v[..., 0]
+    r = _EYE3 + vx + vx @ vx / (1.0 + c)[..., None, None]
+    r[np.sqrt(stacked_dot(v, v)) < 1e-14] = _EYE3
+    if flip.any():
+        helper = np.where(np.abs(turned[:, :1]) < 0.9, _EYE3[0], _EYE3[1])
+        axis = _unit(np.cross(turned, helper))
+        r[flip] = r[flip] @ (2.0 * axis[:, :, None] * axis[:, None, :] - _EYE3)
+    return r
+
+
+def _unit(v):
+    """``v`` over its Euclidean norm along the last axis."""
+    v = np.asarray(v, dtype=float)
+    return v / np.sqrt(stacked_dot(v, v))[..., None]
 
 
 def assemble_qubit_choi(q: QubitChannelCanonical) -> ChoiMatrix:

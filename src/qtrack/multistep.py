@@ -10,9 +10,9 @@ restarts are iterated together as one ``(restarts, dim)`` array: each sweep
 computes the controllers of all rows with the stacked kernel
 :func:`~qtrack.analytic.optimal_frames`, a row stops when it converges, and
 the Newton Jacobian is one batched sweep over the perturbed points.  The
-batched arithmetic repeats the scalar functions' (:func:`forward_state`,
-:func:`backward_target`, the scalar controller route) in the same order, so
-every restart gives the same bits as when it ran alone.
+kernel computes each row from its own data, and the batched propagation
+repeats :func:`forward_state` and :func:`backward_target` in the same order,
+so every restart gives the same bits as when it ran alone.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import (
-    DegenerateGeometryError,
     PairGeometry,
-    optimal_canonical,
+    optimal_canonical,  # noqa: F401  unused here; perfbench's tracer wraps this name
     optimal_fidelity,
     optimal_frames,
 )
@@ -77,15 +76,6 @@ def backward_target(c_next, rb_next, controller_next: QubitChannelCanonical,
     c_prev = float(c_mid + noise.s @ g_dots)
     rb_prev = sum(noise.mu[k] * g_dots[k] * rv_n[k] for k in range(3))
     return c_prev, np.asarray(rb_prev, dtype=float)
-
-
-def _optimal_controller(r1, r2, c_pair, rb_pair):
-    """Closed-form optimal tracker for one step; identity on degenerate data."""
-    try:
-        g = PairGeometry(r1, r2, rb_pair[0], rb_pair[1], c_pair[0], c_pair[1])
-        return optimal_canonical(g), g
-    except (DegenerateGeometryError, LinalgError):
-        return identity_canonical(), None
 
 
 @dataclass
@@ -198,17 +188,12 @@ def _unpack(task: ChainTask, z):
     return r_steps, c_steps, rb_steps
 
 
-def _frames(r, c, rb):
-    """Optimal controller frames (rv, ru, mu, s) of each row of ``(R, 2, ...)`` pair data.
+def _frames(r, rb):
+    """Optimal controller frames (rv, ru, mu, s) of each row of ``(R, 2, 3)`` pair data.
 
-    Rows the stacked kernel does not cover take the scalar route, which gives
-    the identity on degenerate data.
+    Rows without a tracker (degenerate data) get the identity.
     """
-    rv, ru, mu, s, ok = optimal_frames(r[:, 0], r[:, 1], rb[:, 0], rb[:, 1])
-    for k in np.flatnonzero(~ok):
-        ctrl, _ = _optimal_controller(r[k, 0], r[k, 1], c[k], rb[k])
-        rv[k], ru[k], mu[k], s[k] = ctrl.rv, ctrl.ru, ctrl.mu, ctrl.s
-    return rv, ru, mu, s
+    return optimal_frames(r[:, 0], r[:, 1], rb[:, 0], rb[:, 1])[:4]
 
 
 def _pull_back(c, rb, frames, noise):
@@ -241,12 +226,12 @@ def _sweep(task: ChainTask, z):
     """One backward plus forward pass of the self-consistency map on each row of ``z``."""
     r_steps, c_steps, rb_steps = _unpack(task, z)
     for n in range(task.n_steps - 2, -1, -1):
-        frames = _frames(r_steps[:, n + 1], c_steps[:, n + 1], rb_steps[:, n + 1])
+        frames = _frames(r_steps[:, n + 1], rb_steps[:, n + 1])
         c_steps[:, n], rb_steps[:, n] = _pull_back(
             c_steps[:, n + 1], rb_steps[:, n + 1], frames, task.noises[n]
         )
     for n in range(task.n_steps - 1):
-        frames = _frames(r_steps[:, n], c_steps[:, n], rb_steps[:, n])
+        frames = _frames(r_steps[:, n], rb_steps[:, n])
         r_steps[:, n + 1] = _push(r_steps[:, n], frames, task.noises[n])
     return _pack(task, r_steps, c_steps, rb_steps)
 
@@ -261,49 +246,42 @@ class ChainOptions:
 
 
 def _seed_chains(task: ChainTask, rng):
-    """Initial guesses: do-nothing, optimal-last, and random unitary-first chains."""
-    seeds = []
+    """Initial guesses: do-nothing, optimal-last, and random unitary-first chains.
 
-    def propagate(first_rotations, label, optimal_last=True):
-        n_steps = task.n_steps
-        r_steps = np.zeros((n_steps, 2, 3))
-        r_steps[0] = task.r_sources
-        r = [first_rotations @ task.r_sources[i] for i in range(2)]
-        for n in range(n_steps - 1):
-            for i in range(2):
-                r_steps[n + 1, i] = task.noises[n].bloch_map(
-                    r[i] if n == 0 else r_steps[n, i]
-                )
-        rb_steps = np.zeros((n_steps, 2, 3))
-        c_steps = np.zeros((n_steps, 2))
-        rb_steps[-1] = task.rb_final
-        c_steps[-1] = task.c_final
-        for n in range(n_steps - 2, -1, -1):
-            if optimal_last and n == n_steps - 2:
-                ctrl, _ = _optimal_controller(
-                    r_steps[n + 1, 0], r_steps[n + 1, 1], c_steps[n + 1], rb_steps[n + 1]
-                )
-            else:
-                ctrl = identity_canonical()
-            for i in range(2):
-                c_steps[n, i], rb_steps[n, i] = backward_target(
-                    c_steps[n + 1, i], rb_steps[n + 1, i], ctrl, task.noises[n]
-                )
-        return _pack(task, r_steps, c_steps, rb_steps), label
-
-    # seed 1: plain noise propagation, identity controllers backward too
-    seeds.append(propagate(np.eye(3), "do-nothing", optimal_last=False))
-    seeds.append(propagate(np.eye(3), "optimal-last"))
-    while len(seeds) < 8:
+    Sources follow the noise after a first rotation.  Targets are pulled back
+    through identity controllers, except that every seed but do-nothing ends
+    with the optimal controller of its last step.
+    """
+    labels, firsts = ["do-nothing", "optimal-last"], [np.eye(3), np.eye(3)]
+    while len(labels) < MAX_RESTARTS:
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(0, np.pi)
         k_mat = np.array(
             [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
         )
-        rot = np.eye(3) + np.sin(angle) * k_mat + (1 - np.cos(angle)) * k_mat @ k_mat
-        seeds.append(propagate(rot, f"unitary-first-{len(seeds) - 1}"))
-    return seeds
+        firsts.append(np.eye(3) + np.sin(angle) * k_mat + (1 - np.cos(angle)) * k_mat @ k_mat)
+        labels.append(f"unitary-first-{len(labels) - 1}")
+    n_seeds, n_steps = len(labels), task.n_steps
+    r_steps = np.zeros((n_seeds, n_steps, 2, 3))
+    c_steps = np.zeros((n_seeds, n_steps, 2))
+    rb_steps = np.zeros((n_seeds, n_steps, 2, 3))
+    r_steps[:, 0], c_steps[:, -1], rb_steps[:, -1] = task.r_sources, task.c_final, task.rb_final
+    r = _matvec(np.array(firsts)[:, None], task.r_sources)
+    for n, noise in enumerate(task.noises):
+        r = _matvec(noise.ru, noise.mu * _matvec(noise.rv, r) + noise.s)
+        r_steps[:, n + 1] = r
+    eye = np.tile(np.eye(3), (n_seeds, 1, 1))
+    identity = (eye, eye, np.ones((n_seeds, 3)), np.zeros((n_seeds, 3)))
+    last = _frames(r_steps[:, -1], rb_steps[:, -1])
+    for frame, ident in zip(last, identity):
+        frame[0] = ident[0]  # do-nothing
+    for n in range(n_steps - 2, -1, -1):
+        c_steps[:, n], rb_steps[:, n] = _pull_back(
+            c_steps[:, n + 1], rb_steps[:, n + 1], last if n == n_steps - 2 else identity,
+            task.noises[n]
+        )
+    return list(zip(_pack(task, r_steps, c_steps, rb_steps), labels))
 
 
 def solve_chain(task: ChainTask, opts: ChainOptions | None = None, seed=0) -> StepChain:
@@ -322,6 +300,9 @@ def solve_chain(task: ChainTask, opts: ChainOptions | None = None, seed=0) -> St
         raise LinalgError(f"restarts must be between 1 and {MAX_RESTARTS}, got {opts.restarts}")
     seeds = _seed_chains(task, np.random.default_rng(seed))[: opts.restarts]
     z, residual, sweeps, newton = _solve_batch(task, np.array([z0 for z0, _ in seeds]), opts)
+    kept = np.flatnonzero(residual <= opts.tol)
+    chains = dict(zip(kept, _chains_at(task, z[kept], [seeds[k][1] for k in kept],
+                                       residual[kept])))
     best, records = None, []
     for k, (_, label) in enumerate(seeds):
         record = RestartRecord(label, int(sweeps[k]), newton[k] is not None, bool(newton[k]),
@@ -329,7 +310,7 @@ def solve_chain(task: ChainTask, opts: ChainOptions | None = None, seed=0) -> St
         if residual[k] > opts.tol:
             record.dropped = f"residual above tol after {opts.max_sweeps} sweeps"
         else:
-            chain = _chain_at(task, z[k], label, residual[k])
+            chain = chains[k]
             record.fidelity = chain.fidelity
             if best is None or chain.fidelity > best.fidelity + FIDELITY_TIE:
                 best = chain
@@ -374,22 +355,26 @@ def _solve_batch(task, z, opts: ChainOptions):
     return z, residual, sweeps, newton
 
 
-def _chain_at(task, z, label, residual):
+def _chains_at(task, z, labels, residuals):
+    """The :class:`StepChain` of each row of ``z``, its controllers from one kernel call."""
     r_steps, c_steps, rb_steps = _unpack(task, z)
-    controllers = [
-        _optimal_controller(r_steps[n, 0], r_steps[n, 1], c_steps[n], rb_steps[n])[0]
-        for n in range(task.n_steps)
-    ]
-    return StepChain(
-        sources=r_steps,
-        targets_c=c_steps,
-        targets_rb=rb_steps,
-        controllers=controllers,
-        fidelity=task.chain_fidelity(controllers),
-        residual=float(residual),
-        converged=True,
-        seed_label=label,
-    )
+    frames = _frames(r_steps.reshape(-1, 2, 3), rb_steps.reshape(-1, 2, 3))
+    controllers = [QubitChannelCanonical.from_rotations(*row) for row in zip(*frames)]
+    n_steps = task.n_steps
+    chains = []
+    for k, (label, residual) in enumerate(zip(labels, residuals)):
+        steps = controllers[k * n_steps:(k + 1) * n_steps]
+        chains.append(StepChain(
+            sources=r_steps[k],
+            targets_c=c_steps[k],
+            targets_rb=rb_steps[k],
+            controllers=steps,
+            fidelity=task.chain_fidelity(steps),
+            residual=float(residual),
+            converged=True,
+            seed_label=label,
+        ))
+    return chains
 
 
 def _newton_polish(task, z, opts: ChainOptions, max_newton=25):

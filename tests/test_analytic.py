@@ -84,7 +84,7 @@ def test_procedure_a_discrimination_regime():
     dn = DensityMatrix.from_bloch([0, 0, -1.0])
     g = analytic.PairGeometry.from_states(red, blu, up, dn, 0.9)
     assert g.omega > 0
-    q = analytic.procedure_a(g)
+    q = analytic.optimal_canonical(g)
     assert np.abs(q.mu).max() < 1e-12
     assert abs(q.s[0] - 1.0) < 1e-12
 
@@ -97,7 +97,7 @@ def test_procedure_a_outputs_extremal_maps():
         g = analytic.PairGeometry.from_states(r1, r2, t1, t2, pi1)
         if g.omega <= analytic.OMEGA_TIE:
             continue
-        q = analytic.procedure_a(g)
+        q = analytic.optimal_canonical(g)
         rsw = check_rsw(q.mu, q.s)
         assert rsw["feasible"] and rsw["extremal"]
         assert abs(q.mu[0] - q.mu[1] * q.mu[2]) < 1e-9
@@ -124,7 +124,7 @@ def test_procedure_b_do_nothing_at_right_angle():
     t1, t2 = bloch_pair(1.0, np.pi / 2)
     g = analytic.PairGeometry.from_states(s1, s2, t1, t2, 0.5)
     assert abs(g.omega) < 1e-12
-    q = analytic.procedure_b(g)
+    q = analytic.optimal_canonical(g)
     composed = q.ru @ q.rv  # total Bloch rotation
     assert np.abs(composed - np.eye(3)).max() < 1e-9
 
@@ -372,6 +372,28 @@ def test_procedure_rotations_match_their_unitaries():
         assert np.abs(rotation_of_unitary(q.V) - q.rv).max() <= 1e-12
         assert np.abs(rotation_of_unitary(q.U) - q.ru).max() <= 1e-12
     assert seen == {"A", "B"}
+
+
+def test_track_pair_builds_its_controller_once(monkeypatch):
+    # the certificate carries the channel it certifies, and the result reuses it
+    calls = []
+    kernel = analytic.optimal_frames
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(analytic, "optimal_frames", counted)
+    rng = np.random.default_rng(31)
+    for k in range(6):
+        r1, r2, t1, t2, pi1 = random_instance(rng, pure_sources=k % 2 == 0)
+        calls.clear()
+        res = analytic.track_pair(r1, r2, t1, t2, pi1)
+        assert len(calls) == 1
+        assert res.canonical is res.certificate.canonical
+        want = analytic.optimal_canonical(analytic.PairGeometry.from_states(r1, r2, t1, t2, pi1))
+        for name in ("rv", "ru", "mu", "s"):
+            assert np.array_equal(getattr(res.canonical, name), getattr(want, name))
 
 
 def test_anti_parallel_targets_within_round_off():

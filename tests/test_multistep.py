@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qtrack import analytic, multistep as ms
+from qtrack import analytic, channels as ch, multistep as ms
 from qtrack.channels import (
     DensityMatrix,
     apply_choi,
@@ -204,6 +204,121 @@ def test_seed_chains_unchanged():
         assert np.array_equal(z, np.array(want))
 
 
+# -- the scalar route, frozen as the reference of the stacked kernel ---------
+#
+# Procedures A and B one pair at a time, as they were written before
+# analytic.optimal_frames became their only implementation.
+
+
+def _ref_rotation_aligning(a, b):
+    a = np.asarray(a, dtype=float) / np.linalg.norm(a)
+    b = np.asarray(b, dtype=float) / np.linalg.norm(b)
+    v = np.cross(a, b)
+    c = float(a @ b)
+    if 1.0 + c < 1e-4:
+        helper = np.array([1.0, 0.0, 0.0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        axis = np.cross(a, helper)
+        axis /= np.linalg.norm(axis)
+        return _ref_rotation_aligning(-a, b) @ (2.0 * np.outer(axis, axis) - np.eye(3))
+    if np.linalg.norm(v) < 1e-14:
+        return np.eye(3)
+    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
+    return np.eye(3) + vx + vx @ vx / (1.0 + c)
+
+
+def _ref_v_rotation(g):
+    rm = g.r_minus / np.linalg.norm(g.r_minus)
+    rx_vec = g.r_cross
+    rx = np.linalg.norm(rx_vec)
+    if rx > 1e-14:
+        v2 = rx_vec / rx
+    else:
+        helper = np.array([1.0, 0.0, 0.0]) if abs(rm[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        v2 = analytic._cross3(rm, helper)
+        v2 /= np.linalg.norm(v2)
+    v3 = rm
+    v1 = analytic._cross3(v2, v3)
+    return np.vstack([v1, v2, v3])
+
+
+def _ref_u_rotation_from_versors(g, alpha, betas, gamma):
+    rbx_vec = g.rb_cross
+    rbx = np.linalg.norm(rbx_vec)
+    u2 = rbx_vec / rbx
+    u3 = (
+        (alpha / rbx) * analytic._cross3(g.rb_plus, rbx_vec)
+        + rbx * (betas[0] * g.rb1 + betas[1] * g.rb2)
+    ) / gamma
+    u1 = analytic._cross3(u2, u3)
+    return np.column_stack([u1, u2, u3])
+
+
+def _ref_procedure_a(g):
+    s_val, t_val = g.s_scalar, g.t_scalar
+    st = s_val + t_val
+    rm = np.linalg.norm(g.r_minus)
+    rx = np.linalg.norm(g.r_cross)
+    rbx = np.linalg.norm(g.rb_cross)
+    rbx2 = rbx * rbx
+    if rbx <= 1e-14:
+        mu = np.zeros(3)
+        s1 = 1.0
+        rbp = g.rb_plus
+        ru = _ref_rotation_aligning(np.array([1.0, 0.0, 0.0]), rbp / np.linalg.norm(rbp))
+    else:
+        mu1 = 2.0 * np.sqrt(2.0 / (s_val * st**3)) * rbx2 * rx * rm
+        mu2 = (2.0 / st) * rbx * rx
+        mu3 = np.sqrt(2.0 / (s_val * st)) * rbx * rm
+        s1 = np.sqrt(1.0 / (2.0 * s_val * st**3)) * (st**2 - 4.0 * rbx2 * rx * rx)
+        mu = np.array([mu1, mu2, mu3])
+        alpha = np.sqrt(st / (2.0 * s_val))
+        betas = [np.sqrt(2.0 / (s_val * st)) * (g.r1 @ g.r_minus),
+                 np.sqrt(2.0 / (s_val * st)) * (g.r2 @ g.r_minus)]
+        ru = _ref_u_rotation_from_versors(g, alpha, betas, analytic.gamma_a(g))
+    return ch.QubitChannelCanonical.from_rotations(_ref_v_rotation(g), ru, mu,
+                                                   np.array([s1, 0.0, 0.0]))
+
+
+def _ref_procedure_b(g):
+    rv = _ref_v_rotation(g)
+    rm = np.linalg.norm(g.r_minus)
+    rx = np.linalg.norm(g.r_cross)
+    rbx = np.linalg.norm(g.rb_cross)
+    if rbx > 1e-14:
+        alpha = rx / rm
+        betas = [(g.r1 @ g.r_minus) / (rbx * rm), (g.r2 @ g.r_minus) / (rbx * rm)]
+        ru = _ref_u_rotation_from_versors(g, alpha, betas, analytic.gamma_b(g))
+    else:
+        len1, len2 = np.linalg.norm(g.rb1), np.linalg.norm(g.rb2)
+        rbp = np.linalg.norm(g.rb_plus)
+        denom = rm * np.sqrt(max(rbp * rbp - g.t_scalar, 1e-300))
+        sin_t = rx * (len1 - len2) / denom
+        sin_t = float(np.clip(sin_t, -1.0, 1.0))
+        cos_t = np.sqrt(1.0 - sin_t * sin_t)
+        rot_plane = np.array(
+            [[cos_t, 0.0, -sin_t], [0.0, 1.0, 0.0], [sin_t, 0.0, cos_t]]
+        )
+        if len1 > 1e-14:
+            axis = g.rb1 / len1
+        else:
+            axis = -g.rb2 / len2
+        ru = _ref_rotation_aligning(np.array([0.0, 0.0, 1.0]), axis) @ rot_plane
+    return ch.QubitChannelCanonical.from_rotations(rv, ru, np.ones(3), np.zeros(3))
+
+
+def _reference_canonical(g):
+    return _ref_procedure_a(g) if g.omega > analytic.OMEGA_TIE else _ref_procedure_b(g)
+
+
+def _reference_controller(r1, r2, c_pair, rb_pair):
+    """Optimal tracker of one step by the scalar route; the identity where it gives up."""
+    try:
+        g = analytic.PairGeometry(r1, r2, rb_pair[0], rb_pair[1], c_pair[0], c_pair[1])
+        return _reference_canonical(g)
+    except (analytic.DegenerateGeometryError, ms.LinalgError):
+        return ms.identity_canonical()
+
+
 def _reference_sweep(task, z):
     """The scalar sweep the batched one replaced: one restart, step by step."""
     r_steps, c_steps, rb_steps = ms._unpack(task, z)
@@ -211,7 +326,7 @@ def _reference_sweep(task, z):
     new_rb = rb_steps.copy()
     new_c = c_steps.copy()
     for n in range(n_steps - 2, -1, -1):
-        ctrl, _ = ms._optimal_controller(
+        ctrl = _reference_controller(
             r_steps[n + 1, 0], r_steps[n + 1, 1], new_c[n + 1], new_rb[n + 1]
         )
         for i in range(2):
@@ -220,7 +335,7 @@ def _reference_sweep(task, z):
             )
     new_r = r_steps.copy()
     for n in range(n_steps - 1):
-        ctrl, _ = ms._optimal_controller(new_r[n, 0], new_r[n, 1], new_c[n], new_rb[n])
+        ctrl = _reference_controller(new_r[n, 0], new_r[n, 1], new_c[n], new_rb[n])
         for i in range(2):
             new_r[n + 1, i] = ms.forward_state(new_r[n, i], ctrl, task.noises[n])
     return ms._pack(task, new_r, new_c, new_rb)
@@ -298,7 +413,7 @@ def test_solve_chain_rejects_restart_count(restarts):
                        ms.ChainOptions(restarts=restarts))
 
 
-# -- the stacked controller kernel against the scalar route ------------------
+# -- the stacked controller kernel against the frozen scalar route -----------
 
 _coord = st.floats(-1.0, 1.0, allow_nan=False)
 _direction = st.tuples(_coord, _coord, _coord).map(np.array).filter(
@@ -309,8 +424,24 @@ _kernel_settings = settings(max_examples=150, deadline=None, derandomize=True, d
 
 
 def _scalar_frames(r1, r2, rb1, rb2):
-    ctrl, _ = ms._optimal_controller(r1, r2, (0.5, 0.5), (rb1, rb2))
+    ctrl = _reference_controller(r1, r2, (0.5, 0.5), (rb1, rb2))
     return ctrl.rv, ctrl.ru, ctrl.mu, ctrl.s
+
+
+def _assert_kernel_matches_reference(row):
+    """Kernel frames of ``row``, alone and stacked under a generic row, are the reference's."""
+    want = _scalar_frames(*row)
+    *got, _ = analytic.optimal_frames(*row)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    stacked = [np.array([x, y]) for x, y in zip(row, _GENERIC_ROW)]
+    *got, _ = analytic.optimal_frames(*stacked)
+    for a, b, c in zip(got, want, _scalar_frames(*_GENERIC_ROW)):
+        assert np.array_equal(a[0], b) and np.array_equal(a[1], c)
+
+
+_GENERIC_ROW = (np.array([0.6, 0.0, 0.7]), np.array([0.6, 0.0, -0.7]),
+                np.array([0.0, 0.4, 0.1]), np.array([0.3, 0.0, 0.1]))
 
 
 def _generic_geometry(r1, r2, rb1, rb2):
@@ -320,10 +451,11 @@ def _generic_geometry(r1, r2, rb1, rb2):
 
 
 def _check_generic(g):
-    want = analytic.optimal_canonical(g)
-    *got, ok = analytic.optimal_frames(g.r1, g.r2, g.rb1, g.rb2)
+    *_, ok = analytic.optimal_frames(g.r1, g.r2, g.rb1, g.rb2)
     assert ok
-    for a, b in zip(got, (want.rv, want.ru, want.mu, want.s)):
+    _assert_kernel_matches_reference((g.r1, g.r2, g.rb1, g.rb2))
+    got = analytic.optimal_canonical(g)
+    for a, b in zip((got.rv, got.ru, got.mu, got.s), _scalar_frames(g.r1, g.r2, g.rb1, g.rb2)):
         assert np.array_equal(a, b)
 
 
@@ -350,53 +482,83 @@ def test_optimal_frames_procedure_b(u1, u2, l1, l2, w1, w, a1, a2, p):
     _check_generic(g)
 
 
-def _fallback_row(kind, r1, r2, rb1, rb2, k, eps):
+@pytest.mark.parametrize("eps", [0.0, 1e-16, 1e-12, 1e-7, 1e-3, 1.5e-2, 1.0])
+def test_rotation_aligning_matches_the_scalar_route(eps):
+    # opposite, nearly opposite, equal and unrelated directions, in one stack:
+    # each row gives the scalar route's bits
+    rng = np.random.default_rng(29)
+    a = rng.normal(size=(12, 3))
+    b = np.concatenate([-a[:4] + eps * rng.normal(size=(4, 3)),
+                        a[4:8] + eps * rng.normal(size=(4, 3)), rng.normal(size=(4, 3))])
+    a[0], b[0] = [0.0, 0.0, 1.0], [0.0, eps, -1.0]
+    a[4], b[4] = [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]
+    got = ch.rotation_aligning(a, b)
+    for k in range(len(a)):
+        want = _ref_rotation_aligning(a[k], b[k])
+        assert np.array_equal(got[k], want)
+        assert np.array_equal(ch.rotation_aligning(a[k], b[k]), want)
+
+
+def _special_row(kind, r1, r2, rb1, rb2, k, eps):
     if kind == "coincident-sources":
         return r1, r1.copy(), rb1, rb2
     if kind == "collinear-sources":
         return r1, k * r1, rb1, rb2
     if kind == "parallel-targets":
         return r1, r2, rb1, k * rb1
+    if kind == "collinear-sources-parallel-targets":
+        return r1, k * r1, rb1, eps * 1e12 * rb1
+    if kind == "axis-targets":
+        # Rb+ along +-x or the longer target along +-z: the identity and
+        # half-turn cases of rotation_aligning
+        axis = np.eye(3)[int(abs(k) * 2.99)]
+        return r1, r2, 0.5 * axis, k * axis
     if kind == "maximally-mixed-targets":
         return r1, r2, np.zeros(3), np.zeros(3)
+    if kind == "nan-source":
+        return r1, np.array([r2[0], np.nan, r2[2]]), rb1, rb2
     if kind == "vanishing-s-plus-t":
         # pure sources, one maximally mixed target: S = T = 0
         return r1 / np.linalg.norm(r1), r2 / np.linalg.norm(r2), rb1, np.zeros(3)
+    if kind == "vanishing-first-target":
+        # T = 0 again, and procedure B turns +z onto the second target
+        return r1, r2 / np.linalg.norm(r2), np.zeros(3), rb2
     # targets parallel up to round-off: the frame is not orthogonal to 1e-9
     return r1, r2, rb1, k * rb1 + eps * np.cross(rb1, r1)
 
 
 @_kernel_settings
 @given(st.sampled_from(["coincident-sources", "collinear-sources", "parallel-targets",
-                        "maximally-mixed-targets", "vanishing-s-plus-t", "improper-frame"]),
+                        "collinear-sources-parallel-targets", "axis-targets",
+                        "maximally-mixed-targets", "nan-source", "vanishing-s-plus-t",
+                        "vanishing-first-target", "improper-frame"]),
        _bloch, _bloch, _bloch, _bloch, st.floats(-1.0, 1.0), st.floats(1e-13, 1e-12))
 @example("improper-frame", np.array([-0.3, 0.4, -0.5]), np.array([-0.2, 0.5, -0.2]),
          np.array([0.3, 0.1, 0.3]), np.array([0.1, -0.1, 0.3]), -0.9, 5e-13)
-def test_optimal_frames_leaves_fallback_rows_to_the_scalar_route(kind, r1, r2, t1, t2, k, eps):
-    row = _fallback_row(kind, r1, r2, 0.5 * t1, 0.5 * t2, k, eps)
+def test_optimal_frames_matches_the_scalar_route_on_special_rows(kind, r1, r2, t1, t2, k, eps):
+    # every branch the scalar route took outside the generic one, the
+    # identity where it gave up included, gives the same bits in the kernel
+    row = _special_row(kind, r1, r2, 0.5 * t1, 0.5 * t2, k, eps)
+    *_, ok = analytic.optimal_frames(*row)
     if kind == "vanishing-s-plus-t":
         assume(np.linalg.norm(row[0] - row[1]) > 1e-6)
         g = analytic.PairGeometry(*row)
         assert g.s_scalar + g.t_scalar <= 1e-15
     if kind == "improper-frame":
         try:
-            analytic.optimal_canonical(analytic.PairGeometry(*row))
+            _reference_canonical(analytic.PairGeometry(*row))
         except analytic.DegenerateGeometryError:
             assume(False)
         except ms.LinalgError:
             pass
         else:
             assume(False)
-    *_, ok = analytic.optimal_frames(*row)
-    assert not ok
-    # a stack of this row and a generic one: the scalar answer on the first
-    # row (the identity where it fails), the kernel's on the second
-    generic = (np.array([0.6, 0.0, 0.7]), np.array([0.6, 0.0, -0.7]),
-               np.array([0.0, 0.4, 0.1]), np.array([0.3, 0.0, 0.1]))
-    r = np.array([[row[0], row[1]], [generic[0], generic[1]]])
-    rb = np.array([[row[2], row[3]], [generic[2], generic[3]]])
-    frames = ms._frames(r, np.full((2, 2), 0.5), rb)
+        assert not ok
+        with pytest.raises(ms.LinalgError):
+            analytic.optimal_canonical(analytic.PairGeometry(*row))
+    if kind in ("coincident-sources", "maximally-mixed-targets", "nan-source"):
+        assert not ok
+    _assert_kernel_matches_reference(row)
+    frames = ms._frames(np.array([[row[0], row[1]]]), np.array([[row[2], row[3]]]))
     for got, want in zip(frames, _scalar_frames(*row)):
         assert np.array_equal(got[0], want)
-    for got, want in zip(frames, _scalar_frames(*generic)):
-        assert np.array_equal(got[1], want)
