@@ -243,6 +243,8 @@ def clone_fidelity(phi, pi1=0.5):
     """
     if not 0.0 <= phi < np.pi / 4:
         raise LinalgError("phi must lie in [0, pi/4)")
+    if not 0.0 < pi1 < 1.0:
+        raise LinalgError("pi1 must lie in (0, 1)")
     pi2 = 1.0 - pi1
     omega_t = 2.0 * np.arccos(np.clip(np.sin(2 * phi), -1, 1)) - 2.0 * np.arccos(
         np.clip(np.sin(2 * phi) ** 2, -1, 1)

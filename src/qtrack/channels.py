@@ -33,6 +33,7 @@ from .linalg import (
 PSD_TOL = 1e-9
 TP_TOL = 1e-9
 RSW_SLACK = 1e-10
+_EYE2 = np.eye(2)
 _EYE3 = np.eye(3)
 
 
@@ -350,16 +351,26 @@ def _unit(v):
     return v / np.sqrt(stacked_dot(v, v))[..., None]
 
 
+def _dot_sigma(coeffs):
+    """Each row of ``coeffs`` dotted into the Pauli vector: (k, 3) -> (k, 2, 2)."""
+    return sum(coeffs[:, j, None, None] * PAULI[j + 1] for j in range(3))
+
+
+def _kron2(a, b):
+    """``np.kron`` of 2 x 2 matrices, broadcast over leading axes: -> (k, 4, 4)."""
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(-1, 4, 4)
+
+
 def assemble_qubit_choi(q: QubitChannelCanonical) -> ChoiMatrix:
     """Choi matrix 2C = I4 + sum_k s_k I (x) (u_k.sigma) + sum_k mu_k (v_k.sigma)^T (x) (u_k.sigma)."""
-    v_set = [q.rv[k] for k in range(3)]  # rows: V^dag sigma_k V = v_k . sigma
-    u_set = [q.ru[:, k] for k in range(3)]  # columns: U sigma_k U^dag = u_k . sigma
+    u_sigma = _dot_sigma(q.ru.T)  # columns: U sigma_k U^dag = u_k . sigma
+    v_sigma = _dot_sigma(q.rv)  # rows: V^dag sigma_k V = v_k . sigma
+    shifts = q.s[:, None, None] * _kron2(_EYE2, u_sigma)
+    scales = q.mu[:, None, None] * _kron2(v_sigma.transpose(0, 2, 1), u_sigma)
     two_c = np.eye(4, dtype=complex)
-    for k in range(3):
-        u_sigma = sum(x * p for x, p in zip(u_set[k], PAULI[1:]))
-        v_sigma = sum(x * p for x, p in zip(v_set[k], PAULI[1:]))
-        two_c += q.s[k] * np.kron(np.eye(2), u_sigma)
-        two_c += q.mu[k] * np.kron(v_sigma.T, u_sigma)
+    for k in range(3):  # summed k by k, as in the per-k np.kron form, to round alike
+        two_c += shifts[k]
+        two_c += scales[k]
     return ChoiMatrix(2, 0.5 * two_c)
 
 

@@ -38,6 +38,13 @@ PLOT_COLUMNS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 2 with one line; ``-h`` still prints the usage."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def _int_in(lo, hi=None):
     """argparse type: an integer of at least ``lo`` (and at most ``hi``)."""
 
@@ -145,13 +152,7 @@ def _cmd_channel(args):
         "ppt": check_ppt(choi),
     }
     if choi.d == 2 and out["cptp"]["cp"] and out["cptp"]["tp"]:
-        q = canonical_qubit(choi)
-        out["canonical"] = {
-            "mu": q.mu.tolist(),
-            "s": q.s.tolist(),
-            "V": serialize.matrix_to_json(q.V),
-            "U": serialize.matrix_to_json(q.U),
-        }
+        out["canonical"] = serialize.canonical_to_json(canonical_qubit(choi))
     _write(serialize.dump_json(out) + "\n", args.out)
     return EXIT_OK
 
@@ -192,6 +193,8 @@ def _cmd_analytic(args):
     if len(srcs) != 2 or len(tgts) != 2:
         raise FormatError("analytic tracking needs exactly two sources and two targets")
     pi1 = args.pi[0]
+    if not all(0.0 < p < 1.0 for p in args.pi):
+        raise FormatError("priorities must lie in (0, 1)")
     if abs(sum(args.pi) - 1.0) > 1e-12:
         raise FormatError("priorities must sum to one")
     res = analytic.track_pair(srcs[0], srcs[1], tgts[0], tgts[1], pi1)
@@ -200,12 +203,7 @@ def _cmd_analytic(args):
         "procedure": res.procedure,
         "fidelity": res.fidelity,
         "unique": res.unique,
-        "canonical": {
-            "mu": res.canonical.mu.tolist(),
-            "s": res.canonical.s.tolist(),
-            "V": serialize.matrix_to_json(res.canonical.V),
-            "U": serialize.matrix_to_json(res.canonical.U),
-        },
+        "canonical": serialize.canonical_to_json(res.canonical),
         "certificate": {
             "coefficients": res.certificate.coefficients.tolist(),
             "min_eig": res.certificate.min_eig,
@@ -314,15 +312,7 @@ def _cmd_multistep(args):
         "single_step_fidelity": task.single_step_fidelity(),
         "residual": chain.residual,
         "seed_chain": chain.seed_label,
-        "controllers": [
-            {
-                "mu": ctrl.mu.tolist(),
-                "s": ctrl.s.tolist(),
-                "V": serialize.matrix_to_json(ctrl.V),
-                "U": serialize.matrix_to_json(ctrl.U),
-            }
-            for ctrl in chain.controllers
-        ],
+        "controllers": [serialize.canonical_to_json(ctrl) for ctrl in chain.controllers],
     }
     _write(serialize.dump_json(out) + "\n", args.out)
     return EXIT_OK
@@ -356,7 +346,7 @@ def _cmd_bench(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qtrack",
         description="Optimal quantum operations for tracking sequences of density matrices.",
     )
@@ -373,7 +363,7 @@ def build_parser():
 
     p = sub.add_parser("scatter-bounds", help="random-state scatter of D vs 1 - F_N")
     p.add_argument("--d", type=_int_in(2), required=True)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_int_in(1), default=1000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_scatter)
@@ -403,7 +393,7 @@ def build_parser():
     p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--p", type=float)
     p.add_argument("--theta", type=float)
-    p.add_argument("--grid", type=int, help="emit a grid CSV instead of one point")
+    p.add_argument("--grid", type=_int_in(1), help="emit a grid CSV instead of one point")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_stabilize)
 
@@ -445,14 +435,14 @@ def build_parser():
     p = sub.add_parser("compat", help="cross-objective compatibility experiment")
     p.add_argument("--cells", nargs="+", type=_cell, default=[(2, 2)],
                    help="IxD cells, e.g. 2x2 3x2")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_int_in(1), default=20)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_compat)
 
     p = sub.add_parser("bench", help="relative measure-cost ordering")
-    p.add_argument("--d", type=int, default=32)
-    p.add_argument("--repeats", type=int, default=20)
+    p.add_argument("--d", type=_int_in(2), default=32)
+    p.add_argument("--repeats", type=_int_in(1), default=20)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_bench)

@@ -3,7 +3,8 @@
 Complex matrices travel as ``{"rows": n, "cols": m, "re": [...], "im": [...]}``
 with row-major entry order; states as ``{"d": n, "rho": <matrix>}`` or
 ``{"bloch": [x, y, z]}``; channels as ``{"d": n, "choi": <matrix>}`` or
-``{"d": n, "kraus": [<matrix>, ...]}``.
+``{"d": n, "kraus": [<matrix>, ...]}``; canonical qubit channels as
+``{"mu": [...], "s": [...], "V": <matrix>, "U": <matrix>}``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,16 @@ def state_from_json(obj):
 
 def channel_to_json(choi: ChoiMatrix):
     return {"d": choi.d, "choi": matrix_to_json(choi.mat)}
+
+
+def canonical_to_json(q):
+    """A canonical qubit channel (see :class:`~qtrack.channels.QubitChannelCanonical`)."""
+    return {
+        "mu": q.mu.tolist(),
+        "s": q.s.tolist(),
+        "V": matrix_to_json(q.V),
+        "U": matrix_to_json(q.U),
+    }
 
 
 def channel_from_json(obj):

@@ -2,14 +2,23 @@
 
 Six objectives are supported over two feasible sets (CPTP; CPTP with positive
 partial transpose).  The decision variable is always the controller's Choi
-matrix, expanded as ``C = I/d + sum_{mu, nu>=2} x_munu H^mu (x) H^nu`` in the
-inequality-form programs; the Hilbert-Schmidt objectives over plain CPTP keep
-the Choi matrix itself as a standard-form variable.
+matrix.  The Hilbert-Schmidt closeness objectives over plain CPTP keep it as
+a standard-form variable; every other program is in inequality form, built by
+one builder with one layout:
+
+* variables: first the Choi coefficients x_munu of
+  ``C = I/d + sum_{mu, nu>=2} x_munu H^mu (x) H^nu``, then the objective's
+  extra variables (Davg's two Hermitian corners; t for H2avg1, Havg2, Oavg2);
+* LMI: the objective's own block (+) the Choi cone (C, and C^{T_B} for PPT).
+  The objective block holds the weighted residuals w_i (Phi(rho_i) - rhobar_i);
+  it is empty for the closeness objectives, which are linear in C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -18,10 +27,7 @@ from .channels import TP_TOL, ChoiMatrix, DensityMatrix, apply_choi_raw, check_c
 from .distances import WeightedSequence, hs_distance, sequence_distance
 from .linalg import LinalgError, hermitian_basis, vec
 
-OBJECTIVES = ("Davg", "H2avg1", "Havg2", "Oavg2", "FHSavg1", "FHSavg2")
 FEASIBLE_SETS = ("cptp", "ppt")
-
-CLOSENESS = {"FHSavg1", "FHSavg2"}
 
 
 @dataclass(frozen=True)
@@ -45,10 +51,6 @@ class TrackingProblem:
     def d(self):
         return self.source.d
 
-    @property
-    def size(self):
-        return len(self.source)
-
 
 def _dsum(blocks):
     sizes = [b.shape[0] for b in blocks]
@@ -65,16 +67,105 @@ def _choi_pairs(d):
     return [(mu, nu) for mu in range(d * d) for nu in range(1, d * d)]
 
 
-def _cptp_blocks(basis, mu, nu, ppt):
-    k = np.kron(basis[mu], basis[nu])
-    if ppt:
-        return _dsum([k, np.kron(basis[mu], basis[nu].T)])
-    return k
+def _cone(a, b, ppt):
+    """Cone block of the Choi term a (x) b: itself, beside its partial transpose for PPT."""
+    k = np.kron(a, b)
+    return _dsum([k, np.kron(a, b.T)]) if ppt else k
 
 
-def _cptp_const(d, ppt):
-    eye = np.eye(d * d, dtype=complex) / d
-    return _dsum([eye, eye]) if ppt else eye
+def _off_diagonal(m, fixed=None):
+    """[[P, M], [M^dag, Q]] for a rectangular M, where P (+) Q is ``fixed`` or zero."""
+    r = m.shape[0]
+    out = np.zeros((sum(m.shape),) * 2, dtype=complex) if fixed is None else fixed.astype(complex)
+    out[:r, r:] = m
+    out[r:, :r] = m.conj().T
+    return out
+
+
+def _trace_norm(pis, d):
+    """Davg: ||(+)_i R_i||_1 <= (tr P + tr Q) / 2 for free Hermitian P, Q."""
+    n = len(pis) * d
+    z = np.zeros((n, n))
+    extras = [
+        (corner, 0.5 * n if a == 0 else 0.0)
+        for a, h in enumerate(hermitian_basis(n))
+        for corner in ([h, z], [z, h])
+    ]
+    return _dsum, None, extras
+
+
+def _spectral_norm(pis, d):
+    """Oavg2: ||(+)_i R_i||_inf <= t with P = Q = t I."""
+    return _dsum, None, [([np.eye(2 * len(pis) * d)], 1.0)]
+
+
+def _sum_of_squares(diag, layout):
+    """M^dag diag^-1 M <= t for a column M, with P = diag and Q = t."""
+    head = [np.zeros_like(diag), np.ones((1, 1))]
+    return layout, _dsum([diag, np.zeros((1, 1))]), [(head, 1.0)]
+
+
+def _hs_norm_squared(pis, d):
+    """Havg2: ||(+)_i R_i||_2^2 <= t."""
+    n = len(pis) * d
+    return _sum_of_squares(np.eye(n * n), lambda blocks: vec(_dsum(blocks))[:, None])
+
+
+def _mean_hs_squared(pis, d):
+    """H2avg1: sum_i p_i ||R_i||_2^2 <= t."""
+    diag = _dsum([np.eye(d * d) / p for p in pis])
+    return _sum_of_squares(diag, lambda blocks: np.concatenate([vec(b) for b in blocks])[:, None])
+
+
+def _linear(pis, d):
+    """Closeness: linear in the Choi matrix, so the objective's block is empty."""
+    return lambda blocks: np.zeros((0, 0)), None, []
+
+
+def _h2avg1(outs, tgt):
+    terms = zip(outs.priorities, outs.states, tgt.states)
+    return float(sum(p * hs_distance(a, b) ** 2 for p, a, b in terms))
+
+
+@dataclass(frozen=True)
+class _Objective:
+    """Everything that differs between the objectives.
+
+    ``score`` evaluates the measure on (outputs, targets) and ``weight`` maps
+    the priorities to the residual weights w_i.  The objective's LMI block
+    is [[P, M], [M^dag, Q]] >= 0, where M lays out the weighted residuals;
+    ``block(pis, d)`` returns (layout, fixed, extras): ``layout`` maps the
+    residual blocks to M, ``fixed`` is the constant P (+) Q (None: zero), and ``extras``
+    lists the extra variables as (diagonal blocks of P_k (+) Q_k, cost).
+    """
+
+    score: Callable
+    block: Callable = _linear
+    weight: Callable = lambda p: p
+    closeness: bool = False
+    squared: bool = False  # the program's t bounds the square of the measure
+
+    def value(self, primal, pis, d):
+        """The measure's optimum from the inequality program's optimal value."""
+        if self.closeness:
+            # the program minimizes sum_i w_i / d - sum_i w_i tr(Phi(rho_i) rhobar_i)
+            return float(self.weight(pis).sum()) / d - primal
+        return float(np.sqrt(max(primal, 0.0))) if self.squared else primal
+
+
+_OBJECTIVES = {
+    "Davg": _Objective(
+        partial(sequence_distance, "D", "avg1"), _trace_norm, weight=lambda p: 0.5 * p
+    ),
+    "H2avg1": _Objective(_h2avg1, _mean_hs_squared, weight=np.ones_like),
+    "Havg2": _Objective(partial(sequence_distance, "H", "avg2"), _hs_norm_squared, squared=True),
+    "Oavg2": _Objective(partial(sequence_distance, "O", "avg2"), _spectral_norm),
+    "FHSavg1": _Objective(partial(sequence_distance, "FHS", "avg1"), closeness=True),
+    "FHSavg2": _Objective(
+        partial(sequence_distance, "FHS", "avg2"), weight=np.square, closeness=True
+    ),
+}
+OBJECTIVES = tuple(_OBJECTIVES)
 
 
 def choi_from_coefficients(x, d):
@@ -93,144 +184,35 @@ def assemble(tp: TrackingProblem):
     objectives over plain CPTP (their natural form) and
     :class:`~qtrack.sdp.SdpInequality` otherwise.
     """
-    d, i_count = tp.d, tp.size
-    ppt = tp.feasible == "ppt"
+    d, ppt, obj = tp.d, tp.feasible == "ppt", _OBJECTIVES[tp.objective]
     basis = hermitian_basis(d)
     pis = tp.source.priorities
-    weights = pis**2 if tp.objective == "FHSavg2" else pis
+    w = obj.weight(pis)
     sources = [s.mat for s in tp.source.states]
     targets = [s.mat for s in tp.target.states]
+    if obj.closeness and not ppt:
+        e0 = -sum(wi * np.kron(r.T, t) for wi, r, t in zip(w, sources, targets))
+        cons = [(np.kron(h, np.eye(d)), float(d) if a == 0 else 0.0) for a, h in enumerate(basis)]
+        return sdp.SdpStandard(e0, cons)
+
+    # residual i, w_i (Phi(rho_i) - rhobar_i), is w_i (I/d - rhobar_i) plus
+    # x_munu scale[i, mu] H^nu over the Choi pairs (mu, nu)
     pairs = _choi_pairs(d)
-    rho_coef = np.array(
-        [[np.trace(r.T @ basis[mu]).real for mu in range(d * d)] for r in sources]
-    )
-
-    if tp.objective in CLOSENESS:
-        if not ppt:
-            e0 = -sum(w * np.kron(r.T, t) for w, r, t in zip(weights, sources, targets))
-            cons = [
-                (np.kron(basis[a], np.eye(d)), float(d) if a == 0 else 0.0)
-                for a in range(d * d)
-            ]
-            return sdp.SdpStandard(e0, cons)
-        a_coef = np.array(
-            [
-                sum(
-                    w * rho_coef[i, mu] * np.trace(basis[nu] @ targets[i]).real
-                    for i, w in enumerate(weights)
-                )
-                for mu, nu in pairs
-            ]
-        )
-        f0 = _cptp_const(d, ppt=True)
-        fs = [_cptp_blocks(basis, mu, nu, ppt=True) for mu, nu in pairs]
-        return sdp.SdpInequality(-a_coef, f0, fs)
-
-    cone = _cptp_const(d, ppt)
-    cone_dim = cone.shape[0]
-
-    if tp.objective == "Davg":
-        big = hermitian_basis(i_count * d)
-        top = 2 * i_count * d
-        total = top + cone_dim
-        f0 = np.zeros((total, total), dtype=complex)
-        off = _dsum([0.5 * p * (np.eye(d) / d - t) for p, t in zip(pis, targets)])
-        f0[: i_count * d, i_count * d : top] = off
-        f0[i_count * d : top, : i_count * d] = off.conj().T
-        f0[top:, top:] = cone
-        fs, c = [], []
-        for mu, nu in pairs:
-            f = np.zeros((total, total), dtype=complex)
-            off = _dsum([0.5 * p * rc * basis[nu] for p, rc in zip(pis, rho_coef[:, mu])])
-            f[: i_count * d, i_count * d : top] = off
-            f[i_count * d : top, : i_count * d] = off.conj().T
-            f[top:, top:] = _cptp_blocks(basis, mu, nu, ppt)
-            fs.append(f)
-            c.append(0.0)
-        for alpha in range((i_count * d) ** 2):
-            for corner in (0, i_count * d):
-                f = np.zeros((total, total), dtype=complex)
-                f[corner : corner + i_count * d, corner : corner + i_count * d] = big[alpha]
-                fs.append(f)
-                c.append(0.5 * i_count * d if alpha == 0 else 0.0)
-        return sdp.SdpInequality(np.array(c), f0, fs)
-
-    if tp.objective == "H2avg1":
-        top = i_count * d * d + 1
-        total = top + cone_dim
-        f0 = np.zeros((total, total), dtype=complex)
-        for i, p in enumerate(pis):
-            f0[i * d * d : (i + 1) * d * d, i * d * d : (i + 1) * d * d] = (
-                np.eye(d * d) / p
-            )
-            col = vec(np.eye(d) / d - targets[i])
-            f0[i * d * d : (i + 1) * d * d, top - 1] = col
-            f0[top - 1, i * d * d : (i + 1) * d * d] = col.conj()
-        f0[top:, top:] = cone
-        fs, c = [], []
-        for mu, nu in pairs:
-            f = np.zeros((total, total), dtype=complex)
-            u_nu = vec(basis[nu])
-            for i in range(i_count):
-                f[i * d * d : (i + 1) * d * d, top - 1] = rho_coef[i, mu] * u_nu
-                f[top - 1, i * d * d : (i + 1) * d * d] = rho_coef[i, mu] * u_nu.conj()
-            f[top:, top:] = _cptp_blocks(basis, mu, nu, ppt)
-            fs.append(f)
-            c.append(0.0)
-        t_mat = np.zeros((total, total), dtype=complex)
-        t_mat[top - 1, top - 1] = 1.0
-        fs.append(t_mat)
-        c.append(1.0)
-        return sdp.SdpInequality(np.array(c), f0, fs)
-
-    if tp.objective == "Havg2":
-        top = (i_count * d) ** 2 + 1
-        total = top + cone_dim
-        f0 = np.zeros((total, total), dtype=complex)
-        f0[: top - 1, : top - 1] = np.eye((i_count * d) ** 2)
-        col = vec(_dsum([p * (np.eye(d) / d - t) for p, t in zip(pis, targets)]))
-        f0[: top - 1, top - 1] = col
-        f0[top - 1, : top - 1] = col.conj()
-        f0[top:, top:] = cone
-        fs, c = [], []
-        for mu, nu in pairs:
-            f = np.zeros((total, total), dtype=complex)
-            col = vec(_dsum([p * rc * basis[nu] for p, rc in zip(pis, rho_coef[:, mu])]))
-            f[: top - 1, top - 1] = col
-            f[top - 1, : top - 1] = col.conj()
-            f[top:, top:] = _cptp_blocks(basis, mu, nu, ppt)
-            fs.append(f)
-            c.append(0.0)
-        t_mat = np.zeros((total, total), dtype=complex)
-        t_mat[top - 1, top - 1] = 1.0
-        fs.append(t_mat)
-        c.append(1.0)
-        return sdp.SdpInequality(np.array(c), f0, fs)
-
-    if tp.objective == "Oavg2":
-        top = 2 * i_count * d
-        total = top + cone_dim
-        f0 = np.zeros((total, total), dtype=complex)
-        off = _dsum([p * (np.eye(d) / d - t) for p, t in zip(pis, targets)])
-        f0[: i_count * d, i_count * d : top] = off
-        f0[i_count * d : top, : i_count * d] = off.conj().T
-        f0[top:, top:] = cone
-        fs, c = [], []
-        for mu, nu in pairs:
-            f = np.zeros((total, total), dtype=complex)
-            off = _dsum([p * rc * basis[nu] for p, rc in zip(pis, rho_coef[:, mu])])
-            f[: i_count * d, i_count * d : top] = off
-            f[i_count * d : top, : i_count * d] = off.conj().T
-            f[top:, top:] = _cptp_blocks(basis, mu, nu, ppt)
-            fs.append(f)
-            c.append(0.0)
-        t_mat = np.zeros((total, total), dtype=complex)
-        t_mat[:top, :top] = np.eye(top)
-        fs.append(t_mat)
-        c.append(1.0)
-        return sdp.SdpInequality(np.array(c), f0, fs)
-
-    raise LinalgError(f"unhandled objective {tp.objective!r}")
+    scale = w[:, None] * np.array([[np.trace(r.T @ h).real for h in basis] for r in sources])
+    layout, fixed, extras = obj.block(pis, d)
+    const = [wi * (np.eye(d) / d - t) for wi, t in zip(w, targets)]
+    block0 = _off_diagonal(layout(const), fixed)
+    blocks = [_off_diagonal(layout([s * basis[nu] for s in scale[:, mu]])) for mu, nu in pairs]
+    c = np.array([0.0] * len(pairs) + [cost for _, cost in extras])
+    if obj.closeness:
+        # maximize sum_i w_i tr(Phi(rho_i) rhobar_i): a linear cost on x
+        overlap = np.array([[np.trace(h @ t).real for h in basis] for t in targets])
+        c = -np.array([sum(scale[:, mu] * overlap[:, nu]) for mu, nu in pairs])
+    cone = _cone(basis[0] / d, basis[0], ppt)
+    fs = [_dsum([b, _cone(basis[mu], basis[nu], ppt)]) for b, (mu, nu) in zip(blocks, pairs)]
+    no_cone = [np.zeros_like(cone)]
+    fs += [_dsum(diagonal + no_cone) for diagonal, _ in extras]
+    return sdp.SdpInequality(c, _dsum([block0, cone]), fs)
 
 
 def problem_size(assembled):
@@ -252,24 +234,7 @@ def evaluate_objective(choi: ChoiMatrix, tp: TrackingProblem):
             for p, s in zip(tp.source.priorities, tp.source.states)
         ]
     )
-    if tp.objective == "Davg":
-        return sequence_distance("D", "avg1", outs, tp.target)
-    if tp.objective == "H2avg1":
-        return float(
-            sum(
-                p * hs_distance(a, b) ** 2
-                for p, a, b in zip(outs.priorities, outs.states, tp.target.states)
-            )
-        )
-    if tp.objective == "Havg2":
-        return sequence_distance("H", "avg2", outs, tp.target)
-    if tp.objective == "Oavg2":
-        return sequence_distance("O", "avg2", outs, tp.target)
-    if tp.objective == "FHSavg1":
-        return sequence_distance("FHS", "avg1", outs, tp.target)
-    if tp.objective == "FHSavg2":
-        return sequence_distance("FHS", "avg2", outs, tp.target)
-    raise LinalgError(f"unhandled objective {tp.objective!r}")
+    return _OBJECTIVES[tp.objective].score(outs, tp.target)
 
 
 def _output_state(choi: ChoiMatrix, rho: DensityMatrix) -> DensityMatrix:
@@ -294,8 +259,8 @@ class TrackingResult:
 def solve_tracking(tp: TrackingProblem, opts: sdp.SolverOptions | None = None) -> TrackingResult:
     """Assemble and solve; returns the controller Choi matrix and achieved value.
 
-    For ``Havg2`` the reported value is sqrt(optimal t) so that it measures
-    <H>_2 rather than <H^2>_2.
+    The value is the objective's measure itself (for ``Havg2`` sqrt(optimal
+    t), i.e. <H>_2 rather than <H^2>_2).
     """
     d = tp.d
     if all(np.abs(t.mat - np.eye(d) / d).max() < 1e-14 for t in tp.target.states):
@@ -318,15 +283,8 @@ def solve_tracking(tp: TrackingProblem, opts: sdp.SolverOptions | None = None) -
         controller = ChoiMatrix(d, sol.z)
         value = sol.primal_value
     else:
-        n_x = len(_choi_pairs(d))
-        controller = choi_from_coefficients(sol.x[:n_x], d)
-        if tp.objective in CLOSENESS:
-            weights = tp.source.priorities ** (2 if tp.objective == "FHSavg2" else 1)
-            value = float(weights.sum()) / d - sol.primal_value
-        elif tp.objective == "Havg2":
-            value = float(np.sqrt(max(sol.primal_value, 0.0)))
-        else:
-            value = sol.primal_value
+        controller = choi_from_coefficients(sol.x[: len(_choi_pairs(d))], d)
+        value = _OBJECTIVES[tp.objective].value(sol.primal_value, tp.source.priorities, d)
     ppt_report = None
     if tp.feasible == "ppt":
         ppt_report = check_ppt(controller)
@@ -391,21 +349,13 @@ def compatibility_experiment(cells, samples, seed, source_pure=False, target_pur
             tgt = WeightedSequence(
                 [(p, random_state(d, rng, pure=target_pure)) for p in pis]
             )
-            best = {}
-            controllers = {}
-            for tag in measures:
-                tp = TrackingProblem(src, tgt, tag, "cptp")
-                res = solve_tracking(tp, opts)
-                best[tag] = res.value
-                controllers[tag] = res.controller
-            for x_tag in measures:
-                tp_x = TrackingProblem(src, tgt, x_tag, "cptp")
+            problems = {tag: TrackingProblem(src, tgt, tag, "cptp") for tag in measures}
+            solved = {tag: solve_tracking(tp, opts) for tag, tp in problems.items()}
+            for x_tag, tp_x in problems.items():
+                sign = -1.0 if _OBJECTIVES[x_tag].closeness else 1.0
                 for y_tag in measures:
-                    achieved = evaluate_objective(controllers[y_tag], tp_x)
-                    diff = achieved - best[x_tag]
-                    if x_tag in CLOSENESS:
-                        diff = -diff
-                    drops[(x_tag, y_tag)].append(100.0 * diff)
+                    achieved = evaluate_objective(solved[y_tag].controller, tp_x)
+                    drops[(x_tag, y_tag)].append(100.0 * sign * (achieved - solved[x_tag].value))
         cell = {}
         for key, vals in drops.items():
             arr = np.asarray(vals)

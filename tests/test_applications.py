@@ -201,6 +201,9 @@ def test_clone_limits_and_oracle():
 def test_clone_validates_range():
     with pytest.raises(LinalgError):
         app.clone_fidelity(np.pi / 3)
+    for pi1 in (0.0, 1.0, 1.5, -0.5, float("nan")):
+        with pytest.raises(LinalgError):
+            app.clone_fidelity(0.3, pi1)
 
 
 def test_alberti_uhlmann_pure_targets():

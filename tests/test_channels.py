@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qtrack import channels as ch
-from qtrack.linalg import LinalgError, hermitian_basis, partial_trace, vec
+from qtrack.linalg import PAULI, LinalgError, hermitian_basis, partial_trace, vec
 
 
 def dephasing_kraus(p):
@@ -196,6 +196,29 @@ def test_assemble_diagonal_expansion():
         + 0.6 * np.kron(z, z)
     )
     assert np.abs(ch.assemble_qubit_choi(q).mat - want).max() < 1e-14
+
+
+def _kron_choi(q):
+    """The Choi build of assemble_qubit_choi written with np.kron, one k at a time."""
+    two_c = np.eye(4, dtype=complex)
+    for k in range(3):
+        u_sigma = sum(x * p for x, p in zip(q.ru[:, k], PAULI[1:]))
+        v_sigma = sum(x * p for x, p in zip(q.rv[k], PAULI[1:]))
+        two_c += q.s[k] * np.kron(np.eye(2), u_sigma)
+        two_c += q.mu[k] * np.kron(v_sigma.T, u_sigma)
+    return 0.5 * two_c
+
+
+def test_assemble_matches_the_kron_form():
+    rng = np.random.default_rng(13)
+    for k in range(300):
+        q = ch.canonical_qubit(ch.random_channel(2, rng))
+        if k % 3 == 1:  # unital, with zero and repeated scalings
+            q = ch.QubitChannelCanonical.from_rotations(q.rv, q.ru, np.round(q.mu, 1), np.zeros(3))
+        if k % 3 == 2:  # frames with exact zero entries
+            flip = np.diag([1.0, -1.0, -1.0])
+            q = ch.QubitChannelCanonical.from_rotations(np.eye(3), flip, q.mu, q.s)
+        assert np.array_equal(ch.assemble_qubit_choi(q).mat, ch.ChoiMatrix(2, _kron_choi(q)).mat)
 
 
 def test_assemble_extreme_point_rank_two():

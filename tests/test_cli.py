@@ -275,11 +275,20 @@ def test_cli_solve_reports_controller_with_small_trace_error(workdir, monkeypatc
         ["multistep", "--task", "t.json", "--seed", "0", "--restarts", "50"],
         ["multistep", "--task", "t.json", "--seed", "0", "--steps", "0"],
         ["multistep", "--task", "t.json", "--seed", "0", "--steps", "1"],
+        ["stabilize", "--grid", "-1"],
+        ["stabilize", "--grid", "0"],
+        ["compat", "--samples", "0", "--seed", "0"],
+        ["bench", "--repeats", "0", "--seed", "0"],
+        ["bench", "--d", "1", "--seed", "0"],
+        ["scatter-bounds", "--d", "2", "--n", "-1", "--seed", "0"],
+        ["scatter-bounds", "--d", "2", "--n", "0", "--seed", "0"],
     ],
     ids=["stabilize-no-point", "stabilize-no-theta", "compat-bad-cell", "scatter-d1",
          "scatter-d0", "solve-negative-gap-tol", "multistep-sweep-negative",
          "multistep-sweep-0", "multistep-restarts-negative", "multistep-restarts-0",
-         "multistep-restarts-50", "multistep-steps-0", "multistep-steps-1"],
+         "multistep-restarts-50", "multistep-steps-0", "multistep-steps-1",
+         "stabilize-grid-negative", "stabilize-grid-0", "compat-samples-0", "bench-repeats-0",
+         "bench-d1", "scatter-n-negative", "scatter-n-0"],
 )
 def test_cli_bad_arguments_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -287,4 +296,22 @@ def test_cli_bad_arguments_exit_2(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "qtrack" in err and "error: " in err and "Traceback" not in err
-    assert err.count("error: ") == 1
+    assert err.count("error: ") == 1 and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clone", "--phi", "0.3", "--pi1", "1.5"],
+        ["clone", "--phi", "0.3", "--pi1", "0"],
+        ["analytic", "--src", "a", "b", "--tgt", "t1", "t2", "--pi", "1.5", "-0.5"],
+        ["analytic", "--src", "a", "b", "--tgt", "t1", "t2", "--pi", "1", "0"],
+    ],
+    ids=["clone-pi1-above-1", "clone-pi1-0", "analytic-negative-pi", "analytic-pi-0"],
+)
+def test_cli_priorities_outside_the_open_unit_interval_exit_2(argv, workdir, capsys):
+    argv = [workdir.get(arg, arg) for arg in argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qtrack: invalid input: ") and err.count("\n") == 1
+    assert "must lie in (0, 1)" in err and "Traceback" not in err

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from qtrack import tracking
+from qtrack import sdp, tracking
 from qtrack.channels import ChoiMatrix, DensityMatrix, apply_choi, check_cptp, random_state
 from qtrack.distances import WeightedSequence
+from qtrack.linalg import LinalgError, hermitian_basis, vec
 
 
 def random_problem(rng, i_count=2, d=2, pure_targets=True, uniform=True):
@@ -218,3 +219,204 @@ def test_havg2_ppt_extreme_priorities_converges():
     assert res.solution.status == "optimal"
     assert abs(res.value - 1.2434e-3) <= 1e-6
     assert abs(tracking.evaluate_objective(res.controller, tp) - res.value) <= 1e-6
+
+
+# --- frozen reference: the assembly as it was written per objective ----------
+
+
+def _ref_dsum(blocks):
+    sizes = [b.shape[0] for b in blocks]
+    out = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at : at + b.shape[0], at : at + b.shape[0]] = b
+        at += b.shape[0]
+    return out
+
+
+def _ref_choi_pairs(d):
+    """Index pairs (mu, nu) of the traceless Choi expansion, nu >= 2."""
+    return [(mu, nu) for mu in range(d * d) for nu in range(1, d * d)]
+
+
+def _ref_cptp_blocks(basis, mu, nu, ppt):
+    k = np.kron(basis[mu], basis[nu])
+    if ppt:
+        return _ref_dsum([k, np.kron(basis[mu], basis[nu].T)])
+    return k
+
+
+def _ref_cptp_const(d, ppt):
+    eye = np.eye(d * d, dtype=complex) / d
+    return _ref_dsum([eye, eye]) if ppt else eye
+
+
+def _reference_assemble(tp):
+    """The per-objective assembly the shared builder replaced, kept frozen."""
+    d, i_count = tp.d, len(tp.source)
+    ppt = tp.feasible == "ppt"
+    basis = hermitian_basis(d)
+    pis = tp.source.priorities
+    weights = pis**2 if tp.objective == "FHSavg2" else pis
+    sources = [s.mat for s in tp.source.states]
+    targets = [s.mat for s in tp.target.states]
+    pairs = _ref_choi_pairs(d)
+    rho_coef = np.array(
+        [[np.trace(r.T @ basis[mu]).real for mu in range(d * d)] for r in sources]
+    )
+
+    if tp.objective in ("FHSavg1", "FHSavg2"):
+        if not ppt:
+            e0 = -sum(w * np.kron(r.T, t) for w, r, t in zip(weights, sources, targets))
+            cons = [
+                (np.kron(basis[a], np.eye(d)), float(d) if a == 0 else 0.0)
+                for a in range(d * d)
+            ]
+            return sdp.SdpStandard(e0, cons)
+        a_coef = np.array(
+            [
+                sum(
+                    w * rho_coef[i, mu] * np.trace(basis[nu] @ targets[i]).real
+                    for i, w in enumerate(weights)
+                )
+                for mu, nu in pairs
+            ]
+        )
+        f0 = _ref_cptp_const(d, ppt=True)
+        fs = [_ref_cptp_blocks(basis, mu, nu, ppt=True) for mu, nu in pairs]
+        return sdp.SdpInequality(-a_coef, f0, fs)
+
+    cone = _ref_cptp_const(d, ppt)
+    cone_dim = cone.shape[0]
+
+    if tp.objective == "Davg":
+        big = hermitian_basis(i_count * d)
+        top = 2 * i_count * d
+        total = top + cone_dim
+        f0 = np.zeros((total, total), dtype=complex)
+        off = _ref_dsum([0.5 * p * (np.eye(d) / d - t) for p, t in zip(pis, targets)])
+        f0[: i_count * d, i_count * d : top] = off
+        f0[i_count * d : top, : i_count * d] = off.conj().T
+        f0[top:, top:] = cone
+        fs, c = [], []
+        for mu, nu in pairs:
+            f = np.zeros((total, total), dtype=complex)
+            off = _ref_dsum([0.5 * p * rc * basis[nu] for p, rc in zip(pis, rho_coef[:, mu])])
+            f[: i_count * d, i_count * d : top] = off
+            f[i_count * d : top, : i_count * d] = off.conj().T
+            f[top:, top:] = _ref_cptp_blocks(basis, mu, nu, ppt)
+            fs.append(f)
+            c.append(0.0)
+        for alpha in range((i_count * d) ** 2):
+            for corner in (0, i_count * d):
+                f = np.zeros((total, total), dtype=complex)
+                f[corner : corner + i_count * d, corner : corner + i_count * d] = big[alpha]
+                fs.append(f)
+                c.append(0.5 * i_count * d if alpha == 0 else 0.0)
+        return sdp.SdpInequality(np.array(c), f0, fs)
+
+    if tp.objective == "H2avg1":
+        top = i_count * d * d + 1
+        total = top + cone_dim
+        f0 = np.zeros((total, total), dtype=complex)
+        for i, p in enumerate(pis):
+            f0[i * d * d : (i + 1) * d * d, i * d * d : (i + 1) * d * d] = (
+                np.eye(d * d) / p
+            )
+            col = vec(np.eye(d) / d - targets[i])
+            f0[i * d * d : (i + 1) * d * d, top - 1] = col
+            f0[top - 1, i * d * d : (i + 1) * d * d] = col.conj()
+        f0[top:, top:] = cone
+        fs, c = [], []
+        for mu, nu in pairs:
+            f = np.zeros((total, total), dtype=complex)
+            u_nu = vec(basis[nu])
+            for i in range(i_count):
+                f[i * d * d : (i + 1) * d * d, top - 1] = rho_coef[i, mu] * u_nu
+                f[top - 1, i * d * d : (i + 1) * d * d] = rho_coef[i, mu] * u_nu.conj()
+            f[top:, top:] = _ref_cptp_blocks(basis, mu, nu, ppt)
+            fs.append(f)
+            c.append(0.0)
+        t_mat = np.zeros((total, total), dtype=complex)
+        t_mat[top - 1, top - 1] = 1.0
+        fs.append(t_mat)
+        c.append(1.0)
+        return sdp.SdpInequality(np.array(c), f0, fs)
+
+    if tp.objective == "Havg2":
+        top = (i_count * d) ** 2 + 1
+        total = top + cone_dim
+        f0 = np.zeros((total, total), dtype=complex)
+        f0[: top - 1, : top - 1] = np.eye((i_count * d) ** 2)
+        col = vec(_ref_dsum([p * (np.eye(d) / d - t) for p, t in zip(pis, targets)]))
+        f0[: top - 1, top - 1] = col
+        f0[top - 1, : top - 1] = col.conj()
+        f0[top:, top:] = cone
+        fs, c = [], []
+        for mu, nu in pairs:
+            f = np.zeros((total, total), dtype=complex)
+            col = vec(_ref_dsum([p * rc * basis[nu] for p, rc in zip(pis, rho_coef[:, mu])]))
+            f[: top - 1, top - 1] = col
+            f[top - 1, : top - 1] = col.conj()
+            f[top:, top:] = _ref_cptp_blocks(basis, mu, nu, ppt)
+            fs.append(f)
+            c.append(0.0)
+        t_mat = np.zeros((total, total), dtype=complex)
+        t_mat[top - 1, top - 1] = 1.0
+        fs.append(t_mat)
+        c.append(1.0)
+        return sdp.SdpInequality(np.array(c), f0, fs)
+
+    if tp.objective == "Oavg2":
+        top = 2 * i_count * d
+        total = top + cone_dim
+        f0 = np.zeros((total, total), dtype=complex)
+        off = _ref_dsum([p * (np.eye(d) / d - t) for p, t in zip(pis, targets)])
+        f0[: i_count * d, i_count * d : top] = off
+        f0[i_count * d : top, : i_count * d] = off.conj().T
+        f0[top:, top:] = cone
+        fs, c = [], []
+        for mu, nu in pairs:
+            f = np.zeros((total, total), dtype=complex)
+            off = _ref_dsum([p * rc * basis[nu] for p, rc in zip(pis, rho_coef[:, mu])])
+            f[: i_count * d, i_count * d : top] = off
+            f[i_count * d : top, : i_count * d] = off.conj().T
+            f[top:, top:] = _ref_cptp_blocks(basis, mu, nu, ppt)
+            fs.append(f)
+            c.append(0.0)
+        t_mat = np.zeros((total, total), dtype=complex)
+        t_mat[:top, :top] = np.eye(top)
+        fs.append(t_mat)
+        c.append(1.0)
+        return sdp.SdpInequality(np.array(c), f0, fs)
+
+    raise LinalgError(f"unhandled objective {tp.objective!r}")
+
+
+CELLS = [(2, 2), (3, 3), (2, 4), (3, 2)]
+
+
+def _assert_same_program(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, sdp.SdpStandard):
+        assert np.array_equal(got.e0, want.e0)
+        assert len(got.constraints) == len(want.constraints)
+        for (e_got, b_got), (e_want, b_want) in zip(got.constraints, want.constraints):
+            assert np.array_equal(e_got, e_want) and b_got == b_want
+        return
+    assert got.c.dtype == want.c.dtype and np.array_equal(got.c, want.c)
+    assert np.array_equal(got.f0, want.f0)
+    assert len(got.fs) == len(want.fs)
+    for j, (f_got, f_want) in enumerate(zip(got.fs, want.fs)):
+        assert np.array_equal(f_got, f_want), f"F_{j + 1} differs"
+
+
+@pytest.mark.parametrize("i_count,d", CELLS)
+def test_assemble_matches_the_per_objective_reference(i_count, d):
+    for draw, pure in enumerate((True, False, True)):
+        rng = np.random.default_rng([17, i_count, d, draw])
+        src, tgt = random_problem(rng, i_count, d, pure_targets=pure, uniform=draw == 0)
+        for objective in tracking.OBJECTIVES:
+            for feasible in tracking.FEASIBLE_SETS:
+                tp = tracking.TrackingProblem(src, tgt, objective, feasible)
+                _assert_same_program(tracking.assemble(tp), _reference_assemble(tp))
