@@ -8,6 +8,7 @@ fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -345,7 +346,9 @@ def _cmd_bench(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="qtrack",
         description="Optimal quantum operations for tracking sequences of density matrices.",
@@ -385,7 +388,7 @@ def build_parser():
     p = sub.add_parser("analytic", help="closed-form optimal tracker for a qubit pair")
     p.add_argument("--src", nargs=2, required=True)
     p.add_argument("--tgt", nargs=2, required=True)
-    p.add_argument("--pi", nargs=2, type=float, default=[0.5, 0.5])
+    p.add_argument("--pi", nargs=2, type=float, default=(0.5, 0.5))
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_analytic)
 
@@ -433,7 +436,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_multistep)
 
     p = sub.add_parser("compat", help="cross-objective compatibility experiment")
-    p.add_argument("--cells", nargs="+", type=_cell, default=[(2, 2)],
+    p.add_argument("--cells", nargs="+", type=_cell, default=((2, 2),),
                    help="IxD cells, e.g. 2x2 3x2")
     p.add_argument("--samples", type=_int_in(1), default=20)
     p.add_argument("--seed", type=int, required=True)

@@ -114,10 +114,22 @@ def chernoff_q(rho, sigma):
     return min(val, objective(0.0), objective(1.0))
 
 
+def _difference_spectrum(rho, sigma):
+    """Absolute eigenvalues of rho - sigma, which D, O and the difference rank all read."""
+    r, s = _pair(rho, sigma)
+    return np.abs(np.linalg.eigvalsh(r - s))
+
+
+def _rank(spectrum, rtol=RANK_RTOL):
+    top = spectrum.max()
+    if top == 0.0:
+        return 0
+    return int((spectrum > rtol * top).sum())
+
+
 def trace_distance(rho, sigma):
     """Half the sum of absolute eigenvalues of rho - sigma."""
-    r, s = _pair(rho, sigma)
-    return float(0.5 * np.abs(np.linalg.eigvalsh(r - s)).sum())
+    return float(0.5 * _difference_spectrum(rho, sigma).sum())
 
 
 def hs_distance(rho, sigma):
@@ -128,8 +140,7 @@ def hs_distance(rho, sigma):
 
 def spectral_distance(rho, sigma):
     """Largest absolute eigenvalue of rho - sigma."""
-    r, s = _pair(rho, sigma)
-    return float(np.abs(np.linalg.eigvalsh(r - s)).max())
+    return float(_difference_spectrum(rho, sigma).max())
 
 
 _MEASURE_FN = {
@@ -232,25 +243,22 @@ def sequence_distance(tag, scheme, src: WeightedSequence, tgt: WeightedSequence)
 
 def difference_rank(rho, sigma, rtol=RANK_RTOL):
     """Rank of rho - sigma with a relative singular-value threshold."""
-    r, s = _pair(rho, sigma)
-    sv = np.abs(np.linalg.eigvalsh(r - s))
-    top = sv.max()
-    if top == 0.0:
-        return 0
-    return int((sv > rtol * top).sum())
+    return _rank(_difference_spectrum(rho, sigma), rtol)
 
 
 def check_bounds(rho, sigma):
     """Slack report for the inequality suite tying D, H, O, F and F_N together.
 
     Each entry is (value, slack); every slack is expected to be >= -1e-9.
+    D, O and the rank come from one eigensolve of rho - sigma.
     """
     f = fidelity_uhlmann(rho, sigma)
     fn = super_fidelity(rho, sigma)
-    d = trace_distance(rho, sigma)
+    spectrum = _difference_spectrum(rho, sigma)
+    d = float(0.5 * spectrum.sum())
     h = hs_distance(rho, sigma)
-    o = spectral_distance(rho, sigma)
-    r = max(difference_rank(rho, sigma), 1)
+    o = float(spectrum.max())
+    r = max(_rank(spectrum), 1)
     report = {
         "fuchs_lower": d - (1.0 - np.sqrt(f)),
         "fuchs_upper": np.sqrt(max(1.0 - f, 0.0)) - d,

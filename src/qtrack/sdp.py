@@ -11,6 +11,15 @@ and weak duality reads p <= d for every feasible pair.
 The solver is a primal-dual path-following method with Nesterov-Todd scaling
 and Mehrotra-style adaptive centering, run directly on complex Hermitian data
 (real data is Hermitian data with a zero imaginary part).
+
+On small LMIs numpy's per-call overhead, not arithmetic, sets the cost of a
+pass, so each stage of a pass is one stacked call over small matrices, in the
+manner of SDPT3's block layout: X and S are decomposed by one ``eigh``; the
+affine direction, then the two (or three) centering candidates, are each
+solved as one stack; and each stage's primal and dual step-length tests share
+one ``eigvalsh``.  Per matrix the arithmetic is that of one call each, so the
+iterates are the same bit for bit.  ``SdpSolution.iterations`` is the index of
+the accepted iterate and ``SdpSolution.passes`` the number of loop passes.
 """
 
 from __future__ import annotations
@@ -103,7 +112,8 @@ class SdpSolution:
     z: np.ndarray
     x: np.ndarray | None
     nu: np.ndarray | None
-    iterations: int
+    iterations: int  # index of the accepted iterate
+    passes: int  # loop passes that moved the iterate (Newton steps and anti-stall lifts)
     residuals: dict
     iterates: list = field(default_factory=list)
 
@@ -119,15 +129,18 @@ def _flat(h):
 
 
 def _herm(m):
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def _max_step(m_ihalf, delta):
-    """Largest alpha in (0, 1] with m + alpha * delta PSD, given m_ihalf = m^(-1/2), m near-PD."""
-    lam = np.linalg.eigvalsh(_herm(m_ihalf @ delta @ m_ihalf)).min()
-    if lam >= 0:
-        return 1.0
-    return min(1.0, -1.0 / lam)
+    """Largest alpha in (0, 1] with m + alpha * delta PSD, given m_ihalf = m^(-1/2), m near-PD.
+
+    Works on stacks (..., n, n) with one eigensolve for the whole stack; a
+    pair of n x n matrices gives a scalar.  -1 / min(lam, -1) is 1 for every
+    lam >= -1 and -1 / lam below.
+    """
+    lam = np.linalg.eigvalsh(_herm(m_ihalf @ delta @ m_ihalf)).min(axis=-1)
+    return -1.0 / np.fmin(lam, -1.0)
 
 
 def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
@@ -173,7 +186,7 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
         comp = np.abs(x @ s).max() / scale
         converged = gap <= opts.gap_tol and pres <= opts.feas_tol and dres <= opts.feas_tol
         if converged and (comp <= opts.comp_tol or mu <= 1e-13 * scale):
-            info.update(iterations=it, status="optimal", gap=gap, pres=pres, dres=dres)
+            info.update(iterations=it, passes=it, status="optimal", gap=gap, pres=pres, dres=dres)
             return x, y, s, info, iterates
         if converged:
             # gap and feasibility are in; polish complementarity a little
@@ -183,7 +196,8 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
                 accepted = (x.copy(), y.copy(), s.copy(), it, gap, pres, dres)
             elif it - accepted[3] >= 15:
                 x, y, s, it0, gap, pres, dres = accepted
-                info.update(iterations=it0, status="optimal", gap=gap, pres=pres, dres=dres)
+                info.update(iterations=it0, passes=it, status="optimal", gap=gap, pres=pres,
+                            dres=dres)
                 return x, y, s, info, iterates
 
         # Anti-stall: if mu stops decreasing, lift the iterate off the cone
@@ -194,8 +208,7 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
         else:
             stall += 1
         if stall >= 4:
-            lam_x = np.linalg.eigvalsh(x)
-            lam_s = np.linalg.eigvalsh(s)
+            lam_x, lam_s = np.linalg.eigvalsh(np.stack([x, s]))
             bump_x = max(0.0, 1e-2 * mu / max(lam_s.max(), 1e-30) - lam_x.min())
             bump_s = max(0.0, 1e-2 * mu / max(lam_x.max(), 1e-30) - lam_s.min())
             x = x + bump_x * np.eye(n)
@@ -205,22 +218,22 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
 
         # Nesterov-Todd scaling point: W S W = X
         try:
-            wx, ux = np.linalg.eigh(x)
-            if wx.min() < -1e-10 * max(wx.max(), 1.0):
+            w, u = np.linalg.eigh(np.stack([x, s]))
+            if w[0].min() < -1e-10 * max(w[0].max(), 1.0):
                 raise SolverError("primal iterate left the cone")
-            wx = np.clip(wx, 1e-16 * max(wx.max(), 1.0), None)
-            x_half = (ux * np.sqrt(wx)) @ ux.conj().T
-            x_ihalf = (ux / np.sqrt(wx)) @ ux.conj().T  # for _max_step, as is s_ihalf
+            w = np.clip(w, 1e-16 * np.maximum(w.max(axis=1), 1.0)[:, None], None)
+            root = np.sqrt(w)
+            ux, us = u
+            x_half = (ux * root[0]) @ ux.conj().T
+            # X^(-1/2) and S^(-1/2), for every _max_step of this pass
+            ihalf = (u / root[:, None, :]) @ u.conj().swapaxes(-1, -2)
             wt, ut = np.linalg.eigh(_herm(x_half @ s @ x_half))
             if wt.min() < -1e-10 * max(wt.max(), 1.0):
                 raise SolverError("dual iterate left the cone")
             wt = np.clip(wt, 1e-16 * max(wt.max(), 1.0), None)
             t_mhalf = (ut / np.sqrt(wt)) @ ut.conj().T  # T^(-1/2)
             w_nt = _herm(x_half @ t_mhalf @ x_half)
-            ws, us = np.linalg.eigh(s)
-            ws = np.clip(ws, 1e-16 * max(ws.max(), 1.0), None)
-            s_inv = (us / ws) @ us.conj().T
-            s_ihalf = (us / np.sqrt(ws)) @ us.conj().T
+            s_inv = (us / w[1]) @ us.conj().T
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SolverError(f"factorization failed: {exc}") from exc
 
@@ -233,45 +246,54 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular normal system: {exc}") from exc
 
-        def direction(sigma_mu, correction):
-            rhs_mat = sigma_mu * s_inv - x if correction is None else sigma_mu * s_inv - x - correction
-            rhs = rp - a_dot(rhs_mat - w_rd_w)
-            dy = np.linalg.solve(m_chol.T, np.linalg.solve(m_chol, rhs))
-            ds = rd - a_comb(dy)
+        def directions(*specs):
+            """Stacks (dx, dy, ds) of the directions for each (sigma mu, corrector or None).
+
+            The products with A and the triangular solves keep one
+            matrix-vector product and one right-hand side per direction, as
+            for a single direction, so the bits match; a GEMM over the stack,
+            or one solve with several right-hand sides, may round differently.
+            """
+            rhs_mat = np.stack(
+                [sm * s_inv - x if cr is None else sm * s_inv - x - cr for sm, cr in specs]
+            )
+            rhs = rp - np.matmul(a_flat, _flat(rhs_mat - w_rd_w)[..., None])[..., 0]
+            dy = np.linalg.solve(m_chol.T, np.linalg.solve(m_chol, rhs[..., None]))[..., 0]
+            ds = rd - np.matmul(dy[:, None], a_flat).view(complex).reshape(-1, n, n)
             dx = rhs_mat - w_nt @ ds @ w_nt
             return _herm(dx), dy, _herm(ds)
 
-        dx_a, dy_a, ds_a = direction(0.0, None)
-        ap = _max_step(x_ihalf, dx_a)
-        ad = _max_step(s_ihalf, ds_a)
-        mu_aff = mu_of(x + ap * dx_a, s + ad * ds_a)
+        dx_a, _, ds_a = directions((0.0, None))
+        ap, ad = _max_step(ihalf, np.concatenate([dx_a, ds_a]))
+        mu_aff = mu_of(x + ap * dx_a[0], s + ad * ds_a[0])
         sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
         if max(pres, dres) > max(gap, 1e-15):
             # keep complementarity from racing ahead of feasibility
             sigma = max(sigma, 0.5)
-        corr = _herm(dx_a @ ds_a @ s_inv)
+        corr = _herm(dx_a[0] @ ds_a[0] @ s_inv)
 
         rp_norm, rd_norm = np.linalg.norm(rp), np.linalg.norm(rd)
 
-        def try_step(delta):
-            dx, dy, ds = delta
-            a_p = min(opts.step_fraction * _max_step(x_ihalf, dx), 1.0)
-            a_d = min(opts.step_fraction * _max_step(s_ihalf, ds), 1.0)
-            mu_n = mu_of(x + a_p * dx, s + a_d * ds)
-            merit = mu_n + 0.1 * ((1 - a_p) * rp_norm + (1 - a_d) * rd_norm)
-            return merit, a_p, a_d, delta
+        def try_steps(*specs):
+            dxs, dys, dss = directions(*specs)
+            steps = _max_step(ihalf, np.stack([dxs, dss], axis=1))
+            out = []
+            for (a_p, a_d), dx, dy, ds in zip(np.minimum(opts.step_fraction * steps, 1.0),
+                                              dxs, dys, dss):
+                mu_n = mu_of(x + a_p * dx, s + a_d * ds)
+                merit = mu_n + 0.1 * ((1 - a_p) * rp_norm + (1 - a_d) * rd_norm)
+                out.append((merit, a_p, a_d, (dx, dy, ds)))
+            return out
 
-        candidates = [
-            try_step(direction(sigma * mu, corr)),
-            try_step(direction(sigma * mu, None)),
-        ]
+        candidates = try_steps((sigma * mu, corr), (sigma * mu, None))
         if min(max(c[1], c[2]) for c in candidates) < 0.2:
-            candidates.append(try_step(direction(0.5 * mu, None)))
+            candidates += try_steps((0.5 * mu, None))
         _, a_p, a_d, (dx, dy, ds) = min(candidates, key=lambda c: c[0])
         x = _herm(x + a_p * dx)
         y = y + a_d * dy
         s = _herm(s + a_d * ds)
 
+    info["passes"] = opts.max_iter
     if accepted is not None:
         x, y, s, it0, gap, pres, dres = accepted
         info.update(iterations=it0, status="optimal", gap=gap, pres=pres, dres=dres)
@@ -354,6 +376,7 @@ def solve(problem, opts: SolverOptions | None = None) -> SdpSolution:
         x=None if standard else y,
         nu=y if standard else None,
         iterations=info["iterations"],
+        passes=info["passes"],
         residuals={"primal": info["pres"], "dual": info["dres"]},
         iterates=iterates,
     )

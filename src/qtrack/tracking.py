@@ -17,7 +17,7 @@ one builder with one layout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -67,10 +67,24 @@ def _choi_pairs(d):
     return [(mu, nu) for mu in range(d * d) for nu in range(1, d * d)]
 
 
-def _cone(a, b, ppt):
-    """Cone block of the Choi term a (x) b: itself, beside its partial transpose for PPT."""
-    k = np.kron(a, b)
-    return _dsum([k, np.kron(a, b.T)]) if ppt else k
+@cache
+def _kron_table(d):
+    """Read-only stacks of H^mu (x) H^nu and of H^mu (x) (H^nu)^T, indexed [mu, nu]."""
+    basis = np.array(hermitian_basis(d))
+    tables = []
+    for right in (basis, basis.swapaxes(1, 2)):
+        # the entrywise products np.kron forms, laid out as [mu, nu, (i, k), (j, l)]
+        k = basis[:, None, :, None, :, None] * right[None, :, None, :, None, :]
+        k = k.reshape(d * d, d * d, d * d, d * d)
+        k.flags.writeable = False
+        tables.append(k)
+    return tuple(tables)
+
+
+def _cone(d, mu, nu, ppt):
+    """Cone block of the Choi term H^mu (x) H^nu: itself, beside its partial transpose for PPT."""
+    kron, kron_t = _kron_table(d)
+    return _dsum([kron[mu, nu], kron_t[mu, nu]]) if ppt else kron[mu, nu]
 
 
 def _off_diagonal(m, fixed=None):
@@ -170,10 +184,10 @@ OBJECTIVES = tuple(_OBJECTIVES)
 
 def choi_from_coefficients(x, d):
     """Rebuild the Choi matrix from the traceless expansion coefficients."""
-    basis = hermitian_basis(d)
+    kron, _ = _kron_table(d)
     c = np.eye(d * d, dtype=complex) / d
     for (mu, nu), val in zip(_choi_pairs(d), x):
-        c += val * np.kron(basis[mu], basis[nu])
+        c += val * kron[mu, nu]
     return ChoiMatrix(d, c)
 
 
@@ -192,7 +206,8 @@ def assemble(tp: TrackingProblem):
     targets = [s.mat for s in tp.target.states]
     if obj.closeness and not ppt:
         e0 = -sum(wi * np.kron(r.T, t) for wi, r, t in zip(w, sources, targets))
-        cons = [(np.kron(h, np.eye(d)), float(d) if a == 0 else 0.0) for a, h in enumerate(basis)]
+        kron, _ = _kron_table(d)
+        cons = [(kron[a, 0], float(d) if a == 0 else 0.0) for a in range(d * d)]
         return sdp.SdpStandard(e0, cons)
 
     # residual i, w_i (Phi(rho_i) - rhobar_i), is w_i (I/d - rhobar_i) plus
@@ -208,8 +223,8 @@ def assemble(tp: TrackingProblem):
         # maximize sum_i w_i tr(Phi(rho_i) rhobar_i): a linear cost on x
         overlap = np.array([[np.trace(h @ t).real for h in basis] for t in targets])
         c = -np.array([sum(scale[:, mu] * overlap[:, nu]) for mu, nu in pairs])
-    cone = _cone(basis[0] / d, basis[0], ppt)
-    fs = [_dsum([b, _cone(basis[mu], basis[nu], ppt)]) for b, (mu, nu) in zip(blocks, pairs)]
+    cone = _cone(d, 0, 0, ppt) / d
+    fs = [_dsum([b, _cone(d, mu, nu, ppt)]) for b, (mu, nu) in zip(blocks, pairs)]
     no_cone = [np.zeros_like(cone)]
     fs += [_dsum(diagonal + no_cone) for diagonal, _ in extras]
     return sdp.SdpInequality(c, _dsum([block0, cone]), fs)
@@ -263,28 +278,22 @@ def solve_tracking(tp: TrackingProblem, opts: sdp.SolverOptions | None = None) -
     t), i.e. <H>_2 rather than <H^2>_2).
     """
     d = tp.d
+    sol = None
     if all(np.abs(t.mat - np.eye(d) / d).max() < 1e-14 for t in tp.target.states):
         # all targets maximally mixed: the completely depolarizing channel wins
         controller = ChoiMatrix(d, np.kron(np.eye(d), np.eye(d) / d))
         value = evaluate_objective(controller, tp)
-        return TrackingResult(
-            controller,
-            value,
-            None,
-            check_cptp(controller),
-            check_ppt(controller) if tp.feasible == "ppt" else None,
-        )
-
-    program = assemble(tp)
-    sol = sdp.solve(program, opts)
-    if sol.status != "optimal":
-        raise sdp.SolverError(f"tracking SDP ended with status {sol.status!r}")
-    if isinstance(program, sdp.SdpStandard):
-        controller = ChoiMatrix(d, sol.z)
-        value = sol.primal_value
     else:
-        controller = choi_from_coefficients(sol.x[: len(_choi_pairs(d))], d)
-        value = _OBJECTIVES[tp.objective].value(sol.primal_value, tp.source.priorities, d)
+        program = assemble(tp)
+        sol = sdp.solve(program, opts)
+        if sol.status != "optimal":
+            raise sdp.SolverError(f"tracking SDP ended with status {sol.status!r}")
+        if isinstance(program, sdp.SdpStandard):
+            controller = ChoiMatrix(d, sol.z)
+            value = sol.primal_value
+        else:
+            controller = choi_from_coefficients(sol.x[: len(_choi_pairs(d))], d)
+            value = _OBJECTIVES[tp.objective].value(sol.primal_value, tp.source.priorities, d)
     ppt_report = None
     if tp.feasible == "ppt":
         ppt_report = check_ppt(controller)

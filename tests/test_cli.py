@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -315,3 +317,32 @@ def test_cli_priorities_outside_the_open_unit_interval_exit_2(argv, workdir, cap
     err = capsys.readouterr().err
     assert err.startswith("qtrack: invalid input: ") and err.count("\n") == 1
     assert "must lie in (0, 1)" in err and "Traceback" not in err
+
+
+def test_cli_reuses_its_parser_without_leaking_state(workdir, capsys):
+    # one process runs every command through the one cached parser; each run
+    # must print and exit exactly as a fresh `qtrack` process does
+    w = workdir
+    runs = [
+        ["solve", "--problem", w["problem"], "--objective", "Davg", "--feasible", "ppt"],
+        ["distances", "--measure", "D", "--a", w["a"], "--b", w["b"]],
+        ["stabilize", "--p", "0.115", "--theta", "0.715"],
+        ["stabilize", "--grid", "2"],
+        ["stabilize", "--grid", "0"],
+        ["solve", "--problem", w["problem"], "--objective", "FHSavg1"],
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    entry = "import sys; from qtrack.cli import main; sys.exit(main())"
+    codes = []
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-c", entry, *argv], capture_output=True,
+                               text=True, env=env, timeout=120)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 2, 0]

@@ -126,6 +126,17 @@ def test_metric_chain_random():
             assert val >= -1e-9, key
 
 
+def test_check_bounds_shares_one_spectrum_with_the_public_kernels():
+    rng = np.random.default_rng(9)
+    for d in range(2, 7):
+        a, b = random_state(d, rng), random_state(d, rng)
+        for sigma in (b, a):  # a distinct pair, and coincident states (rank 0 -> 1)
+            rep = ds.check_bounds(a, sigma)
+            assert rep["values"]["D"] == ds.trace_distance(a, sigma)
+            assert rep["values"]["O"] == ds.spectral_distance(a, sigma)
+            assert rep["rank"] == max(ds.difference_rank(a, sigma), 1)
+
+
 def test_metric_functional_values():
     assert ds.metric_functional("C", 1.0) == 0.0
     with pytest.raises(LinalgError):

@@ -213,3 +213,233 @@ def test_one_eigendecomposition_per_iterate(objective, feasible, monkeypatch):
     passes = len(sol.iterates) - 1
     assert passes == sol.iterations
     assert len(calls) <= 3 * passes + 1
+
+
+# -- the stacked pass against the unstacked loop it replaced -----------------
+
+
+def _reference_herm(m):
+    return 0.5 * (m + m.conj().T)
+
+
+def _reference_max_step(m_ihalf, delta):
+    """Largest alpha in (0, 1] with m + alpha * delta PSD, given m_ihalf = m^(-1/2), m near-PD."""
+    lam = np.linalg.eigvalsh(_reference_herm(m_ihalf @ delta @ m_ihalf)).min()
+    if lam >= 0:
+        return 1.0
+    return min(1.0, -1.0 / lam)
+
+
+def _reference_solve_textbook(c_mat, a_stack, b, opts):
+    """The solver loop as it was before its stages were stacked: one call per matrix.
+
+    Kept as the reference the stacked loop must match bit for bit; the only
+    addition is the ``passes`` count.
+    """
+    n = c_mat.shape[0]
+    m = len(b)
+    a_flat = sdp._flat(a_stack)
+    c_flat = sdp._flat(c_mat)
+    x = np.eye(n, dtype=complex)
+    scale = max(1.0, np.abs(c_mat).max())
+    s = scale * np.eye(n, dtype=complex)
+    y = np.zeros(m)
+    iterates = []
+
+    def a_dot(mat):
+        return a_flat @ sdp._flat(mat)
+
+    def a_comb(vec_):
+        return (vec_ @ a_flat).view(complex).reshape(n, n)
+
+    def mu_of(x_, s_):
+        return float(sdp._flat(x_) @ sdp._flat(s_)) / n  # tr(X S) / n
+
+    info = {"iterations": 0}
+    best_mu = np.inf
+    stall = 0
+    accepted = None
+    for it in range(opts.max_iter):
+        rp = b - a_dot(x)
+        rd = c_mat - s - a_comb(y)
+        mu = mu_of(x, s)
+        pobj = float(c_flat @ sdp._flat(x))
+        dobj = float(b @ y)
+        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        pres = np.linalg.norm(rp) / (1.0 + np.linalg.norm(b))
+        dres = np.abs(rd).max() / (1.0 + np.abs(c_mat).max())
+        if opts.trace_iterates:
+            iterates.append((x.copy(), y.copy(), s.copy()))
+        comp = np.abs(x @ s).max() / scale
+        converged = gap <= opts.gap_tol and pres <= opts.feas_tol and dres <= opts.feas_tol
+        if converged and (comp <= opts.comp_tol or mu <= 1e-13 * scale):
+            info.update(iterations=it, passes=it, status="optimal", gap=gap, pres=pres, dres=dres)
+            return x, y, s, info, iterates
+        if converged:
+            # gap and feasibility are in; polish complementarity a little
+            # longer, but do not chase it forever (the primal refinement step
+            # removes the residual misalignment afterwards).
+            if accepted is None:
+                accepted = (x.copy(), y.copy(), s.copy(), it, gap, pres, dres)
+            elif it - accepted[3] >= 15:
+                x, y, s, it0, gap, pres, dres = accepted
+                info.update(
+                    iterations=it0, passes=it, status="optimal", gap=gap, pres=pres, dres=dres
+                )
+                return x, y, s, info, iterates
+
+        # Anti-stall: if mu stops decreasing, lift the iterate off the cone
+        # boundary (the feasibility residuals this reintroduces are handled by
+        # the infeasible-start machinery).
+        if mu < 0.9 * best_mu:
+            best_mu, stall = mu, 0
+        else:
+            stall += 1
+        if stall >= 4:
+            lam_x = np.linalg.eigvalsh(x)
+            lam_s = np.linalg.eigvalsh(s)
+            bump_x = max(0.0, 1e-2 * mu / max(lam_s.max(), 1e-30) - lam_x.min())
+            bump_s = max(0.0, 1e-2 * mu / max(lam_x.max(), 1e-30) - lam_s.min())
+            x = x + bump_x * np.eye(n)
+            s = s + bump_s * np.eye(n)
+            best_mu, stall = np.inf, 0
+            continue
+
+        # Nesterov-Todd scaling point: W S W = X
+        try:
+            wx, ux = np.linalg.eigh(x)
+            if wx.min() < -1e-10 * max(wx.max(), 1.0):
+                raise sdp.SolverError("primal iterate left the cone")
+            wx = np.clip(wx, 1e-16 * max(wx.max(), 1.0), None)
+            x_half = (ux * np.sqrt(wx)) @ ux.conj().T
+            x_ihalf = (ux / np.sqrt(wx)) @ ux.conj().T  # for _max_step, as is s_ihalf
+            wt, ut = np.linalg.eigh(_reference_herm(x_half @ s @ x_half))
+            if wt.min() < -1e-10 * max(wt.max(), 1.0):
+                raise sdp.SolverError("dual iterate left the cone")
+            wt = np.clip(wt, 1e-16 * max(wt.max(), 1.0), None)
+            t_mhalf = (ut / np.sqrt(wt)) @ ut.conj().T  # T^(-1/2)
+            w_nt = _reference_herm(x_half @ t_mhalf @ x_half)
+            ws, us = np.linalg.eigh(s)
+            ws = np.clip(ws, 1e-16 * max(ws.max(), 1.0), None)
+            s_inv = (us / ws) @ us.conj().T
+            s_ihalf = (us / np.sqrt(ws)) @ us.conj().T
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise sdp.SolverError(f"factorization failed: {exc}") from exc
+
+        # Schur complement M_ij = tr(A_i W A_j W), one real GEMM
+        m_mat = a_flat @ sdp._flat(w_nt @ a_stack @ w_nt).T
+        ridge = 1e-14 * max(np.trace(m_mat) / max(m, 1), 1.0)
+        w_rd_w = w_nt @ rd @ w_nt  # the same for every direction of this iteration
+        try:
+            m_chol = np.linalg.cholesky(m_mat + ridge * np.eye(m))
+        except np.linalg.LinAlgError as exc:
+            raise sdp.SolverError(f"singular normal system: {exc}") from exc
+
+        def direction(sigma_mu, correction):
+            rhs_mat = sigma_mu * s_inv - x if correction is None else sigma_mu * s_inv - x - correction
+            rhs = rp - a_dot(rhs_mat - w_rd_w)
+            dy = np.linalg.solve(m_chol.T, np.linalg.solve(m_chol, rhs))
+            ds = rd - a_comb(dy)
+            dx = rhs_mat - w_nt @ ds @ w_nt
+            return _reference_herm(dx), dy, _reference_herm(ds)
+
+        dx_a, dy_a, ds_a = direction(0.0, None)
+        ap = _reference_max_step(x_ihalf, dx_a)
+        ad = _reference_max_step(s_ihalf, ds_a)
+        mu_aff = mu_of(x + ap * dx_a, s + ad * ds_a)
+        sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
+        if max(pres, dres) > max(gap, 1e-15):
+            # keep complementarity from racing ahead of feasibility
+            sigma = max(sigma, 0.5)
+        corr = _reference_herm(dx_a @ ds_a @ s_inv)
+
+        rp_norm, rd_norm = np.linalg.norm(rp), np.linalg.norm(rd)
+
+        def try_step(delta):
+            dx, dy, ds = delta
+            a_p = min(opts.step_fraction * _reference_max_step(x_ihalf, dx), 1.0)
+            a_d = min(opts.step_fraction * _reference_max_step(s_ihalf, ds), 1.0)
+            mu_n = mu_of(x + a_p * dx, s + a_d * ds)
+            merit = mu_n + 0.1 * ((1 - a_p) * rp_norm + (1 - a_d) * rd_norm)
+            return merit, a_p, a_d, delta
+
+        candidates = [
+            try_step(direction(sigma * mu, corr)),
+            try_step(direction(sigma * mu, None)),
+        ]
+        if min(max(c[1], c[2]) for c in candidates) < 0.2:
+            candidates.append(try_step(direction(0.5 * mu, None)))
+        _, a_p, a_d, (dx, dy, ds) = min(candidates, key=lambda c: c[0])
+        x = _reference_herm(x + a_p * dx)
+        y = y + a_d * dy
+        s = _reference_herm(s + a_d * ds)
+
+    info["passes"] = opts.max_iter
+    if accepted is not None:
+        x, y, s, it0, gap, pres, dres = accepted
+        info.update(iterations=it0, status="optimal", gap=gap, pres=pres, dres=dres)
+        return x, y, s, info, iterates
+    info.update(
+        iterations=opts.max_iter,
+        status="max_iter",
+        gap=gap,
+        pres=pres,
+        dres=dres,
+    )
+    return x, y, s, info, iterates
+
+
+def _draw_program(rng, i_count, d, objective, feasible, draw):
+    pis = [1.0 / i_count] * i_count if draw == 0 else rng.dirichlet(np.ones(i_count) * 4).tolist()
+    src = WeightedSequence([(p, random_state(d, rng)) for p in pis])
+    tgt = WeightedSequence([(p, random_state(d, rng, pure=draw != 1)) for p in pis])
+    return tracking.assemble(tracking.TrackingProblem(src, tgt, objective, feasible))
+
+
+PROGRAMS_22 = [(obj, fs) for obj in tracking.OBJECTIVES for fs in tracking.FEASIBLE_SETS]
+
+
+@pytest.mark.parametrize(
+    "i_count,d,objective,feasible,draws",
+    [(2, 2, obj, fs, 3) for obj, fs in PROGRAMS_22] + [(3, 3, "Davg", "ppt", 1)],
+)
+def test_stacked_pass_matches_the_unstacked_reference(i_count, d, objective, feasible, draws):
+    for draw in range(draws):
+        rng = np.random.default_rng([47, i_count, d, draw])
+        program = _draw_program(rng, i_count, d, objective, feasible, draw)
+        c_mat, a_stack, b = sdp._prepare(program)
+        x, y, s, info, _ = sdp._solve_textbook(c_mat, a_stack, b, sdp.SolverOptions())
+        x0, y0, s0, info0, _ = _reference_solve_textbook(c_mat, a_stack, b, sdp.SolverOptions())
+        assert np.array_equal(x, x0) and np.array_equal(y, y0) and np.array_equal(s, s0)
+        for key in ("status", "iterations", "passes"):
+            assert info[key] == info0[key], key
+
+
+def test_stacked_max_step_matches_single_calls():
+    rng = np.random.default_rng(53)
+    for n in (2, 4, 7):
+        ihalf = np.empty((6, 2, n, n), dtype=complex)
+        delta = np.empty_like(ihalf)
+        for j in range(6):
+            for k in range(2):
+                u = haar_random_unitary(n, rng)
+                ihalf[j, k] = _inverse_sqrt((u * np.logspace(0, -3, n)) @ u.conj().T)
+                g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                # PSD, then indefinite from min eig > -1 (a full step) to << -1
+                delta[j, k] = g @ g.conj().T if j == 0 else 10.0 ** (j - 4) * (g + g.conj().T)
+        want = [[_reference_max_step(ihalf[j, k], delta[j, k]) for k in range(2)] for j in range(6)]
+        assert np.array_equal(sdp._max_step(ihalf, delta), want)
+        # the (2, n, n) NT pair broadcast over a stack of directions, as the solver calls it
+        assert np.array_equal(sdp._max_step(ihalf[0], delta), want[:1] + [
+            [_reference_max_step(ihalf[0, k], delta[j, k]) for k in range(2)] for j in range(1, 6)
+        ])
+        assert sdp._max_step(ihalf[1, 0], delta[1, 0]) == want[1][0]
+
+
+@pytest.mark.parametrize("objective,feasible", PROGRAMS_22)
+def test_passes_count_every_loop_pass(objective, feasible):
+    program = _draw_program(np.random.default_rng(59), 2, 2, objective, feasible, 1)
+    sol = sdp.solve(program, sdp.SolverOptions(trace_iterates=True))
+    assert sol.status == "optimal"
+    assert sol.passes == len(sol.iterates) - 1
+    assert sol.passes >= sol.iterations

@@ -141,6 +141,22 @@ def test_depolarizing_short_circuit():
         assert np.abs(out.mat - np.eye(2) / 2).max() < 1e-12
 
 
+def test_ppt_report_has_the_same_fields_on_the_maximally_mixed_shortcut():
+    rng = np.random.default_rng(71)
+    pis = [0.5, 0.5]
+    src = WeightedSequence([(p, random_state(3, rng)) for p in pis])
+    keys = []
+    for eps in (0.0, 1e-13):
+        # 1e-13 away from I/3 the shortcut no longer applies and the SDP runs
+        target = DensityMatrix(np.eye(3) / 3 + eps * np.diag([1.0, -1.0, 0.0]))
+        tgt = WeightedSequence([(p, target) for p in pis])
+        res = tracking.solve_tracking(tracking.TrackingProblem(src, tgt, "FHSavg1", "ppt"))
+        assert (res.solution is None) == (eps == 0.0)
+        keys.append(sorted(res.ppt_report))
+    assert keys[0] == keys[1]
+    assert {"choi_rank", "separability"} <= set(keys[0])
+
+
 def test_reduce_nto2_trivial_cases():
     rng = np.random.default_rng(8)
     s1, s2 = random_state(2, rng), random_state(2, rng)
