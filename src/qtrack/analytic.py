@@ -19,17 +19,17 @@ from .channels import (
     ChoiMatrix,
     DensityMatrix,
     QubitChannelCanonical,
+    _kron2,
     assemble_qubit_choi,
+    bloch_of,
     rotation_aligning,
 )
 from .linalg import PAULI, LinalgError, stacked_dot
 
 OMEGA_TIE = 1e-12
 _EYE3 = np.eye(3)
-# Kronecker products every certificate takes: sigma_k (x) I, I (x) X, sigma_k (x) sigma_k
-_SIGMA_I = [np.kron(p, np.eye(2)) for p in PAULI[1:]]
-_I_X = np.kron(np.eye(2), PAULI[1])
-_SIGMA_SIGMA = [np.kron(p, p) for p in PAULI[1:]]
+# [j, k] = sigma_j^T (x) sigma_k for j, k = 0..3 (sigma_0 = I)
+_PAULI_PAIRS = _kron2(np.swapaxes(PAULI, 1, 2)[:, None], np.array(PAULI)).reshape(4, 4, 4, 4)
 
 
 class DegenerateGeometryError(LinalgError):
@@ -98,17 +98,15 @@ class PairGeometry:
         rho1, rho2 = DensityMatrix(rho1.mat if isinstance(rho1, DensityMatrix) else rho1), \
             DensityMatrix(rho2.mat if isinstance(rho2, DensityMatrix) else rho2)
         pi2 = 1.0 - pi1
-        b1 = _bloch(rbar1)
-        b2 = _bloch(rbar2)
-        t1 = _trace(rbar1)
-        t2 = _trace(rbar2)
+        m1, m2 = (t.mat if isinstance(t, DensityMatrix) else np.asarray(t, dtype=complex)
+                  for t in (rbar1, rbar2))
         return cls(
             r1=rho1.bloch,
             r2=rho2.bloch,
-            rb1=pi1 * b1,
-            rb2=pi2 * b2,
-            c1=pi1 * t1,
-            c2=pi2 * t2,
+            rb1=pi1 * bloch_of(m1),
+            rb2=pi2 * bloch_of(m2),
+            c1=pi1 * float(np.trace(m1).real),
+            c2=pi2 * float(np.trace(m2).real),
         )
 
     # Derived data (set in __post_init__): r_minus, r_cross, rb_plus,
@@ -123,16 +121,6 @@ def _cross3(a, b):
             a[0] * b[1] - a[1] * b[0],
         ]
     )
-
-
-def _bloch(state):
-    m = state.mat if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
-    return np.array([np.trace(m @ p).real for p in PAULI[1:]])
-
-
-def _trace(state):
-    m = state.mat if isinstance(state, DensityMatrix) else np.asarray(state, dtype=complex)
-    return float(np.trace(m).real)
 
 
 def gamma_a(g: PairGeometry):
@@ -167,7 +155,7 @@ def optimal_canonical(g: PairGeometry) -> QubitChannelCanonical:
     rv, ru, mu, s, ok = optimal_frames(g.r1, g.r2, g.rb1, g.rb2)
     if not ok:
         raise LinalgError("the optimal tracker's frames are not proper rotations")
-    return QubitChannelCanonical.from_rotations(rv, ru, mu, s)
+    return QubitChannelCanonical(rv, ru, mu, s)
 
 
 def optimal_frames(r1, r2, rb1, rb2):
@@ -266,7 +254,7 @@ def _improper(*frames):
 
     The frames of :func:`optimal_frames` are [a x b, a, b] (as rows or
     columns, so det R = |a x b|^2 >= 0) or products of rotations, so
-    R R^T = I forces det R = 1 as ``from_rotations`` demands.
+    R R^T = I forces det R = 1 as :class:`QubitChannelCanonical` demands.
     """
     r = np.stack(frames)
     dev = np.abs(r @ np.swapaxes(r, -1, -2) - _EYE3)
@@ -276,18 +264,6 @@ def _improper(*frames):
 def assemble_optimal_choi(g: PairGeometry) -> ChoiMatrix:
     """Choi matrix of the optimal tracker for this geometry."""
     return assemble_qubit_choi(optimal_canonical(g))
-
-
-def diag_choi(mu, s1):
-    """Choi matrix of the diagonal map with scale ``mu`` and x-translation ``s1``."""
-    two_d = (
-        np.eye(4, dtype=complex)
-        + s1 * _I_X
-        + mu[0] * _SIGMA_SIGMA[0]
-        - mu[1] * _SIGMA_SIGMA[1]
-        + mu[2] * _SIGMA_SIGMA[2]
-    )
-    return 0.5 * two_d
 
 
 @dataclass
@@ -317,6 +293,12 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
     ``2 x0 = -tr(F0~ D)``, and annihilate the diagonal Choi matrix ``D``.
     Its nonzero spectrum is cross-checked against the closed-form
     characteristic polynomial of the matching procedure.
+
+    All of it lives in the SO(3) frames of the optimal channel: with sources
+    (1, R_V r_i) and targets (c_i, R_U^T rb_i) there,
+    ``F0~ = -1/4 sum_jk G_jk sigma_j^T (x) sigma_k`` for
+    ``G = sum_i (1, R_V r_i)^T (c_i, R_U^T rb_i)``, and
+    ``D = (I + s.(I (x) sigma) + sum_k mu_k sigma_k^T (x) sigma_k) / 2``.
     """
     canonical = optimal_canonical(g)
     rm = np.linalg.norm(g.r_minus)
@@ -354,24 +336,16 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
         roots = np.roots([1.0, -gam, varpi, omega_c])
 
     coeffs = np.array([x0, x1, 0.0, x3])
-    rho_mats = [0.5 * (np.eye(2) + sum(a * p for a, p in zip(r, PAULI[1:]))) for r in (g.r1, g.r2)]
-    tgt_mats = [
-        0.5 * (c_i * np.eye(2) + sum(a * p for a, p in zip(rb, PAULI[1:])))
-        for c_i, rb in ((g.c1, g.rb1), (g.c2, g.rb2))
-    ]
-    v, u = canonical.V, canonical.U
-    f0_tilde = -sum(
-        np.kron((v @ r @ v.conj().T).T, u.conj().T @ t @ u)
-        for r, t in zip(rho_mats, tgt_mats)
-    )
-    f_matrix = (
-        f0_tilde
-        + coeffs[0] * np.eye(4)
-        + coeffs[1] * _SIGMA_I[0]
-        + coeffs[2] * _SIGMA_I[1]
-        + coeffs[3] * _SIGMA_I[2]
-    )
-    d_choi = diag_choi(canonical.mu, canonical.s[0])
+    rv, ru = canonical.rv, canonical.ru
+    sources = np.array([[1.0, *(rv @ g.r1)], [1.0, *(rv @ g.r2)]])
+    targets = np.array([[g.c1, *(ru.T @ g.rb1)], [g.c2, *(ru.T @ g.rb2)]])
+    f0_tilde = _pauli_pairs(-0.25 * sources.T @ targets)
+    shift = np.zeros((4, 4))
+    shift[:, 0] = coeffs  # x0 I + x1 X (x) I + x3 Z (x) I, as x2 = 0
+    f_matrix = f0_tilde + _pauli_pairs(shift)
+    d_coeffs = np.diag([1.0, *canonical.mu])
+    d_coeffs[0, 1:] = canonical.s
+    d_choi = _pauli_pairs(0.5 * d_coeffs)
     weak = abs(2.0 * coeffs[0] + np.trace(f0_tilde @ d_choi).real)
     slackness = float(np.abs(d_choi @ f_matrix).max())
     spectrum = np.linalg.eigvalsh(0.5 * (f_matrix + f_matrix.conj().T))
@@ -385,6 +359,11 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
         spectrum=spectrum,
         canonical=canonical,
     )
+
+
+def _pauli_pairs(coeffs):
+    """sum_jk coeffs[j, k] sigma_j^T (x) sigma_k for a real 4 x 4 ``coeffs``."""
+    return np.tensordot(coeffs, _PAULI_PAIRS, 2)
 
 
 @dataclass
@@ -431,27 +410,23 @@ def feedback_decomposition(g: PairGeometry):
     outcome.  Measurement strengths: sin(chi) = mu_3, sin(eta) = mu_2.
     """
     canonical = optimal_canonical(g)
-    if g.omega <= OMEGA_TIE:
-        return {
-            "V": canonical.V,
-            "U": canonical.U,
-            "M1": np.eye(2, dtype=complex),
-            "M2": np.zeros((2, 2), dtype=complex),
-            "open_loop": True,
-        }
-    mu = canonical.mu
-    chi = np.arcsin(np.clip(mu[2], -1.0, 1.0))
-    eta = np.arcsin(np.clip(mu[1], -1.0, 1.0))
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    p_plus = np.outer(plus, plus)
-    p_minus = np.outer(minus, minus)
-    m1 = np.cos((chi - eta) / 2.0) * p_plus + np.sin((chi + eta) / 2.0) * p_minus
-    m2 = np.sin((chi - eta) / 2.0) * p_plus - np.cos((chi + eta) / 2.0) * p_minus
+    open_loop = g.omega <= OMEGA_TIE
+    if open_loop:
+        m1, m2 = np.eye(2), np.zeros((2, 2))
+    else:
+        mu = canonical.mu
+        chi = np.arcsin(np.clip(mu[2], -1.0, 1.0))
+        eta = np.arcsin(np.clip(mu[1], -1.0, 1.0))
+        plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        p_plus = np.outer(plus, plus)
+        p_minus = np.outer(minus, minus)
+        m1 = np.cos((chi - eta) / 2.0) * p_plus + np.sin((chi + eta) / 2.0) * p_minus
+        m2 = np.sin((chi - eta) / 2.0) * p_plus - np.cos((chi + eta) / 2.0) * p_minus
     return {
         "V": canonical.V,
         "U": canonical.U,
         "M1": m1.astype(complex),
         "M2": m2.astype(complex),
-        "open_loop": False,
+        "open_loop": open_loop,
     }

@@ -274,16 +274,12 @@ def alberti_uhlmann(rho1, rho2, rbar1, rbar2, t_grid=None):
         theta = np.arccos(cos_t)
         theta_bar = np.arccos(cos_tb)
         report["corollary"] = bool(src_pure and theta >= theta_bar - 1e-9)
-    if t_grid is None:
-        t_grid = np.logspace(-3, 3, 600)
-    slack = np.inf
-    worst_t = None
-    for t in t_grid:
-        lhs = np.abs(np.linalg.eigvalsh(rbar1.mat - t * rbar2.mat)).sum()
-        rhs = np.abs(np.linalg.eigvalsh(rho1.mat - t * rho2.mat)).sum()
-        if rhs - lhs < slack:
-            slack = rhs - lhs
-            worst_t = t
+    t_grid = np.logspace(-3, 3, 600) if t_grid is None else np.asarray(t_grid, dtype=float)
+    t = t_grid[:, None, None]
+    lhs = np.abs(np.linalg.eigvalsh(rbar1.mat - t * rbar2.mat)).sum(-1)
+    rhs = np.abs(np.linalg.eigvalsh(rho1.mat - t * rho2.mat)).sum(-1)
+    worst = int(np.argmin(rhs - lhs))
+    slack, worst_t = (rhs - lhs)[worst], t_grid[worst]
     feasible = slack >= -1e-9
     if report["corollary"] is not None:
         feasible = report["corollary"]

@@ -11,7 +11,6 @@ which is PSD iff the map is completely positive and satisfies
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,6 +44,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = hermitize(np.asarray(self.mat, dtype=complex))
+        if not np.isfinite(m).all():
+            raise LinalgError("state has non-finite entries")
         if abs(np.trace(m).real - 1.0) > 1e-10:
             raise LinalgError(f"trace {np.trace(m).real:.12f} != 1")
         if np.linalg.eigvalsh(m).min() < -1e-10:
@@ -213,15 +214,14 @@ def check_ppt(choi: ChoiMatrix, tol=PSD_TOL):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class QubitChannelCanonical:
     """Qubit channel as rho -> U D(V rho V^dag) U^dag, kept in Bloch frames.
 
     ``D`` scales the Bloch components by ``mu`` and translates by ``s``;
     ``rv`` and ``ru`` are the SO(3) actions of the input and output basis
-    rotations ``V`` and ``U``.  ``QubitChannelCanonical(V, U, mu, s)`` takes
-    the unitaries and keeps them; :meth:`from_rotations` takes the rotations,
-    and ``V``/``U`` are then built as SU(2) elements when first read.
+    rotations ``V`` and ``U``, and every computation uses them.  ``V`` and
+    ``U`` are built as SU(2) elements only when an output reads them.
     """
 
     rv: np.ndarray
@@ -229,32 +229,10 @@ class QubitChannelCanonical:
     mu: np.ndarray
     s: np.ndarray
 
-    def __init__(self, V, U, mu, s):
-        self.__dict__.update(V=V, U=U, mu=mu, s=s)
-        self.__post_init__()
-
-    @classmethod
-    def from_rotations(cls, rv, ru, mu, s):
-        """Channel from proper rotations ``rv``, ``ru`` (LinalgError otherwise)."""
-        q = cls.__new__(cls)
-        q.__dict__.update(rv=rv, ru=ru, mu=mu, s=s)
-        q.__post_init__()
-        return q
-
     def __post_init__(self):
-        """Check and normalise the data of either constructor; rv/ru from V/U if given."""
-        fields = self.__dict__
-        for rot, name in (("rv", "V"), ("ru", "U")):
-            if name in fields:
-                w = np.asarray(fields[name], dtype=complex)
-                if np.abs(w @ w.conj().T - np.eye(2)).max() > 1e-10:
-                    raise LinalgError(f"{name} is not unitary")
-                fields[name] = w
-                fields[rot] = rotation_of_unitary(w)
-            else:
-                fields[rot] = _proper_rotation(fields[rot])
-        fields["mu"] = np.asarray(fields["mu"], dtype=float)
-        fields["s"] = np.asarray(fields["s"], dtype=float)
+        """LinalgError unless ``rv`` and ``ru`` are proper rotations; all fields as floats."""
+        vars(self).update(rv=_proper_rotation(self.rv), ru=_proper_rotation(self.ru),
+                          mu=np.asarray(self.mu, dtype=float), s=np.asarray(self.s, dtype=float))
 
     @cached_property
     def V(self):
@@ -267,29 +245,6 @@ class QubitChannelCanonical:
     def bloch_map(self, r):
         """Affine Bloch action of the channel on a (possibly unnormalized) vector."""
         return self.ru @ (self.mu * (self.rv @ np.asarray(r, dtype=float)) + self.s)
-
-
-def rotation_of_unitary(w):
-    """SO(3) matrix R with (W rho W^dag) Bloch vector = R r.
-
-    With the phase of sqrt(det W) removed, W = a I - i (b X + c Y + d Z), and
-    R is the rotation matrix of the quaternion (a, b, c, d); this equals the
-    trace form R_pq = tr(sigma_p W sigma_q W^dag) / 2.
-    """
-    (w00, w01), (w10, w11) = np.asarray(w, dtype=complex).tolist()
-    phase = cmath.sqrt(w00 * w11 - w01 * w10)
-    phase = phase.conjugate() / abs(phase)
-    a = 0.5 * ((w00 + w11) * phase).real
-    b = -0.5 * ((w01 + w10) * phase).imag
-    c = 0.5 * ((w10 - w01) * phase).real
-    d = 0.5 * ((w11 - w00) * phase).imag
-    return np.array(
-        [
-            [a * a + b * b - c * c - d * d, 2.0 * (b * c - a * d), 2.0 * (b * d + a * c)],
-            [2.0 * (b * c + a * d), a * a - b * b + c * c - d * d, 2.0 * (c * d - a * b)],
-            [2.0 * (b * d - a * c), 2.0 * (c * d + a * b), a * a - b * b - c * c + d * d],
-        ]
-    )
 
 
 def _proper_rotation(r):
@@ -411,7 +366,7 @@ def canonical_qubit(choi: ChoiMatrix) -> QubitChannelCanonical:
     if np.linalg.det(o1) < 0:
         o1[:, 2] = -o1[:, 2]
         mu[2] = -mu[2]
-    return QubitChannelCanonical.from_rotations(o1.T, o2, mu, o2.T @ tau)
+    return QubitChannelCanonical(o1.T, o2, mu, o2.T @ tau)
 
 
 def bloch_of(rho_mat):
@@ -423,13 +378,14 @@ def check_rsw(mu, s, slack=RSW_SLACK):
     """Feasibility (CPTP) and extremality of a diagonal qubit map (mu, s).
 
     Feasibility uses the closed inequalities for scale factors ``mu`` and
-    translation ``s`` (both sign branches).  Extremality is checked up to a
-    relabeling of the axes: one axis carries the translation ``s_k`` with
-    ``mu_k = mu_i mu_j`` and ``s_k^2 = (1 - mu_i^2)(1 - mu_j^2)``.
+    translation ``s`` (both sign branches), which hold only inside the box
+    ``|mu_k| <= 1``, ``|s| <= 1`` that every channel lies in.  Extremality is
+    checked up to a relabeling of the axes: one axis carries the translation
+    ``s_k`` with ``mu_k = mu_i mu_j`` and ``s_k^2 = (1 - mu_i^2)(1 - mu_j^2)``.
     """
     mu = np.asarray(mu, dtype=float)
     s = np.asarray(s, dtype=float)
-    feasible = True
+    feasible = bool(np.abs(mu).max() <= 1.0 + slack and np.sqrt(s @ s) <= 1.0 + slack)
     s12 = s[0] ** 2 + s[1] ** 2
     for sign in (+1.0, -1.0):
         den1 = 1.0 - mu[2] + sign * s[2]

@@ -20,6 +20,7 @@ from .channels import (
     canonical_qubit,
     check_cptp,
     check_ppt,
+    check_rsw,
     random_state,
 )
 from .linalg import LinalgError
@@ -276,7 +277,14 @@ def _cmd_au_check(args):
 
 def _load_noise(obj):
     if "lam" in obj:
-        return multistep.diagonal_noise(obj["lam"], obj.get("t", [0.0, 0.0, 0.0]))
+        try:
+            lam, t = (np.asarray(v, dtype=float).reshape(3)
+                      for v in (obj["lam"], obj.get("t", [0.0, 0.0, 0.0])))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"noise 'lam' and 't' must each hold three reals: {exc}") from exc
+        if not check_rsw(lam, t)["feasible"]:  # NaN and inf fail too
+            raise FormatError(f"noise lam={lam.tolist()}, t={t.tolist()} is not a channel")
+        return multistep.diagonal_noise(lam, t)
     choi = serialize.channel_from_json(obj)
     return canonical_qubit(choi)
 
@@ -301,7 +309,10 @@ def _cmd_multistep(args):
         return EXIT_OK
     if args.noise is None:
         raise FormatError("multistep needs --noise (a chain solve) or --sweep (a noise sweep)")
-    noises = [_load_noise(obj) for obj in serialize.load_json(args.noise)]
+    noises = serialize.load_json(args.noise)
+    if not (isinstance(noises, list) and all(isinstance(obj, dict) for obj in noises)):
+        raise FormatError("--noise needs a JSON list of noise objects")
+    noises = [_load_noise(obj) for obj in noises]
     if len(noises) != args.steps - 1:
         raise FormatError(f"{args.steps}-step chain needs {args.steps - 1} noises")
     task = multistep.ChainTask(list(src.states), list(tgt.states), src.priorities, noises)

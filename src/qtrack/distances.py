@@ -192,7 +192,7 @@ class WeightedSequence:
         states = tuple(s if isinstance(s, DensityMatrix) else DensityMatrix(s) for _, s in items)
         if len(states) < 1:
             raise LinalgError("sequence must have at least one element")
-        if abs(pis.sum() - 1.0) > 1e-12:
+        if not abs(pis.sum() - 1.0) <= 1e-12:  # NaN fails too
             raise LinalgError(f"priorities sum to {pis.sum()}, not 1")
         if np.any(pis <= 0.0) or np.any(pis >= 1.0):
             if not (len(states) == 1 and abs(pis[0] - 1.0) <= 1e-12):

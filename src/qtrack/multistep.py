@@ -42,11 +42,16 @@ def identity_canonical() -> QubitChannelCanonical:
 
 def diagonal_noise(lam, t) -> QubitChannelCanonical:
     """Noise scaling Bloch components by ``lam`` then translating by ``t``."""
-    return QubitChannelCanonical.from_rotations(np.eye(3), np.eye(3), lam, t)
+    return QubitChannelCanonical(np.eye(3), np.eye(3), lam, t)
 
 
 def extremal_noise(lam1, lam2) -> QubitChannelCanonical:
-    """Extreme-point non-unital noise: lam3 = lam1 lam2, t3 = sqrt((1-l1^2)(1-l2^2))."""
+    """Extreme-point non-unital noise: lam3 = lam1 lam2, t3 = sqrt((1-l1^2)(1-l2^2)).
+
+    LinalgError unless both scalings lie in [-1, 1], where this is a channel.
+    """
+    if not (abs(lam1) <= 1.0 and abs(lam2) <= 1.0):  # NaN fails too
+        raise LinalgError(f"extremal noise needs lam1, lam2 in [-1, 1], got {lam1}, {lam2}")
     lam3 = lam1 * lam2
     t3 = np.sqrt(max((1.0 - lam1**2) * (1.0 - lam2**2), 0.0))
     return diagonal_noise([lam1, lam2, lam3], [0.0, 0.0, t3])
@@ -307,8 +312,8 @@ def solve_chain(task: ChainTask, opts: ChainOptions | None = None, seed=0) -> St
     for k, (_, label) in enumerate(seeds):
         record = RestartRecord(label, int(sweeps[k]), newton[k] is not None, bool(newton[k]),
                                float(residual[k]))
-        if residual[k] > opts.tol:
-            record.dropped = f"residual above tol after {opts.max_sweeps} sweeps"
+        if not residual[k] <= opts.tol:  # NaN is dropped too
+            record.dropped = f"residual {residual[k]:.3g} not within tol after {sweeps[k]} sweeps"
         else:
             chain = chains[k]
             record.fidelity = chain.fidelity
@@ -359,7 +364,7 @@ def _chains_at(task, z, labels, residuals):
     """The :class:`StepChain` of each row of ``z``, its controllers from one kernel call."""
     r_steps, c_steps, rb_steps = _unpack(task, z)
     frames = _frames(r_steps.reshape(-1, 2, 3), rb_steps.reshape(-1, 2, 3))
-    controllers = [QubitChannelCanonical.from_rotations(*row) for row in zip(*frames)]
+    controllers = [QubitChannelCanonical(*row) for row in zip(*frames)]
     n_steps = task.n_steps
     chains = []
     for k, (label, residual) in enumerate(zip(labels, residuals)):

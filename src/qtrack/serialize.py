@@ -51,8 +51,13 @@ def state_to_json(state: DensityMatrix):
 
 
 def state_from_json(obj):
+    if not isinstance(obj, dict):
+        raise FormatError("state must be a JSON object")
     if "bloch" in obj:
-        vec = np.asarray(obj["bloch"], dtype=float)
+        try:
+            vec = np.asarray(obj["bloch"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"bad Bloch vector: {exc}") from exc
         if vec.shape != (3,):
             raise FormatError("bloch field must hold three reals")
         try:
@@ -98,7 +103,7 @@ def sequence_from_json(obj):
     """[{'pi': p, ...state...}, ...] -> WeightedSequence."""
     try:
         items = [(float(entry["pi"]), state_from_json(entry)) for entry in obj]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad sequence payload: {exc}") from exc
     try:
         return WeightedSequence(items)
@@ -117,7 +122,7 @@ def problem_from_json(obj):
     try:
         src = sequence_from_json(obj["source"])
         tgt = sequence_from_json(obj["target"])
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"problem needs 'source' and 'target': {exc}") from exc
     return src, tgt
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,9 @@ from qtrack.channels import (
     choi_from_kraus,
     KrausSet,
     random_state,
-    rotation_of_unitary,
 )
 from qtrack.distances import WeightedSequence, hs_inner
+from qtrack.linalg import PAULI
 
 
 def bloch_pair(r_len, half_angle):
@@ -360,6 +362,12 @@ def test_omega_tie_routed_to_b():
     assert not res.unique
 
 
+def _rotation_of(w):
+    """SO(3) action of a 2 x 2 unitary: R_pq = tr(sigma_p W sigma_q W^dag) / 2."""
+    return np.array([[0.5 * np.trace(p @ w @ q @ w.conj().T).real for q in PAULI[1:]]
+                     for p in PAULI[1:]])
+
+
 def test_procedure_rotations_match_their_unitaries():
     # the SU(2) unitaries derived from procedure A/B rotations act as those rotations
     rng = np.random.default_rng(30)
@@ -369,8 +377,8 @@ def test_procedure_rotations_match_their_unitaries():
         g = analytic.PairGeometry.from_states(r1, r2, t1, t2, pi1)
         q = analytic.optimal_canonical(g)
         seen.add("A" if g.omega > analytic.OMEGA_TIE else "B")
-        assert np.abs(rotation_of_unitary(q.V) - q.rv).max() <= 1e-12
-        assert np.abs(rotation_of_unitary(q.U) - q.ru).max() <= 1e-12
+        assert np.abs(_rotation_of(q.V) - q.rv).max() <= 1e-12
+        assert np.abs(_rotation_of(q.U) - q.ru).max() <= 1e-12
     assert seen == {"A", "B"}
 
 
@@ -404,3 +412,145 @@ def test_anti_parallel_targets_within_round_off():
     assert np.isfinite(q.ru).all()
     assert np.abs(q.ru @ q.ru.T - np.eye(3)).max() <= 1e-12
     assert np.abs(q.ru[:, 2] - g.rb1 / np.linalg.norm(g.rb1)).max() <= 1e-9
+
+
+# The certificate as it was built through SU(2): V and U rebuilt from the
+# frames, the states conjugated by them and Kronecker products taken.  Frozen
+# here as the reference for the certificate built in the SO(3) frames.
+_PAULI = list(PAULI[1:])
+_REF_SIGMA_I = [np.kron(p, np.eye(2)) for p in _PAULI]
+_REF_I_X = np.kron(np.eye(2), _PAULI[0])
+_REF_SIGMA_SIGMA = [np.kron(p, p) for p in _PAULI]
+
+
+def _reference_dual_certificate(g):
+    canonical = analytic.optimal_canonical(g)
+    rm = np.linalg.norm(g.r_minus)
+    rx = np.linalg.norm(g.r_cross)
+    rbx = np.linalg.norm(g.rb_cross)
+    xi_u = g.xi_upper
+    xi_l = g.xi_lower
+    c_tot = g.c
+    weighted = g.c1 * g.r1 + g.c2 * g.r2
+
+    if g.omega > analytic.OMEGA_TIE:
+        gam = analytic.gamma_a(g)
+        x0 = 0.25 * (c_tot + gam)
+        x1 = rx / (4.0 * rm) * (c_tot + gam)
+        x3 = ((weighted @ g.r_minus) + xi_u / gam) / (4.0 * rm)
+        s_val, t_val = g.s_scalar, g.t_scalar
+        st = s_val + t_val
+        upsilon = (4.0 * rm * rm * rbx * rbx + st * st) / (
+            8.0 * rm * rm * gam * gam * s_val * st
+        )
+        const = upsilon * (
+            (rm * rm - rx * rx) * gam**4 - xi_u * xi_u
+        )
+        roots = np.roots([1.0, -gam, const])
+    else:
+        gam = analytic.gamma_b(g)
+        x0 = 0.25 * (c_tot + gam)
+        x1 = (c_tot * rx + xi_l / gam) / (4.0 * rm)
+        x3 = ((weighted @ g.r_minus) + xi_u / gam) / (4.0 * rm)
+        varpi = 0.25 * (-g.omega + g.s_scalar + rx * rbx)
+        omega_c = -(
+            (rx * gam * gam - xi_l)
+            * (rm * rm * gam * gam * xi_l - rx * (xi_l * xi_l + xi_u * xi_u))
+        ) / (8.0 * rm**4 * gam**3)
+        roots = np.roots([1.0, -gam, varpi, omega_c])
+
+    coeffs = np.array([x0, x1, 0.0, x3])
+    rho_mats = [0.5 * (np.eye(2) + sum(a * p for a, p in zip(r, _PAULI))) for r in (g.r1, g.r2)]
+    tgt_mats = [
+        0.5 * (c_i * np.eye(2) + sum(a * p for a, p in zip(rb, _PAULI)))
+        for c_i, rb in ((g.c1, g.rb1), (g.c2, g.rb2))
+    ]
+    v, u = canonical.V, canonical.U
+    f0_tilde = -sum(
+        np.kron((v @ r @ v.conj().T).T, u.conj().T @ t @ u)
+        for r, t in zip(rho_mats, tgt_mats)
+    )
+    f_matrix = (
+        f0_tilde
+        + coeffs[0] * np.eye(4)
+        + coeffs[1] * _REF_SIGMA_I[0]
+        + coeffs[2] * _REF_SIGMA_I[1]
+        + coeffs[3] * _REF_SIGMA_I[2]
+    )
+    mu, s1 = canonical.mu, canonical.s[0]
+    d_choi = 0.5 * (np.eye(4, dtype=complex) + s1 * _REF_I_X + mu[0] * _REF_SIGMA_SIGMA[0]
+                    - mu[1] * _REF_SIGMA_SIGMA[1] + mu[2] * _REF_SIGMA_SIGMA[2])
+    weak = abs(2.0 * coeffs[0] + np.trace(f0_tilde @ d_choi).real)
+    slackness = float(np.abs(d_choi @ f_matrix).max())
+    spectrum = np.linalg.eigvalsh(0.5 * (f_matrix + f_matrix.conj().T))
+    return analytic.DualCertificate(
+        coefficients=coeffs,
+        f_matrix=f_matrix,
+        min_eig=float(spectrum.min()),
+        weak_duality_residual=float(weak),
+        slackness_residual=slackness,
+        poly_roots=np.sort(np.real(roots)),
+        spectrum=spectrum,
+        canonical=canonical,
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _criterion_2_draws(n=3000):
+    """The first ``n`` instances of acceptance criterion 2, drawn in the same order."""
+    rng = np.random.default_rng(1002)
+    draws = []
+    for k in range(n):
+        if k % 3 == 2:
+            # the unitary branch: pure pairs with theta < theta_bar
+            th, tb = np.sort(rng.uniform(0.1, np.pi / 2 - 0.02, 2))
+            draws.append((*bloch_pair(1.0, th), *bloch_pair(1.0, tb), 0.5))
+        else:
+            r1, r2 = (random_state(2, rng) for _ in range(2))
+            t1, t2 = (random_state(2, rng, pure=bool(rng.integers(0, 2))) for _ in range(2))
+            draws.append((r1, r2, t1, t2, float(rng.uniform(0.05, 0.95))))
+    return tuple(analytic.PairGeometry.from_states(*draw) for draw in draws)
+
+
+def _special_geometries():
+    """Rows on the kernel's special branches, each with the procedure it takes."""
+    geo = analytic.PairGeometry
+    up, dn = bloch_pair(1.0, 0.6)
+    rows = [
+        # procedure B forced by pure pairs with theta < theta_bar
+        (geo.from_states(*bloch_pair(1.0, 0.3), *bloch_pair(1.0, 0.9), 0.5), "B"),
+        (geo.from_states(*bloch_pair(1.0, 0.2), *bloch_pair(1.0, 1.4), 0.3), "B"),
+        # collinear sources
+        (geo([0, 0, 0.8], [0, 0, -0.3], [0.2, 0.1, 0.15], [-0.05, 0.2, 0.0]), None),
+        (geo([0.1, 0.2, 0.3], [0.2, 0.4, 0.6], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]), None),
+        # parallel, anti-parallel and one vanishing target
+        (geo([0.3, 0.2, 0.1], [0.0, 0.0, 0.9], [0.2, 0.0, 0.3], [0.1, 0.0, 0.15]), None),
+        (geo([0.5, 0.1, 0.3], [-0.2, 0.4, -0.5], [0, 0, 0.4], [0, 0, -0.3]), None),
+        (geo([0, 0, 1], [0, 0, 0.5], [0, 5e-11, -0.5], [0, 0, 0]), None),
+        # Omega = 0: targets equal to pure sources
+        (geo.from_states(up, dn, up, dn, 0.5), "B"),
+    ]
+    return rows
+
+
+def test_certificate_in_frames_matches_su2_reference():
+    rows = [(g, None) for g in _criterion_2_draws()] + _special_geometries()
+    for g, procedure in rows:
+        got, want = analytic.dual_certificate(g), _reference_dual_certificate(g)
+        if procedure is not None:
+            assert ("A" if g.omega > analytic.OMEGA_TIE else "B") == procedure
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert np.array_equal(got.poly_roots, want.poly_roots)
+        assert np.abs(got.f_matrix - want.f_matrix).max() <= 1e-12
+        assert got.valid == want.valid
+
+
+def test_certificate_residuals_at_round_off():
+    # built in the frames of the optimal channel, F and D lose no digits to
+    # an SU(2) rebuild: D F = 0 and F >= 0 hold to round-off on every draw
+    worst_slack, worst_eig = 0.0, 0.0
+    for g in _criterion_2_draws():
+        cert = analytic.dual_certificate(g)
+        worst_slack = max(worst_slack, cert.slackness_residual)
+        worst_eig = min(worst_eig, cert.min_eig)
+    assert worst_slack <= 1e-15 and worst_eig >= -1e-15, (worst_slack, worst_eig)

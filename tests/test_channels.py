@@ -178,7 +178,7 @@ def test_canonical_roundtrip_random():
 
 
 def test_assemble_identity():
-    q = ch.QubitChannelCanonical(np.eye(2), np.eye(2), np.ones(3), np.zeros(3))
+    q = ch.QubitChannelCanonical(np.eye(3), np.eye(3), np.ones(3), np.zeros(3))
     assert np.abs(ch.assemble_qubit_choi(q).mat - ch.ChoiMatrix.identity(2).mat).max() < 1e-14
 
 
@@ -186,7 +186,7 @@ def test_assemble_diagonal_expansion():
     # 2D = I4 + I (x) s.sigma + mu1 XX - mu2 YY + mu3 ZZ
     mu = np.array([0.5, 0.3, 0.6])
     s = np.array([0.0, 0.0, 0.2])
-    q = ch.QubitChannelCanonical(np.eye(2), np.eye(2), mu, s)
+    q = ch.QubitChannelCanonical(np.eye(3), np.eye(3), mu, s)
     x, y, z = (hermitian_basis(2)[k] for k in (1, 2, 3))
     want = 0.5 * (
         np.eye(4)
@@ -214,10 +214,10 @@ def test_assemble_matches_the_kron_form():
     for k in range(300):
         q = ch.canonical_qubit(ch.random_channel(2, rng))
         if k % 3 == 1:  # unital, with zero and repeated scalings
-            q = ch.QubitChannelCanonical.from_rotations(q.rv, q.ru, np.round(q.mu, 1), np.zeros(3))
+            q = ch.QubitChannelCanonical(q.rv, q.ru, np.round(q.mu, 1), np.zeros(3))
         if k % 3 == 2:  # frames with exact zero entries
             flip = np.diag([1.0, -1.0, -1.0])
-            q = ch.QubitChannelCanonical.from_rotations(np.eye(3), flip, q.mu, q.s)
+            q = ch.QubitChannelCanonical(np.eye(3), flip, q.mu, q.s)
         assert np.array_equal(ch.assemble_qubit_choi(q).mat, ch.ChoiMatrix(2, _kron_choi(q)).mat)
 
 
@@ -226,7 +226,7 @@ def test_assemble_extreme_point_rank_two():
     mu = np.array([np.cos(u), np.cos(v), np.cos(u) * np.cos(v)])
     s = np.array([0.0, 0.0, np.sin(u) * np.sin(v)])
     choi = ch.assemble_qubit_choi(
-        ch.QubitChannelCanonical(np.eye(2), np.eye(2), mu, s)
+        ch.QubitChannelCanonical(np.eye(3), np.eye(3), mu, s)
     )
     rep = ch.check_cptp(choi)
     assert rep["cp"] and rep["tp"]
@@ -239,14 +239,20 @@ def test_check_rsw_cases():
     res = ch.check_rsw([0, 0, 0], [1, 0, 0])
     assert res["feasible"] and res["extremal"]
     assert not ch.check_rsw([1, 1, 1], [0.5, 0, 0])["feasible"]
+    # outside the box |mu_k| <= 1, |s| <= 1 the closed inequalities can all
+    # hold although the Choi matrix has eigenvalue -3
+    assert ch.check_rsw([2, 2, 4], [0, 0, 3]) == {"feasible": False, "extremal": False}
 
 
 def test_check_rsw_matches_choi_psd():
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        mu = rng.uniform(-1, 1, 3)
-        s = rng.uniform(-0.6, 0.6, 3)
-        q = ch.QubitChannelCanonical(np.eye(2), np.eye(2), mu, s)
+    draws = [(rng.uniform(-1, 1, 3), rng.uniform(-0.6, 0.6, 3)) for _ in range(200)]
+    # wide draws, half of them translated along z only
+    for k in range(5000):
+        mu, s = rng.uniform(-2.5, 2.5, 3), rng.uniform(-3, 3, 3)
+        draws.append((mu, s * [0, 0, 1] if k % 2 else s))
+    for mu, s in draws:
+        q = ch.QubitChannelCanonical(np.eye(3), np.eye(3), mu, s)
         by_eig = np.linalg.eigvalsh(ch.assemble_qubit_choi(q).mat).min() >= -1e-9
         by_rsw = ch.check_rsw(mu, s)["feasible"]
         assert by_eig == by_rsw, (mu, s)
@@ -300,41 +306,36 @@ def test_density_matrix_validation():
         ch.DensityMatrix.from_bloch([1.2, 0, 0])
 
 
+def _rotation_of(w):
+    """SO(3) action of a 2 x 2 unitary: R_pq = tr(sigma_p W sigma_q W^dag) / 2."""
+    paulis = hermitian_basis(2)[1:]
+    return np.array(
+        [[0.5 * np.trace(p @ w @ q @ w.conj().T).real for q in paulis] for p in paulis]
+    )
+
+
 def test_unitary_rotation_correspondence():
     rng = np.random.default_rng(15)
     for _ in range(20):
         u = ch.haar_random_unitary(2, rng)
-        rot = ch.rotation_of_unitary(u)
+        rot = _rotation_of(u)
         back = ch.unitary_of_rotation(rot)
         # equal up to global phase
         phase = np.trace(back.conj().T @ u) / 2
         assert np.abs(u - phase * back).max() < 1e-8
 
 
-def test_rotation_of_unitary_matches_trace_form():
-    # closed-form quaternion map against R_pq = tr(sigma_p W sigma_q W^dag) / 2
-    # on Haar unitaries of U(2), so det W carries an arbitrary phase
-    rng = np.random.default_rng(16)
-    paulis = hermitian_basis(2)[1:]
-    for _ in range(1000):
-        w = ch.haar_random_unitary(2, rng)
-        want = np.array(
-            [[0.5 * np.trace(p @ w @ q @ w.conj().T).real for q in paulis] for p in paulis]
-        )
-        assert np.abs(ch.rotation_of_unitary(w) - want).max() <= 1e-14
-
-
 def test_from_rotations_rejects_bad_rotations():
     with pytest.raises(LinalgError):
-        ch.QubitChannelCanonical.from_rotations(
+        ch.QubitChannelCanonical(
             np.diag([1.0, 1.0, -1.0]), np.eye(3), np.ones(3), np.zeros(3)
         )
     with pytest.raises(LinalgError):
-        ch.QubitChannelCanonical.from_rotations(
+        ch.QubitChannelCanonical(
             np.eye(3), np.diag([1.0, 1.0, 1.0 + 1e-8]), np.ones(3), np.zeros(3)
         )
     with pytest.raises(LinalgError):
-        ch.QubitChannelCanonical.from_rotations(
+        ch.QubitChannelCanonical(
             np.eye(3), np.full((3, 3), np.nan), np.ones(3), np.zeros(3)
         )
 
@@ -354,30 +355,3 @@ def test_rotation_aligning_nearly_opposite_vectors(eps):
         assert np.isfinite(r).all()
         assert np.abs(r @ r.T - np.eye(3)).max() <= 1e-10 and np.linalg.det(r) > 0
         assert np.abs(r @ a - b / np.linalg.norm(b)).max() <= 1e-9
-
-
-def test_unitary_constructor_keeps_given_unitaries():
-    # a U(2) phase that the SU(2) rebuild from the rotation would drop
-    rng = np.random.default_rng(17)
-    v = np.exp(0.3j) * ch.haar_random_unitary(2, rng)
-    u = ch.haar_random_unitary(2, rng)
-    q = ch.QubitChannelCanonical(v, u, np.ones(3), np.zeros(3))
-    assert np.array_equal(q.V, v) and np.array_equal(q.U, u)
-    assert np.array_equal(q.rv, ch.rotation_of_unitary(v))
-
-
-def test_assemble_from_rotations_matches_su2_path():
-    # the Choi matrix of a rotation-built channel equals that of the same
-    # channel built through its SU(2) unitaries
-    rng = np.random.default_rng(19)
-    for _ in range(50):
-        rv = ch.rotation_of_unitary(ch.haar_random_unitary(2, rng))
-        ru = ch.rotation_of_unitary(ch.haar_random_unitary(2, rng))
-        mu = rng.uniform(-1, 1, 3)
-        s = rng.uniform(-0.5, 0.5, 3)
-        direct = ch.QubitChannelCanonical.from_rotations(rv, ru, mu, s)
-        via_su2 = ch.QubitChannelCanonical(
-            ch.unitary_of_rotation(rv), ch.unitary_of_rotation(ru), mu, s
-        )
-        diff = ch.assemble_qubit_choi(direct).mat - ch.assemble_qubit_choi(via_su2).mat
-        assert np.abs(diff).max() <= 1e-12

@@ -346,3 +346,58 @@ def test_cli_reuses_its_parser_without_leaking_state(workdir, capsys):
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(code)
     assert codes == [0, 0, 0, 0, 2, 0]
+
+
+_PAIR = [{"pi": 0.5, "bloch": [1.0, 0.0, 0.0]}, {"pi": 0.5, "bloch": [0.0, 0.0, 1.0]}]
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        ({"s": 5}, ["distances", "--measure", "F", "--a", "s", "--b", "b"]),
+        ({"s": 5}, ["au-check", "--src", "s", "b", "--tgt", "t1", "t2"]),
+        ({"s": {"bloch": ["a", 0, 0]}}, ["distances", "--measure", "F", "--a", "s", "--b", "b"]),
+        ({"s": {"bloch": [float("nan"), 0, 0]}},
+         ["distances", "--measure", "F", "--a", "s", "--b", "b"]),
+        ({"s": {"rho": {"rows": 2, "cols": 2, "re": [0.5, float("nan"), float("nan"), 0.5],
+                        "im": [0, 0, 0, 0]}}},
+         ["distances", "--measure", "F", "--a", "s", "--b", "b"]),
+        ({"p": {"source": [{"pi": "abc", "bloch": [1, 0, 0]}, _PAIR[1]], "target": _PAIR}},
+         ["solve", "--problem", "p", "--objective", "FHSavg1"]),
+        ({"p": {"source": [{"pi": float("nan"), "bloch": [1, 0, 0]}, _PAIR[1]],
+                "target": _PAIR}},
+         ["solve", "--problem", "p", "--objective", "FHSavg1"]),
+        ({"p": 5}, ["solve", "--problem", "p", "--objective", "FHSavg1"]),
+        ({"p": {"source": _PAIR, "target": _PAIR}},
+         ["multistep", "--task", "p", "--seed", "0", "--sweep", "2", "--sweep-min", "2",
+          "--sweep-max", "3"]),
+        ({"p": {"source": _PAIR, "target": _PAIR}},
+         ["multistep", "--task", "p", "--seed", "0", "--sweep", "2", "--sweep-min", "nan"]),
+        ({"p": {"source": _PAIR, "target": _PAIR}, "n": [{"lam": [0.5, 0.2]}]},
+         ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
+        ({"p": {"source": _PAIR, "target": _PAIR}, "n": [{"lam": [0.5, "a", 0.2]}]},
+         ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
+        ({"p": {"source": _PAIR, "target": _PAIR}, "n": [{"lam": [2, 2, 4], "t": [0, 0, 3]}]},
+         ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
+        ({"p": {"source": _PAIR, "target": _PAIR}, "n": 5},
+         ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
+        ({"p": {"source": _PAIR, "target": _PAIR}, "n": [5]},
+         ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
+    ],
+    ids=["distances-state-5", "au-check-state-5", "distances-bloch-string",
+         "distances-bloch-nan", "distances-rho-nan", "solve-pi-string", "solve-pi-nan", "solve-problem-5",
+         "multistep-sweep-above-1", "multistep-sweep-nan", "multistep-noise-two-lam",
+         "multistep-noise-lam-string", "multistep-noise-not-a-channel",
+         "multistep-noise-not-a-list", "multistep-noise-entry-5"],
+)
+def test_cli_malformed_payloads_exit_2(files, argv, workdir, tmp_path, capsys):
+    paths = dict(workdir)
+    for name, payload in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        paths[name] = str(path)
+    assert cli.main([paths.get(arg, arg) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qtrack: invalid input: ") and err.count("\n") == 1
+    assert "Traceback" not in err

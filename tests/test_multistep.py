@@ -275,7 +275,7 @@ def _ref_procedure_a(g):
         betas = [np.sqrt(2.0 / (s_val * st)) * (g.r1 @ g.r_minus),
                  np.sqrt(2.0 / (s_val * st)) * (g.r2 @ g.r_minus)]
         ru = _ref_u_rotation_from_versors(g, alpha, betas, analytic.gamma_a(g))
-    return ch.QubitChannelCanonical.from_rotations(_ref_v_rotation(g), ru, mu,
+    return ch.QubitChannelCanonical(_ref_v_rotation(g), ru, mu,
                                                    np.array([s1, 0.0, 0.0]))
 
 
@@ -303,7 +303,7 @@ def _ref_procedure_b(g):
         else:
             axis = -g.rb2 / len2
         ru = _ref_rotation_aligning(np.array([0.0, 0.0, 1.0]), axis) @ rot_plane
-    return ch.QubitChannelCanonical.from_rotations(rv, ru, np.ones(3), np.zeros(3))
+    return ch.QubitChannelCanonical(rv, ru, np.ones(3), np.zeros(3))
 
 
 def _reference_canonical(g):
@@ -411,6 +411,29 @@ def test_solve_chain_rejects_restart_count(restarts):
     with pytest.raises(ms.LinalgError):
         ms.solve_chain(stabilization_task(ms.extremal_noise(0.7, 0.46)),
                        ms.ChainOptions(restarts=restarts))
+
+
+@pytest.mark.parametrize("lams", [(2.0, 0.5), (0.5, -1.5), (np.nan, 0.5), (0.5, np.inf)])
+def test_extremal_noise_rejects_scalings_outside_the_unit_interval(lams):
+    with pytest.raises(ms.LinalgError):
+        ms.extremal_noise(*lams)
+
+
+def test_solve_chain_drops_a_restart_with_nan_residual(monkeypatch):
+    solve_batch = ms._solve_batch
+
+    def one_nan(task, z, opts):
+        z, residual, sweeps, newton = solve_batch(task, z, opts)
+        residual[1] = np.nan
+        return z, residual, sweeps, newton
+
+    monkeypatch.setattr(ms, "_solve_batch", one_nan)
+    chain = ms.solve_chain(stabilization_task(ms.extremal_noise(0.7, 0.46)))
+    records = chain.restarts
+    assert records[1].dropped.startswith("residual nan not within tol")
+    assert records[1].fidelity is None
+    assert all(rec.dropped is None for k, rec in enumerate(records) if k != 1)
+    assert chain.seed_label != records[1].label
 
 
 # -- the stacked controller kernel against the frozen scalar route -----------

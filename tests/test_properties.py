@@ -139,7 +139,7 @@ def test_h_o_monotone_under_unital_qubit_cptp():
             from qtrack.channels import QubitChannelCanonical, assemble_qubit_choi
 
             chan = assemble_qubit_choi(
-                QubitChannelCanonical(q.V, q.U, q.mu, np.zeros(3))
+                QubitChannelCanonical(q.rv, q.ru, q.mu, np.zeros(3))
             )
         a, b = random_state(2, rng), random_state(2, rng)
         fa, fb = apply_choi(chan, a), apply_choi(chan, b)
