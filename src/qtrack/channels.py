@@ -385,7 +385,9 @@ def check_rsw(mu, s, slack=RSW_SLACK):
     """
     mu = np.asarray(mu, dtype=float)
     s = np.asarray(s, dtype=float)
-    feasible = bool(np.abs(mu).max() <= 1.0 + slack and np.sqrt(s @ s) <= 1.0 + slack)
+    if not (np.abs(mu).max() <= 1.0 + slack and np.sqrt(s @ s) <= 1.0 + slack):  # NaN too
+        return {"feasible": False, "extremal": False}
+    feasible = True
     s12 = s[0] ** 2 + s[1] ** 2
     for sign in (+1.0, -1.0):
         den1 = 1.0 - mu[2] + sign * s[2]

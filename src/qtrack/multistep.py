@@ -27,7 +27,7 @@ from .analytic import (
     optimal_fidelity,
     optimal_frames,
 )
-from .channels import DensityMatrix, QubitChannelCanonical
+from .channels import DensityMatrix, QubitChannelCanonical, check_rsw
 from .linalg import LinalgError, stacked_dot
 
 # restarts whose chain fidelities differ by no more than this are tied
@@ -41,8 +41,19 @@ def identity_canonical() -> QubitChannelCanonical:
 
 
 def diagonal_noise(lam, t) -> QubitChannelCanonical:
-    """Noise scaling Bloch components by ``lam`` then translating by ``t``."""
-    return QubitChannelCanonical(np.eye(3), np.eye(3), lam, t)
+    """Noise scaling Bloch components by ``lam`` then translating by ``t``.
+
+    LinalgError unless ``lam`` and ``t`` are three reals each that make a channel.
+    """
+    return _channel(QubitChannelCanonical(np.eye(3), np.eye(3), lam, t))
+
+
+def _channel(noise: QubitChannelCanonical) -> QubitChannelCanonical:
+    """``noise`` itself; LinalgError unless its (mu, s) pass ``check_rsw``."""
+    mu, s = noise.mu, noise.s
+    if not (mu.shape == s.shape == (3,) and check_rsw(mu, s)["feasible"]):  # NaN fails too
+        raise LinalgError(f"noise lam={mu.tolist()}, t={s.tolist()} is not a channel")
+    return noise
 
 
 def extremal_noise(lam1, lam2) -> QubitChannelCanonical:
@@ -112,7 +123,10 @@ class RestartRecord:
 
 
 class ChainTask:
-    """Pair-stabilization data: sources, targets, priorities and the noises."""
+    """Pair-stabilization data: sources, targets, priorities and the noises.
+
+    LinalgError unless every noise is a channel (``check_rsw``).
+    """
 
     def __init__(self, sources, targets, priorities, noises):
         self.pis = np.asarray(priorities, dtype=float)
@@ -121,7 +135,7 @@ class ChainTask:
         self.r_sources = np.array([_as_bloch(s) for s in sources])
         self.rb_final = np.array([p * _as_bloch(t) for p, t in zip(self.pis, targets)])
         self.c_final = np.array([p * _as_trace(t) for p, t in zip(self.pis, targets)])
-        self.noises = list(noises)
+        self.noises = [_channel(noise) for noise in noises]
         self.n_steps = len(self.noises) + 1
 
     def single_step_fidelity(self):

@@ -16,10 +16,15 @@ On small LMIs numpy's per-call overhead, not arithmetic, sets the cost of a
 pass, so each stage of a pass is one stacked call over small matrices, in the
 manner of SDPT3's block layout: X and S are decomposed by one ``eigh``; the
 affine direction, then the two (or three) centering candidates, are each
-solved as one stack; and each stage's primal and dual step-length tests share
+solved as one stack, with one ``np.linalg.solve`` of the Schur complement
+M + ridge I (its Cholesky factorization serves only as the test that M is
+positive definite); and each stage's primal and dual step-length tests share
 one ``eigvalsh``.  Per matrix the arithmetic is that of one call each, so the
 iterates are the same bit for bit.  ``SdpSolution.iterations`` is the index of
 the accepted iterate and ``SdpSolution.passes`` the number of loop passes.
+The first iterate that meets the gap and feasibility tolerances is accepted;
+it is returned 15 passes later unless an iterate that also meets the
+complementarity tolerance comes first, so ``passes <= iterations + 15``.
 """
 
 from __future__ import annotations
@@ -158,6 +163,9 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
     s = scale * np.eye(n, dtype=complex)
     y = np.zeros(m)
     iterates = []
+    b_scale = 1.0 + np.linalg.norm(b)
+    c_scale = 1.0 + np.abs(c_mat).max()
+    eye_m = np.eye(m)
 
     def a_dot(mat):
         return a_flat @ _flat(mat)
@@ -179,8 +187,8 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
         pobj = float(c_flat @ _flat(x))
         dobj = float(b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        pres = np.linalg.norm(rp) / (1.0 + np.linalg.norm(b))
-        dres = np.abs(rd).max() / (1.0 + np.abs(c_mat).max())
+        pres = np.linalg.norm(rp) / b_scale
+        dres = np.abs(rd).max() / c_scale
         if opts.trace_iterates:
             iterates.append((x.copy(), y.copy(), s.copy()))
         comp = np.abs(x @ s).max() / scale
@@ -188,17 +196,16 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
         if converged and (comp <= opts.comp_tol or mu <= 1e-13 * scale):
             info.update(iterations=it, passes=it, status="optimal", gap=gap, pres=pres, dres=dres)
             return x, y, s, info, iterates
-        if converged:
-            # gap and feasibility are in; polish complementarity a little
-            # longer, but do not chase it forever (the primal refinement step
-            # removes the residual misalignment afterwards).
-            if accepted is None:
-                accepted = (x.copy(), y.copy(), s.copy(), it, gap, pres, dres)
-            elif it - accepted[3] >= 15:
-                x, y, s, it0, gap, pres, dres = accepted
-                info.update(iterations=it0, passes=it, status="optimal", gap=gap, pres=pres,
-                            dres=dres)
-                return x, y, s, info, iterates
+        # gap and feasibility are in: polish complementarity for 15 more
+        # passes, converged or not, then return the first converged iterate
+        # (the primal refinement step removes the residual misalignment)
+        if converged and accepted is None:
+            accepted = (x.copy(), y.copy(), s.copy(), it, gap, pres, dres)
+        elif accepted is not None and it - accepted[3] >= 15:
+            x, y, s, it0, gap, pres, dres = accepted
+            info.update(iterations=it0, passes=it, status="optimal", gap=gap, pres=pres,
+                        dres=dres)
+            return x, y, s, info, iterates
 
         # Anti-stall: if mu stops decreasing, lift the iterate off the cone
         # boundary (the feasibility residuals this reintroduces are handled by
@@ -241,15 +248,16 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
         m_mat = a_flat @ _flat(w_nt @ a_stack @ w_nt).T
         ridge = 1e-14 * max(np.trace(m_mat) / max(m, 1), 1.0)
         w_rd_w = w_nt @ rd @ w_nt  # the same for every direction of this iteration
+        m_mat = m_mat + ridge * eye_m
         try:
-            m_chol = np.linalg.cholesky(m_mat + ridge * np.eye(m))
+            np.linalg.cholesky(m_mat)  # the test that M is positive definite
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular normal system: {exc}") from exc
 
         def directions(*specs):
             """Stacks (dx, dy, ds) of the directions for each (sigma mu, corrector or None).
 
-            The products with A and the triangular solves keep one
+            The products with A and the solve of M dy = rhs keep one
             matrix-vector product and one right-hand side per direction, as
             for a single direction, so the bits match; a GEMM over the stack,
             or one solve with several right-hand sides, may round differently.
@@ -258,7 +266,7 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
                 [sm * s_inv - x if cr is None else sm * s_inv - x - cr for sm, cr in specs]
             )
             rhs = rp - np.matmul(a_flat, _flat(rhs_mat - w_rd_w)[..., None])[..., 0]
-            dy = np.linalg.solve(m_chol.T, np.linalg.solve(m_chol, rhs[..., None]))[..., 0]
+            dy = np.linalg.solve(m_mat, rhs[..., None])[..., 0]
             ds = rd - np.matmul(dy[:, None], a_flat).view(complex).reshape(-1, n, n)
             dx = rhs_mat - w_nt @ ds @ w_nt
             return _herm(dx), dy, _herm(ds)

@@ -34,6 +34,21 @@ def test_identity_noise_and_controller_fix_targets():
     assert np.abs(rb - [0.1, -0.2, 0.3]).max() < 1e-14
 
 
+@pytest.mark.parametrize(
+    "lam,t",
+    [([2, 2, 4], [0, 0, 3]), ([np.nan, 0.5, 0.5], [0, 0, 0]), ([0.5, 0.5, 0.5], [0, 0, np.inf]),
+     ([1, 1, 1], [0, 0, 0.5]), ([0.5, 0.2], [0, 0])],
+)
+def test_non_channel_noise_is_rejected(lam, t):
+    with pytest.raises(ch.LinalgError, match="not a channel"):
+        ms.diagonal_noise(lam, t)
+    # built past diagonal_noise, the chain task still refuses it
+    noise = ch.QubitChannelCanonical(np.eye(3), np.eye(3), lam, t)
+    s1, s2 = straddle_pair(np.pi / 4)
+    with pytest.raises(ch.LinalgError, match="not a channel"):
+        ms.ChainTask([s1, s2], [s1, s2], [0.5, 0.5], [ms.extremal_noise(0.7, 0.46), noise])
+
+
 def test_backward_depolarizing_noise_kills_target():
     depol = ms.diagonal_noise([0, 0, 0], [0, 0, 0])
     c, rb = ms.backward_target(0.5, np.array([0.3, 0.1, -0.2]), ms.identity_canonical(), depol)
@@ -196,7 +211,7 @@ def test_seed_chains_unchanged():
         [[0.3, 0.2, 0.1], [0.0, 0.0, 0.9]],
         [[0.6, 0.0, 0.0], [0.0, 0.5, 0.5]],
         [0.4, 0.6],
-        [ms.extremal_noise(0.7, 0.46), ms.diagonal_noise([0.9, 0.6, 0.8], [0.05, 0.0, 0.1])],
+        [ms.extremal_noise(0.7, 0.46), ms.diagonal_noise([0.9, 0.6, 0.6], [0.05, 0.0, 0.1])],
     )
     seeds = ms._seed_chains(task, np.random.default_rng(3))
     assert [label for _, label in seeds] == recorded["labels"]
@@ -347,7 +362,10 @@ def _random_chain_task(rng, n_steps):
         if rng.uniform() < 0.5:
             noises.append(ms.extremal_noise(*rng.uniform(0.1, 0.95, 2)))
         else:
-            noises.append(ms.diagonal_noise(rng.uniform(0.2, 0.9, 3), rng.uniform(-0.1, 0.1, 3)))
+            lam, t = rng.uniform(0.2, 0.9, 3), rng.uniform(-0.1, 0.1, 3)
+            while not ch.check_rsw(lam, t)["feasible"]:  # draw again until it is a channel
+                lam, t = rng.uniform(0.2, 0.9, 3), rng.uniform(-0.1, 0.1, 3)
+            noises.append(ms.diagonal_noise(lam, t))
     pi1 = float(rng.uniform(0.2, 0.8))
     return ms.ChainTask([random_state(2, rng), random_state(2, rng)],
                         [random_state(2, rng), random_state(2, rng)], [pi1, 1.0 - pi1], noises)
