@@ -28,6 +28,12 @@ from .linalg import PAULI, LinalgError, stacked_dot
 
 OMEGA_TIE = 1e-12
 _EYE3 = np.eye(3)
+_WRAP3 = np.array([0, 1, 2, 0, 1])
+# the dot products optimal_frames takes, as pairs of rows of its vector stack
+_DOT_LEFT = np.array([0, 0, 2, 1, 1, 3, 6, 4, 5, 7, 0, 2])
+_DOT_RIGHT = np.array([0, 2, 2, 1, 3, 3, 6, 4, 5, 7, 6, 6])
+# (mu, s_1) of the identity, which procedure B's rows take
+_UNITARY_MU_S1 = np.array([[1.0], [1.0], [1.0], [0.0]])
 # [j, k] = sigma_j^T (x) sigma_k for j, k = 0..3 (sigma_0 = I)
 _PAULI_PAIRS = _kron2(np.swapaxes(PAULI, 1, 2)[:, None], np.array(PAULI)).reshape(4, 4, 4, 4)
 
@@ -53,16 +59,19 @@ class PairGeometry:
     c2: float = 0.5
 
     def __post_init__(self):
+        set_ = object.__setattr__
         for name in ("r1", "r2", "rb1", "rb2"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if np.linalg.norm(self.r1 - self.r2) <= 1e-12:
+            set_(self, name, np.asarray(getattr(self, name), dtype=float))
+        set_(self, "r_minus", self.r1 - self.r2)
+        rm2 = self.r_minus @ self.r_minus
+        # sqrt of the BLAS dot, as np.linalg.norm rounds it
+        set_(self, "r_minus_norm", np.sqrt(rm2))
+        if self.r_minus_norm <= 1e-12:
             raise DegenerateGeometryError("source states coincide")
-        if np.linalg.norm(self.rb1) <= 1e-14 and np.linalg.norm(self.rb2) <= 1e-14:
+        if np.sqrt(self.rb1 @ self.rb1) <= 1e-14 and np.sqrt(self.rb2 @ self.rb2) <= 1e-14:
             raise DegenerateGeometryError(
                 "both targets are maximally mixed; use the depolarizing channel"
             )
-        set_ = object.__setattr__
-        set_(self, "r_minus", self.r1 - self.r2)
         set_(self, "r_cross", _cross3(self.r1, self.r2))
         set_(self, "rb_plus", self.rb1 + self.rb2)
         set_(self, "rb_cross", _cross3(self.rb1, self.rb2))
@@ -70,9 +79,10 @@ class PairGeometry:
         t_val = sum(
             (1.0 - r[i] @ r[j]) * (rb[i] @ rb[j]) for i in range(2) for j in range(2)
         )
-        rm2 = self.r_minus @ self.r_minus
         rx2 = self.r_cross @ self.r_cross
         rbx2 = self.rb_cross @ self.rb_cross
+        set_(self, "r_cross_norm", np.sqrt(rx2))
+        set_(self, "rb_cross_norm", np.sqrt(rbx2))
         s_val = float(np.sqrt(t_val * t_val + 4.0 * rbx2 * (rm2 - rx2)))
         set_(self, "t_scalar", float(t_val))
         set_(self, "s_scalar", s_val)
@@ -90,13 +100,14 @@ class PairGeometry:
         set_(
             self,
             "xi_lower",
-            float(np.sqrt(rx2) * (rbp @ rbp) + np.sqrt(rbx2) * rm2),
+            float(self.r_cross_norm * (rbp @ rbp) + self.rb_cross_norm * rm2),
         )
 
     @classmethod
     def from_states(cls, rho1, rho2, rbar1, rbar2, pi1=0.5):
-        rho1, rho2 = DensityMatrix(rho1.mat if isinstance(rho1, DensityMatrix) else rho1), \
-            DensityMatrix(rho2.mat if isinstance(rho2, DensityMatrix) else rho2)
+        """Geometry of sources ``rho1``, ``rho2`` (validated unless already
+        :class:`DensityMatrix`) and targets ``rbar1``, ``rbar2`` with priority ``pi1``."""
+        rho1, rho2 = (r if isinstance(r, DensityMatrix) else DensityMatrix(r) for r in (rho1, rho2))
         pi2 = 1.0 - pi1
         m1, m2 = (t.mat if isinstance(t, DensityMatrix) else np.asarray(t, dtype=complex)
                   for t in (rbar1, rbar2))
@@ -110,17 +121,18 @@ class PairGeometry:
         )
 
     # Derived data (set in __post_init__): r_minus, r_cross, rb_plus,
-    # rb_cross, t_scalar, s_scalar, omega, c, xi_upper, xi_lower.
+    # rb_cross, their norms r_minus_norm, r_cross_norm, rb_cross_norm,
+    # t_scalar, s_scalar, omega, c, xi_upper, xi_lower.
 
 
 def _cross3(a, b):
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+    """``a x b`` for arrays over the first axis, whose three entries are the components.
+
+    Component j is ``a[j+1] b[j+2] - a[j+2] b[j+1]`` (indices mod 3), taken
+    for all j at once from the components in the order 0, 1, 2, 0, 1.
+    """
+    a, b = a.take(_WRAP3, 0), b.take(_WRAP3, 0)
+    return a[1:4] * b[2:5] - a[2:5] * b[1:4]
 
 
 def gamma_a(g: PairGeometry):
@@ -135,9 +147,7 @@ def gamma_a(g: PairGeometry):
 
 def gamma_b(g: PairGeometry):
     rbp2 = g.rb_plus @ g.rb_plus
-    rx = np.linalg.norm(g.r_cross)
-    rbx = np.linalg.norm(g.rb_cross)
-    return float(np.sqrt(rbp2 - g.t_scalar + 2.0 * rx * rbx))
+    return float(np.sqrt(rbp2 - g.t_scalar + 2.0 * g.r_cross_norm * g.rb_cross_norm))
 
 
 def optimal_fidelity(g: PairGeometry):
@@ -166,61 +176,94 @@ def optimal_frames(r1, r2, rb1, rb2):
     arrays of one shape (targets priority-scaled, as in :class:`PairGeometry`).
     Returns ``rv``, ``ru`` of shape ``(..., 3, 3)``, ``mu``, ``s`` of shape
     ``(..., 3)`` and a mask ``ok`` of the rows that have a tracker.  The other
-    rows (coincident sources, maximally mixed targets, S + T = 0 in procedure
-    A, frames that are no proper rotation) hold the identity channel.  Each
-    row is computed from its own data only, with BLAS dots and Python's float
-    power, so it rounds the same in any stack.
+    rows (coincident sources, maximally mixed targets, frames that are no
+    proper rotation) hold the identity channel.  Procedure A's rows have
+    S + T >= Omega > 0, so none of them divides by S + T = 0.  Each row is
+    computed from its own data only, with BLAS dots and Python's float power,
+    so it rounds the same in any stack.  Each procedure's closed form is
+    evaluated only on stacks with a row that takes it.
     """
-    lead = np.shape(r1)[:-1]
-    # component-first (3, n) stacks, so _cross3 works component-wise
-    r1, r2, rb1, rb2 = (np.asarray(v, dtype=float).reshape(-1, 3).T for v in (r1, r2, rb1, rb2))
+    given = np.array([r1, rb1, r2, rb2], dtype=float)
+    lead = given.shape[1:-1]
+    # the eight vectors r1, rb1, r2, rb2, R x, Rb x, R-, Rb+, each a
+    # component-first (3, n) block of one array
+    vecs = np.empty((8, 3, given.size // 12))
+    vecs[:4] = given.reshape(4, -1, 3).transpose(0, 2, 1)
+    r1, rb1, r2, rb2, r_cross, rb_cross, r_minus, rb_plus = vecs
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_minus, rb_plus = r1 - r2, rb1 + rb2
-        r_cross, rb_cross = _cross3(r1, r2), _cross3(rb1, rb2)
-        r11, r12, r22, rb11, rb12, rb22, rm2, rx2, rbx2, rbp2, p1, p2 = stacked_dot(
-            np.array([r1, r1, r2, rb1, rb1, rb2, r_minus, r_cross, rb_cross, rb_plus, r1, r2]
-                     ).transpose(0, 2, 1),
-            np.array([r1, r2, r2, rb1, rb2, rb2, r_minus, r_cross, rb_cross, rb_plus, r_minus,
-                      r_minus]).transpose(0, 2, 1),
-        )
-        rm, rx, rbx = np.sqrt(rm2), np.sqrt(rx2), np.sqrt(rbx2)
-        # the (1, 2) and (2, 1) terms of PairGeometry's T, which round alike
-        t_val = ((1.0 - r11) * rb11 + (1.0 - r12) * rb12 + (1.0 - r12) * rb12
-                 + (1.0 - r22) * rb22)
+        # sources and targets crossed side by side, as (3, 2, n) stacks
+        crosses = _cross3(vecs[:2].swapaxes(0, 1), vecs[2:4].swapaxes(0, 1))
+        vecs[4:6] = crosses.swapaxes(0, 1)
+        np.subtract(r1, r2, out=r_minus)
+        np.add(rb1, rb2, out=rb_plus)
+        # r1.r1, r1.r2, r2.r2, rb1.rb1, rb1.rb2, rb2.rb2, |R-|^2, |R x|^2,
+        # |Rb x|^2, |Rb+|^2, r1.R-, r2.R-
+        dots = stacked_dot(vecs.take(_DOT_LEFT, 0).transpose(0, 2, 1),
+                           vecs.take(_DOT_RIGHT, 0).transpose(0, 2, 1))
+        rb11, rb22 = dots[3], dots[5]
+        rm2, rx2, rbx2, rbp2 = dots[6], dots[7], dots[8], dots[9]
+        norms = np.sqrt(dots[6:9])
+        rm, rx, rbx = norms[0], norms[1], norms[2]
+        # (1 - r_i.r_j)(rb_i.rb_j) for ij = 11, 12, 22; the (1, 2) and (2, 1)
+        # terms of PairGeometry's T round alike
+        terms = (1.0 - dots[:3]) * dots[3:6]
+        t_val = terms[0] + terms[1] + terms[1] + terms[2]
         s_val = np.sqrt(t_val * t_val + 4.0 * rbx2 * (rm2 - rx2))
-        proc_a = s_val + t_val - 2.0 * np.sqrt(rbx2 * rx2) > OMEGA_TIE
         st = s_val + t_val
-        st2, st3 = _pypow(st, 2), _pypow(st, 3)
-        k_a = np.sqrt(2.0 / (s_val * st))
-        alpha = np.where(proc_a, np.sqrt(st / (2.0 * s_val)), rx / rm)
-        beta1 = np.where(proc_a, k_a * p1, p1 / (rbx * rm))
-        beta2 = np.where(proc_a, k_a * p2, p2 / (rbx * rm))
-        gamma = np.where(proc_a, np.sqrt(rbp2 + 2.0 * rm2 * rbx2 / st),
-                         np.sqrt(rbp2 - t_val + 2.0 * rx * rbx))
-        rbx_sq = rbx * rbx
-        mu = np.where(proc_a, [2.0 * np.sqrt(2.0 / (s_val * st3)) * rbx_sq * rx * rm,
-                               (2.0 / st) * rbx * rx, k_a * rbx * rm], 1.0)
-        s = np.zeros(mu.shape)
-        s[0] = np.where(proc_a, np.sqrt(1.0 / (2.0 * s_val * st3)) * (st2 - 4.0 * rbx_sq * rx * rx),
-                        0.0)
-        # rv takes both sources into the xz half-plane with a common +x part
-        v2, v3 = r_cross / rx, r_minus / rm
+        proc_a = st - 2.0 * np.sqrt(rbx2 * rx2) > OMEGA_TIE
+        rows_a = np.count_nonzero(proc_a)
+        # an empty stack takes procedure B's (empty) branch
+        some_a, some_b = rows_a > 0, rows_a < len(st) or rows_a == 0
+        if some_a:
+            st2, st3 = _pypow(st, 2, 3)
+            k_a = np.sqrt(2.0 / (s_val * st))
+            rbx_sq = rbx * rbx
+            two_s = 2.0 * s_val
+            frame_a = [np.sqrt(st / two_s), *(k_a * dots[10:]),
+                       np.sqrt(rbp2 + 2.0 * rm2 * rbx2 / st)]
+            mu_s1_a = [2.0 * np.sqrt(2.0 / (s_val * st3)) * rbx_sq * rx * rm,
+                       (2.0 / st) * rbx * rx, k_a * rbx * rm,
+                       np.sqrt(1.0 / (two_s * st3)) * (st2 - 4.0 * rbx_sq * rx * rx)]
+        if some_b:
+            frame_b = [rx / rm, *(dots[10:] / (rbx * rm)), np.sqrt(rbp2 - t_val + 2.0 * rx * rbx)]
+        # (alpha, beta_1, beta_2, Gamma) and (mu, s_1); procedure B is the
+        # unitary (1, 1, 1), (0, 0, 0)
+        if some_a and some_b:
+            alpha, beta1, beta2, gamma = np.where(proc_a, frame_a, frame_b)
+            mu_s1 = np.where(proc_a, mu_s1_a, _UNITARY_MU_S1)
+        elif some_a:
+            alpha, beta1, beta2, gamma = frame_a
+            mu_s1 = np.array(mu_s1_a)
+        else:
+            alpha, beta1, beta2, gamma = frame_b
+            mu_s1 = _UNITARY_MU_S1.repeat(len(st), 1)
+        mu, s = mu_s1[:3], np.zeros(r1.shape)
+        s[0] = mu_s1[3]
+        # rv = [v1, v2, v3] takes both sources into the xz half-plane with a
+        # common +x part; ru = [u1, u2, u3] as columns.  Side by side, as
+        # (3, 2, n) stacks [v_k, u_k]
+        vu2 = crosses / norms[1:]
+        v3 = r_minus / rm
         collinear = rx <= 1e-14
-        if collinear.any():
+        if np.count_nonzero(collinear):
             # collinear sources: any unit vector orthogonal to R- will do
             w = _cross3(v3, np.where(np.abs(v3[0]) < 0.9, _EYE3[:, :1], _EYE3[:, 1:2]))
-            v2 = np.where(collinear, w / np.sqrt(stacked_dot(w.T, w.T)), v2)
-        u2 = rb_cross / rbx
+            vu2[:, 0] = np.where(collinear, w / np.sqrt(stacked_dot(w.T, w.T)), vu2[:, 0])
         u3 = ((alpha / rbx) * _cross3(rb_plus, rb_cross) + rbx * (beta1 * rb1 + beta2 * rb2)) / gamma
-        # rows of rv and columns of ru, C-ordered (the order decides how BLAS
-        # rounds products with them)
-        rv = np.ascontiguousarray(np.array([_cross3(v2, v3), v2, v3]).transpose(2, 0, 1))
-        ru = np.ascontiguousarray(np.array([_cross3(u2, u3), u2, u3]).transpose(2, 1, 0))
-        f = np.flatnonzero(rbx <= 1e-14)
-        if f.size:
+        vu3 = np.array([v3, u3]).swapaxes(0, 1)
+        axes = np.array([_cross3(vu2, vu3), vu2, vu3])
+        # rows of rv and columns of ru, as one C-ordered stack (the order
+        # decides how BLAS rounds products with them)
+        frames = np.array([axes[:, :, 0].transpose(2, 0, 1), axes[:, :, 1].transpose(2, 1, 0)])
+        rv, ru = frames[0], frames[1]
+        # a row with NaN fails this test or, with NaN frames, the orthogonality test
+        ok = rm > 1e-12
+        flat = rbx <= 1e-14
+        if np.count_nonzero(flat):
             # Rb x = 0 (parallel, opposite or vanishing targets): procedure A
             # sends every state along Rb+, procedure B turns within the
             # xz-plane and then takes +z onto the longer target
+            f = np.flatnonzero(flat)
             a = proc_a[f]
             len1, len2, rbp = np.sqrt(rb11[f]), np.sqrt(rb22[f]), np.sqrt(rbp2[f])
             sin_t = np.clip(rx[f] * (len1 - len2)
@@ -235,30 +278,32 @@ def optimal_frames(r1, r2, rb1, rb2):
                                      np.where(a, rb_plus[:, f] / rbp, longer).T)
             ru[f] = np.where(a[:, None, None], turn, turn @ plane)
             mu[:, f], s[0, f] = np.where(a, 0.0, 1.0), np.where(a, 1.0, 0.0)
-        mixed = (np.sqrt(rb11) <= 1e-14) & (np.sqrt(rb22) <= 1e-14)
-        ok = ~((rm <= 1e-12) | mixed | (proc_a & (st <= 1e-15)) | _improper(rv, ru))
-        if not ok.all():
-            rv[~ok] = ru[~ok] = _EYE3
-            mu[:, ~ok], s[:, ~ok] = 1.0, 0.0
+            # only here can both targets be maximally mixed
+            ok[f] &= (len1 > 1e-14) | (len2 > 1e-14)
+        ok &= _orthogonal(frames)
+        if np.count_nonzero(ok) < len(ok):
+            bad = ~ok
+            rv[bad] = ru[bad] = _EYE3
+            mu[:, bad], s[:, bad] = 1.0, 0.0
     return (rv.reshape(*lead, 3, 3), ru.reshape(*lead, 3, 3), mu.T.reshape(*lead, 3),
             s.T.reshape(*lead, 3), ok.reshape(lead))
 
 
-def _pypow(x, k):
-    """``x ** k`` per element, rounded as Python's float power (numpy's may differ)."""
-    return np.array([v**k for v in x.tolist()])
+def _pypow(x, *powers):
+    """``x ** k`` per element for each k, rounded as Python's float power (numpy's may differ)."""
+    values = x.tolist()
+    return [np.array([v**k for v in values]) for k in powers]
 
 
-def _improper(*frames):
-    """Rows where some R R^T differs from I by more than 1e-9, or holds NaN.
+def _orthogonal(frames):
+    """Rows where every R R^T of a ``(k, n, 3, 3)`` stack is I to 1e-9 (no NaN).
 
     The frames of :func:`optimal_frames` are [a x b, a, b] (as rows or
     columns, so det R = |a x b|^2 >= 0) or products of rotations, so
     R R^T = I forces det R = 1 as :class:`QubitChannelCanonical` demands.
     """
-    r = np.stack(frames)
-    dev = np.abs(r @ np.swapaxes(r, -1, -2) - _EYE3)
-    return ~(dev.reshape(len(frames), -1, 9).max(-1) <= 1e-9).all(0)
+    dev = np.abs(frames @ frames.swapaxes(-1, -2) - _EYE3)
+    return dev.max(axis=(0, 2, 3)) <= 1e-9
 
 
 def assemble_optimal_choi(g: PairGeometry) -> ChoiMatrix:
@@ -301,9 +346,7 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
     ``D = (I + s.(I (x) sigma) + sum_k mu_k sigma_k^T (x) sigma_k) / 2``.
     """
     canonical = optimal_canonical(g)
-    rm = np.linalg.norm(g.r_minus)
-    rx = np.linalg.norm(g.r_cross)
-    rbx = np.linalg.norm(g.rb_cross)
+    rm, rx, rbx = g.r_minus_norm, g.r_cross_norm, g.rb_cross_norm
     xi_u = g.xi_upper
     xi_l = g.xi_lower
     c_tot = g.c
@@ -362,8 +405,12 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
 
 
 def _pauli_pairs(coeffs):
-    """sum_jk coeffs[j, k] sigma_j^T (x) sigma_k for a real 4 x 4 ``coeffs``."""
-    return np.tensordot(coeffs, _PAULI_PAIRS, 2)
+    """sum_jk coeffs[j, k] sigma_j^T (x) sigma_k for a real 4 x 4 ``coeffs``.
+
+    One (1, 16) x (16, 16) product: the GEMM that ``np.tensordot(coeffs,
+    _PAULI_PAIRS, 2)`` makes, without its set-up.
+    """
+    return np.dot(coeffs.reshape(1, 16), _PAULI_PAIRS.reshape(16, 16)).reshape(4, 4)
 
 
 @dataclass

@@ -43,6 +43,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
+        """Validated once: ``mat`` is a read-only Hermitian copy of the input."""
         m = hermitize(np.asarray(self.mat, dtype=complex))
         if not np.isfinite(m).all():
             raise LinalgError("state has non-finite entries")
@@ -50,6 +51,7 @@ class DensityMatrix:
             raise LinalgError(f"trace {np.trace(m).real:.12f} != 1")
         if np.linalg.eigvalsh(m).min() < -1e-10:
             raise LinalgError("state has a negative eigenvalue")
+        m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
     @property
@@ -370,8 +372,17 @@ def canonical_qubit(choi: ChoiMatrix) -> QubitChannelCanonical:
 
 
 def bloch_of(rho_mat):
-    """Bloch vector of a bare 2 x 2 matrix (no normalization checks)."""
-    return np.array([np.trace(rho_mat @ p).real for p in PAULI[1:]])
+    """Bloch vectors ``Re tr(rho sigma_k)`` of bare 2 x 2 matrices over ``(..., 2, 2)``.
+
+    No normalization checks.  Read off the entries: ``Re(m01 + m10)``,
+    ``Re(i m01 - i m10)`` and ``Re(m00 - m11)``, which round as the traces do.
+    """
+    m = np.asarray(rho_mat)
+    if m.shape[-2:] != (2, 2):
+        raise LinalgError(f"Bloch vector defined only for 2 x 2 matrices, not {m.shape}")
+    # entries m00, m01, m10, m11 first; .T reverses the leading axes twice
+    m00, m01, m10, m11 = m.reshape(*m.shape[:-2], 4).T
+    return np.array([(m01 + m10).real, (1j * m01 - 1j * m10).real, (m00 - m11).real]).T
 
 
 def check_rsw(mu, s, slack=RSW_SLACK):

@@ -2,10 +2,20 @@
 
 All functions accept either :class:`~qtrack.channels.DensityMatrix` instances
 or bare Hermitian arrays; validation is the caller's business for bare arrays.
+
+:func:`check_bounds` and :func:`fidelity_uhlmann` also take ``(..., d, d)``
+stacks of pairs; one pair is the stack of one.  Per pair, the bound report
+makes two eigensolves.  One stacked ``eigh`` of rho and sigma gives F, bit for
+bit as :func:`fidelity_uhlmann`, and F_N from the two spectra and the overlap
+of the eigenbases.  The spectrum of rho - sigma gives D, O and the rank, bit
+for bit as :func:`trace_distance`, :func:`spectral_distance` and
+:func:`difference_rank`, and H.  F_N and H match :func:`super_fidelity` and
+:func:`hs_distance`, which keep their trace formulas, up to round-off.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -39,23 +49,39 @@ def fidelity_uhlmann(rho, sigma):
     sqrt(rho), but computing them directly avoids losing half the digits to
     the final square root on rank-deficient products.  With rho = U_r w_r U_r^dag
     and sigma = U_s w_s U_s^dag, the outer unitaries drop out, which leaves
-    diag(sqrt w_r) (U_r^dag U_s) diag(sqrt w_s).
+    diag(sqrt w_r) (U_r^dag U_s) diag(sqrt w_s).  Over ``(..., d, d)`` stacks
+    it returns an array; one pair gives a float.
     """
-    r, s = _pair(rho, sigma)
-    root_r, u_r = _clean_root_eigh(r)
-    root_s, u_s = _clean_root_eigh(s)
-    core = root_r[:, None] * (u_r.conj().T @ u_s) * root_s
-    sv = np.linalg.svd(core, compute_uv=False)
-    return float(sv.sum() ** 2)
+    f, _ = _fidelity(*_pair_eigh(*_pair(rho, sigma)))
+    return float(f) if f.ndim == 0 else f
 
 
-def _clean_root_eigh(m):
-    """Square roots of the eigenvalues of a PSD matrix (noise zeroed out), and its eigenvectors."""
-    w, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+def _pair_eigh(r, s):
+    """Eigenvalues and eigenvectors of the Hermitian parts of r and s, from one stacked eigh.
+
+    ``w[0]``, ``u[0]`` belong to r and ``w[1]``, ``u[1]`` to s.  LinalgError
+    on an eigenvalue below -1e-10.
+    """
+    m = np.array([r, s])
+    if not m.size:
+        raise LinalgError("empty stack of states")
+    w, u = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
     if w.min() < -1e-10:
         raise LinalgError(f"state has negative eigenvalue {w.min():.3e}")
-    w = np.where(w < 1e-14 * max(w.max(), 1e-300), 0.0, w)
-    return np.sqrt(w), u
+    return w, u
+
+
+def _fidelity(w, u):
+    """Fidelity of the pair ``_pair_eigh`` decomposed, and the overlap U_r^dag U_s.
+
+    Eigenvalues below 1e-14 of the largest are zeroed before the square roots.
+    """
+    root = np.sqrt(np.where(w < 1e-14 * np.maximum(w.max(-1, keepdims=True), 1e-300), 0.0, w))
+    overlap = u[0].conj().swapaxes(-1, -2) @ u[1]
+    core = root[0][..., :, None] * overlap * root[1][..., None, :]
+    # squared as a product: numpy's scalar power may round otherwise than its array square
+    norm = np.linalg.svd(core, compute_uv=False).sum(-1)
+    return norm * norm, overlap
 
 
 def super_fidelity(rho, sigma):
@@ -250,30 +276,57 @@ def check_bounds(rho, sigma):
     """Slack report for the inequality suite tying D, H, O, F and F_N together.
 
     Each entry is (value, slack); every slack is expected to be >= -1e-9.
-    D, O and the rank come from one eigensolve of rho - sigma.
+    Two eigensolves serve every value.  One stacked eigh of rho and sigma
+    gives F (as :func:`fidelity_uhlmann` does) and F_N, from tr rho sigma =
+    w_rho . |U_rho^dag U_sigma|^2 . w_sigma and tr rho^2 = sum w_rho^2 (within
+    round-off of :func:`super_fidelity`).  The spectrum of rho - sigma gives
+    D, O and the rank (as :func:`trace_distance`, :func:`spectral_distance`
+    and :func:`difference_rank` do) and H = |spectrum| (within round-off of
+    :func:`hs_distance`).
+
+    One pair gives Python floats and an int rank.  Over ``(..., d, d)``
+    stacks every entry is an array over the leading axes, equal to the
+    pairs' own reports.
     """
-    f = fidelity_uhlmann(rho, sigma)
-    fn = super_fidelity(rho, sigma)
-    spectrum = _difference_spectrum(rho, sigma)
-    d = float(0.5 * spectrum.sum())
-    h = hs_distance(rho, sigma)
-    o = float(spectrum.max())
-    r = max(_rank(spectrum), 1)
-    report = {
-        "fuchs_lower": d - (1.0 - np.sqrt(f)),
-        "fuchs_upper": np.sqrt(max(1.0 - f, 0.0)) - d,
-        "fn_rank_upper": np.sqrt(r / 2.0) * np.sqrt(max(1.0 - fn, 0.0)) - d,
+    r, s = _pair(rho, sigma)
+    w, u = _pair_eigh(r, s)
+    f, overlap = _fidelity(w, u)
+    tr_rs = (w[0][..., None, :] @ (np.abs(overlap) ** 2) @ w[1][..., :, None])[..., 0, 0]
+    purity = (w * w).sum(-1)
+    spectrum = np.abs(np.linalg.eigvalsh(r - s))
+    top = spectrum.max(-1)
+    values = np.array([f, tr_rs, *purity, 0.5 * spectrum.sum(-1),
+                       np.sqrt((spectrum * spectrum).sum(-1)), top]).reshape(7, -1)
+    ranks = (spectrum > RANK_RTOL * top[..., None]).sum(-1).reshape(-1)
+    reports = [_bound_report(*row, rank) for row, rank in zip(values.T.tolist(), ranks.tolist())]
+    if r.ndim == 2:
+        return reports[0]
+    lead = r.shape[:-2]
+    out = {k: np.array([rep[k] for rep in reports]).reshape(lead)
+           for k in reports[0] if k != "values"}
+    out["values"] = {k: np.array([rep["values"][k] for rep in reports]).reshape(lead)
+                     for k in reports[0]["values"]}
+    return out
+
+
+def _bound_report(f, tr_rs, purity_r, purity_s, d, h, o, rank):
+    """One pair's :func:`check_bounds` report, in Python floats."""
+    fn = tr_rs + math.sqrt(max(1.0 - purity_r, 0.0)) * math.sqrt(max(1.0 - purity_s, 0.0))
+    r = max(rank, 1)
+    return {
+        "fuchs_lower": d - (1.0 - math.sqrt(f)),
+        "fuchs_upper": math.sqrt(max(1.0 - f, 0.0)) - d,
+        "fn_rank_upper": math.sqrt(r / 2.0) * math.sqrt(max(1.0 - fn, 0.0)) - d,
         "fn_lower": d - (1.0 - fn),
-        "fn_sqrt_lower": d - (1.0 - np.sqrt(fn)),
+        # F_N of orthogonal pure states may come out a round-off below 0
+        "fn_sqrt_lower": d - (1.0 - math.sqrt(max(fn, 0.0))),
         "chain_O_le_H": h - o,
         "chain_H_le_2D": 2.0 * d - h,
-        "chain_2D_le_rootr_H": np.sqrt(r) * h - 2.0 * d,
-        "chain_rootr_H_le_r_O": r * o - np.sqrt(r) * h,
+        "chain_2D_le_rootr_H": math.sqrt(r) * h - 2.0 * d,
+        "chain_rootr_H_le_r_O": r * o - math.sqrt(r) * h,
+        "rank": r,
+        "values": {"F": f, "FN": fn, "D": d, "H": h, "O": o},
     }
-    report = {k: float(v) for k, v in report.items()}
-    report["rank"] = r
-    report["values"] = {"F": f, "FN": fn, "D": d, "H": h, "O": o}
-    return report
 
 
 def benchmark_measures(d, repeats, rng, tags=("FN", "D", "F", "Q")):

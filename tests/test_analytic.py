@@ -14,7 +14,7 @@ from qtrack.channels import (
     random_state,
 )
 from qtrack.distances import WeightedSequence, hs_inner
-from qtrack.linalg import PAULI
+from qtrack.linalg import PAULI, LinalgError
 
 
 def bloch_pair(r_len, half_angle):
@@ -74,6 +74,35 @@ def test_coincident_sources_rejected():
     t1, t2 = bloch_pair(1.0, 0.4)
     with pytest.raises(analytic.DegenerateGeometryError):
         analytic.PairGeometry.from_states(s, s, t1, t2, 0.5)
+
+
+def test_from_states_validates_bare_sources_only():
+    t1, t2 = bloch_pair(1.0, 0.4)
+    with pytest.raises(LinalgError):
+        analytic.PairGeometry.from_states(np.diag([0.8, 0.8]), np.diag([0.5, 0.5]), t1, t2)
+    s1, s2 = bloch_pair(0.8, 0.3)
+    bare = analytic.PairGeometry.from_states(s1.mat.copy(), s2.mat.copy(), t1, t2, 0.3)
+    kept = analytic.PairGeometry.from_states(s1, s2, t1, t2, 0.3)
+    for name in ("r1", "r2", "rb1", "rb2", "c1", "c2"):
+        assert np.array_equal(getattr(bare, name), getattr(kept, name))
+
+
+def test_pair_geometry_norms_round_as_numpy_norm():
+    # dual_certificate and gamma_b read the norms set once in __post_init__
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        g = analytic.PairGeometry.from_states(*random_instance(rng))
+        assert g.r_minus_norm == np.linalg.norm(g.r_minus)
+        assert g.r_cross_norm == np.linalg.norm(g.r_cross)
+        assert g.rb_cross_norm == np.linalg.norm(g.rb_cross)
+
+
+def test_pauli_pairs_is_the_tensordot():
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        c = rng.normal(size=(4, 4))
+        want = np.tensordot(c, analytic._PAULI_PAIRS, 2)
+        assert np.array_equal(analytic._pauli_pairs(c), want)
 
 
 def test_procedure_a_discrimination_regime():

@@ -306,6 +306,34 @@ def test_density_matrix_validation():
         ch.DensityMatrix.from_bloch([1.2, 0, 0])
 
 
+def test_density_matrix_is_read_only():
+    # validated once, so it cannot be edited into a non-state
+    raw = np.diag([0.25, 0.75]).astype(complex)
+    rho = ch.DensityMatrix(raw)
+    with pytest.raises(ValueError):
+        rho.mat[0, 0] = 2.0
+    raw[0, 0] = 2.0  # the input is copied, not frozen
+    assert rho.mat[0, 0] == 0.25
+
+
+def _bloch_by_traces(m):
+    """Re tr(m sigma_k), one matmul and trace per Pauli matrix: the reference of bloch_of."""
+    return np.array([np.trace(m @ p).real for p in PAULI[1:]])
+
+
+def test_bloch_of_matches_the_trace_form():
+    # non-Hermitian matrices too: the entries are read, not assumed symmetric
+    rng = np.random.default_rng(41)
+    mats = rng.normal(size=(1000, 2, 2)) + 1j * rng.normal(size=(1000, 2, 2))
+    want = np.array([_bloch_by_traces(m) for m in mats])
+    for m, w in zip(mats, want):
+        assert np.array_equal(ch.bloch_of(m), w)
+    assert np.array_equal(ch.bloch_of(mats), want)
+    assert np.array_equal(ch.bloch_of(mats.reshape(10, 100, 2, 2)), want.reshape(10, 100, 3))
+    with pytest.raises(LinalgError):
+        ch.bloch_of(np.eye(3))
+
+
 def _rotation_of(w):
     """SO(3) action of a 2 x 2 unitary: R_pq = tr(sigma_p W sigma_q W^dag) / 2."""
     paulis = hermitian_basis(2)[1:]

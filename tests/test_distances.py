@@ -135,6 +135,54 @@ def test_check_bounds_shares_one_spectrum_with_the_public_kernels():
             assert rep["values"]["D"] == ds.trace_distance(a, sigma)
             assert rep["values"]["O"] == ds.spectral_distance(a, sigma)
             assert rep["rank"] == max(ds.difference_rank(a, sigma), 1)
+            assert rep["values"]["F"] == ds.fidelity_uhlmann(a, sigma)
+            # from the spectra, not the trace formulas: equal up to round-off.
+            # 1e-15 holds on these pairs; the purity of a nearly pure state
+            # enters through sqrt(1 - tr rho^2), so F_N can differ by more
+            # (up to 1.6e-14 over criterion 6's 5 x 10^4 pairs)
+            assert abs(rep["values"]["FN"] - ds.super_fidelity(a, sigma)) <= 1e-15
+            assert abs(rep["values"]["H"] - ds.hs_distance(a, sigma)) <= 1e-15
+
+
+def test_stacked_check_bounds_equals_the_pairs():
+    # a scalar and an array path that round differently (numpy's scalar power
+    # against its array square) part on about one pair in a thousand, so the
+    # stacks are long: Ginibre states, drawn as arrays
+    rng = np.random.default_rng(17)
+    for d in range(2, 7):
+        g = rng.normal(size=(2, 2000, d, d)) + 1j * rng.normal(size=(2, 2000, d, d))
+        states = g @ g.conj().swapaxes(-1, -2)
+        rho, sigma = states / np.trace(states, axis1=-2, axis2=-1).real[..., None, None]
+        sigma[-1] = rho[-1]  # coincident states: rank 0 -> 1
+        stacked = ds.check_bounds(rho, sigma)
+        assert np.array_equal(ds.fidelity_uhlmann(rho, sigma), stacked["values"]["F"])
+        for k in range(len(rho)):
+            rep = ds.check_bounds(rho[k], sigma[k])
+            assert type(rep["rank"]) is int and rep["rank"] == stacked["rank"][k]
+            for key, val in rep.items():
+                if key not in ("rank", "values"):
+                    assert type(val) is float and np.array_equal(val, stacked[key][k]), key
+            for key, val in rep["values"].items():
+                assert type(val) is float and np.array_equal(val, stacked["values"][key][k]), key
+        grid = ds.check_bounds(rho.reshape(8, 250, d, d), sigma.reshape(8, 250, d, d))
+        assert np.array_equal(grid["fn_lower"].reshape(-1), stacked["fn_lower"])
+        assert grid["values"]["H"].shape == grid["rank"].shape == (8, 250)
+
+
+def test_check_bounds_on_orthogonal_pure_states():
+    # the spectra carry round-off of either sign, so F_N may fall a hair below 0
+    rng = np.random.default_rng(19)
+    for d in range(2, 7):
+        u = np.array([haar_random_unitary(d, rng) for _ in range(50)])
+        rho = u[:, :, 0, None] * u[:, None, :, 0].conj()
+        sigma = u[:, :, 1, None] * u[:, None, :, 1].conj()
+        stacked = ds.check_bounds(rho, sigma)
+        for k in range(len(u)):
+            rep = ds.check_bounds(rho[k], sigma[k])
+            assert abs(rep["values"]["D"] - 1.0) <= 1e-12 and rep["values"]["F"] <= 1e-14
+            assert abs(rep["values"]["FN"]) <= 1e-14
+            assert min(v for key, v in rep.items() if key not in ("rank", "values")) >= -1e-9
+            assert rep["fn_sqrt_lower"] == stacked["fn_sqrt_lower"][k]
 
 
 def test_metric_functional_values():

@@ -523,6 +523,23 @@ def test_optimal_frames_procedure_b(u1, u2, l1, l2, w1, w, a1, a2, p):
     _check_generic(g)
 
 
+@pytest.mark.parametrize("lead", [(0,), (2, 0), (1,), (2, 3)])
+def test_optimal_frames_keeps_the_stack_shape(lead):
+    # empty stacks too; where there are rows, procedure A and procedure B
+    # (pure sources 0.6 rad apart, targets 1.8 rad apart) alternate
+    th, tb = 0.3, 0.9
+    forced_b = (np.array([np.cos(th), 0, np.sin(th)]), np.array([np.cos(th), 0, -np.sin(th)]),
+                0.5 * np.array([np.cos(tb), 0, np.sin(tb)]),
+                0.5 * np.array([np.cos(tb), 0, -np.sin(tb)]))
+    assert analytic.PairGeometry(*forced_b).omega < 0 < analytic.PairGeometry(*_GENERIC_ROW).omega
+    rows = [_GENERIC_ROW, forced_b]
+    n = int(np.prod(lead))
+    stack = [np.array([rows[k % 2][j] for k in range(n)]).reshape(*lead, 3) for j in range(4)]
+    rv, ru, mu, s, ok = analytic.optimal_frames(*stack)
+    assert rv.shape == ru.shape == (*lead, 3, 3)
+    assert mu.shape == s.shape == (*lead, 3) and ok.shape == lead and ok.all()
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-16, 1e-12, 1e-7, 1e-3, 1.5e-2, 1.0])
 def test_rotation_aligning_matches_the_scalar_route(eps):
     # opposite, nearly opposite, equal and unrelated directions, in one stack:
