@@ -33,11 +33,15 @@ def mat(v, d):
 
 
 def hermitize(m, atol=1e-8):
-    """Return the Hermitian part ``(M + M^dag)/2``, rejecting grossly non-Hermitian input."""
+    """Return the Hermitian part ``(M + M^dag)/2``, rejecting grossly non-Hermitian input.
+
+    Works on a matrix or on a stack ``(..., n, n)``, the empty stack included.
+    """
     m = np.asarray(m)
-    if np.abs(m - m.conj().T).max() > atol:
+    m_dag = m.conj().swapaxes(-1, -2)
+    if np.abs(m - m_dag).max(initial=0.0) > atol:
         raise LinalgError("matrix is not Hermitian within tolerance")
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m_dag)
 
 
 def perm_d4(d):

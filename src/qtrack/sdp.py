@@ -25,6 +25,16 @@ the accepted iterate and ``SdpSolution.passes`` the number of loop passes.
 The first iterate that meets the gap and feasibility tolerances is accepted;
 it is returned 15 passes later unless an iterate that also meets the
 complementarity tolerance comes first, so ``passes <= iterations + 15``.
+
+Before the loop, ``solve`` drops the LMI's constant rows: those that no A_i
+touches and that C does not couple, directly or through other rows, to a
+touched row.  C is block diagonal between the two sets, so X = 0 on the
+constant block is optimal once C is PSD there, which one ``eigvalsh`` checks;
+a negative eigenvalue ends the solve at once, ``unbounded`` for the standard
+form and ``infeasible`` for the inequality form.  The loop runs on the rest,
+and X (and every traced iterate) comes back at full size, zero on the dropped
+rows and columns; there the traced dual slack is C's constant block.  A
+program without constant rows reaches the loop with its arrays untouched.
 """
 
 from __future__ import annotations
@@ -49,14 +59,16 @@ class SdpStandard:
 
     def __init__(self, e0, constraints):
         e0 = hermitize(np.asarray(e0, dtype=complex), atol=1e-9)
-        cons = tuple(
-            (hermitize(np.asarray(e, dtype=complex), atol=1e-9), float(b)) for e, b in constraints
-        )
+        es, bs = [], []
+        for e, b in constraints:
+            es.append(np.asarray(e, dtype=complex))
+            bs.append(float(b))
         n = e0.shape[0]
-        if any(e.shape != (n, n) for e, _ in cons):
+        if any(e.shape != (n, n) for e in es):
             raise LinalgError("constraint matrices must match the objective dimension")
+        es = hermitize(np.array(es, dtype=complex).reshape(-1, n, n), atol=1e-9)
         object.__setattr__(self, "e0", e0)
-        object.__setattr__(self, "constraints", cons)
+        object.__setattr__(self, "constraints", tuple(zip(es, bs)))
 
     @property
     def dim(self):
@@ -74,14 +86,15 @@ class SdpInequality:
     def __init__(self, c, f0, fs):
         c = np.asarray(c, dtype=float)
         f0 = hermitize(np.asarray(f0, dtype=complex), atol=1e-9)
-        fs = tuple(hermitize(np.asarray(f, dtype=complex), atol=1e-9) for f in fs)
+        fs = [np.asarray(f, dtype=complex) for f in fs]
         if len(fs) != c.size:
             raise LinalgError("need one F_j per entry of c")
         if any(f.shape != f0.shape for f in fs):
             raise LinalgError("constraint matrices must share the dimension of F0")
+        fs = hermitize(np.array(fs, dtype=complex).reshape(-1, *f0.shape), atol=1e-9)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "f0", f0)
-        object.__setattr__(self, "fs", fs)
+        object.__setattr__(self, "fs", tuple(fs))
 
     @property
     def dim(self):
@@ -363,18 +376,79 @@ def _prepare(problem):
     raise LinalgError(f"unsupported problem type {type(problem)!r}")
 
 
+def _constant_rows(c_mat, a_stack):
+    """Mask of the rows that no A_i touches and that C does not couple to a touched row.
+
+    The touched rows grow along C's off-diagonal pattern until they stop
+    changing; C is block diagonal between the two sets, and the LMI holds X
+    on the constant rows only to X >= 0.
+    """
+    coupled = c_mat != 0
+    live = (a_stack != 0).any(axis=(0, 1))  # the columns of Hermitian A_i are its rows
+    while True:
+        grown = live | coupled[:, live].any(axis=1)
+        if np.array_equal(grown, live):
+            return ~live
+        live = grown
+
+
+def _embed(base, keep, block):
+    """``base`` with its (keep, keep) block replaced by ``block``."""
+    out = base.copy()
+    out[np.ix_(keep, keep)] = block
+    return out
+
+
+def _solve_refined(c_mat, a_stack, b, opts):
+    """``_solve_textbook``, then ``_refine_primal`` on an optimal X: (X, y, info, iterates)."""
+    x, y, _, info, iterates = _solve_textbook(c_mat, a_stack, b, opts)
+    if info["status"] == "optimal":
+        x = _refine_primal(x, y, a_stack, b, c_mat)
+    return x, y, info, iterates
+
+
+def _solve_live(c_mat, a_stack, b, opts, standard):
+    """Solve with the constant rows dropped: X = 0 on them is optimal once C is PSD there.
+
+    Returns (X, y, info, iterates) at full size.  A program without constant
+    rows reaches the loop with the very arrays it was given.
+    """
+    dropped = _constant_rows(c_mat, a_stack)
+    if not dropped.any():
+        return _solve_refined(c_mat, a_stack, b, opts)
+    n, m = c_mat.shape[0], len(b)
+    zero = np.zeros((n, n), dtype=complex)
+    const = c_mat[np.ix_(dropped, dropped)]
+    if np.linalg.eigvalsh(const).min() < -1e-12 * max(1.0, np.abs(const).max()):
+        # X = t v v^dag along a negative direction of C's constant block sends
+        # tr(C X) to -infinity, and no y makes the slack PSD there
+        status = "unbounded" if standard else "infeasible"
+        return zero, np.zeros(m), dict(status=status, iterations=0, passes=0, pres=np.nan,
+                                       dres=np.nan), []
+    if dropped.all():
+        # no variable reaches the LMI: X = 0, y = 0 leave only tr(A_i X) = b_i
+        pres = np.linalg.norm(b) / (1.0 + np.linalg.norm(b))
+        status = "optimal" if pres <= opts.feas_tol else "infeasible" if standard else "unbounded"
+        return zero, np.zeros(m), dict(status=status, iterations=0, passes=0, pres=pres,
+                                       dres=0.0), []
+    keep = ~dropped
+    x, y, info, iterates = _solve_refined(c_mat[np.ix_(keep, keep)], a_stack[:, keep][:, :, keep],
+                                          b, opts)
+    # the dual slack C - sum_i y_i A_i is C itself on the dropped rows
+    iterates = [(_embed(zero, keep, x_), y_, _embed(c_mat, keep, s_)) for x_, y_, s_ in iterates]
+    return _embed(zero, keep, x), y, info, iterates
+
+
 def solve(problem, opts: SolverOptions | None = None) -> SdpSolution:
     """Solve a standard- or inequality-form SDP; see the module docstring for signs."""
     opts = opts or SolverOptions()
     c_mat, a_stack, b = _prepare(problem)
-    x, y, s, info, iterates = _solve_textbook(c_mat, a_stack, b, opts)
-    if info["status"] == "optimal":
-        x = _refine_primal(x, y, a_stack, b, c_mat)
+    standard = isinstance(problem, SdpStandard)
+    x, y, info, iterates = _solve_live(c_mat, a_stack, b, opts, standard)
     # -tr(C X) and -b^T y are the standard form's primal and dual values, and
     # the other way round for the inequality form
     x_value = -float(np.trace(c_mat @ x).real)
     y_value = -float(b @ y)
-    standard = isinstance(problem, SdpStandard)
     return SdpSolution(
         status=info["status"],
         primal_value=x_value if standard else y_value,

@@ -179,3 +179,15 @@ def test_matrix_sqrt_rejects_negative():
 def test_hermitize_checks_tolerance():
     with pytest.raises(la.LinalgError):
         la.hermitize(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermitize_stack_matches_per_matrix():
+    rng = np.random.default_rng(67)
+    g = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    stack = g + g.conj().swapaxes(1, 2) + 1e-12 * rng.normal(size=(4, 3, 3))
+    got = la.hermitize(stack)
+    assert all(np.array_equal(got[k], la.hermitize(stack[k])) for k in range(4))
+    assert la.hermitize(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+    stack[2, 0, 1] += 1.0
+    with pytest.raises(la.LinalgError):
+        la.hermitize(stack)

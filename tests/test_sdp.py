@@ -4,7 +4,7 @@ import pytest
 from qtrack import sdp, tracking
 from qtrack.channels import DensityMatrix, haar_random_unitary, random_state
 from qtrack.distances import WeightedSequence
-from qtrack.linalg import hermitian_basis
+from qtrack.linalg import LinalgError, hermitian_basis, hermitize
 
 
 def fhs_problem(rng, d=2, pi1=0.5):
@@ -152,6 +152,29 @@ def test_infeasible_not_reported_optimal():
         if sol.status == "optimal":  # pragma: no cover - must not happen
             raise AssertionError("infeasible problem reported optimal")
         raise sdp.SolverError(sol.status)
+
+
+def test_constraint_stack_is_validated_as_per_matrix():
+    rng = np.random.default_rng(61)
+    g = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    mats = [m + m.conj().T + 1e-11 * rng.normal(size=(3, 3)) for m in g]  # Hermitian to 1e-11
+    want = [hermitize(m, atol=1e-9) for m in mats]
+    ineq = sdp.SdpInequality(np.ones(4), mats[0], mats[1:])
+    std = sdp.SdpStandard(mats[0], [(m, 1.0) for m in mats[1:]])
+    for got in (ineq.fs, [e for e, _ in std.constraints]):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want[1:], strict=True))
+    assert sdp.SdpInequality([], mats[0], []).fs == ()
+    assert sdp.SdpStandard(mats[0], []).constraints == ()
+    skew = mats[1] + np.triu(np.ones((3, 3)), 1)
+    with pytest.raises(LinalgError):
+        sdp.SdpInequality(np.ones(2), mats[0], [mats[1], skew])
+    with pytest.raises(LinalgError):
+        sdp.SdpStandard(mats[0], [(mats[1], 1.0), (skew, 0.0)])
+    # mismatched shapes are named before anything is stacked
+    with pytest.raises(LinalgError, match="dimension"):
+        sdp.SdpInequality(np.ones(2), mats[0], [mats[1], np.eye(2)])
+    with pytest.raises(LinalgError, match="dimension"):
+        sdp.SdpStandard(mats[0], [(mats[1], 1.0), (np.eye(2), 0.0)])
 
 
 def test_solution_slack_is_psd():
@@ -447,39 +470,45 @@ def test_passes_count_every_loop_pass(objective, feasible):
 # -- the polish window and the normal-equation solves ------------------------
 
 
-def _stalling_havg2_cptp():
-    """A qubit Havg2/cptp program whose residual climbs past feas_tol after acceptance.
+def _bench_program(seed, i_count, d, objective, feasible):
+    """The program of the benchmark's ``draw_problem(i_count, d, default_rng(seed))``.
 
-    Ginibre sources and Haar-pure or Ginibre targets drawn from
-    ``default_rng([2009, 1, 21])``: pair 21 of the benchmark's solve pool.
+    Ginibre sources, and Haar-pure or Ginibre targets by one coin flip.  A
+    pair's priorities are (p, 1 - p) with p ~ U[0.05, 0.95]; more are
+    independent U[0.05, 0.95] draws, normalised.  ``seed`` [2009, 1, k] is
+    pair k of the qubit solve pool, and [7, I, d] the heavy draw at (I, d).
     """
-    rng = np.random.default_rng([2009, 1, 21])
-    p1 = rng.uniform(0.05, 0.95)
+    rng = np.random.default_rng(seed)
+    if i_count == 2:
+        p1 = rng.uniform(0.05, 0.95)
+        pis = [p1, 1.0 - p1]
+    else:
+        u = rng.uniform(0.05, 0.95, i_count)
+        pis = u / u.sum()
 
     def ginibre():
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = g @ g.conj().T
         return rho / np.trace(rho).real
 
     def haar_pure():
-        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         psi /= np.linalg.norm(psi)
         return np.outer(psi, psi.conj())
 
-    sources = [ginibre(), ginibre()]
+    sources = [ginibre() for _ in pis]
     draw_target = haar_pure if rng.integers(0, 2) else ginibre
-    targets = [draw_target(), draw_target()]
-    pis = [p1, 1.0 - p1]
+    targets = [draw_target() for _ in pis]
     src = WeightedSequence([(p, DensityMatrix(r)) for p, r in zip(pis, sources)])
     tgt = WeightedSequence([(p, DensityMatrix(t)) for p, t in zip(pis, targets)])
-    return tracking.assemble(tracking.TrackingProblem(src, tgt, "Havg2", "cptp"))
+    return tracking.assemble(tracking.TrackingProblem(src, tgt, objective, feasible))
 
 
 def test_polish_window_closes_15_passes_after_acceptance():
     # after the first converged iterate the primal residual drifts just past
     # feas_tol while mu falls to round-off, so no later pass converges; the
     # accepted iterate is still returned 15 passes on, not at max_iter
-    sol = sdp.solve(_stalling_havg2_cptp())
+    sol = sdp.solve(_bench_program([7, 3, 3], 3, 3, "Oavg2", "cptp"))
     assert sol.status == "optimal"
     assert sol.passes == sol.iterations + 15
     assert sol.residuals["primal"] <= 1e-9 and sol.residuals["dual"] <= 1e-9
@@ -500,3 +529,131 @@ def test_one_normal_solve_per_direction_stage(objective, feasible, monkeypatch):
     sol = sdp.solve(program)
     assert sol.status == "optimal"
     assert 0 < len(calls) <= 3 * sol.passes
+
+
+# -- constant rows: dropped before the loop, X = 0 on them -------------------
+
+
+class _LoopEntered(Exception):
+    pass
+
+
+def _loop_arrays(program, monkeypatch):
+    """(C, A) that _prepare returns and (C, A) that reach _solve_textbook; the loop is not run."""
+    prepared, looped = [], []
+    prepare = sdp._prepare
+    monkeypatch.setattr(sdp, "_prepare", lambda p: prepared.append(prepare(p)) or prepared[0])
+
+    def capture(c_mat, a_stack, b, opts):
+        looped.append((c_mat, a_stack))
+        raise _LoopEntered
+
+    monkeypatch.setattr(sdp, "_solve_textbook", capture)
+    with pytest.raises(_LoopEntered):
+        sdp.solve(program)
+    return prepared[0][:2], looped[0]
+
+
+# Havg2's residual block [[I, v], [v^dag, t]]: v vectorises a block-diagonal
+# residual, so the rows of I facing its off-block entries are constant
+HAVG2_LOOP_SIZES = [
+    (2, 2, "cptp", 13), (2, 2, "ppt", 17),
+    (3, 3, "cptp", 37), (3, 3, "ppt", 46),
+    (2, 4, "cptp", 49), (2, 4, "ppt", 65),
+]
+
+
+@pytest.mark.parametrize("i_count,d,feasible,n_loop", HAVG2_LOOP_SIZES)
+def test_havg2_loop_runs_without_the_constant_rows(i_count, d, feasible, n_loop, monkeypatch):
+    program = _bench_program([7, i_count, d], i_count, d, "Havg2", feasible)
+    (c_mat, a_stack), (c_loop, a_loop) = _loop_arrays(program, monkeypatch)
+    assert c_loop.shape == (n_loop, n_loop)
+    assert a_loop.shape == (len(a_stack), n_loop, n_loop)
+    dropped = sdp._constant_rows(c_mat, a_stack)
+    assert int(dropped.sum()) == program.dim - n_loop
+    assert np.array_equal(c_mat[np.ix_(dropped, dropped)], np.eye(program.dim - n_loop))
+
+
+@pytest.mark.parametrize("objective,feasible", [p for p in PROGRAMS_22 if p[0] != "Havg2"])
+def test_programs_without_constant_rows_reach_the_loop_untouched(objective, feasible,
+                                                                 monkeypatch):
+    program = _bench_program([7, 2, 2], 2, 2, objective, feasible)
+    (c_mat, a_stack), (c_loop, a_loop) = _loop_arrays(program, monkeypatch)
+    assert c_loop is c_mat and a_loop is a_stack
+    assert c_loop.shape[0] == program.dim
+
+
+def test_constant_rows_follow_the_coupling_of_c():
+    # row 0 carries the variable; C couples 0-1 and 1-2, so only row 3 is constant
+    c_mat = np.eye(4, dtype=complex)
+    c_mat[0, 1] = c_mat[1, 0] = c_mat[1, 2] = c_mat[2, 1] = 0.5
+    a_stack = np.zeros((1, 4, 4), dtype=complex)
+    a_stack[0, 0, 0] = 1.0
+    assert sdp._constant_rows(c_mat, a_stack).tolist() == [False, False, False, True]
+
+
+def test_solution_and_iterates_are_full_size():
+    program = _bench_program([2009, 1, 21], 2, 2, "Havg2", "cptp")
+    c_mat, a_stack, _ = sdp._prepare(program)
+    dropped = sdp._constant_rows(c_mat, a_stack)
+    assert dropped.sum() == 8
+    sol = sdp.solve(program, sdp.SolverOptions(trace_iterates=True))
+    assert sol.status == "optimal"
+    for z in [sol.z] + [x for x, _, _ in sol.iterates]:
+        assert z.shape == (program.dim, program.dim)
+        assert not z[dropped].any() and not z[:, dropped].any()
+    for _, _, s in sol.iterates:
+        # the dual slack C - sum_i y_i A_i is C's constant block there
+        assert s.shape == (program.dim, program.dim)
+        assert np.array_equal(s[np.ix_(dropped, dropped)], c_mat[np.ix_(dropped, dropped)])
+        assert not s[np.ix_(dropped, ~dropped)].any()
+
+
+def test_negative_constant_block_stops_before_the_loop(monkeypatch):
+    # row 1 is constant with C = -1 there: maximize -tr(E0 Z) is unbounded,
+    # and its dual E0 - nu E_1 >= 0 is infeasible
+    monkeypatch.setattr(sdp, "_solve_textbook", lambda *args: pytest.fail("loop entered"))
+    standard = sdp.SdpStandard(np.diag([1.0, -1.0]), [(np.diag([1.0, 0.0]), 1.0)])
+    for program, status in ((standard, "unbounded"), (sdp.dualize(standard), "infeasible")):
+        sol = sdp.solve(program)
+        assert sol.status == status
+        assert sol.iterations == sol.passes == 0
+
+
+def test_every_row_constant_skips_the_loop(monkeypatch):
+    monkeypatch.setattr(sdp, "_solve_textbook", lambda *args: pytest.fail("loop entered"))
+    sol = sdp.solve(sdp.SdpStandard(np.diag([1.0, 2.0]), []))
+    assert sol.status == "optimal" and sol.primal_value == 0.0
+    assert np.array_equal(sol.z, np.zeros((2, 2)))
+    # a constraint no Z can meet: tr(0 Z) = 1
+    assert sdp.solve(sdp.SdpStandard(np.eye(2), [(np.zeros((2, 2)), 1.0)])).status == "infeasible"
+
+
+def _certify_textbook(program, sol):
+    """Residual, cone and gap checks of a solution on the unreduced (C, A, b)."""
+    c_mat, a_stack, b = sdp._prepare(program)
+    y = sol.nu if isinstance(program, sdp.SdpStandard) else sol.x
+    x = sol.z
+    slack = c_mat - np.tensordot(y, a_stack, axes=1)
+    return {
+        "equality": np.abs(np.einsum("kij,ji->k", a_stack, x).real - b).max(initial=0.0),
+        "x_min_eig": np.linalg.eigvalsh(x).min(),
+        "slack_min_eig": np.linalg.eigvalsh(slack).min(),
+        "gap": np.trace(c_mat @ x).real - b @ y,
+    }
+
+
+@pytest.mark.parametrize(
+    "seed,i_count,d,feasible",
+    [([2009, 1, k], 2, 2, fs) for k in range(32) for fs in tracking.FEASIBLE_SETS]
+    + [([7, 3, 3], 3, 3, "cptp")],
+)
+def test_reduced_havg2_solutions_certify_on_the_full_problem(seed, i_count, d, feasible):
+    program = _bench_program(seed, i_count, d, "Havg2", feasible)
+    sol = sdp.solve(program)
+    assert sol.status == "optimal"
+    report = _certify_textbook(program, sol)
+    assert report["equality"] <= 1e-8
+    assert report["x_min_eig"] >= -1e-9
+    assert report["slack_min_eig"] >= -1e-9
+    assert abs(report["gap"]) <= 1e-8
