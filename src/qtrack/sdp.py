@@ -21,7 +21,8 @@ M + ridge I (its Cholesky factorization serves only as the test that M is
 positive definite); and each stage's primal and dual step-length tests share
 one ``eigvalsh``.  Per matrix the arithmetic is that of one call each, so the
 iterates are the same bit for bit.  ``SdpSolution.iterations`` is the index of
-the accepted iterate and ``SdpSolution.passes`` the number of loop passes.
+the accepted iterate and ``SdpSolution.passes`` the number of loop passes,
+each one Newton step.
 The first iterate that meets the gap and feasibility tolerances is accepted;
 it is returned 15 passes later unless an iterate that also meets the
 complementarity tolerance comes first, so ``passes <= iterations + 15``.
@@ -34,7 +35,9 @@ a negative eigenvalue ends the solve at once, ``unbounded`` for the standard
 form and ``infeasible`` for the inequality form.  The loop runs on the rest,
 and X (and every traced iterate) comes back at full size, zero on the dropped
 rows and columns; there the traced dual slack is C's constant block.  A
-program without constant rows reaches the loop with its arrays untouched.
+program without constant rows takes the same path with nothing dropped.
+
+``verify_certificate`` checks a solution of either form on the same (C, A_i, b).
 """
 
 from __future__ import annotations
@@ -111,13 +114,18 @@ def dualize(p: SdpStandard) -> SdpInequality:
     return SdpInequality(-b, p.e0, tuple(-e for e, _ in p.constraints))
 
 
+# an iterate converges once both scaled residuals are within FEAS_TOL (and the
+# gap within gap_tol), and is returned at once if also max|X S| / scale is
+# within COMP_TOL; each step goes STEP_FRACTION of the way to the cone boundary
+FEAS_TOL = 1e-9
+COMP_TOL = 5e-9
+STEP_FRACTION = 0.98
+
+
 @dataclass
 class SolverOptions:
     gap_tol: float = 1e-9
-    feas_tol: float = 1e-9
-    comp_tol: float = 5e-9
     max_iter: int = 200
-    step_fraction: float = 0.98
     trace_iterates: bool = False
 
 
@@ -131,7 +139,7 @@ class SdpSolution:
     x: np.ndarray | None
     nu: np.ndarray | None
     iterations: int  # index of the accepted iterate
-    passes: int  # loop passes that moved the iterate (Newton steps and anti-stall lifts)
+    passes: int  # loop passes, one Newton step each
     residuals: dict
     iterates: list = field(default_factory=list)
 
@@ -190,8 +198,6 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
         return float(_flat(x_) @ _flat(s_)) / n  # tr(X S) / n
 
     info = {"iterations": 0}
-    best_mu = np.inf
-    stall = 0
     accepted = None
     for it in range(opts.max_iter):
         rp = b - a_dot(x)
@@ -205,8 +211,8 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
         if opts.trace_iterates:
             iterates.append((x.copy(), y.copy(), s.copy()))
         comp = np.abs(x @ s).max() / scale
-        converged = gap <= opts.gap_tol and pres <= opts.feas_tol and dres <= opts.feas_tol
-        if converged and (comp <= opts.comp_tol or mu <= 1e-13 * scale):
+        converged = gap <= opts.gap_tol and pres <= FEAS_TOL and dres <= FEAS_TOL
+        if converged and (comp <= COMP_TOL or mu <= 1e-13 * scale):
             info.update(iterations=it, passes=it, status="optimal", gap=gap, pres=pres, dres=dres)
             return x, y, s, info, iterates
         # gap and feasibility are in: polish complementarity for 15 more
@@ -219,22 +225,6 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
             info.update(iterations=it0, passes=it, status="optimal", gap=gap, pres=pres,
                         dres=dres)
             return x, y, s, info, iterates
-
-        # Anti-stall: if mu stops decreasing, lift the iterate off the cone
-        # boundary (the feasibility residuals this reintroduces are handled by
-        # the infeasible-start machinery).
-        if mu < 0.9 * best_mu:
-            best_mu, stall = mu, 0
-        else:
-            stall += 1
-        if stall >= 4:
-            lam_x, lam_s = np.linalg.eigvalsh(np.stack([x, s]))
-            bump_x = max(0.0, 1e-2 * mu / max(lam_s.max(), 1e-30) - lam_x.min())
-            bump_s = max(0.0, 1e-2 * mu / max(lam_x.max(), 1e-30) - lam_s.min())
-            x = x + bump_x * np.eye(n)
-            s = s + bump_s * np.eye(n)
-            best_mu, stall = np.inf, 0
-            continue
 
         # Nesterov-Todd scaling point: W S W = X
         try:
@@ -299,7 +289,7 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
             dxs, dys, dss = directions(*specs)
             steps = _max_step(ihalf, np.stack([dxs, dss], axis=1))
             out = []
-            for (a_p, a_d), dx, dy, ds in zip(np.minimum(opts.step_fraction * steps, 1.0),
+            for (a_p, a_d), dx, dy, ds in zip(np.minimum(STEP_FRACTION * steps, 1.0),
                                               dxs, dys, dss):
                 mu_n = mu_of(x + a_p * dx, s + a_d * ds)
                 merit = mu_n + 0.1 * ((1 - a_p) * rp_norm + (1 - a_d) * rd_norm)
@@ -392,34 +382,24 @@ def _constant_rows(c_mat, a_stack):
         live = grown
 
 
-def _embed(base, keep, block):
-    """``base`` with its (keep, keep) block replaced by ``block``."""
+def _embed(base, rows, block):
+    """``base`` with its ``rows`` block (an ``np.ix_`` pair) replaced by ``block``."""
     out = base.copy()
-    out[np.ix_(keep, keep)] = block
+    out[rows] = block
     return out
-
-
-def _solve_refined(c_mat, a_stack, b, opts):
-    """``_solve_textbook``, then ``_refine_primal`` on an optimal X: (X, y, info, iterates)."""
-    x, y, _, info, iterates = _solve_textbook(c_mat, a_stack, b, opts)
-    if info["status"] == "optimal":
-        x = _refine_primal(x, y, a_stack, b, c_mat)
-    return x, y, info, iterates
 
 
 def _solve_live(c_mat, a_stack, b, opts, standard):
     """Solve with the constant rows dropped: X = 0 on them is optimal once C is PSD there.
 
-    Returns (X, y, info, iterates) at full size.  A program without constant
-    rows reaches the loop with the very arrays it was given.
+    Returns (X, y, info, iterates) at full size; a program without constant
+    rows takes the same path with nothing dropped.
     """
     dropped = _constant_rows(c_mat, a_stack)
-    if not dropped.any():
-        return _solve_refined(c_mat, a_stack, b, opts)
     n, m = c_mat.shape[0], len(b)
     zero = np.zeros((n, n), dtype=complex)
     const = c_mat[np.ix_(dropped, dropped)]
-    if np.linalg.eigvalsh(const).min() < -1e-12 * max(1.0, np.abs(const).max()):
+    if dropped.any() and np.linalg.eigvalsh(const).min() < -1e-12 * max(1.0, np.abs(const).max()):
         # X = t v v^dag along a negative direction of C's constant block sends
         # tr(C X) to -infinity, and no y makes the slack PSD there
         status = "unbounded" if standard else "infeasible"
@@ -428,15 +408,17 @@ def _solve_live(c_mat, a_stack, b, opts, standard):
     if dropped.all():
         # no variable reaches the LMI: X = 0, y = 0 leave only tr(A_i X) = b_i
         pres = np.linalg.norm(b) / (1.0 + np.linalg.norm(b))
-        status = "optimal" if pres <= opts.feas_tol else "infeasible" if standard else "unbounded"
+        status = "optimal" if pres <= FEAS_TOL else "infeasible" if standard else "unbounded"
         return zero, np.zeros(m), dict(status=status, iterations=0, passes=0, pres=pres,
                                        dres=0.0), []
-    keep = ~dropped
-    x, y, info, iterates = _solve_refined(c_mat[np.ix_(keep, keep)], a_stack[:, keep][:, :, keep],
-                                          b, opts)
+    live = np.ix_(~dropped, ~dropped)
+    c_loop, a_loop = c_mat[live], a_stack[:, live[0], live[1]]
+    x, y, _, info, iterates = _solve_textbook(c_loop, a_loop, b, opts)
+    if info["status"] == "optimal":
+        x = _refine_primal(x, y, a_loop, b, c_loop)
     # the dual slack C - sum_i y_i A_i is C itself on the dropped rows
-    iterates = [(_embed(zero, keep, x_), y_, _embed(c_mat, keep, s_)) for x_, y_, s_ in iterates]
-    return _embed(zero, keep, x), y, info, iterates
+    iterates = [(_embed(zero, live, x_), y_, _embed(c_mat, live, s_)) for x_, y_, s_ in iterates]
+    return _embed(zero, live, x), y, info, iterates
 
 
 def solve(problem, opts: SolverOptions | None = None) -> SdpSolution:
@@ -464,25 +446,30 @@ def solve(problem, opts: SolverOptions | None = None) -> SdpSolution:
     )
 
 
-def verify_certificate(z, nu, problem: SdpStandard, tol=1e-8):
-    """Check a candidate optimal pair for the standard form.
+def verify_certificate(z, nu, problem, tol=1e-8):
+    """Check a candidate optimal pair for either form, on ``_prepare``'s (C, A_i, b).
 
-    Reports (i) equality-constraint residuals of Z, (ii) PSD-ness of the dual
-    slack E0 - sum nu_i E_i, (iii) the duality gap, and (iv) complementary
-    slackness ||(E0 - sum nu_i E_i) Z||.
+    ``z`` is the matrix variable and ``nu`` the multiplier vector: ``sol.nu``
+    for the standard form and ``sol.x`` for the inequality form, whose dual
+    slack F0 + sum x_j F_j is C - sum nu_i A_i.  The entries are named for the
+    standard form (the inequality form's dual): (i) the equality residuals
+    tr(A_i Z) - b_i, (ii) PSD-ness of Z and of the dual slack, (iii) the
+    duality gap between -b^T nu and -tr(C Z), and (iv) complementary
+    slackness ||(C - sum nu_i A_i) Z||.
     """
+    c_mat, a_stack, b = _prepare(problem)
+    n = c_mat.shape[0]
     z = np.asarray(z, dtype=complex)
     nu = np.asarray(nu, dtype=float)
-    slack = problem.e0 - sum(v * e for v, (e, _) in zip(nu, problem.constraints))
-    pres = max(
-        (abs(np.trace(e @ z).real - bi) for e, bi in problem.constraints), default=0.0
-    )
+    a_flat = _flat(a_stack)
+    slack = c_mat - (nu @ a_flat).view(complex).reshape(n, n)
+    pres = np.abs(a_flat @ _flat(z) - b).max(initial=0.0)
     z_min = float(np.linalg.eigvalsh(hermitize(z, atol=1e-6)).min())
     s_min = float(np.linalg.eigvalsh(hermitize(slack, atol=1e-6)).min())
-    pval = -float(np.trace(problem.e0 @ z).real)
-    dval = -float(np.array([bi for _, bi in problem.constraints]) @ nu)
+    pval = -float(_flat(c_mat) @ _flat(z))
+    dval = -float(b @ nu)
     comp = float(np.abs(slack @ z).max())
-    scale = max(1.0, float(np.abs(problem.e0).max()))
+    scale = max(1.0, float(np.abs(c_mat).max()))
     return {
         "primal_residual": float(pres),
         "primal_min_eig": z_min,
