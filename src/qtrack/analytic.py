@@ -19,12 +19,13 @@ from .channels import (
     ChoiMatrix,
     DensityMatrix,
     QubitChannelCanonical,
-    _kron2,
+    _diagonal_choi,
+    _pauli_pairs,
     assemble_qubit_choi,
     bloch_of,
     rotation_aligning,
 )
-from .linalg import PAULI, LinalgError, stacked_dot
+from .linalg import LinalgError, stacked_dot
 
 OMEGA_TIE = 1e-12
 _EYE3 = np.eye(3)
@@ -34,8 +35,6 @@ _DOT_LEFT = np.array([0, 0, 2, 1, 1, 3, 6, 4, 5, 7, 0, 2])
 _DOT_RIGHT = np.array([0, 2, 2, 1, 3, 3, 6, 4, 5, 7, 6, 6])
 # (mu, s_1) of the identity, which procedure B's rows take
 _UNITARY_MU_S1 = np.array([[1.0], [1.0], [1.0], [0.0]])
-# [j, k] = sigma_j^T (x) sigma_k for j, k = 0..3 (sigma_0 = I)
-_PAULI_PAIRS = _kron2(np.swapaxes(PAULI, 1, 2)[:, None], np.array(PAULI)).reshape(4, 4, 4, 4)
 
 
 class DegenerateGeometryError(LinalgError):
@@ -386,9 +385,7 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
     shift = np.zeros((4, 4))
     shift[:, 0] = coeffs  # x0 I + x1 X (x) I + x3 Z (x) I, as x2 = 0
     f_matrix = f0_tilde + _pauli_pairs(shift)
-    d_coeffs = np.diag([1.0, *canonical.mu])
-    d_coeffs[0, 1:] = canonical.s
-    d_choi = _pauli_pairs(0.5 * d_coeffs)
+    d_choi = _diagonal_choi(canonical.mu, canonical.s)
     weak = abs(2.0 * coeffs[0] + np.trace(f0_tilde @ d_choi).real)
     slackness = float(np.abs(d_choi @ f_matrix).max())
     spectrum = np.linalg.eigvalsh(0.5 * (f_matrix + f_matrix.conj().T))
@@ -402,15 +399,6 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
         spectrum=spectrum,
         canonical=canonical,
     )
-
-
-def _pauli_pairs(coeffs):
-    """sum_jk coeffs[j, k] sigma_j^T (x) sigma_k for a real 4 x 4 ``coeffs``.
-
-    One (1, 16) x (16, 16) product: the GEMM that ``np.tensordot(coeffs,
-    _PAULI_PAIRS, 2)`` makes, without its set-up.
-    """
-    return np.dot(coeffs.reshape(1, 16), _PAULI_PAIRS.reshape(16, 16)).reshape(4, 4)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import PairGeometry, track_geometry
-from .channels import ChoiMatrix, DensityMatrix, KrausSet, choi_from_kraus
+from .channels import ChoiMatrix, DensityMatrix, KrausSet, _pauli_pairs, choi_from_kraus
 from .linalg import PAULI, LinalgError, min_eig
 
 
@@ -135,14 +135,9 @@ def quantum_optimality_certificate(task: DephasingTask):
     th = task.theta_bar
     rx = task.r_x
     b0 = 0.25 + 0.25 * np.sqrt(np.cos(th) ** 2 + np.sin(th) ** 4 / (1.0 - rx**2))
-    m = b0 * np.eye(4) + rx * b0 * np.kron(PAULI[1], np.eye(2)) - _fidelity_operator(task)
-    lam = min_eig(m)
-    return {
-        "b0": float(b0),
-        "value": float(2 * b0),
-        "min_eig": lam,
-        "pass": lam >= -1e-9,
-    }
+    coeffs = np.zeros((4, 4))
+    coeffs[0, 0], coeffs[1, 0] = b0, rx * b0  # b0 I + rx b0 X (x) I
+    return _certificate_report(task, "b0", coeffs)
 
 
 def classical_optimality_certificate(task: DephasingTask):
@@ -153,16 +148,20 @@ def classical_optimality_certificate(task: DephasingTask):
     a0 = 0.25 + 0.25 * root
     ax = rx / 4.0 + (rx / 4.0) * np.cos(th) ** 2 / root
     ay = -(rx / 4.0) * np.cos(th) * np.sin(th) ** 2 / root
-    m = (
-        a0 * np.eye(4)
-        + ax * np.kron(PAULI[1], np.eye(2))
-        + ay * np.kron(PAULI[2], PAULI[2])
-        - _fidelity_operator(task)
-    )
-    lam = min_eig(m)
+    coeffs = np.zeros((4, 4))
+    coeffs[0, 0], coeffs[1, 0], coeffs[2, 2] = a0, ax, -ay  # Y (x) Y = -Y^T (x) Y
+    return _certificate_report(task, "a0", coeffs)
+
+
+def _certificate_report(task: DephasingTask, name, coeffs):
+    """The dual point M = sum_jk coeffs[j, k] sigma_j^T (x) sigma_k passes iff M - R is PSD.
+
+    Its value is 2 coeffs[0, 0], reported under ``name`` as the identity's share.
+    """
+    lam = min_eig(_pauli_pairs(coeffs) - _fidelity_operator(task))
     return {
-        "a0": float(a0),
-        "value": float(2 * a0),
+        name: float(coeffs[0, 0]),
+        "value": float(2 * coeffs[0, 0]),
         "min_eig": lam,
         "pass": lam >= -1e-9,
     }

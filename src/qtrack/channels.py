@@ -31,7 +31,6 @@ from .linalg import (
 
 PSD_TOL = 1e-9
 TP_TOL = 1e-9
-RSW_SLACK = 1e-10
 _EYE2 = np.eye(2)
 _EYE3 = np.eye(3)
 
@@ -318,6 +317,26 @@ def _kron2(a, b):
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(-1, 4, 4)
 
 
+# [j, k] = sigma_j^T (x) sigma_k for j, k = 0..3 (sigma_0 = I)
+_PAULI_PAIRS = _kron2(np.swapaxes(PAULI, 1, 2)[:, None], np.array(PAULI)).reshape(4, 4, 4, 4)
+
+
+def _pauli_pairs(coeffs):
+    """sum_jk coeffs[j, k] sigma_j^T (x) sigma_k for a real 4 x 4 ``coeffs``.
+
+    One (1, 16) x (16, 16) product: the GEMM that ``np.tensordot(coeffs,
+    _PAULI_PAIRS, 2)`` makes, without its set-up.
+    """
+    return np.dot(coeffs.reshape(1, 16), _PAULI_PAIRS.reshape(16, 16)).reshape(4, 4)
+
+
+def _diagonal_choi(mu, s):
+    """Choi matrix (I + s.(I (x) sigma) + sum_k mu_k sigma_k^T (x) sigma_k) / 2 of (mu, s)."""
+    coeffs = np.diag([1.0, *mu])
+    coeffs[0, 1:] = s
+    return _pauli_pairs(0.5 * coeffs)
+
+
 def assemble_qubit_choi(q: QubitChannelCanonical) -> ChoiMatrix:
     """Choi matrix 2C = I4 + sum_k s_k I (x) (u_k.sigma) + sum_k mu_k (v_k.sigma)^T (x) (u_k.sigma)."""
     u_sigma = _dot_sigma(q.ru.T)  # columns: U sigma_k U^dag = u_k . sigma
@@ -385,43 +404,20 @@ def bloch_of(rho_mat):
     return np.array([(m01 + m10).real, (1j * m01 - 1j * m10).real, (m00 - m11).real]).T
 
 
-def check_rsw(mu, s, slack=RSW_SLACK):
+def check_rsw(mu, s):
     """Feasibility (CPTP) and extremality of a diagonal qubit map (mu, s).
 
-    Feasibility uses the closed inequalities for scale factors ``mu`` and
-    translation ``s`` (both sign branches), which hold only inside the box
-    ``|mu_k| <= 1``, ``|s| <= 1`` that every channel lies in.  Extremality is
-    checked up to a relabeling of the axes: one axis carries the translation
-    ``s_k`` with ``mu_k = mu_i mu_j`` and ``s_k^2 = (1 - mu_i^2)(1 - mu_j^2)``.
+    The map is a channel iff its Choi matrix :func:`_diagonal_choi` is PSD (to
+    ``PSD_TOL``); non-finite ``mu`` or ``s`` never is.  Extremality is checked
+    in closed form up to a relabeling of the axes: one axis carries the
+    translation ``s_k`` with ``mu_k = mu_i mu_j`` and
+    ``s_k^2 = (1 - mu_i^2)(1 - mu_j^2)``.
     """
     mu = np.asarray(mu, dtype=float)
     s = np.asarray(s, dtype=float)
-    if not (np.abs(mu).max() <= 1.0 + slack and np.sqrt(s @ s) <= 1.0 + slack):  # NaN too
+    if not (np.isfinite(mu).all() and np.isfinite(s).all()):  # before inf * 0 in the GEMM
         return {"feasible": False, "extremal": False}
-    feasible = True
-    s12 = s[0] ** 2 + s[1] ** 2
-    for sign in (+1.0, -1.0):
-        den1 = 1.0 - mu[2] + sign * s[2]
-        den2 = 1.0 + mu[2] + sign * s[2]
-        for lhs, base, den_num, den_den in (
-            ((mu[0] + mu[1]) ** 2, (1.0 + mu[2]) ** 2 - s[2] ** 2, 1.0 + mu[2] + sign * s[2], den1),
-            ((mu[0] - mu[1]) ** 2, (1.0 - mu[2]) ** 2 - s[2] ** 2, 1.0 - mu[2] + sign * s[2], den2),
-        ):
-            if abs(den_den) < 1e-14:
-                if s12 > slack:
-                    feasible = False
-                continue
-            if lhs > base - s12 * (den_num / den_den) + slack:
-                feasible = False
-    lhs3 = (1.0 - (mu @ mu) - (s @ s)) ** 2
-    rhs3 = 4.0 * (
-        mu[0] ** 2 * (s[0] ** 2 + mu[1] ** 2)
-        + mu[1] ** 2 * (s[1] ** 2 + mu[2] ** 2)
-        + mu[2] ** 2 * (s[2] ** 2 + mu[0] ** 2)
-        - 2.0 * mu[0] * mu[1] * mu[2]
-    )
-    if lhs3 < rhs3 - slack:
-        feasible = False
+    feasible = bool(np.linalg.eigvalsh(_diagonal_choi(mu, s)).min() >= -PSD_TOL)
 
     extremal = False
     for k in range(3):

@@ -115,7 +115,7 @@ def _cmd_distances(args):
     if args.bounds:
         report = distances.check_bounds(a, b)
         rows = [
-            {"measure": k, "value": report["values"].get(k.split("_")[0], float("nan")), "slack": v}
+            {"measure": k, "value": float("nan"), "slack": v}
             for k, v in report.items()
             if k not in ("rank", "values")
         ]

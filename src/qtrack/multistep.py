@@ -34,6 +34,10 @@ from .linalg import LinalgError, stacked_dot
 FIDELITY_TIE = 1e-12
 # _seed_chains gives this many start vectors
 MAX_RESTARTS = 8
+# a restart has converged once its fixed-point residual max|Phi(z) - z| is
+# within CHAIN_TOL; each damped sweep moves z DAMPING of the way to Phi(z)
+CHAIN_TOL = 1e-10
+DAMPING = 0.65
 
 
 def identity_canonical() -> QubitChannelCanonical:
@@ -257,9 +261,7 @@ def _sweep(task: ChainTask, z):
 
 @dataclass
 class ChainOptions:
-    tol: float = 1e-10
     max_sweeps: int = 300
-    damping: float = 0.65
     newton_after: int = 120
     restarts: int = 8
 
@@ -308,7 +310,7 @@ def solve_chain(task: ChainTask, opts: ChainOptions | None = None, seed=0) -> St
 
     The restarts are iterated together as one ``(restarts, dim)`` batch.
     Every returned chain satisfies the stacked fixed-point residual at
-    ``opts.tol`` (non-converged restarts are discarded); among converged
+    ``CHAIN_TOL`` (non-converged restarts are discarded); among converged
     chains the one with the highest end-to-end fidelity wins.  A later restart
     must beat the best so far by more than ``FIDELITY_TIE``, so ties at
     round-off level go to the earlier restart.  ``StepChain.restarts`` holds
@@ -319,14 +321,14 @@ def solve_chain(task: ChainTask, opts: ChainOptions | None = None, seed=0) -> St
         raise LinalgError(f"restarts must be between 1 and {MAX_RESTARTS}, got {opts.restarts}")
     seeds = _seed_chains(task, np.random.default_rng(seed))[: opts.restarts]
     z, residual, sweeps, newton = _solve_batch(task, np.array([z0 for z0, _ in seeds]), opts)
-    kept = np.flatnonzero(residual <= opts.tol)
+    kept = np.flatnonzero(residual <= CHAIN_TOL)
     chains = dict(zip(kept, _chains_at(task, z[kept], [seeds[k][1] for k in kept],
                                        residual[kept])))
     best, records = None, []
     for k, (_, label) in enumerate(seeds):
         record = RestartRecord(label, int(sweeps[k]), newton[k] is not None, bool(newton[k]),
                                float(residual[k]))
-        if not residual[k] <= opts.tol:  # NaN is dropped too
+        if not residual[k] <= CHAIN_TOL:  # NaN is dropped too
             record.dropped = f"residual {residual[k]:.3g} not within tol after {sweeps[k]} sweeps"
         else:
             chain = chains[k]
@@ -358,13 +360,11 @@ def _solve_batch(task, z, opts: ChainOptions):
         z_new = _sweep(task, z_act)
         res = np.abs(z_new - z_act).max(axis=1)
         residual[active], sweeps[active] = res, sweep + 1
-        done = res <= opts.tol
-        z[active] = np.where(
-            done[:, None], z_new, (1.0 - opts.damping) * z_act + opts.damping * z_new
-        )
+        done = res <= CHAIN_TOL
+        z[active] = np.where(done[:, None], z_new, (1.0 - DAMPING) * z_act + DAMPING * z_new)
         if sweep == opts.newton_after:
-            for k in active[res > opts.tol]:
-                z_newton = _newton_polish(task, z[k], opts)
+            for k in active[res > CHAIN_TOL]:
+                z_newton = _newton_polish(task, z[k])
                 newton[k] = z_newton is not None
                 if newton[k]:
                     z[k] = z_newton
@@ -396,7 +396,7 @@ def _chains_at(task, z, labels, residuals):
     return chains
 
 
-def _newton_polish(task, z, opts: ChainOptions, max_newton=25):
+def _newton_polish(task, z, max_newton=25):
     """Damped Newton on G(z) = z - Phi(z) with a finite-difference Jacobian.
 
     Each step sweeps ``z`` and its ``dim`` perturbations as one batch, then
@@ -412,7 +412,7 @@ def _newton_polish(task, z, opts: ChainOptions, max_newton=25):
         probes[diag + 1, diag] += h
         g = probes - _sweep(task, probes)
         g0 = g[0]
-        if np.abs(g0).max() <= opts.tol:
+        if np.abs(g0).max() <= CHAIN_TOL:
             return z
         jac = ((g[1:] - g0) / h).T
         try:
@@ -427,7 +427,7 @@ def _newton_polish(task, z, opts: ChainOptions, max_newton=25):
             return None
         z = cands[better[0]]
     g0 = z - _sweep(task, z[None])[0]
-    return z if np.abs(g0).max() <= opts.tol else None
+    return z if np.abs(g0).max() <= CHAIN_TOL else None
 
 
 def sweep_2step(task_factory, lam1_grid, lam2_grid, opts=None, seed=0, mapper=map):

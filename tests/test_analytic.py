@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from qtrack import analytic, tracking
+from qtrack import analytic, channels, tracking
 from qtrack.channels import (
     DensityMatrix,
     apply_choi,
@@ -101,8 +101,8 @@ def test_pauli_pairs_is_the_tensordot():
     rng = np.random.default_rng(47)
     for _ in range(200):
         c = rng.normal(size=(4, 4))
-        want = np.tensordot(c, analytic._PAULI_PAIRS, 2)
-        assert np.array_equal(analytic._pauli_pairs(c), want)
+        want = np.tensordot(c, channels._PAULI_PAIRS, 2)
+        assert np.array_equal(channels._pauli_pairs(c), want)
 
 
 def test_procedure_a_discrimination_regime():

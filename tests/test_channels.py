@@ -244,6 +244,16 @@ def test_check_rsw_cases():
     assert ch.check_rsw([2, 2, 4], [0, 0, 3]) == {"feasible": False, "extremal": False}
 
 
+def _choi_is_psd(mu, s):
+    """The reference: the spectrum of the assembled Choi matrix of (mu, s)."""
+    q = ch.QubitChannelCanonical(np.eye(3), np.eye(3), mu, s)
+    with np.errstate(invalid="ignore"):  # inf * 0 for infinite mu or s
+        choi = ch.assemble_qubit_choi(q).mat
+    if not np.isfinite(choi).all():
+        return False  # no spectrum, so not PSD
+    return np.linalg.eigvalsh(choi).min() >= -1e-9
+
+
 def test_check_rsw_matches_choi_psd():
     rng = np.random.default_rng(11)
     draws = [(rng.uniform(-1, 1, 3), rng.uniform(-0.6, 0.6, 3)) for _ in range(200)]
@@ -251,11 +261,25 @@ def test_check_rsw_matches_choi_psd():
     for k in range(5000):
         mu, s = rng.uniform(-2.5, 2.5, 3), rng.uniform(-3, 3, 3)
         draws.append((mu, s * [0, 0, 1] if k % 2 else s))
+    # NaN and infinite entries
+    for bad in (np.nan, np.inf, -np.inf):
+        for j in range(6):
+            row = np.array([0.5, 0.2, 0.1, 0.0, 0.0, 0.3])
+            row[j] = bad
+            draws.append((row[:3], row[3:]))
     for mu, s in draws:
-        q = ch.QubitChannelCanonical(np.eye(3), np.eye(3), mu, s)
-        by_eig = np.linalg.eigvalsh(ch.assemble_qubit_choi(q).mat).min() >= -1e-9
-        by_rsw = ch.check_rsw(mu, s)["feasible"]
-        assert by_eig == by_rsw, (mu, s)
+        assert ch.check_rsw(mu, s)["feasible"] == _choi_is_psd(mu, s), (mu, s)
+    # the extremal noises of the 2-step sweep's 20 x 20 grid are channels; a
+    # translation 1e-6 longer leaves the channels, and 1e-6 shorter the extreme points
+    grid = np.linspace(0.05, 0.95, 20)
+    for lam1 in grid:
+        for lam2 in grid:
+            t3 = np.sqrt(max((1.0 - lam1**2) * (1.0 - lam2**2), 0.0))
+            for scale in (1.0, 1.0 - 1e-6, 1.0 + 1e-6):
+                mu, s = np.array([lam1, lam2, lam1 * lam2]), np.array([0.0, 0.0, t3 * scale])
+                rsw = ch.check_rsw(mu, s)
+                assert rsw["feasible"] == _choi_is_psd(mu, s) == (scale <= 1.0), (mu, s)
+                assert rsw["extremal"] == (scale == 1.0), (mu, s)
 
 
 def test_random_state_properties():

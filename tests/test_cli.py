@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qtrack import cli, serialize
+from qtrack import cli, distances, serialize
 from qtrack.channels import random_channel, random_state
 from qtrack.distances import WeightedSequence
 
@@ -88,6 +88,24 @@ def test_cli_distances(workdir, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert 0.0 <= out["value"] <= 1.0
+
+
+def test_cli_distances_bounds_csv(workdir, capsys):
+    code = cli.main(["distances", "--a", workdir["a"], "--b", workdir["b"], "--bounds"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "measure,value,slack"
+    rows = [line.split(",") for line in lines[1:]]
+    # nine slack rows without a value, then the five values without a slack
+    assert [r[0] for r in rows] == [
+        "fuchs_lower", "fuchs_upper", "fn_rank_upper", "fn_lower", "fn_sqrt_lower",
+        "chain_O_le_H", "chain_H_le_2D", "chain_2D_le_rootr_H", "chain_rootr_H_le_r_O",
+        "F", "FN", "D", "H", "O",
+    ]
+    assert all(r[1] == "nan" and float(r[2]) >= -1e-9 for r in rows[:9])
+    a, b = (serialize.state_from_json(serialize.load_json(workdir[k])) for k in "ab")
+    values = distances.check_bounds(a, b)["values"]
+    assert [r[1:] for r in rows[9:]] == [["%.10e" % values[r[0]], "nan"] for r in rows[9:]]
 
 
 def test_cli_analytic_trivial_fidelity_one(workdir, tmp_path, capsys):

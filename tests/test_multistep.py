@@ -413,9 +413,9 @@ def test_three_step_chain_restart_records():
     for rec in chain.restarts:
         assert not rec.newton_ran and not rec.newton_ok
     for rec in kept:
-        assert rec.sweeps < 255 and rec.residual <= opts.tol and rec.fidelity is not None
+        assert rec.sweeps < 255 and rec.residual <= ms.CHAIN_TOL and rec.fidelity is not None
     for rec in dropped:
-        assert rec.sweeps == 255 and rec.residual > opts.tol and rec.fidelity is None
+        assert rec.sweeps == 255 and rec.residual > ms.CHAIN_TOL and rec.fidelity is None
     winner = next(rec for rec in kept if rec.label == chain.seed_label)
     assert winner.fidelity == chain.fidelity
     assert chain.fidelity >= max(rec.fidelity for rec in kept) - ms.FIDELITY_TIE
