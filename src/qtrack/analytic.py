@@ -30,9 +30,9 @@ from .linalg import LinalgError, stacked_dot
 OMEGA_TIE = 1e-12
 _EYE3 = np.eye(3)
 _WRAP3 = np.array([0, 1, 2, 0, 1])
-# the dot products optimal_frames takes, as pairs of rows of its vector stack
-_DOT_LEFT = np.array([0, 0, 2, 1, 1, 3, 6, 4, 5, 7, 0, 2])
-_DOT_RIGHT = np.array([0, 2, 2, 1, 3, 3, 6, 4, 5, 7, 6, 6])
+# the dot products _geometry takes, as pairs of rows of its vector stack
+_DOT_LEFT = np.array([0, 0, 2, 1, 1, 3, 6, 4, 5, 7, 0, 2, 1, 3])
+_DOT_RIGHT = np.array([0, 2, 2, 1, 3, 3, 6, 4, 5, 7, 6, 6, 7, 7])
 # (mu, s_1) of the identity, which procedure B's rows take
 _UNITARY_MU_S1 = np.array([[1.0], [1.0], [1.0], [0.0]])
 
@@ -47,7 +47,10 @@ class PairGeometry:
 
     ``rb1``/``rb2`` are the Bloch vectors of the *priority-scaled* targets
     ``pi_i rhobar_i`` and ``c1``/``c2`` their scalar parts ``pi_i tr(rhobar_i)``
-    (so ``c = c1 + c2 = 1`` for normalized targets).
+    (so ``c = c1 + c2 = 1`` for normalized targets).  Every derived field is
+    read from :func:`_geometry` on a stack of one, the computation that
+    :func:`optimal_frames` runs, so Omega here picks the procedure whose
+    frames the kernel builds.
     """
 
     r1: np.ndarray
@@ -58,48 +61,26 @@ class PairGeometry:
     c2: float = 0.5
 
     def __post_init__(self):
-        set_ = object.__setattr__
         for name in ("r1", "r2", "rb1", "rb2"):
-            set_(self, name, np.asarray(getattr(self, name), dtype=float))
-        set_(self, "r_minus", self.r1 - self.r2)
-        rm2 = self.r_minus @ self.r_minus
-        # sqrt of the BLAS dot, as np.linalg.norm rounds it
-        set_(self, "r_minus_norm", np.sqrt(rm2))
-        if self.r_minus_norm <= 1e-12:
+            vars(self)[name] = np.asarray(getattr(self, name), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, vecs, dots, t_val, s_val, omega = _geometry(self.r1, self.r2, self.rb1, self.rb2)
+        dots, t_val, s_val, omega = dots[:, 0], t_val[0], s_val[0], omega[0]
+        rm, rx, rbx = np.sqrt(dots[6:9])
+        if rm <= 1e-12:
             raise DegenerateGeometryError("source states coincide")
-        if np.sqrt(self.rb1 @ self.rb1) <= 1e-14 and np.sqrt(self.rb2 @ self.rb2) <= 1e-14:
+        if np.sqrt(dots[3]) <= 1e-14 and np.sqrt(dots[5]) <= 1e-14:
             raise DegenerateGeometryError(
                 "both targets are maximally mixed; use the depolarizing channel"
             )
-        set_(self, "r_cross", _cross3(self.r1, self.r2))
-        set_(self, "rb_plus", self.rb1 + self.rb2)
-        set_(self, "rb_cross", _cross3(self.rb1, self.rb2))
-        r, rb = (self.r1, self.r2), (self.rb1, self.rb2)
-        t_val = sum(
-            (1.0 - r[i] @ r[j]) * (rb[i] @ rb[j]) for i in range(2) for j in range(2)
-        )
-        rx2 = self.r_cross @ self.r_cross
-        rbx2 = self.rb_cross @ self.rb_cross
-        set_(self, "r_cross_norm", np.sqrt(rx2))
-        set_(self, "rb_cross_norm", np.sqrt(rbx2))
-        s_val = float(np.sqrt(t_val * t_val + 4.0 * rbx2 * (rm2 - rx2)))
-        set_(self, "t_scalar", float(t_val))
-        set_(self, "s_scalar", s_val)
-        set_(self, "omega", float(s_val + t_val - 2.0 * np.sqrt(rbx2 * rx2)))
-        set_(self, "c", float(self.c1 + self.c2))
-        rbp = self.rb_plus
-        set_(
-            self,
-            "xi_upper",
-            float(
-                (self.r1 @ self.r_minus) * (self.rb1 @ rbp)
-                + (self.r2 @ self.r_minus) * (self.rb2 @ rbp)
-            ),
-        )
-        set_(
-            self,
-            "xi_lower",
-            float(self.r_cross_norm * (rbp @ rbp) + self.rb_cross_norm * rm2),
+        vars(self).update(
+            r_cross=vecs[4, :, 0], rb_cross=vecs[5, :, 0],
+            r_minus=vecs[6, :, 0], rb_plus=vecs[7, :, 0],
+            r_minus_norm=rm, r_cross_norm=rx, rb_cross_norm=rbx,
+            t_scalar=float(t_val), s_scalar=float(s_val), omega=float(omega),
+            c=float(self.c1 + self.c2),
+            xi_upper=float(dots[10] * dots[12] + dots[11] * dots[13]),
+            xi_lower=float(rx * dots[9] + rbx * dots[6]),
         )
 
     @classmethod
@@ -167,49 +148,59 @@ def optimal_canonical(g: PairGeometry) -> QubitChannelCanonical:
     return QubitChannelCanonical(rv, ru, mu, s)
 
 
+def _geometry(r1, r2, rb1, rb2):
+    """The Bloch geometry of stacked pairs: the one place it is computed.
+
+    Over ``(..., 3)`` arrays of one shape, returns the stack shape ``lead``;
+    the eight vectors r1, rb1, r2, rb2, R x, Rb x, R-, Rb+ as one ``(8, 3, n)``
+    array, each a component-first block; their BLAS dots r1.r1, r1.r2, r2.r2,
+    rb1.rb1, rb1.rb2, rb2.rb2, |R-|^2, |R x|^2, |Rb x|^2, |Rb+|^2, r1.R-, r2.R-,
+    rb1.Rb+, rb2.Rb+ as ``(14, n)``; and T, S and Omega as ``(n,)``.  Each row is
+    computed from its own data only, so it rounds the same in any stack.
+    Callers run it under ``np.errstate`` for the rows of degenerate pairs.
+    """
+    given = np.array([r1, rb1, r2, rb2], dtype=float)
+    lead = given.shape[1:-1]
+    vecs = np.empty((8, 3, given.size // 12))
+    vecs[:4] = given.reshape(4, -1, 3).transpose(0, 2, 1)
+    # sources and targets crossed side by side, as (3, 2, n) stacks
+    vecs[4:6] = _cross3(vecs[:2].swapaxes(0, 1), vecs[2:4].swapaxes(0, 1)).swapaxes(0, 1)
+    np.subtract(vecs[0], vecs[2], out=vecs[6])
+    np.add(vecs[1], vecs[3], out=vecs[7])
+    dots = stacked_dot(vecs.take(_DOT_LEFT, 0).transpose(0, 2, 1),
+                       vecs.take(_DOT_RIGHT, 0).transpose(0, 2, 1))
+    # T sums (1 - r_i.r_j)(rb_i.rb_j) over ij = 11, 12, 21, 22
+    terms = (1.0 - dots[:3]) * dots[3:6]
+    t_val = terms[0] + terms[1] + terms[1] + terms[2]
+    s_val = np.sqrt(t_val * t_val + 4.0 * dots[8] * (dots[6] - dots[7]))
+    return lead, vecs, dots, t_val, s_val, s_val + t_val - 2.0 * np.sqrt(dots[8] * dots[7])
+
+
 def optimal_frames(r1, r2, rb1, rb2):
     """Frames ``rv``, ``ru``, ``mu``, ``s`` of the optimal tracker for stacked pairs.
 
     Procedure A (the extremal, closed-loop channel) where Omega > 0 and
     procedure B (the open-loop unitary) elsewhere, over ``(..., 3)`` Bloch
     arrays of one shape (targets priority-scaled, as in :class:`PairGeometry`).
-    Returns ``rv``, ``ru`` of shape ``(..., 3, 3)``, ``mu``, ``s`` of shape
-    ``(..., 3)`` and a mask ``ok`` of the rows that have a tracker.  The other
-    rows (coincident sources, maximally mixed targets, frames that are no
-    proper rotation) hold the identity channel.  Procedure A's rows have
-    S + T >= Omega > 0, so none of them divides by S + T = 0.  Each row is
-    computed from its own data only, with BLAS dots and Python's float power,
-    so it rounds the same in any stack.  Each procedure's closed form is
-    evaluated only on stacks with a row that takes it.
+    The geometry, Omega included, is :func:`_geometry`'s, as in
+    :class:`PairGeometry`.  Returns ``rv``, ``ru`` of shape ``(..., 3, 3)``,
+    ``mu``, ``s`` of shape ``(..., 3)`` and a mask ``ok`` of the rows that have
+    a tracker.  The other rows (coincident sources, maximally mixed targets,
+    frames that are no proper rotation) hold the identity channel.  Procedure
+    A's rows have S + T >= Omega > 0, so none of them divides by S + T = 0.
+    Each row is computed from its own data only, with BLAS dots and Python's
+    float power, so it rounds the same in any stack.  Each procedure's closed
+    form is evaluated only on stacks with a row that takes it.
     """
-    given = np.array([r1, rb1, r2, rb2], dtype=float)
-    lead = given.shape[1:-1]
-    # the eight vectors r1, rb1, r2, rb2, R x, Rb x, R-, Rb+, each a
-    # component-first (3, n) block of one array
-    vecs = np.empty((8, 3, given.size // 12))
-    vecs[:4] = given.reshape(4, -1, 3).transpose(0, 2, 1)
-    r1, rb1, r2, rb2, r_cross, rb_cross, r_minus, rb_plus = vecs
     with np.errstate(divide="ignore", invalid="ignore"):
-        # sources and targets crossed side by side, as (3, 2, n) stacks
-        crosses = _cross3(vecs[:2].swapaxes(0, 1), vecs[2:4].swapaxes(0, 1))
-        vecs[4:6] = crosses.swapaxes(0, 1)
-        np.subtract(r1, r2, out=r_minus)
-        np.add(rb1, rb2, out=rb_plus)
-        # r1.r1, r1.r2, r2.r2, rb1.rb1, rb1.rb2, rb2.rb2, |R-|^2, |R x|^2,
-        # |Rb x|^2, |Rb+|^2, r1.R-, r2.R-
-        dots = stacked_dot(vecs.take(_DOT_LEFT, 0).transpose(0, 2, 1),
-                           vecs.take(_DOT_RIGHT, 0).transpose(0, 2, 1))
+        lead, vecs, dots, t_val, s_val, omega = _geometry(r1, r2, rb1, rb2)
+        r1, rb1, r2, rb2, r_cross, rb_cross, r_minus, rb_plus = vecs
         rb11, rb22 = dots[3], dots[5]
-        rm2, rx2, rbx2, rbp2 = dots[6], dots[7], dots[8], dots[9]
+        rm2, rbx2, rbp2 = dots[6], dots[8], dots[9]
         norms = np.sqrt(dots[6:9])
-        rm, rx, rbx = norms[0], norms[1], norms[2]
-        # (1 - r_i.r_j)(rb_i.rb_j) for ij = 11, 12, 22; the (1, 2) and (2, 1)
-        # terms of PairGeometry's T round alike
-        terms = (1.0 - dots[:3]) * dots[3:6]
-        t_val = terms[0] + terms[1] + terms[1] + terms[2]
-        s_val = np.sqrt(t_val * t_val + 4.0 * rbx2 * (rm2 - rx2))
+        rm, rx, rbx = norms
         st = s_val + t_val
-        proc_a = st - 2.0 * np.sqrt(rbx2 * rx2) > OMEGA_TIE
+        proc_a = omega > OMEGA_TIE
         rows_a = np.count_nonzero(proc_a)
         # an empty stack takes procedure B's (empty) branch
         some_a, some_b = rows_a > 0, rows_a < len(st) or rows_a == 0
@@ -218,13 +209,13 @@ def optimal_frames(r1, r2, rb1, rb2):
             k_a = np.sqrt(2.0 / (s_val * st))
             rbx_sq = rbx * rbx
             two_s = 2.0 * s_val
-            frame_a = [np.sqrt(st / two_s), *(k_a * dots[10:]),
+            frame_a = [np.sqrt(st / two_s), *(k_a * dots[10:12]),
                        np.sqrt(rbp2 + 2.0 * rm2 * rbx2 / st)]
             mu_s1_a = [2.0 * np.sqrt(2.0 / (s_val * st3)) * rbx_sq * rx * rm,
                        (2.0 / st) * rbx * rx, k_a * rbx * rm,
                        np.sqrt(1.0 / (two_s * st3)) * (st2 - 4.0 * rbx_sq * rx * rx)]
         if some_b:
-            frame_b = [rx / rm, *(dots[10:] / (rbx * rm)), np.sqrt(rbp2 - t_val + 2.0 * rx * rbx)]
+            frame_b = [rx / rm, *(dots[10:12] / (rbx * rm)), np.sqrt(rbp2 - t_val + 2.0 * rx * rbx)]
         # (alpha, beta_1, beta_2, Gamma) and (mu, s_1); procedure B is the
         # unitary (1, 1, 1), (0, 0, 0)
         if some_a and some_b:
@@ -241,7 +232,7 @@ def optimal_frames(r1, r2, rb1, rb2):
         # rv = [v1, v2, v3] takes both sources into the xz half-plane with a
         # common +x part; ru = [u1, u2, u3] as columns.  Side by side, as
         # (3, 2, n) stacks [v_k, u_k]
-        vu2 = crosses / norms[1:]
+        vu2 = vecs[4:6].swapaxes(0, 1) / norms[1:]
         v3 = r_minus / rm
         collinear = rx <= 1e-14
         if np.count_nonzero(collinear):
@@ -303,11 +294,6 @@ def _orthogonal(frames):
     """
     dev = np.abs(frames @ frames.swapaxes(-1, -2) - _EYE3)
     return dev.max(axis=(0, 2, 3)) <= 1e-9
-
-
-def assemble_optimal_choi(g: PairGeometry) -> ChoiMatrix:
-    """Choi matrix of the optimal tracker for this geometry."""
-    return assemble_qubit_choi(optimal_canonical(g))
 
 
 @dataclass

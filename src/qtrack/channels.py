@@ -11,6 +11,7 @@ which is PSD iff the map is completely positive and satisfies
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -231,9 +232,12 @@ class QubitChannelCanonical:
     s: np.ndarray
 
     def __post_init__(self):
-        """LinalgError unless ``rv`` and ``ru`` are proper rotations; all fields as floats."""
-        vars(self).update(rv=_proper_rotation(self.rv), ru=_proper_rotation(self.ru),
-                          mu=np.asarray(self.mu, dtype=float), s=np.asarray(self.s, dtype=float))
+        """LinalgError unless ``rv`` and ``ru`` are proper rotations and ``mu``
+        and ``s`` finite; all fields as floats."""
+        mu, s = np.asarray(self.mu, dtype=float), np.asarray(self.s, dtype=float)
+        if not all(map(math.isfinite, mu.ravel().tolist() + s.ravel().tolist())):
+            raise LinalgError(f"mu={mu.tolist()}, s={s.tolist()} is not a channel")
+        vars(self).update(rv=_proper_rotation(self.rv), ru=_proper_rotation(self.ru), mu=mu, s=s)
 
     @cached_property
     def V(self):

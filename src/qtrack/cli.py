@@ -191,8 +191,6 @@ def _cmd_solve(args):
 def _cmd_analytic(args):
     srcs = [serialize.state_from_json(serialize.load_json(p)) for p in args.src]
     tgts = [serialize.state_from_json(serialize.load_json(p)) for p in args.tgt]
-    if len(srcs) != 2 or len(tgts) != 2:
-        raise FormatError("analytic tracking needs exactly two sources and two targets")
     pi1 = args.pi[0]
     if not all(0.0 < p < 1.0 for p in args.pi):
         raise FormatError("priorities must lie in (0, 1)")
@@ -299,9 +297,7 @@ def _cmd_multistep(args):
                 list(src.states), list(tgt.states), src.priorities, [noise]
             )
 
-        records = multistep.sweep_2step(
-            factory, grid, grid, multistep.ChainOptions(restarts=args.restarts), seed=args.seed
-        )
+        records = multistep.sweep_2step(factory, grid, grid, restarts=args.restarts, seed=args.seed)
         _write(emit_plotdata(records, "multistep_sweep"), args.out)
         return EXIT_OK
     if args.noise is None:
@@ -313,9 +309,7 @@ def _cmd_multistep(args):
     if len(noises) != args.steps - 1:
         raise FormatError(f"{args.steps}-step chain needs {args.steps - 1} noises")
     task = multistep.ChainTask(list(src.states), list(tgt.states), src.priorities, noises)
-    chain = multistep.solve_chain(
-        task, multistep.ChainOptions(restarts=args.restarts), seed=args.seed
-    )
+    chain = multistep.solve_chain(task, restarts=args.restarts, seed=args.seed)
     out = {
         "fidelity": chain.fidelity,
         "single_step_fidelity": task.single_step_fidelity(),

@@ -35,9 +35,13 @@ FIDELITY_TIE = 1e-12
 # _seed_chains gives this many start vectors
 MAX_RESTARTS = 8
 # a restart has converged once its fixed-point residual max|Phi(z) - z| is
-# within CHAIN_TOL; each damped sweep moves z DAMPING of the way to Phi(z)
+# within CHAIN_TOL; each damped sweep moves z DAMPING of the way to Phi(z).
+# A restart runs at most MAX_SWEEPS sweeps, and Newton polishes the rows still
+# active after sweep NEWTON_AFTER
 CHAIN_TOL = 1e-10
 DAMPING = 0.65
+MAX_SWEEPS = 300
+NEWTON_AFTER = 120
 
 
 def identity_canonical() -> QubitChannelCanonical:
@@ -259,13 +263,6 @@ def _sweep(task: ChainTask, z):
     return _pack(task, r_steps, c_steps, rb_steps)
 
 
-@dataclass
-class ChainOptions:
-    max_sweeps: int = 300
-    newton_after: int = 120
-    restarts: int = 8
-
-
 def _seed_chains(task: ChainTask, rng):
     """Initial guesses: do-nothing, optimal-last, and random unitary-first chains.
 
@@ -305,10 +302,11 @@ def _seed_chains(task: ChainTask, rng):
     return list(zip(_pack(task, r_steps, c_steps, rb_steps), labels))
 
 
-def solve_chain(task: ChainTask, opts: ChainOptions | None = None, seed=0) -> StepChain:
+def solve_chain(task: ChainTask, restarts=MAX_RESTARTS, seed=0) -> StepChain:
     """Multi-start solve of the self-consistency system; returns the best chain.
 
-    The restarts are iterated together as one ``(restarts, dim)`` batch.
+    The first ``restarts`` seeds of :func:`_seed_chains` are iterated
+    together as one ``(restarts, dim)`` batch.
     Every returned chain satisfies the stacked fixed-point residual at
     ``CHAIN_TOL`` (non-converged restarts are discarded); among converged
     chains the one with the highest end-to-end fidelity wins.  A later restart
@@ -316,11 +314,10 @@ def solve_chain(task: ChainTask, opts: ChainOptions | None = None, seed=0) -> St
     round-off level go to the earlier restart.  ``StepChain.restarts`` holds
     one :class:`RestartRecord` per restart, discarded ones included.
     """
-    opts = opts or ChainOptions()
-    if not 1 <= opts.restarts <= MAX_RESTARTS:
-        raise LinalgError(f"restarts must be between 1 and {MAX_RESTARTS}, got {opts.restarts}")
-    seeds = _seed_chains(task, np.random.default_rng(seed))[: opts.restarts]
-    z, residual, sweeps, newton = _solve_batch(task, np.array([z0 for z0, _ in seeds]), opts)
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise LinalgError(f"restarts must be between 1 and {MAX_RESTARTS}, got {restarts}")
+    seeds = _seed_chains(task, np.random.default_rng(seed))[:restarts]
+    z, residual, sweeps, newton = _solve_batch(task, np.array([z0 for z0, _ in seeds]))
     kept = np.flatnonzero(residual <= CHAIN_TOL)
     chains = dict(zip(kept, _chains_at(task, z[kept], [seeds[k][1] for k in kept],
                                        residual[kept])))
@@ -342,7 +339,7 @@ def solve_chain(task: ChainTask, opts: ChainOptions | None = None, seed=0) -> St
     return best
 
 
-def _solve_batch(task, z, opts: ChainOptions):
+def _solve_batch(task, z):
     """Damped sweeps of every row of ``z`` at once; a row freezes when it converges.
 
     Returns the final rows, their last residuals, the sweeps each row ran and,
@@ -353,7 +350,7 @@ def _solve_batch(task, z, opts: ChainOptions):
     sweeps = np.zeros(len(z), dtype=int)
     newton = [None] * len(z)
     active = np.arange(len(z))
-    for sweep in range(opts.max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         if not active.size:
             break
         z_act = z[active]
@@ -362,7 +359,7 @@ def _solve_batch(task, z, opts: ChainOptions):
         residual[active], sweeps[active] = res, sweep + 1
         done = res <= CHAIN_TOL
         z[active] = np.where(done[:, None], z_new, (1.0 - DAMPING) * z_act + DAMPING * z_new)
-        if sweep == opts.newton_after:
+        if sweep == NEWTON_AFTER:
             for k in active[res > CHAIN_TOL]:
                 z_newton = _newton_polish(task, z[k])
                 newton[k] = z_newton is not None
@@ -430,7 +427,7 @@ def _newton_polish(task, z, max_newton=25):
     return z if np.abs(g0).max() <= CHAIN_TOL else None
 
 
-def sweep_2step(task_factory, lam1_grid, lam2_grid, opts=None, seed=0, mapper=map):
+def sweep_2step(task_factory, lam1_grid, lam2_grid, restarts=MAX_RESTARTS, seed=0, mapper=map):
     """Classify the 2-step advantage over a grid of extremal noises.
 
     ``task_factory(noise)`` builds the :class:`ChainTask` for one noise.
@@ -445,7 +442,7 @@ def sweep_2step(task_factory, lam1_grid, lam2_grid, opts=None, seed=0, mapper=ma
         task = task_factory(noise)
         f_single = task.single_step_fidelity()
         try:
-            chain = solve_chain(task, opts, seed=seed)
+            chain = solve_chain(task, restarts=restarts, seed=seed)
             f_multi = chain.fidelity
         except LinalgError:
             f_multi = -np.inf

@@ -116,16 +116,17 @@ def dualize(p: SdpStandard) -> SdpInequality:
 
 # an iterate converges once both scaled residuals are within FEAS_TOL (and the
 # gap within gap_tol), and is returned at once if also max|X S| / scale is
-# within COMP_TOL; each step goes STEP_FRACTION of the way to the cone boundary
+# within COMP_TOL; each step goes STEP_FRACTION of the way to the cone
+# boundary; a solve that accepts no iterate stops after MAX_ITER passes
 FEAS_TOL = 1e-9
 COMP_TOL = 5e-9
 STEP_FRACTION = 0.98
+MAX_ITER = 200
 
 
 @dataclass
 class SolverOptions:
     gap_tol: float = 1e-9
-    max_iter: int = 200
     trace_iterates: bool = False
 
 
@@ -199,7 +200,7 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
 
     info = {"iterations": 0}
     accepted = None
-    for it in range(opts.max_iter):
+    for it in range(MAX_ITER):
         rp = b - a_dot(x)
         rd = c_mat - s - a_comb(y)
         mu = mu_of(x, s)
@@ -304,13 +305,13 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
         y = y + a_d * dy
         s = _herm(s + a_d * ds)
 
-    info["passes"] = opts.max_iter
+    info["passes"] = MAX_ITER
     if accepted is not None:
         x, y, s, it0, gap, pres, dres = accepted
         info.update(iterations=it0, status="optimal", gap=gap, pres=pres, dres=dres)
         return x, y, s, info, iterates
     info.update(
-        iterations=opts.max_iter,
+        iterations=MAX_ITER,
         status="max_iter",
         gap=gap,
         pres=pres,

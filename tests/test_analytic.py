@@ -97,6 +97,91 @@ def test_pair_geometry_norms_round_as_numpy_norm():
         assert g.rb_cross_norm == np.linalg.norm(g.rb_cross)
 
 
+def _reference_geometry(r1, r2, rb1, rb2, c1=0.5, c2=0.5):
+    """The derived fields of PairGeometry as its scalar code computed them.
+
+    Frozen here as the reference for the fields read from the stacked
+    geometry of optimal_frames; it raises where PairGeometry must.
+    """
+    r1, r2, rb1, rb2 = (np.asarray(v, dtype=float) for v in (r1, r2, rb1, rb2))
+    out = {"r_minus": r1 - r2}
+    rm2 = out["r_minus"] @ out["r_minus"]
+    out["r_minus_norm"] = np.sqrt(rm2)
+    if out["r_minus_norm"] <= 1e-12:
+        raise analytic.DegenerateGeometryError("source states coincide")
+    if np.sqrt(rb1 @ rb1) <= 1e-14 and np.sqrt(rb2 @ rb2) <= 1e-14:
+        raise analytic.DegenerateGeometryError(
+            "both targets are maximally mixed; use the depolarizing channel"
+        )
+    out["r_cross"] = analytic._cross3(r1, r2)
+    out["rb_plus"] = rb1 + rb2
+    out["rb_cross"] = analytic._cross3(rb1, rb2)
+    r, rb = (r1, r2), (rb1, rb2)
+    t_val = sum((1.0 - r[i] @ r[j]) * (rb[i] @ rb[j]) for i in range(2) for j in range(2))
+    rx2 = out["r_cross"] @ out["r_cross"]
+    rbx2 = out["rb_cross"] @ out["rb_cross"]
+    out["r_cross_norm"] = np.sqrt(rx2)
+    out["rb_cross_norm"] = np.sqrt(rbx2)
+    s_val = float(np.sqrt(t_val * t_val + 4.0 * rbx2 * (rm2 - rx2)))
+    out["t_scalar"] = float(t_val)
+    out["s_scalar"] = s_val
+    out["omega"] = float(s_val + t_val - 2.0 * np.sqrt(rbx2 * rx2))
+    out["c"] = float(c1 + c2)
+    rbp = out["rb_plus"]
+    out["xi_upper"] = float((r1 @ out["r_minus"]) * (rb1 @ rbp)
+                            + (r2 @ out["r_minus"]) * (rb2 @ rbp))
+    out["xi_lower"] = float(out["r_cross_norm"] * (rbp @ rbp) + out["rb_cross_norm"] * rm2)
+    return out
+
+
+def _geometry_draws(n, rng):
+    """``n`` (r1, r2, rb1, rb2, c1, c2) rows; every fifth is random and the
+    others have collinear sources, parallel targets, a zero target (every
+    second of them both) or sources 1e-13 apart."""
+    vecs = rng.normal(size=(4, n, 3))
+    vecs *= rng.uniform(0, 1, (4, n, 1)) ** (1 / 3) / np.linalg.norm(vecs, axis=2, keepdims=True)
+    pi1 = rng.uniform(0.05, 0.95, n)
+    scale = rng.uniform(-1.5, 1.5, n)
+    jitter = 1e-13 * rng.normal(size=(n, 3))
+    for k in range(n):
+        r1, r2, t1, t2 = vecs[:, k]
+        rb1, rb2 = pi1[k] * t1, (1.0 - pi1[k]) * t2
+        kind = k % 5
+        if kind == 1:
+            r2 = scale[k] * r1
+        elif kind == 2:
+            rb2 = scale[k] * rb1
+        elif kind == 3:
+            rb2 = np.zeros(3)
+            if k % 10 == 8:
+                rb1 = np.zeros(3)
+        elif kind == 4:
+            r2 = r1 + jitter[k]
+        yield r1, r2, rb1, rb2, pi1[k], 1.0 - pi1[k]
+
+
+def test_pair_geometry_matches_the_scalar_reference():
+    # every derived field equals the frozen scalar code's in bits and type,
+    # and both refuse the same degenerate pairs with the same message
+    raised = 0
+    for row in _geometry_draws(40_000, np.random.default_rng(53)):
+        try:
+            want = _reference_geometry(*row)
+        except analytic.DegenerateGeometryError as exc:
+            with pytest.raises(analytic.DegenerateGeometryError) as got:
+                analytic.PairGeometry(*row)
+            assert str(got.value) == str(exc)
+            raised += 1
+            continue
+        g = analytic.PairGeometry(*row)
+        for name, value in want.items():
+            got = getattr(g, name)
+            assert type(got) is type(value), name
+            assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), (name, row)
+    # the coincident draws and half of the zero-target ones
+    assert raised >= 12_000
+
+
 def test_pauli_pairs_is_the_tensordot():
     rng = np.random.default_rng(47)
     for _ in range(200):
@@ -368,7 +453,8 @@ def test_feedback_decomposition():
         k1 = fb["U"] @ m1 @ fb["V"]
         k2 = fb["U"] @ y @ m2 @ fb["V"]
         choi = choi_from_kraus(KrausSet([k1, k2]))
-        assert np.abs(choi.mat - analytic.assemble_optimal_choi(g).mat).max() <= 1e-10
+        want = channels.assemble_qubit_choi(analytic.optimal_canonical(g))
+        assert np.abs(choi.mat - want.mat).max() <= 1e-10
 
 
 def test_feedback_projective_limit():

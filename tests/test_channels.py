@@ -246,12 +246,11 @@ def test_check_rsw_cases():
 
 def _choi_is_psd(mu, s):
     """The reference: the spectrum of the assembled Choi matrix of (mu, s)."""
-    q = ch.QubitChannelCanonical(np.eye(3), np.eye(3), mu, s)
-    with np.errstate(invalid="ignore"):  # inf * 0 for infinite mu or s
-        choi = ch.assemble_qubit_choi(q).mat
-    if not np.isfinite(choi).all():
-        return False  # no spectrum, so not PSD
-    return np.linalg.eigvalsh(choi).min() >= -1e-9
+    try:
+        q = ch.QubitChannelCanonical(np.eye(3), np.eye(3), mu, s)
+    except LinalgError:
+        return False  # non-finite mu or s: no spectrum, so not PSD
+    return np.linalg.eigvalsh(ch.assemble_qubit_choi(q).mat).min() >= -1e-9
 
 
 def test_check_rsw_matches_choi_psd():
@@ -390,6 +389,13 @@ def test_from_rotations_rejects_bad_rotations():
         ch.QubitChannelCanonical(
             np.eye(3), np.full((3, 3), np.nan), np.ones(3), np.zeros(3)
         )
+    # non-finite scalings or translations make no channel either
+    for bad in (np.nan, np.inf, -np.inf):
+        for j in range(6):
+            row = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+            row[j] = bad
+            with pytest.raises(LinalgError, match="not a channel"):
+                ch.QubitChannelCanonical(np.eye(3), np.eye(3), row[:3], row[3:])
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-16, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 1.5e-2, 1e-1])

@@ -366,6 +366,19 @@ def test_cli_reuses_its_parser_without_leaking_state(workdir, capsys):
     assert codes == [0, 0, 0, 0, 2, 0]
 
 
+def test_module_entry_point_runs_without_warnings(capsys):
+    # `python -m qtrack.cli` must not find qtrack.cli imported already by the
+    # package, which warns (an error under -W error::RuntimeWarning)
+    argv = ["clone", "--phi", "0.3"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qtrack.cli", *argv],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, want, "")
+
+
 _PAIR = [{"pi": 0.5, "bloch": [1.0, 0.0, 0.0]}, {"pi": 0.5, "bloch": [0.0, 0.0, 1.0]}]
 
 

@@ -42,6 +42,11 @@ def test_identity_noise_and_controller_fix_targets():
 def test_non_channel_noise_is_rejected(lam, t):
     with pytest.raises(ch.LinalgError, match="not a channel"):
         ms.diagonal_noise(lam, t)
+    if not (np.isfinite(lam).all() and np.isfinite(t).all()):
+        # non-finite (mu, s): the channel itself refuses them
+        with pytest.raises(ch.LinalgError, match="not a channel"):
+            ch.QubitChannelCanonical(np.eye(3), np.eye(3), lam, t)
+        return
     # built past diagonal_noise, the chain task still refuses it
     noise = ch.QubitChannelCanonical(np.eye(3), np.eye(3), lam, t)
     s1, s2 = straddle_pair(np.pi / 4)
@@ -178,7 +183,7 @@ def test_unital_noise_do_nothing_seed_ties_single_step():
     noise = ms.diagonal_noise([1.0, 0.6, 0.6], [0, 0, 0])
     task = stabilization_task(noise)
     single = task.single_step_fidelity()
-    lazy = ms.solve_chain(task, ms.ChainOptions(restarts=1))
+    lazy = ms.solve_chain(task, restarts=1)
     assert abs(lazy.fidelity - single) <= 1e-8
     full = ms.solve_chain(task)
     assert full.fidelity >= single - 1e-9
@@ -188,7 +193,7 @@ def test_three_step_chain_runs():
     noises = [ms.extremal_noise(0.8, 0.7), ms.extremal_noise(0.9, 0.6)]
     s1, s2 = straddle_pair(np.pi / 4)
     task = ms.ChainTask([s1, s2], [s1, s2], [0.5, 0.5], noises)
-    chain = ms.solve_chain(task, ms.ChainOptions(restarts=4))
+    chain = ms.solve_chain(task, restarts=4)
     assert chain.fidelity >= task.single_step_fidelity() - 1e-9
     assert chain.residual <= 1e-10
 
@@ -386,26 +391,29 @@ def test_batched_sweep_matches_scalar_reference(n_steps):
             z = 0.35 * z + 0.65 * batched
 
 
-def test_newton_fallback_reaches_the_same_fixed_point():
+def test_newton_fallback_reaches_the_same_fixed_point(monkeypatch):
     task = stabilization_task(ms.extremal_noise(0.70, 0.46))
     plain = ms.solve_chain(task)
     assert not any(rec.newton_ran for rec in plain.restarts)
-    polished = ms.solve_chain(task, ms.ChainOptions(newton_after=3))
+    monkeypatch.setattr(ms, "NEWTON_AFTER", 3)
+    polished = ms.solve_chain(task)
     assert all(rec.newton_ran and rec.newton_ok and rec.sweeps == 4 for rec in polished.restarts)
     assert abs(polished.fidelity - plain.fidelity) <= 1e-12
     for name in ("sources", "targets_c", "targets_rb"):
         assert np.abs(getattr(polished, name) - getattr(plain, name)).max() <= 1e-9
 
 
-def test_three_step_chain_restart_records():
+def test_three_step_chain_restart_records(monkeypatch):
     noises = [ms.extremal_noise(0.8, 0.7), ms.extremal_noise(0.9, 0.6)]
     s1, s2 = straddle_pair(np.pi / 4)
     task = ms.ChainTask([s1, s2], [s1, s2], [0.5, 0.5], noises)
     labels = [label for _, label in ms._seed_chains(task, np.random.default_rng(0))]
     # without Newton these restarts need 243 to 265 sweeps, so a cap of 255
     # keeps some and drops the others
-    opts = ms.ChainOptions(max_sweeps=255, newton_after=400)
-    chain = ms.solve_chain(task, opts)
+    with monkeypatch.context() as patch:
+        patch.setattr(ms, "MAX_SWEEPS", 255)
+        patch.setattr(ms, "NEWTON_AFTER", 400)
+        chain = ms.solve_chain(task)
     assert [rec.label for rec in chain.restarts] == labels
     kept = [rec for rec in chain.restarts if rec.dropped is None]
     dropped = [rec for rec in chain.restarts if rec.dropped is not None]
@@ -419,7 +427,7 @@ def test_three_step_chain_restart_records():
     winner = next(rec for rec in kept if rec.label == chain.seed_label)
     assert winner.fidelity == chain.fidelity
     assert chain.fidelity >= max(rec.fidelity for rec in kept) - ms.FIDELITY_TIE
-    # with the default options every restart converges through Newton
+    # with the default constants every restart converges through Newton
     for rec in ms.solve_chain(task).restarts:
         assert rec.newton_ran and rec.newton_ok and rec.dropped is None
 
@@ -427,8 +435,7 @@ def test_three_step_chain_restart_records():
 @pytest.mark.parametrize("restarts", [0, -1, 9])
 def test_solve_chain_rejects_restart_count(restarts):
     with pytest.raises(ms.LinalgError):
-        ms.solve_chain(stabilization_task(ms.extremal_noise(0.7, 0.46)),
-                       ms.ChainOptions(restarts=restarts))
+        ms.solve_chain(stabilization_task(ms.extremal_noise(0.7, 0.46)), restarts)
 
 
 @pytest.mark.parametrize("lams", [(2.0, 0.5), (0.5, -1.5), (np.nan, 0.5), (0.5, np.inf)])
@@ -440,8 +447,8 @@ def test_extremal_noise_rejects_scalings_outside_the_unit_interval(lams):
 def test_solve_chain_drops_a_restart_with_nan_residual(monkeypatch):
     solve_batch = ms._solve_batch
 
-    def one_nan(task, z, opts):
-        z, residual, sweeps, newton = solve_batch(task, z, opts)
+    def one_nan(task, z):
+        z, residual, sweeps, newton = solve_batch(task, z)
         residual[1] = np.nan
         return z, residual, sweeps, newton
 
