@@ -33,6 +33,8 @@ _WRAP3 = np.array([0, 1, 2, 0, 1])
 # the dot products _geometry takes, as pairs of rows of its vector stack
 _DOT_LEFT = np.array([0, 0, 2, 1, 1, 3, 6, 4, 5, 7, 0, 2, 1, 3])
 _DOT_RIGHT = np.array([0, 2, 2, 1, 3, 3, 6, 4, 5, 7, 6, 6, 7, 7])
+# thresholds on |R-|, |R x| and |Rb x|: no tracker, collinear sources, flat targets
+_TINY = np.array([[1e-12], [1e-14], [1e-14]])
 # (mu, s_1) of the identity, which procedure B's rows take
 _UNITARY_MU_S1 = np.array([[1.0], [1.0], [1.0], [0.0]])
 
@@ -50,7 +52,8 @@ class PairGeometry:
     (so ``c = c1 + c2 = 1`` for normalized targets).  Every derived field is
     read from :func:`_geometry` on a stack of one, the computation that
     :func:`optimal_frames` runs, so Omega here picks the procedure whose
-    frames the kernel builds.
+    frames the kernel builds.  That stage is kept as ``stage``, and
+    :func:`optimal_canonical` builds the frames from it.
     """
 
     r1: np.ndarray
@@ -64,7 +67,8 @@ class PairGeometry:
         for name in ("r1", "r2", "rb1", "rb2"):
             vars(self)[name] = np.asarray(getattr(self, name), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            _, vecs, dots, t_val, s_val, omega = _geometry(self.r1, self.r2, self.rb1, self.rb2)
+            stage = _geometry(self.r1, self.r2, self.rb1, self.rb2)
+        _, vecs, dots, t_val, s_val, omega = stage
         dots, t_val, s_val, omega = dots[:, 0], t_val[0], s_val[0], omega[0]
         rm, rx, rbx = np.sqrt(dots[6:9])
         if rm <= 1e-12:
@@ -74,6 +78,7 @@ class PairGeometry:
                 "both targets are maximally mixed; use the depolarizing channel"
             )
         vars(self).update(
+            stage=stage, dots=dots,
             r_cross=vecs[4, :, 0], rb_cross=vecs[5, :, 0],
             r_minus=vecs[6, :, 0], rb_plus=vecs[7, :, 0],
             r_minus_norm=rm, r_cross_norm=rx, rb_cross_norm=rbx,
@@ -100,34 +105,32 @@ class PairGeometry:
             c2=pi2 * float(np.trace(m2).real),
         )
 
-    # Derived data (set in __post_init__): r_minus, r_cross, rb_plus,
-    # rb_cross, their norms r_minus_norm, r_cross_norm, rb_cross_norm,
-    # t_scalar, s_scalar, omega, c, xi_upper, xi_lower.
+    # Derived data (set in __post_init__): the _geometry tuple stage and its
+    # 14 dots; r_minus, r_cross, rb_plus, rb_cross, their norms r_minus_norm,
+    # r_cross_norm, rb_cross_norm, t_scalar, s_scalar, omega, c, xi_upper,
+    # xi_lower.
 
 
-def _cross3(a, b):
+def _cross3(a, b, out=None):
     """``a x b`` for arrays over the first axis, whose three entries are the components.
 
     Component j is ``a[j+1] b[j+2] - a[j+2] b[j+1]`` (indices mod 3), taken
     for all j at once from the components in the order 0, 1, 2, 0, 1.
     """
     a, b = a.take(_WRAP3, 0), b.take(_WRAP3, 0)
-    return a[1:4] * b[2:5] - a[2:5] * b[1:4]
+    return np.subtract(a[1:4] * b[2:5], a[2:5] * b[1:4], out=out)
 
 
 def gamma_a(g: PairGeometry):
     st = g.s_scalar + g.t_scalar
-    rm2 = g.r_minus @ g.r_minus
-    rbx2 = g.rb_cross @ g.rb_cross
-    rbp2 = g.rb_plus @ g.rb_plus
+    rm2, rbx2, rbp2 = g.dots[6], g.dots[8], g.dots[9]
     if st <= 1e-15:
         raise DegenerateGeometryError("S + T vanishes; instance belongs to procedure B")
     return float(np.sqrt(rbp2 + 2.0 * rm2 * rbx2 / st))
 
 
 def gamma_b(g: PairGeometry):
-    rbp2 = g.rb_plus @ g.rb_plus
-    return float(np.sqrt(rbp2 - g.t_scalar + 2.0 * g.r_cross_norm * g.rb_cross_norm))
+    return float(np.sqrt(g.dots[9] - g.t_scalar + 2.0 * g.r_cross_norm * g.rb_cross_norm))
 
 
 def optimal_fidelity(g: PairGeometry):
@@ -138,11 +141,11 @@ def optimal_fidelity(g: PairGeometry):
 
 
 def optimal_canonical(g: PairGeometry) -> QubitChannelCanonical:
-    """Optimal tracker of one pair: :func:`optimal_frames` on a stack of one.
+    """Optimal tracker of one pair: :func:`optimal_frames` on its kept stage.
 
     LinalgError when the frames of this geometry are no proper rotations.
     """
-    rv, ru, mu, s, ok = optimal_frames(g.r1, g.r2, g.rb1, g.rb2)
+    rv, ru, mu, s, ok = optimal_frames(g.r1, g.r2, g.rb1, g.rb2, g.stage)
     if not ok:
         raise LinalgError("the optimal tracker's frames are not proper rotations")
     return QubitChannelCanonical(rv, ru, mu, s)
@@ -176,86 +179,88 @@ def _geometry(r1, r2, rb1, rb2):
     return lead, vecs, dots, t_val, s_val, s_val + t_val - 2.0 * np.sqrt(dots[8] * dots[7])
 
 
-def optimal_frames(r1, r2, rb1, rb2):
+def optimal_frames(r1, r2, rb1, rb2, stage=None):
     """Frames ``rv``, ``ru``, ``mu``, ``s`` of the optimal tracker for stacked pairs.
 
     Procedure A (the extremal, closed-loop channel) where Omega > 0 and
     procedure B (the open-loop unitary) elsewhere, over ``(..., 3)`` Bloch
     arrays of one shape (targets priority-scaled, as in :class:`PairGeometry`).
     The geometry, Omega included, is :func:`_geometry`'s, as in
-    :class:`PairGeometry`.  Returns ``rv``, ``ru`` of shape ``(..., 3, 3)``,
+    :class:`PairGeometry`; ``stage`` is that geometry of these arrays where
+    the caller has it already.  Returns ``rv``, ``ru`` of shape ``(..., 3, 3)``,
     ``mu``, ``s`` of shape ``(..., 3)`` and a mask ``ok`` of the rows that have
     a tracker.  The other rows (coincident sources, maximally mixed targets,
     frames that are no proper rotation) hold the identity channel.  Procedure
     A's rows have S + T >= Omega > 0, so none of them divides by S + T = 0.
-    Each row is computed from its own data only, with BLAS dots and Python's
-    float power, so it rounds the same in any stack.  Each procedure's closed
-    form is evaluated only on stacks with a row that takes it.
+    Each procedure's closed form is evaluated only on stacks with a row that
+    takes it.  Each row is computed from its own data only, so it rounds the
+    same in any stack: every dot is a BLAS dot, as :func:`stacked_dot` takes
+    it; (S + T)^2, (S + T)^3 are Python's float powers (:func:`_pypow`); and
+    ``rv``, ``ru`` are C-ordered, the layout whose matrix-vector products the
+    chain takes (a transposed one takes another BLAS kernel, off by 1 ulp).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        lead, vecs, dots, t_val, s_val, omega = _geometry(r1, r2, rb1, rb2)
-        r1, rb1, r2, rb2, r_cross, rb_cross, r_minus, rb_plus = vecs
-        rb11, rb22 = dots[3], dots[5]
-        rm2, rbx2, rbp2 = dots[6], dots[8], dots[9]
+        lead, vecs, dots, t_val, s_val, omega = stage or _geometry(r1, r2, rb1, rb2)
+        n = len(t_val)
         norms = np.sqrt(dots[6:9])
-        rm, rx, rbx = norms
-        st = s_val + t_val
+        rm, rx, rbx = norms[0], norms[1], norms[2]
         proc_a = omega > OMEGA_TIE
         rows_a = np.count_nonzero(proc_a)
         # an empty stack takes procedure B's (empty) branch
-        some_a, some_b = rows_a > 0, rows_a < len(st) or rows_a == 0
+        some_a, some_b = rows_a > 0, rows_a < n or rows_a == 0
         if some_a:
+            st = s_val + t_val
             st2, st3 = _pypow(st, 2, 3)
             k_a = np.sqrt(2.0 / (s_val * st))
             rbx_sq = rbx * rbx
             two_s = 2.0 * s_val
-            frame_a = [np.sqrt(st / two_s), *(k_a * dots[10:12]),
-                       np.sqrt(rbp2 + 2.0 * rm2 * rbx2 / st)]
+            frame_a = [np.sqrt(st / two_s), k_a * dots[10:12],
+                       np.sqrt(dots[9] + 2.0 * dots[6] * dots[8] / st)]
             mu_s1_a = [2.0 * np.sqrt(2.0 / (s_val * st3)) * rbx_sq * rx * rm,
                        (2.0 / st) * rbx * rx, k_a * rbx * rm,
                        np.sqrt(1.0 / (two_s * st3)) * (st2 - 4.0 * rbx_sq * rx * rx)]
         if some_b:
-            frame_b = [rx / rm, *(dots[10:12] / (rbx * rm)), np.sqrt(rbp2 - t_val + 2.0 * rx * rbx)]
-        # (alpha, beta_1, beta_2, Gamma) and (mu, s_1); procedure B is the
-        # unitary (1, 1, 1), (0, 0, 0)
+            frame_b = [rx / rm, dots[10:12] / (rbx * rm),
+                       np.sqrt(dots[9] - t_val + 2.0 * rx * rbx)]
+        # (alpha, (beta_1, beta_2), Gamma), and (mu, s) as one (2, 3, n) stack that
+        # starts with (mu, s_1); procedure B is the unitary (1, 1, 1), (0, 0, 0)
+        mu_s = np.zeros((2, 3, n))
         if some_a and some_b:
-            alpha, beta1, beta2, gamma = np.where(proc_a, frame_a, frame_b)
-            mu_s1 = np.where(proc_a, mu_s1_a, _UNITARY_MU_S1)
+            alpha, beta, gamma = (np.where(proc_a, a, b) for a, b in zip(frame_a, frame_b))
+            mu_s.reshape(6, n)[:4] = np.where(proc_a, mu_s1_a, _UNITARY_MU_S1)
         elif some_a:
-            alpha, beta1, beta2, gamma = frame_a
-            mu_s1 = np.array(mu_s1_a)
+            alpha, beta, gamma = frame_a
+            mu_s.reshape(6, n)[:4] = mu_s1_a
         else:
-            alpha, beta1, beta2, gamma = frame_b
-            mu_s1 = _UNITARY_MU_S1.repeat(len(st), 1)
-        mu, s = mu_s1[:3], np.zeros(r1.shape)
-        s[0] = mu_s1[3]
-        # rv = [v1, v2, v3] takes both sources into the xz half-plane with a
-        # common +x part; ru = [u1, u2, u3] as columns.  Side by side, as
-        # (3, 2, n) stacks [v_k, u_k]
-        vu2 = vecs[4:6].swapaxes(0, 1) / norms[1:]
-        v3 = r_minus / rm
-        collinear = rx <= 1e-14
+            alpha, beta, gamma = frame_b
+            mu_s[0] = 1.0
+        mu, s = mu_s
+        # axes[k] holds v_k and u_k side by side, as a (3, 2, n) stack: rv =
+        # [v1, v2, v3] takes both sources into the xz half-plane with a common
+        # +x part, and ru = [u1, u2, u3] as columns
+        axes = np.empty((3, 3, 2, n))
+        np.divide(vecs[4:6].swapaxes(0, 1), norms[1:], out=axes[1])
+        v3 = np.divide(vecs[6], rm, out=axes[2, :, 0])
+        # a row with NaN passes the first test only to fail the orthogonality test
+        tiny = norms <= _TINY
+        ok, collinear, flat = ~tiny[0], tiny[1], tiny[2]
         if np.count_nonzero(collinear):
             # collinear sources: any unit vector orthogonal to R- will do
             w = _cross3(v3, np.where(np.abs(v3[0]) < 0.9, _EYE3[:, :1], _EYE3[:, 1:2]))
-            vu2[:, 0] = np.where(collinear, w / np.sqrt(stacked_dot(w.T, w.T)), vu2[:, 0])
-        u3 = ((alpha / rbx) * _cross3(rb_plus, rb_cross) + rbx * (beta1 * rb1 + beta2 * rb2)) / gamma
-        vu3 = np.array([v3, u3]).swapaxes(0, 1)
-        axes = np.array([_cross3(vu2, vu3), vu2, vu3])
-        # rows of rv and columns of ru, as one C-ordered stack (the order
-        # decides how BLAS rounds products with them)
+            axes[1, :, 0] = np.where(collinear, w / np.sqrt(stacked_dot(w.T, w.T)), axes[1, :, 0])
+        np.divide((alpha / rbx) * _cross3(vecs[7], vecs[5])
+                  + rbx * (beta[0] * vecs[1] + beta[1] * vecs[3]), gamma, out=axes[2, :, 1])
+        _cross3(axes[1], axes[2], out=axes[0])
+        # rows of rv and columns of ru, as one C-ordered stack
         frames = np.array([axes[:, :, 0].transpose(2, 0, 1), axes[:, :, 1].transpose(2, 1, 0)])
         rv, ru = frames[0], frames[1]
-        # a row with NaN fails this test or, with NaN frames, the orthogonality test
-        ok = rm > 1e-12
-        flat = rbx <= 1e-14
         if np.count_nonzero(flat):
             # Rb x = 0 (parallel, opposite or vanishing targets): procedure A
             # sends every state along Rb+, procedure B turns within the
             # xz-plane and then takes +z onto the longer target
             f = np.flatnonzero(flat)
             a = proc_a[f]
-            len1, len2, rbp = np.sqrt(rb11[f]), np.sqrt(rb22[f]), np.sqrt(rbp2[f])
+            len1, len2, rbp = np.sqrt(dots[3, f]), np.sqrt(dots[5, f]), np.sqrt(dots[9, f])
             sin_t = np.clip(rx[f] * (len1 - len2)
                             / (rm[f] * np.sqrt(np.maximum(rbp * rbp - t_val[f], 1e-300))),
                             -1.0, 1.0)
@@ -263,20 +268,21 @@ def optimal_frames(r1, r2, rb1, rb2):
             zero, one = np.zeros_like(cos_t), np.ones_like(cos_t)
             plane = np.array([[cos_t, zero, -sin_t], [zero, one, zero],
                               [sin_t, zero, cos_t]]).transpose(2, 0, 1)
-            longer = np.where(len1 > 1e-14, rb1[:, f] / len1, -rb2[:, f] / len2)
+            longer = np.where(len1 > 1e-14, vecs[1][:, f] / len1, -vecs[3][:, f] / len2)
             turn = rotation_aligning(np.where(a, _EYE3[:, :1], _EYE3[:, 2:]).T,
-                                     np.where(a, rb_plus[:, f] / rbp, longer).T)
+                                     np.where(a, vecs[7][:, f] / rbp, longer).T)
             ru[f] = np.where(a[:, None, None], turn, turn @ plane)
             mu[:, f], s[0, f] = np.where(a, 0.0, 1.0), np.where(a, 1.0, 0.0)
             # only here can both targets be maximally mixed
             ok[f] &= (len1 > 1e-14) | (len2 > 1e-14)
         ok &= _orthogonal(frames)
-        if np.count_nonzero(ok) < len(ok):
+        if np.count_nonzero(ok) < n:
             bad = ~ok
             rv[bad] = ru[bad] = _EYE3
             mu[:, bad], s[:, bad] = 1.0, 0.0
-    return (rv.reshape(*lead, 3, 3), ru.reshape(*lead, 3, 3), mu.T.reshape(*lead, 3),
-            s.T.reshape(*lead, 3), ok.reshape(lead))
+    frames = frames.reshape(2, *lead, 3, 3)
+    mu_s = mu_s.transpose(0, 2, 1).reshape(2, *lead, 3)
+    return frames[0], frames[1], mu_s[0], mu_s[1], ok.reshape(lead)
 
 
 def _pypow(x, *powers):
@@ -292,8 +298,8 @@ def _orthogonal(frames):
     columns, so det R = |a x b|^2 >= 0) or products of rotations, so
     R R^T = I forces det R = 1 as :class:`QubitChannelCanonical` demands.
     """
-    dev = np.abs(frames @ frames.swapaxes(-1, -2) - _EYE3)
-    return dev.max(axis=(0, 2, 3)) <= 1e-9
+    return np.logical_and.reduce(np.abs(frames @ frames.swapaxes(-1, -2) - _EYE3) <= 1e-9,
+                                 axis=(0, 2, 3))
 
 
 @dataclass

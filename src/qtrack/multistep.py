@@ -13,6 +13,11 @@ the Newton Jacobian is one batched sweep over the perturbed points.  The
 kernel computes each row from its own data, and the batched propagation
 repeats :func:`forward_state` and :func:`backward_target` in the same order,
 so every restart gives the same bits as when it ran alone.
+
+A sweep keeps one new ``(R, dim)`` array in :func:`_pack`'s layout, and
+each step writes into ``(R, 2, 3)`` and ``(R, 2)`` views of it.  The kernel's
+``rv``, ``ru`` are C-ordered ``(R, 3, 3)``; the pull-back keeps its dots
+k-first, ``(3, R, 2)``, and the push keeps sources as ``(R, 2, 3, 1)`` columns.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .analytic import (
     optimal_frames,
 )
 from .channels import DensityMatrix, QubitChannelCanonical, check_rsw
-from .linalg import LinalgError, stacked_dot
+from .linalg import LinalgError
 
 # restarts whose chain fidelities differ by no more than this are tied
 FIDELITY_TIE = 1e-12
@@ -223,44 +228,48 @@ def _frames(r, rb):
     return optimal_frames(r[:, 0], r[:, 1], rb[:, 0], rb[:, 1])[:4]
 
 
-def _pull_back(c, rb, frames, noise):
+def _pull_back(c, rb, frames, noise, c_out, rb_out):
     """:func:`backward_target` of both targets of each row, ``(R, 2)`` and ``(R, 2, 3)``.
 
-    The same arithmetic in the same order, so the same bits, as the scalar form.
+    BLAS dots, and 3-term sums from Python's ``sum`` start, 0: the scalar form's bits.
     """
     rv, ru, mu, s = frames
-    u_dots = stacked_dot(np.swapaxes(ru, 1, 2)[:, None], rb[:, :, None])
-    c_mid = c + stacked_dot(s[:, None], u_dots)
-    q_vec = sum(mu[:, None, k, None] * u_dots[..., k, None] * rv[:, None, k] for k in range(3))
-    g_dots = stacked_dot(noise.ru.T, q_vec[:, :, None])
-    rb_prev = sum(noise.mu[k] * g_dots[..., k, None] * noise.rv[k] for k in range(3))
-    return c_mid + stacked_dot(noise.s, g_dots), rb_prev
+    u_dots = np.matmul(ru.transpose(2, 0, 1)[:, :, None, None], rb[..., None])[..., 0, 0]
+    c_mid = c + np.matmul(s[:, None, None], u_dots.transpose(1, 2, 0)[..., None])[..., 0, 0]
+    terms = (mu.T[:, :, None] * u_dots)[..., None] * rv.transpose(1, 0, 2)[:, :, None]
+    q_vec = 0.0 + terms[0] + terms[1] + terms[2]
+    g_dots = np.matmul(noise.ru.T[:, None, None, None], q_vec[..., None])[..., 0, 0]
+    terms = (noise.mu[:, None, None] * g_dots)[..., None] * noise.rv[:, None, None]
+    np.add(0.0 + terms[0] + terms[1], terms[2], out=rb_out)
+    np.add(c_mid, np.matmul(noise.s, g_dots.transpose(1, 2, 0)[..., None])[..., 0], out=c_out)
 
 
-def _push(r, frames, noise):
+def _push(r, frames, noise, out):
     """:func:`forward_state` of both sources of each row, ``(R, 2, 3)``, bit for bit."""
     rv, ru, mu, s = frames
-    r = _matvec(ru[:, None], mu[:, None] * _matvec(rv[:, None], r) + s[:, None])
-    return _matvec(noise.ru, noise.mu * _matvec(noise.rv, r) + noise.s)
-
-
-def _matvec(m, v):
-    """``m @ v`` for stacks of 3x3 matrices and 3-vectors, rounded as unstacked."""
-    return np.matmul(m, v[..., None])[..., 0]
+    r = np.matmul(rv[:, None], r[..., None])
+    r = np.matmul(ru[:, None], mu[:, None, :, None] * r + s[:, None, :, None])
+    r = np.matmul(noise.rv, r)
+    np.matmul(noise.ru, noise.mu[:, None] * r + noise.s[:, None], out=out[..., None])
 
 
 def _sweep(task: ChainTask, z):
     """One backward plus forward pass of the self-consistency map on each row of ``z``."""
-    r_steps, c_steps, rb_steps = _unpack(task, z)
-    for n in range(task.n_steps - 2, -1, -1):
-        frames = _frames(r_steps[:, n + 1], rb_steps[:, n + 1])
-        c_steps[:, n], rb_steps[:, n] = _pull_back(
-            c_steps[:, n + 1], rb_steps[:, n + 1], frames, task.noises[n]
-        )
-    for n in range(task.n_steps - 1):
-        frames = _frames(r_steps[:, n], rb_steps[:, n])
-        r_steps[:, n + 1] = _push(r_steps[:, n], frames, task.noises[n])
-    return _pack(task, r_steps, c_steps, rb_steps)
+    rows, free = len(z), task.n_steps - 1
+    z_new = np.empty_like(z)
+    r_old, r_new = (a[:, : 6 * free].reshape(rows, free, 2, 3) for a in (z, z_new))
+    targets = z_new[:, 6 * free :].reshape(rows, free, 8)
+    rb_new, c_new = targets[..., :6].reshape(rows, free, 2, 3), targets[..., 6:]
+    c, rb = task.c_final, task.rb_final[None].repeat(rows, 0)
+    for n in range(free - 1, -1, -1):
+        frames = _frames(r_old[:, n], rb)
+        _pull_back(c, rb, frames, task.noises[n], c_new[:, n], rb_new[:, n])
+        c, rb = c_new[:, n], rb_new[:, n]
+    r = task.r_sources[None].repeat(rows, 0)
+    for n in range(free):
+        _push(r, _frames(r, rb_new[:, n]), task.noises[n], r_new[:, n])
+        r = r_new[:, n]
+    return z_new
 
 
 def _seed_chains(task: ChainTask, rng):
@@ -285,20 +294,18 @@ def _seed_chains(task: ChainTask, rng):
     c_steps = np.zeros((n_seeds, n_steps, 2))
     rb_steps = np.zeros((n_seeds, n_steps, 2, 3))
     r_steps[:, 0], c_steps[:, -1], rb_steps[:, -1] = task.r_sources, task.c_final, task.rb_final
-    r = _matvec(np.array(firsts)[:, None], task.r_sources)
+    r = np.matmul(np.array(firsts)[:, None], task.r_sources[..., None])
     for n, noise in enumerate(task.noises):
-        r = _matvec(noise.ru, noise.mu * _matvec(noise.rv, r) + noise.s)
-        r_steps[:, n + 1] = r
+        r = np.matmul(noise.ru, noise.mu[:, None] * np.matmul(noise.rv, r) + noise.s[:, None])
+        r_steps[:, n + 1] = r[..., 0]
     eye = np.tile(np.eye(3), (n_seeds, 1, 1))
     identity = (eye, eye, np.ones((n_seeds, 3)), np.zeros((n_seeds, 3)))
     last = _frames(r_steps[:, -1], rb_steps[:, -1])
     for frame, ident in zip(last, identity):
         frame[0] = ident[0]  # do-nothing
     for n in range(n_steps - 2, -1, -1):
-        c_steps[:, n], rb_steps[:, n] = _pull_back(
-            c_steps[:, n + 1], rb_steps[:, n + 1], last if n == n_steps - 2 else identity,
-            task.noises[n]
-        )
+        _pull_back(c_steps[:, n + 1], rb_steps[:, n + 1], last if n == n_steps - 2 else identity,
+                   task.noises[n], c_steps[:, n], rb_steps[:, n])
     return list(zip(_pack(task, r_steps, c_steps, rb_steps), labels))
 
 
@@ -342,32 +349,36 @@ def solve_chain(task: ChainTask, restarts=MAX_RESTARTS, seed=0) -> StepChain:
 def _solve_batch(task, z):
     """Damped sweeps of every row of ``z`` at once; a row freezes when it converges.
 
-    Returns the final rows, their last residuals, the sweeps each row ran and,
-    per row, whether Newton succeeded (None where it did not run).
+    Active rows are swept as one array, written back only when some stop.  Returns
+    the final rows, their last residuals, the sweeps each row ran and, per row,
+    whether Newton succeeded (None where it did not run).
     """
     z = z.copy()
     residual = np.full(len(z), np.inf)
     sweeps = np.zeros(len(z), dtype=int)
     newton = [None] * len(z)
-    active = np.arange(len(z))
-    for sweep in range(MAX_SWEEPS):
-        if not active.size:
-            break
-        z_act = z[active]
+    active, z_act = np.arange(len(z)), z
+    for sweep in range(1, MAX_SWEEPS + 1):
         z_new = _sweep(task, z_act)
         res = np.abs(z_new - z_act).max(axis=1)
-        residual[active], sweeps[active] = res, sweep + 1
         done = res <= CHAIN_TOL
-        z[active] = np.where(done[:, None], z_new, (1.0 - DAMPING) * z_act + DAMPING * z_new)
-        if sweep == NEWTON_AFTER:
-            for k in active[res > CHAIN_TOL]:
-                z_newton = _newton_polish(task, z[k])
-                newton[k] = z_newton is not None
-                if newton[k]:
-                    z[k] = z_newton
-                    residual[k] = np.abs(_sweep(task, z_newton[None])[0] - z_newton).max()
-                    done[active == k] = True
-        active = active[~done]
+        z_act = (1.0 - DAMPING) * z_act + DAMPING * z_new
+        stop = np.count_nonzero(done) > 0
+        if stop:
+            z_act[done] = z_new[done]
+        if sweep == NEWTON_AFTER + 1:
+            for k in np.flatnonzero(res > CHAIN_TOL):
+                z_newton = _newton_polish(task, z_act[k])
+                newton[active[k]] = z_newton is not None
+                if z_newton is not None:
+                    z_act[k] = z_newton
+                    res[k] = np.abs(_sweep(task, z_newton[None])[0] - z_newton).max()
+                    done[k] = stop = True
+        if stop or sweep == MAX_SWEEPS:
+            z[active], residual[active], sweeps[active] = z_act, res, sweep
+            active, z_act = active[~done], z_act[~done]
+            if not active.size:
+                break
     return z, residual, sweeps, newton
 
 

@@ -5,12 +5,14 @@ tolerances are pinned here; nothing is deferred to later calibration.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qtrack import analytic, applications as app, distances as ds, multistep as ms
 from qtrack import tracking
+from qtrack.cli import emit_plotdata
 from qtrack.channels import (
     DensityMatrix,
     apply_choi,
@@ -26,6 +28,8 @@ from qtrack.channels import (
 from qtrack.distances import WeightedSequence
 from qtrack.linalg import partial_trace, perm_d4, vec
 from qtrack.sdp import SolverOptions
+
+DATA = Path(__file__).parent / "data"
 
 
 def _report(criterion, ok, detail):
@@ -366,6 +370,9 @@ def test_criterion_10_multistep():
     records = ms.sweep_2step(factory, grid, grid)
     worst_gap = min(r["f_multi"] - r["f_single"] for r in records)
     elapsed = time.perf_counter() - start
+    # the sweep as `qtrack multistep --sweep` writes it, byte for byte
+    csv = emit_plotdata(records, "multistep_sweep")
+    assert csv == (DATA / "sweep_20x20.csv").read_text()
     ok = 0.08 <= gain <= 0.12 and worst_gap >= -1e-9 and elapsed < 600
     _report(
         10,

@@ -461,6 +461,38 @@ def test_solve_chain_drops_a_restart_with_nan_residual(monkeypatch):
     assert chain.seed_label != records[1].label
 
 
+# the centred stride-5 sub-grid of criterion 10's 20 x 20 noise grid
+SUBGRID = (2, 7, 12, 17)
+RECORDS_FILE = Path(__file__).parent / "data" / "chain_records.json"
+
+
+def chain_records():
+    """Every restart's record on the sub-grid, for solve seeds 0 and 3, floats as hex."""
+    grid = np.linspace(0.05, 0.95, 20)
+    out = {}
+    for seed in (0, 3):
+        for i in SUBGRID:
+            for j in SUBGRID:
+                task = stabilization_task(ms.extremal_noise(grid[i], grid[j]))
+                out[f"{seed},{i},{j}"] = [
+                    {"label": rec.label, "sweeps": rec.sweeps, "newton_ran": rec.newton_ran,
+                     "newton_ok": rec.newton_ok, "dropped": rec.dropped,
+                     "residual": float.hex(rec.residual),
+                     "fidelity": None if rec.fidelity is None else float.hex(rec.fidelity)}
+                    for rec in ms.solve_chain(task, seed=seed).restarts
+                ]
+    return out
+
+
+def test_chain_restart_records_unchanged():
+    # sweep counts, Newton outcomes and the bits of every residual and
+    # fidelity, as recorded (numpy 2.4, x86-64 OpenBLAS) from the sweep as it
+    # was before its numpy calls were cut; points (12, 12) and (17, 17) run
+    # Newton under both seeds
+    recorded = json.loads(RECORDS_FILE.read_text())
+    assert chain_records() == recorded
+
+
 # -- the stacked controller kernel against the frozen scalar route -----------
 
 _coord = st.floats(-1.0, 1.0, allow_nan=False)
