@@ -31,8 +31,8 @@ OMEGA_TIE = 1e-12
 _EYE3 = np.eye(3)
 _WRAP3 = np.array([0, 1, 2, 0, 1])
 # the dot products _geometry takes, as pairs of rows of its vector stack
-_DOT_LEFT = np.array([0, 0, 2, 1, 1, 3, 6, 4, 5, 7, 0, 2, 1, 3])
-_DOT_RIGHT = np.array([0, 2, 2, 1, 3, 3, 6, 4, 5, 7, 6, 6, 7, 7])
+_DOT_LEFT = np.array([0, 0, 2, 1, 1, 3, 6, 4, 5, 7, 0, 2])
+_DOT_RIGHT = np.array([0, 2, 2, 1, 3, 3, 6, 4, 5, 7, 6, 6])
 # thresholds on |R-|, |R x| and |Rb x|: no tracker, collinear sources, flat targets
 _TINY = np.array([[1e-12], [1e-14], [1e-14]])
 # (mu, s_1) of the identity, which procedure B's rows take
@@ -70,6 +70,7 @@ class PairGeometry:
             stage = _geometry(self.r1, self.r2, self.rb1, self.rb2)
         _, vecs, dots, t_val, s_val, omega = stage
         dots, t_val, s_val, omega = dots[:, 0], t_val[0], s_val[0], omega[0]
+        rb1_plus, rb2_plus = stacked_dot(vecs[[1, 3], :, 0], vecs[7, :, 0])  # rb_i . Rb+
         rm, rx, rbx = np.sqrt(dots[6:9])
         if rm <= 1e-12:
             raise DegenerateGeometryError("source states coincide")
@@ -84,7 +85,7 @@ class PairGeometry:
             r_minus_norm=rm, r_cross_norm=rx, rb_cross_norm=rbx,
             t_scalar=float(t_val), s_scalar=float(s_val), omega=float(omega),
             c=float(self.c1 + self.c2),
-            xi_upper=float(dots[10] * dots[12] + dots[11] * dots[13]),
+            xi_upper=float(dots[10] * rb1_plus + dots[11] * rb2_plus),
             xi_lower=float(rx * dots[9] + rbx * dots[6]),
         )
 
@@ -106,7 +107,7 @@ class PairGeometry:
         )
 
     # Derived data (set in __post_init__): the _geometry tuple stage and its
-    # 14 dots; r_minus, r_cross, rb_plus, rb_cross, their norms r_minus_norm,
+    # 12 dots; r_minus, r_cross, rb_plus, rb_cross, their norms r_minus_norm,
     # r_cross_norm, rb_cross_norm, t_scalar, s_scalar, omega, c, xi_upper,
     # xi_lower.
 
@@ -157,8 +158,8 @@ def _geometry(r1, r2, rb1, rb2):
     Over ``(..., 3)`` arrays of one shape, returns the stack shape ``lead``;
     the eight vectors r1, rb1, r2, rb2, R x, Rb x, R-, Rb+ as one ``(8, 3, n)``
     array, each a component-first block; their BLAS dots r1.r1, r1.r2, r2.r2,
-    rb1.rb1, rb1.rb2, rb2.rb2, |R-|^2, |R x|^2, |Rb x|^2, |Rb+|^2, r1.R-, r2.R-,
-    rb1.Rb+, rb2.Rb+ as ``(14, n)``; and T, S and Omega as ``(n,)``.  Each row is
+    rb1.rb1, rb1.rb2, rb2.rb2, |R-|^2, |R x|^2, |Rb x|^2, |Rb+|^2, r1.R-, r2.R-
+    as ``(12, n)``; and T, S and Omega as ``(n,)``.  Each row is
     computed from its own data only, so it rounds the same in any stack.
     Callers run it under ``np.errstate`` for the rows of degenerate pairs.
     """

@@ -34,8 +34,8 @@ constant block is optimal once C is PSD there, which one ``eigvalsh`` checks;
 a negative eigenvalue ends the solve at once, ``unbounded`` for the standard
 form and ``infeasible`` for the inequality form.  The loop runs on the rest,
 and X (and every traced iterate) comes back at full size, zero on the dropped
-rows and columns; there the traced dual slack is C's constant block.  A
-program without constant rows takes the same path with nothing dropped.
+rows and columns; there the traced dual slack is C's constant block.  Only
+hand-built programs have constant rows: tracking programs drop nothing.
 
 ``verify_certificate`` checks a solution of either form on the same (C, A_i, b).
 """

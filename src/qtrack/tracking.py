@@ -108,27 +108,25 @@ def _trace_norm(pis, d):
     return _dsum, None, extras
 
 
-def _spectral_norm(pis, d):
-    """Oavg2: ||(+)_i R_i||_inf <= t with P = Q = t I."""
-    return _dsum, None, [([np.eye(2 * len(pis) * d)], 1.0)]
+def _residual_column(blocks):
+    """The residual blocks as one column: vec R_1, ..., vec R_I stacked."""
+    return np.concatenate([vec(b) for b in blocks])[:, None]
 
 
-def _sum_of_squares(diag, layout):
-    """M^dag diag^-1 M <= t for a column M, with P = diag and Q = t."""
-    head = [np.zeros_like(diag), np.ones((1, 1))]
-    return layout, _dsum([diag, np.zeros((1, 1))]), [(head, 1.0)]
+def _norm_epigraph(layout, pis, d):
+    """Oavg2 and Havg2: ||M||_inf <= t for a p x q layout M, as P = t I_p and Q = t I_q.
 
-
-def _hs_norm_squared(pis, d):
-    """Havg2: ||(+)_i R_i||_2^2 <= t."""
-    n = len(pis) * d
-    return _sum_of_squares(np.eye(n * n), lambda blocks: vec(_dsum(blocks))[:, None])
+    Havg2's M is the residual column, whose operator norm is ||(+)_i R_i||_2.
+    """
+    p, q = layout([np.zeros((d, d))] * len(pis)).shape
+    return layout, None, [([np.eye(p), np.eye(q)], 1.0)]
 
 
 def _mean_hs_squared(pis, d):
-    """H2avg1: sum_i p_i ||R_i||_2^2 <= t."""
+    """H2avg1: sum_i p_i ||R_i||_2^2 <= t as M^dag P^-1 M <= t, P = (+)_i I / p_i, Q = t."""
     diag = _dsum([np.eye(d * d) / p for p in pis])
-    return _sum_of_squares(diag, lambda blocks: np.concatenate([vec(b) for b in blocks])[:, None])
+    head = [np.zeros_like(diag), np.ones((1, 1))]
+    return _residual_column, _dsum([diag, np.zeros((1, 1))]), [(head, 1.0)]
 
 
 def _linear(pis, d):
@@ -157,14 +155,13 @@ class _Objective:
     block: Callable = _linear
     weight: Callable = lambda p: p
     closeness: bool = False
-    squared: bool = False  # the program's t bounds the square of the measure
 
     def value(self, primal, pis, d):
         """The measure's optimum from the inequality program's optimal value."""
         if self.closeness:
             # the program minimizes sum_i w_i / d - sum_i w_i tr(Phi(rho_i) rhobar_i)
             return float(self.weight(pis).sum()) / d - primal
-        return float(np.sqrt(max(primal, 0.0))) if self.squared else primal
+        return primal
 
 
 _OBJECTIVES = {
@@ -172,8 +169,10 @@ _OBJECTIVES = {
         partial(sequence_distance, "D", "avg1"), _trace_norm, weight=lambda p: 0.5 * p
     ),
     "H2avg1": _Objective(_h2avg1, _mean_hs_squared, weight=np.ones_like),
-    "Havg2": _Objective(partial(sequence_distance, "H", "avg2"), _hs_norm_squared, squared=True),
-    "Oavg2": _Objective(partial(sequence_distance, "O", "avg2"), _spectral_norm),
+    "Havg2": _Objective(
+        partial(sequence_distance, "H", "avg2"), partial(_norm_epigraph, _residual_column)
+    ),
+    "Oavg2": _Objective(partial(sequence_distance, "O", "avg2"), partial(_norm_epigraph, _dsum)),
     "FHSavg1": _Objective(partial(sequence_distance, "FHS", "avg1"), closeness=True),
     "FHSavg2": _Objective(
         partial(sequence_distance, "FHS", "avg2"), weight=np.square, closeness=True
@@ -274,8 +273,7 @@ class TrackingResult:
 def solve_tracking(tp: TrackingProblem, opts: sdp.SolverOptions | None = None) -> TrackingResult:
     """Assemble and solve; returns the controller Choi matrix and achieved value.
 
-    The value is the objective's measure itself (for ``Havg2`` sqrt(optimal
-    t), i.e. <H>_2 rather than <H^2>_2).
+    The value is the objective's measure itself (for ``Havg2`` <H>_2, not <H^2>_2).
     """
     d = tp.d
     sol = None

@@ -470,7 +470,11 @@ def test_no_pass_without_a_newton_step():
 
 
 def _bench_program(seed, i_count, d, objective, feasible):
-    """The program of the benchmark's ``draw_problem(i_count, d, default_rng(seed))``.
+    return tracking.assemble(_bench_problem(seed, i_count, d, objective, feasible))
+
+
+def _bench_problem(seed, i_count, d, objective, feasible):
+    """The problem of the benchmark's ``draw_problem(i_count, d, default_rng(seed))``.
 
     Ginibre sources, and Haar-pure or Ginibre targets by one coin flip.  A
     pair's priorities are (p, 1 - p) with p ~ U[0.05, 0.95]; more are
@@ -500,7 +504,7 @@ def _bench_program(seed, i_count, d, objective, feasible):
     targets = [draw_target() for _ in pis]
     src = WeightedSequence([(p, DensityMatrix(r)) for p, r in zip(pis, sources)])
     tgt = WeightedSequence([(p, DensityMatrix(t)) for p, t in zip(pis, targets)])
-    return tracking.assemble(tracking.TrackingProblem(src, tgt, objective, feasible))
+    return tracking.TrackingProblem(src, tgt, objective, feasible)
 
 
 def test_polish_window_closes_15_passes_after_acceptance():
@@ -553,30 +557,16 @@ def _loop_arrays(program, monkeypatch):
     return prepared[0][:2], looped[0]
 
 
-# Havg2's residual block [[I, v], [v^dag, t]]: v vectorises a block-diagonal
-# residual, so the rows of I facing its off-block entries are constant
-HAVG2_LOOP_SIZES = [
-    (2, 2, "cptp", 13), (2, 2, "ppt", 17),
-    (3, 3, "cptp", 37), (3, 3, "ppt", 46),
-    (2, 4, "cptp", 49), (2, 4, "ppt", 65),
+# every tracking program, Havg2's norm epigraph included, has no constant rows
+LOOP_PROGRAMS = [pytest.param(2, 2, obj, fs, id=f"{obj}-{fs}") for obj, fs in PROGRAMS_22] + [
+    (i_count, d, "Havg2", fs) for i_count, d in ((3, 3), (2, 4)) for fs in tracking.FEASIBLE_SETS
 ]
 
 
-@pytest.mark.parametrize("i_count,d,feasible,n_loop", HAVG2_LOOP_SIZES)
-def test_havg2_loop_runs_without_the_constant_rows(i_count, d, feasible, n_loop, monkeypatch):
-    program = _bench_program([7, i_count, d], i_count, d, "Havg2", feasible)
-    (c_mat, a_stack), (c_loop, a_loop) = _loop_arrays(program, monkeypatch)
-    assert c_loop.shape == (n_loop, n_loop)
-    assert a_loop.shape == (len(a_stack), n_loop, n_loop)
-    dropped = sdp._constant_rows(c_mat, a_stack)
-    assert int(dropped.sum()) == program.dim - n_loop
-    assert np.array_equal(c_mat[np.ix_(dropped, dropped)], np.eye(program.dim - n_loop))
-
-
-@pytest.mark.parametrize("objective,feasible", [p for p in PROGRAMS_22 if p[0] != "Havg2"])
-def test_programs_without_constant_rows_reach_the_loop_untouched(objective, feasible,
+@pytest.mark.parametrize("i_count,d,objective,feasible", LOOP_PROGRAMS)
+def test_programs_without_constant_rows_reach_the_loop_untouched(i_count, d, objective, feasible,
                                                                  monkeypatch):
-    program = _bench_program([7, 2, 2], 2, 2, objective, feasible)
+    program = _bench_program([7, i_count, d], i_count, d, objective, feasible)
     (c_mat, a_stack), (c_loop, a_loop) = _loop_arrays(program, monkeypatch)
     assert np.array_equal(c_loop, c_mat) and np.array_equal(a_loop, a_stack)
 
@@ -591,12 +581,16 @@ def test_constant_rows_follow_the_coupling_of_c():
 
 
 def test_solution_and_iterates_are_full_size():
-    program = _bench_program([2009, 1, 21], 2, 2, "Havg2", "cptp")
+    # rows 0-1 carry tr Z = 1 over a complex E0 block; row 2 is constant, C = 3 there
+    e0 = np.array([[1.0, 0.5 - 0.25j, 0.0], [0.5 + 0.25j, 2.0, 0.0], [0.0, 0.0, 3.0]])
+    program = sdp.SdpStandard(e0, [(np.diag([1.0, 1.0, 0.0]), 1.0)])
     c_mat, a_stack, _ = sdp._prepare(program)
     dropped = sdp._constant_rows(c_mat, a_stack)
-    assert dropped.sum() == 8
+    assert dropped.tolist() == [False, False, True]
     sol = sdp.solve(program, sdp.SolverOptions(trace_iterates=True))
     assert sol.status == "optimal"
+    assert abs(sol.primal_value + np.linalg.eigvalsh(e0[:2, :2]).min()) <= 1e-8
+    assert len(sol.iterates) > 1
     for z in [sol.z] + [x for x, _, _ in sol.iterates]:
         assert z.shape == (program.dim, program.dim)
         assert not z[dropped].any() and not z[:, dropped].any()
@@ -643,3 +637,11 @@ def test_reduced_havg2_solutions_certify_on_the_full_problem(seed, i_count, d, f
     assert report["primal_min_eig"] >= -1e-9
     assert report["dual_slack_min_eig"] >= -1e-9
     assert abs(report["gap"]) <= 1e-8
+
+
+def test_pool_pair_81_havg2_value_is_what_its_controller_achieves():
+    # the squared form reported sqrt(t) here, 8.8e-7 above its own controller's value
+    tp = _bench_problem([2009, 1, 81], 2, 2, "Havg2", "cptp")
+    res = tracking.solve_tracking(tp)
+    assert res.solution.status == "optimal"
+    assert abs(tracking.evaluate_objective(res.controller, tp) - res.value) <= 1e-9
