@@ -95,7 +95,12 @@ class ChoiMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = hermitize(np.asarray(self.mat, dtype=complex))
+        if self.d < 1:
+            raise LinalgError(f"channel dimension must be at least 1, got {self.d}")
+        m = np.asarray(self.mat, dtype=complex)
+        if not np.isfinite(m).all():
+            raise LinalgError("Choi matrix has non-finite entries")
+        m = hermitize(m)
         if m.shape != (self.d**2, self.d**2):
             raise LinalgError(f"Choi matrix must be {self.d ** 2} x {self.d ** 2}")
         object.__setattr__(self, "mat", m)
@@ -125,9 +130,9 @@ class KrausSet:
     def d(self):
         return self.operators[0].shape[0]
 
-    def is_tp(self, tol=TP_TOL):
+    def is_tp(self):
         acc = sum(k.conj().T @ k for k in self.operators)
-        return np.abs(acc - np.eye(self.d)).max() <= tol
+        return np.abs(acc - np.eye(self.d)).max() <= TP_TOL
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         out = sum(k @ rho.mat @ k.conj().T for k in self.operators)
@@ -144,7 +149,7 @@ def choi_from_kraus(kraus: KrausSet) -> ChoiMatrix:
     return ChoiMatrix(d, acc)
 
 
-def kraus_from_choi(choi: ChoiMatrix, method="eig", tol=PSD_TOL) -> KrausSet:
+def kraus_from_choi(choi: ChoiMatrix, method="eig") -> KrausSet:
     """Kraus operators by reshaping columns of a factor S^dag with C = S^dag S.
 
     ``method='eig'`` returns rank-many operators; ``method='cholesky'`` returns
@@ -153,7 +158,7 @@ def kraus_from_choi(choi: ChoiMatrix, method="eig", tol=PSD_TOL) -> KrausSet:
     d = choi.d
     if method == "eig":
         w, u = np.linalg.eigh(choi.mat)
-        if w.min() < -tol:
+        if w.min() < -PSD_TOL:
             raise LinalgError(f"Choi matrix is not PSD (min eig {w.min():.3e})")
         cutoff = max(1e-12 * max(w.max(), 1.0), 1e-13)
         ops = [mat(np.sqrt(lam) * u[:, i], d) for i, lam in enumerate(w) if lam > cutoff]
@@ -193,22 +198,22 @@ def compose(a: ChoiMatrix, b: ChoiMatrix) -> ChoiMatrix:
     return ChoiMatrix(d, partial_trace(big, (d * d, d * d), 1))
 
 
-def check_cptp(choi: ChoiMatrix, tol=PSD_TOL):
+def check_cptp(choi: ChoiMatrix):
     """Report CP (Choi PSD) and TP (tr_2 = identity) with the observed residuals."""
     lam = min_eig(choi.mat)
     residual = float(np.abs(partial_trace(choi.mat, (choi.d, choi.d), 2) - np.eye(choi.d)).max())
     return {
-        "cp": lam >= -tol,
+        "cp": lam >= -PSD_TOL,
         "tp": residual <= TP_TOL,
         "min_eig": lam,
         "tp_residual": residual,
     }
 
 
-def check_ppt(choi: ChoiMatrix, tol=PSD_TOL):
+def check_ppt(choi: ChoiMatrix):
     """Positivity of the partial transpose; certifies EBTP membership at d = 2."""
     lam = min_eig(partial_transpose(choi.mat))
-    return {"ppt": lam >= -tol, "min_eig_pt": lam}
+    return {"ppt": lam >= -PSD_TOL, "min_eig_pt": lam}
 
 
 # ---------------------------------------------------------------------------

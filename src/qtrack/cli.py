@@ -23,7 +23,7 @@ from .channels import (
     random_state,
 )
 from .linalg import LinalgError
-from .sdp import SolverError, SolverOptions
+from .sdp import SolverError
 from .serialize import FormatError
 
 EXIT_OK = 0
@@ -58,13 +58,6 @@ def _int_in(lo, hi=None):
 
     parse.__name__ = "int"
     return parse
-
-
-def _positive(text):
-    val = float(text)
-    if not val > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return val
 
 
 def _cell(text):
@@ -165,7 +158,7 @@ def _cmd_solve(args):
         serialize.dump_json(
             serialize.sdp_problem_to_json(tracking.assemble(tp)), args.dump_problem
         )
-    res = tracking.solve_tracking(tp, SolverOptions(gap_tol=args.gap_tol))
+    res = tracking.solve_tracking(tp)
     out = {
         "objective": args.objective,
         "feasible": args.feasible,
@@ -322,9 +315,7 @@ def _cmd_multistep(args):
 
 
 def _cmd_compat(args):
-    results = tracking.compatibility_experiment(
-        args.cells, args.samples, args.seed, target_pure=True
-    )
+    results = tracking.compatibility_experiment(args.cells, args.samples, args.seed)
     out = {}
     for cell, data in results.items():
         key = f"I{cell[0]}d{cell[1]}"
@@ -382,7 +373,6 @@ def build_parser():
     p.add_argument("--problem", required=True)
     p.add_argument("--objective", required=True, choices=tracking.OBJECTIVES)
     p.add_argument("--feasible", default="cptp", choices=tracking.FEASIBLE_SETS)
-    p.add_argument("--gap-tol", type=_positive, default=1e-9)
     p.add_argument("--dump-problem", help="also write the assembled program as JSON")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_solve)

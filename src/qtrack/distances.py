@@ -98,14 +98,14 @@ def hs_inner(rho, sigma):
     return float(np.trace(r @ s).real)
 
 
-def _golden_section(f, lo, hi, width=1e-10):
-    """Golden-section minimizer on [lo, hi] down to the given bracket width."""
+def _golden_section(f, lo, hi):
+    """Golden-section minimizer on [lo, hi] down to a bracket of width 1e-10."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > width:
+    while b - a > 1e-10:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -144,13 +144,6 @@ def _difference_spectrum(rho, sigma):
     """Absolute eigenvalues of rho - sigma, which D, O and the difference rank all read."""
     r, s = _pair(rho, sigma)
     return np.abs(np.linalg.eigvalsh(r - s))
-
-
-def _rank(spectrum, rtol=RANK_RTOL):
-    top = spectrum.max()
-    if top == 0.0:
-        return 0
-    return int((spectrum > rtol * top).sum())
 
 
 def trace_distance(rho, sigma):
@@ -267,9 +260,10 @@ def sequence_distance(tag, scheme, src: WeightedSequence, tgt: WeightedSequence)
     raise LinalgError(f"unknown scheme {scheme!r}")
 
 
-def difference_rank(rho, sigma, rtol=RANK_RTOL):
-    """Rank of rho - sigma with a relative singular-value threshold."""
-    return _rank(_difference_spectrum(rho, sigma), rtol)
+def difference_rank(rho, sigma):
+    """Rank of rho - sigma: its singular values above RANK_RTOL times the largest."""
+    spectrum = _difference_spectrum(rho, sigma)
+    return int((spectrum > RANK_RTOL * spectrum.max()).sum())
 
 
 def check_bounds(rho, sigma):
@@ -329,8 +323,8 @@ def _bound_report(f, tr_rs, purity_r, purity_s, d, h, o, rank):
     }
 
 
-def benchmark_measures(d, repeats, rng, tags=("FN", "D", "F", "Q")):
-    """Time per evaluation of each measure, averaged over random d-dimensional pairs.
+def benchmark_measures(d, repeats, rng):
+    """Time per evaluation of F_N, D, F and Q, averaged over random d-dimensional pairs.
 
     Only the relative ordering is meaningful (F_N cheapest, Q most expensive
     for large d); absolute numbers are hardware noise.  Each measure keeps its
@@ -342,6 +336,7 @@ def benchmark_measures(d, repeats, rng, tags=("FN", "D", "F", "Q")):
     from .channels import random_state
 
     pairs = [(random_state(d, rng), random_state(d, rng)) for _ in range(repeats)]
+    tags = ("FN", "D", "F", "Q")
     best = {tag: np.full(repeats, np.inf) for tag in tags}
     for _ in range(3):
         for k, (a, b) in enumerate(pairs):

@@ -88,19 +88,16 @@ def partial_trace(m, dims, subsystem):
     raise LinalgError("subsystem must be 1 or 2")
 
 
-def partial_transpose(m, dims=None):
-    """Transpose the second factor of a bipartite matrix (defaults to d (x) d)."""
+def partial_transpose(m):
+    """Transpose the second factor of a bipartite matrix on d (x) d."""
     m = np.asarray(m)
     n = m.shape[0]
     if m.shape[0] != m.shape[1]:
         raise LinalgError("matrix must be square")
-    if dims is None:
-        d = int(round(np.sqrt(n)))
-        if d * d != n:
-            raise LinalgError(f"size {n} is not a perfect square; pass dims explicitly")
-        dims = (d, d)
-    d1, d2 = dims
-    r = m.reshape(d1, d2, d1, d2)
+    d = int(round(np.sqrt(n)))
+    if d * d != n:
+        raise LinalgError(f"size {n} is not a perfect square")
+    r = m.reshape(d, d, d, d)
     return r.transpose(0, 3, 2, 1).reshape(n, n)
 
 
@@ -145,15 +142,15 @@ def hermitian_basis(d):
 PAULI = hermitian_basis(2)
 
 
-def matrix_sqrt(m, clamp=PSD_EIG_CLAMP):
+def matrix_sqrt(m):
     """Unique PSD square root of a Hermitian PSD matrix (eigendecomposition route).
 
-    Eigenvalues in ``[-clamp, 0)`` are clamped to zero; anything more negative
-    is an error.
+    Eigenvalues in ``[-PSD_EIG_CLAMP, 0)`` are clamped to zero; anything more
+    negative is an error.
     """
     m = hermitize(m)
     w, u = np.linalg.eigh(m)
-    if w.min() < -clamp:
+    if w.min() < -PSD_EIG_CLAMP:
         raise LinalgError(f"matrix has negative eigenvalue {w.min():.3e}")
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T

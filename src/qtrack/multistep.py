@@ -42,11 +42,12 @@ MAX_RESTARTS = 8
 # a restart has converged once its fixed-point residual max|Phi(z) - z| is
 # within CHAIN_TOL; each damped sweep moves z DAMPING of the way to Phi(z).
 # A restart runs at most MAX_SWEEPS sweeps, and Newton polishes the rows still
-# active after sweep NEWTON_AFTER
+# active after sweep NEWTON_AFTER, in at most MAX_NEWTON steps
 CHAIN_TOL = 1e-10
 DAMPING = 0.65
 MAX_SWEEPS = 300
 NEWTON_AFTER = 120
+MAX_NEWTON = 25
 
 
 def identity_canonical() -> QubitChannelCanonical:
@@ -404,7 +405,7 @@ def _chains_at(task, z, labels, residuals):
     return chains
 
 
-def _newton_polish(task, z, max_newton=25):
+def _newton_polish(task, z):
     """Damped Newton on G(z) = z - Phi(z) with a finite-difference Jacobian.
 
     Each step sweeps ``z`` and its ``dim`` perturbations as one batch, then
@@ -415,7 +416,7 @@ def _newton_polish(task, z, max_newton=25):
     h = 1e-7
     damps = np.array([1.0, 0.5, 0.25, 0.1])
     diag = np.arange(dim)
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         probes = np.tile(z, (dim + 1, 1))
         probes[diag + 1, diag] += h
         g = probes - _sweep(task, probes)

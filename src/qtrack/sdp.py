@@ -26,6 +26,8 @@ each one Newton step.
 The first iterate that meets the gap and feasibility tolerances is accepted;
 it is returned 15 passes later unless an iterate that also meets the
 complementarity tolerance comes first, so ``passes <= iterations + 15``.
+The tolerances are module constants (``GAP_TOL``, ``FEAS_TOL``, ``COMP_TOL``);
+``solve``'s one setting, ``trace_iterates``, keeps every pass's iterate.
 
 Before the loop, ``solve`` drops the LMI's constant rows: those that no A_i
 touches and that C does not couple, directly or through other rows, to a
@@ -114,20 +116,18 @@ def dualize(p: SdpStandard) -> SdpInequality:
     return SdpInequality(-b, p.e0, tuple(-e for e, _ in p.constraints))
 
 
-# an iterate converges once both scaled residuals are within FEAS_TOL (and the
-# gap within gap_tol), and is returned at once if also max|X S| / scale is
-# within COMP_TOL; each step goes STEP_FRACTION of the way to the cone
-# boundary; a solve that accepts no iterate stops after MAX_ITER passes
+# an iterate converges once both scaled residuals are within FEAS_TOL and the
+# relative gap within GAP_TOL, and is returned at once if also max|X S| / scale
+# is within COMP_TOL; each step goes STEP_FRACTION of the way to the cone
+# boundary; a solve that accepts no iterate stops after MAX_ITER passes.
+# verify_certificate passes a pair whose residuals and eigenvalues are within
+# CERT_TOL, and whose gap and complementarity are within 10 CERT_TOL scale
 FEAS_TOL = 1e-9
+GAP_TOL = 1e-9
 COMP_TOL = 5e-9
 STEP_FRACTION = 0.98
 MAX_ITER = 200
-
-
-@dataclass
-class SolverOptions:
-    gap_tol: float = 1e-9
-    trace_iterates: bool = False
+CERT_TOL = 1e-8
 
 
 @dataclass
@@ -170,10 +170,11 @@ def _max_step(m_ihalf, delta):
     return -1.0 / np.fmin(lam, -1.0)
 
 
-def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
+def _solve_textbook(c_mat, a_stack, b, trace_iterates):
     """min tr(C X) s.t. tr(A_i X) = b_i, X >= 0 over Hermitian X, via NT path following.
 
-    Returns (X, y, S, info).  Infeasible start; residuals are driven to zero
+    Returns (X, y, S, info, iterates); ``iterates`` holds (X, y, S) of every
+    pass if ``trace_iterates``.  Infeasible start; residuals are driven to zero
     together with the complementarity gap.
     """
     n = c_mat.shape[0]
@@ -209,10 +210,10 @@ def _solve_textbook(c_mat, a_stack, b, opts: SolverOptions):
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pres = np.linalg.norm(rp) / b_scale
         dres = np.abs(rd).max() / c_scale
-        if opts.trace_iterates:
+        if trace_iterates:
             iterates.append((x.copy(), y.copy(), s.copy()))
         comp = np.abs(x @ s).max() / scale
-        converged = gap <= opts.gap_tol and pres <= FEAS_TOL and dres <= FEAS_TOL
+        converged = gap <= GAP_TOL and pres <= FEAS_TOL and dres <= FEAS_TOL
         if converged and (comp <= COMP_TOL or mu <= 1e-13 * scale):
             info.update(iterations=it, passes=it, status="optimal", gap=gap, pres=pres, dres=dres)
             return x, y, s, info, iterates
@@ -390,7 +391,7 @@ def _embed(base, rows, block):
     return out
 
 
-def _solve_live(c_mat, a_stack, b, opts, standard):
+def _solve_live(c_mat, a_stack, b, standard, trace_iterates):
     """Solve with the constant rows dropped: X = 0 on them is optimal once C is PSD there.
 
     Returns (X, y, info, iterates) at full size; a program without constant
@@ -413,8 +414,10 @@ def _solve_live(c_mat, a_stack, b, opts, standard):
         return zero, np.zeros(m), dict(status=status, iterations=0, passes=0, pres=pres,
                                        dres=0.0), []
     live = np.ix_(~dropped, ~dropped)
-    c_loop, a_loop = c_mat[live], a_stack[:, live[0], live[1]]
-    x, y, _, info, iterates = _solve_textbook(c_loop, a_loop, b, opts)
+    # the index copy puts the constraint axis innermost; every W A_i W of
+    # every pass is faster on C-contiguous matrices
+    c_loop, a_loop = c_mat[live], np.ascontiguousarray(a_stack[:, live[0], live[1]])
+    x, y, _, info, iterates = _solve_textbook(c_loop, a_loop, b, trace_iterates)
     if info["status"] == "optimal":
         x = _refine_primal(x, y, a_loop, b, c_loop)
     # the dual slack C - sum_i y_i A_i is C itself on the dropped rows
@@ -422,12 +425,15 @@ def _solve_live(c_mat, a_stack, b, opts, standard):
     return _embed(zero, live, x), y, info, iterates
 
 
-def solve(problem, opts: SolverOptions | None = None) -> SdpSolution:
-    """Solve a standard- or inequality-form SDP; see the module docstring for signs."""
-    opts = opts or SolverOptions()
+def solve(problem, trace_iterates=False) -> SdpSolution:
+    """Solve a standard- or inequality-form SDP; see the module docstring for signs.
+
+    With ``trace_iterates``, ``SdpSolution.iterates`` holds (X, y, S) of every
+    loop pass at full size.
+    """
     c_mat, a_stack, b = _prepare(problem)
     standard = isinstance(problem, SdpStandard)
-    x, y, info, iterates = _solve_live(c_mat, a_stack, b, opts, standard)
+    x, y, info, iterates = _solve_live(c_mat, a_stack, b, standard, trace_iterates)
     # -tr(C X) and -b^T y are the standard form's primal and dual values, and
     # the other way round for the inequality form
     x_value = -float(np.trace(c_mat @ x).real)
@@ -447,7 +453,7 @@ def solve(problem, opts: SolverOptions | None = None) -> SdpSolution:
     )
 
 
-def verify_certificate(z, nu, problem, tol=1e-8):
+def verify_certificate(z, nu, problem):
     """Check a candidate optimal pair for either form, on ``_prepare``'s (C, A_i, b).
 
     ``z`` is the matrix variable and ``nu`` the multiplier vector: ``sol.nu``
@@ -480,10 +486,10 @@ def verify_certificate(z, nu, problem, tol=1e-8):
         "gap": dval - pval,
         "complementary_slackness": comp,
         "pass": bool(
-            pres <= tol
-            and z_min >= -tol
-            and s_min >= -tol
-            and abs(dval - pval) <= tol * scale * 10
-            and comp <= tol * scale * 10
+            pres <= CERT_TOL
+            and z_min >= -CERT_TOL
+            and s_min >= -CERT_TOL
+            and abs(dval - pval) <= CERT_TOL * scale * 10
+            and comp <= CERT_TOL * scale * 10
         ),
     }

@@ -89,8 +89,10 @@ def canonical_to_json(q):
 def channel_from_json(obj):
     try:
         d = int(obj["d"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError("channel needs an integer 'd' field") from exc
+    if d != obj["d"]:
+        raise FormatError(f"channel 'd' must be an integer, got {obj['d']!r}")
     if "choi" in obj:
         return ChoiMatrix(d, matrix_from_json(obj["choi"]))
     if "kraus" in obj:

@@ -270,10 +270,12 @@ class TrackingResult:
     ppt_report: dict | None
 
 
-def solve_tracking(tp: TrackingProblem, opts: sdp.SolverOptions | None = None) -> TrackingResult:
+def solve_tracking(tp: TrackingProblem) -> TrackingResult:
     """Assemble and solve; returns the controller Choi matrix and achieved value.
 
     The value is the objective's measure itself (for ``Havg2`` <H>_2, not <H^2>_2).
+    The SDP runs at :mod:`~qtrack.sdp`'s fixed tolerances; a solve that ends
+    other than ``optimal`` raises :class:`~qtrack.sdp.SolverError`.
     """
     d = tp.d
     sol = None
@@ -283,7 +285,7 @@ def solve_tracking(tp: TrackingProblem, opts: sdp.SolverOptions | None = None) -
         value = evaluate_objective(controller, tp)
     else:
         program = assemble(tp)
-        sol = sdp.solve(program, opts)
+        sol = sdp.solve(program)
         if sol.status != "optimal":
             raise sdp.SolverError(f"tracking SDP ended with status {sol.status!r}")
         if isinstance(program, sdp.SdpStandard):
@@ -331,18 +333,19 @@ def reduce_nto2(group1, group2, target1: DensityMatrix, target2: DensityMatrix,
 COMPAT_MEASURES = ("Davg", "H2avg1", "Oavg2", "FHSavg1")
 
 
-def compatibility_experiment(cells, samples, seed, source_pure=False, target_pure=True,
-                             measures=COMPAT_MEASURES, opts=None):
+def compatibility_experiment(cells, samples, seed):
     """Average cross-objective performance drops on random unbiased transformations.
 
-    For each (I, d) cell, ``samples`` random source/target sequences are drawn
-    with uniform priorities; each measure is optimized over CPTP and the
-    resulting controller is scored against every other measure.  The reported
-    drop Delta(X|Y) = X(Y-optimal controller) - X* is quoted in percent
-    (x100), signed so that closeness measures also yield positive drops.
+    For each (I, d) cell, ``samples`` random sequences of mixed sources and
+    pure targets are drawn with uniform priorities; each of the
+    ``COMPAT_MEASURES`` is optimized over CPTP and the resulting controller is
+    scored against every other one.  The reported drop Delta(X|Y) =
+    X(Y-optimal controller) - X* is quoted in percent (x100), signed so that
+    closeness measures also yield positive drops.
     """
     from .channels import random_state
 
+    measures = COMPAT_MEASURES
     results = {}
     for i_count, d in cells:
         drops = {(x, y): [] for x in measures for y in measures}
@@ -350,14 +353,10 @@ def compatibility_experiment(cells, samples, seed, source_pure=False, target_pur
             # per-sample generator so batches stay reproducible under any split
             rng = np.random.default_rng([seed, i_count, d, k])
             pis = [1.0 / i_count] * i_count
-            src = WeightedSequence(
-                [(p, random_state(d, rng, pure=source_pure)) for p in pis]
-            )
-            tgt = WeightedSequence(
-                [(p, random_state(d, rng, pure=target_pure)) for p in pis]
-            )
+            src = WeightedSequence([(p, random_state(d, rng)) for p in pis])
+            tgt = WeightedSequence([(p, random_state(d, rng, pure=True)) for p in pis])
             problems = {tag: TrackingProblem(src, tgt, tag, "cptp") for tag in measures}
-            solved = {tag: solve_tracking(tp, opts) for tag, tp in problems.items()}
+            solved = {tag: solve_tracking(tp) for tag, tp in problems.items()}
             for x_tag, tp_x in problems.items():
                 sign = -1.0 if _OBJECTIVES[x_tag].closeness else 1.0
                 for y_tag in measures:

@@ -27,7 +27,6 @@ from qtrack.channels import (
 )
 from qtrack.distances import WeightedSequence
 from qtrack.linalg import partial_trace, perm_d4, vec
-from qtrack.sdp import SolverOptions
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,8 +58,7 @@ def test_criterion_01_analytic_vs_sdp():
         src = WeightedSequence([(pi1, r1), (1 - pi1, r2)])
         tgt = WeightedSequence([(pi1, t1), (1 - pi1, t2)])
         sdp_value = tracking.solve_tracking(
-            tracking.TrackingProblem(src, tgt, "FHSavg1", "cptp"),
-            SolverOptions(gap_tol=1e-9),
+            tracking.TrackingProblem(src, tgt, "FHSavg1", "cptp")
         ).value
         worst = max(worst, abs(res.fidelity - sdp_value))
     elapsed = time.perf_counter() - start

@@ -242,18 +242,6 @@ def test_alberti_uhlmann_trivial_and_grid():
     assert rep["feasible"]
 
 
-@pytest.mark.parametrize("t_grid", [[], [1.0, float("nan")], [np.inf], [[1.0, 2.0]]])
-def test_alberti_uhlmann_rejects_a_grid_without_a_worst_t(t_grid):
-    rng = np.random.default_rng(5)
-    a, b = random_state(2, rng), random_state(2, rng)
-    with pytest.raises(LinalgError, match="t_grid") as info:
-        app.alberti_uhlmann(a, b, a, b, t_grid=t_grid)
-    assert "\n" not in str(info.value)
-    # an explicit default grid is the default grid
-    rep = app.alberti_uhlmann(a, b, a, b, t_grid=np.logspace(-3, 3, 600))
-    assert rep == app.alberti_uhlmann(a, b, a, b)
-
-
 def test_ddr2_channel_from_holevo_form():
     # measure in the z basis, reprepare the hedged states: an EBTP channel
     # whose average fidelity is exactly ddr2 and whose Choi matrix is PPT

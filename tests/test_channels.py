@@ -329,6 +329,18 @@ def test_density_matrix_validation():
         ch.DensityMatrix.from_bloch([1.2, 0, 0])
 
 
+@pytest.mark.parametrize(
+    "d, m",
+    [(-2, np.eye(4) / 2), (0, np.zeros((0, 0))), (2, np.diag([np.nan, 0.5, 0.5, 0.5])),
+     (2, np.diag([np.inf, 0.5, 0.5, 0.5]))],
+    ids=["d-negative", "d0", "nan", "inf"],
+)
+def test_choi_matrix_validation(d, m):
+    # each passed the shape check, then failed or misreported in check_cptp
+    with pytest.raises(LinalgError, match="at least 1|non-finite"):
+        ch.ChoiMatrix(d, m)
+
+
 def test_density_matrix_is_read_only():
     # validated once, so it cannot be edited into a non-state
     raw = np.diag([0.25, 0.75]).astype(complex)

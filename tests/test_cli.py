@@ -268,7 +268,7 @@ def test_cli_solve_reports_controller_with_small_trace_error(workdir, monkeypatc
     report = check_cptp(choi)
     assert report["tp"] and abs(report["tp_residual"] - 5e-10) < 1e-15
 
-    def fake_solve(tp, opts=None):
+    def fake_solve(tp):
         return trk.TrackingResult(choi, 0.5, None, report, None)
 
     monkeypatch.setattr(trk, "solve_tracking", fake_solve)
@@ -287,7 +287,8 @@ def test_cli_solve_reports_controller_with_small_trace_error(workdir, monkeypatc
         ["compat", "--cells", "2y2", "--seed", "0"],
         ["scatter-bounds", "--d", "1", "--seed", "0"],
         ["scatter-bounds", "--d", "0", "--seed", "0"],
-        ["solve", "--problem", "p.json", "--objective", "Davg", "--gap-tol", "-1"],
+        # --gap-tol is not an option: the gap tolerance is sdp.GAP_TOL
+        ["solve", "--problem", "p.json", "--objective", "Davg", "--gap-tol", "1e-6"],
         ["multistep", "--task", "t.json", "--seed", "0", "--sweep", "-3"],
         ["multistep", "--task", "t.json", "--seed", "0", "--sweep", "0"],
         ["multistep", "--task", "t.json", "--seed", "0", "--restarts", "-1"],
@@ -380,6 +381,10 @@ def test_module_entry_point_runs_without_warnings(capsys):
 
 
 _PAIR = [{"pi": 0.5, "bloch": [1.0, 0.0, 0.0]}, {"pi": 0.5, "bloch": [0.0, 0.0, 1.0]}]
+# the completely depolarizing qubit channel, Choi matrix I / 2
+_DEPOLARIZING = {"rows": 4, "cols": 4, "re": (0.5 * np.eye(4)).ravel().tolist(), "im": [0.0] * 16}
+_CHOI_NAN = {**_DEPOLARIZING, "re": [float("nan")] + _DEPOLARIZING["re"][1:]}
+_EMPTY = {"rows": 0, "cols": 0, "re": [], "im": []}
 
 
 @pytest.mark.parametrize(
@@ -414,12 +419,17 @@ _PAIR = [{"pi": 0.5, "bloch": [1.0, 0.0, 0.0]}, {"pi": 0.5, "bloch": [0.0, 0.0, 
          ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
         ({"p": {"source": _PAIR, "target": _PAIR}, "n": [5]},
          ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
+        ({"c": {"d": -2, "choi": _DEPOLARIZING}}, ["channel", "--in", "c"]),
+        ({"c": {"d": 0, "choi": _EMPTY}}, ["channel", "--in", "c"]),
+        ({"c": {"d": 2, "choi": _CHOI_NAN}}, ["channel", "--in", "c"]),
+        ({"c": {"d": 2.5, "choi": _DEPOLARIZING}}, ["channel", "--in", "c"]),
     ],
     ids=["distances-state-5", "au-check-state-5", "distances-bloch-string",
          "distances-bloch-nan", "distances-rho-nan", "solve-pi-string", "solve-pi-nan", "solve-problem-5",
          "multistep-sweep-above-1", "multistep-sweep-nan", "multistep-noise-two-lam",
          "multistep-noise-lam-string", "multistep-noise-not-a-channel",
-         "multistep-noise-not-a-list", "multistep-noise-entry-5"],
+         "multistep-noise-not-a-list", "multistep-noise-entry-5", "channel-d-negative",
+         "channel-d0", "channel-choi-nan", "channel-d-not-integer"],
 )
 def test_cli_malformed_payloads_exit_2(files, argv, workdir, tmp_path, capsys):
     paths = dict(workdir)

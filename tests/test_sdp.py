@@ -82,8 +82,7 @@ def test_perturbed_primal_fails_gap_check():
 def test_weak_duality_along_iterates():
     rng = np.random.default_rng(2)
     prob = fhs_problem(rng)
-    opts = sdp.SolverOptions(trace_iterates=True)
-    sol = sdp.solve(prob, opts)
+    sol = sdp.solve(prob, trace_iterates=True)
     # restore feasibility of each iterate by mixing toward a strictly feasible
     # point, then check p <= d + 1e-12
     a_mats = [np.kron(h, np.eye(2)) for h in hermitian_basis(2)]
@@ -233,7 +232,7 @@ def test_one_eigendecomposition_per_iterate(objective, feasible, monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
-    sol = sdp.solve(program, sdp.SolverOptions(trace_iterates=True))
+    sol = sdp.solve(program, trace_iterates=True)
     assert sol.status == "optimal"
     # one traced iterate per pass of the loop, the last of which returns
     passes = len(sol.iterates) - 1
@@ -256,7 +255,7 @@ def _reference_max_step(m_ihalf, delta):
     return min(1.0, -1.0 / lam)
 
 
-def _reference_solve_textbook(c_mat, a_stack, b, opts):
+def _reference_solve_textbook(c_mat, a_stack, b, trace_iterates):
     """The solver loop as it was before its stages were stacked: one call per matrix.
 
     Kept as the reference the stacked loop must match bit for bit.  Since
@@ -293,10 +292,10 @@ def _reference_solve_textbook(c_mat, a_stack, b, opts):
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         pres = np.linalg.norm(rp) / (1.0 + np.linalg.norm(b))
         dres = np.abs(rd).max() / (1.0 + np.abs(c_mat).max())
-        if opts.trace_iterates:
+        if trace_iterates:
             iterates.append((x.copy(), y.copy(), s.copy()))
         comp = np.abs(x @ s).max() / scale
-        converged = gap <= opts.gap_tol and pres <= 1e-9 and dres <= 1e-9
+        converged = gap <= 1e-9 and pres <= 1e-9 and dres <= 1e-9
         if converged and (comp <= 5e-9 or mu <= 1e-13 * scale):
             info.update(iterations=it, passes=it, status="optimal", gap=gap, pres=pres, dres=dres)
             return x, y, s, info, iterates
@@ -415,8 +414,8 @@ def test_stacked_pass_matches_the_unstacked_reference(i_count, d, objective, fea
         rng = np.random.default_rng([47, i_count, d, draw])
         program = _draw_program(rng, i_count, d, objective, feasible, draw)
         c_mat, a_stack, b = sdp._prepare(program)
-        x, y, s, info, _ = sdp._solve_textbook(c_mat, a_stack, b, sdp.SolverOptions())
-        x0, y0, s0, info0, _ = _reference_solve_textbook(c_mat, a_stack, b, sdp.SolverOptions())
+        x, y, s, info, _ = sdp._solve_textbook(c_mat, a_stack, b, False)
+        x0, y0, s0, info0, _ = _reference_solve_textbook(c_mat, a_stack, b, False)
         assert np.array_equal(x, x0) and np.array_equal(y, y0) and np.array_equal(s, s0)
         for key in ("status", "iterations", "passes"):
             assert info[key] == info0[key], key
@@ -450,7 +449,7 @@ def test_passes_count_every_loop_pass(objective, feasible):
 
 
 def _assert_one_newton_step_per_pass(program):
-    sol = sdp.solve(program, sdp.SolverOptions(trace_iterates=True))
+    sol = sdp.solve(program, trace_iterates=True)
     assert sol.status == "optimal"
     assert sol.passes == len(sol.iterates) - 1
     assert sol.passes >= sol.iterations
@@ -547,7 +546,7 @@ def _loop_arrays(program, monkeypatch):
     prepare = sdp._prepare
     monkeypatch.setattr(sdp, "_prepare", lambda p: prepared.append(prepare(p)) or prepared[0])
 
-    def capture(c_mat, a_stack, b, opts):
+    def capture(c_mat, a_stack, b, trace_iterates):
         looped.append((c_mat, a_stack))
         raise _LoopEntered
 
@@ -569,6 +568,7 @@ def test_programs_without_constant_rows_reach_the_loop_untouched(i_count, d, obj
     program = _bench_program([7, i_count, d], i_count, d, objective, feasible)
     (c_mat, a_stack), (c_loop, a_loop) = _loop_arrays(program, monkeypatch)
     assert np.array_equal(c_loop, c_mat) and np.array_equal(a_loop, a_stack)
+    assert a_loop.flags.c_contiguous
 
 
 def test_constant_rows_follow_the_coupling_of_c():
@@ -587,7 +587,7 @@ def test_solution_and_iterates_are_full_size():
     c_mat, a_stack, _ = sdp._prepare(program)
     dropped = sdp._constant_rows(c_mat, a_stack)
     assert dropped.tolist() == [False, False, True]
-    sol = sdp.solve(program, sdp.SolverOptions(trace_iterates=True))
+    sol = sdp.solve(program, trace_iterates=True)
     assert sol.status == "optimal"
     assert abs(sol.primal_value + np.linalg.eigvalsh(e0[:2, :2]).min()) <= 1e-8
     assert len(sol.iterates) > 1
