@@ -6,7 +6,8 @@ closed-loop extremal channel (procedure A) and an open-loop unitary
 (procedure B).  Both are written once, in the SO(3) canonical form, by the
 stacked kernel :func:`optimal_frames`; a single pair is a stack of one.  Each
 optimum comes with a certificate built from the dual of the underlying
-semidefinite program.
+semidefinite program.  Pair data and priorities enter through one intake,
+:func:`pair_bloch`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .channels import (
     bloch_of,
     rotation_aligning,
 )
+from .distances import check_priorities
 from .linalg import LinalgError, stacked_dot
 
 OMEGA_TIE = 1e-12
@@ -91,25 +93,41 @@ class PairGeometry:
 
     @classmethod
     def from_states(cls, rho1, rho2, rbar1, rbar2, pi1=0.5):
-        """Geometry of sources ``rho1``, ``rho2`` (validated unless already
-        :class:`DensityMatrix`) and targets ``rbar1``, ``rbar2`` with priority ``pi1``."""
-        rho1, rho2 = (r if isinstance(r, DensityMatrix) else DensityMatrix(r) for r in (rho1, rho2))
-        pi2 = 1.0 - pi1
-        m1, m2 = (t.mat if isinstance(t, DensityMatrix) else np.asarray(t, dtype=complex)
-                  for t in (rbar1, rbar2))
-        return cls(
-            r1=rho1.bloch,
-            r2=rho2.bloch,
-            rb1=pi1 * bloch_of(m1),
-            rb2=pi2 * bloch_of(m2),
-            c1=pi1 * float(np.trace(m1).real),
-            c2=pi2 * float(np.trace(m2).real),
-        )
+        """Geometry of sources ``rho1``, ``rho2`` and targets ``rbar1``, ``rbar2``
+        with priorities ``pi1``, ``1 - pi1``, read by :func:`pair_bloch`."""
+        r, rb, c = pair_bloch((rho1, rho2), (rbar1, rbar2), (pi1, 1.0 - pi1))
+        return cls(*r, *rb, *c.tolist())
 
     # Derived data (set in __post_init__): the _geometry tuple stage and its
     # 12 dots; r_minus, r_cross, rb_plus, rb_cross, their norms r_minus_norm,
     # r_cross_norm, rb_cross_norm, t_scalar, s_scalar, omega, c, xi_upper,
     # xi_lower.
+
+
+def pair_bloch(sources, targets, priorities):
+    """Sources r_i, scaled targets pi_i rb_i and c_i = pi_i tr rb_i of a pair, as arrays over i.
+
+    Each input is a :class:`DensityMatrix` or a Bloch 3-vector of length at
+    most 1 + 1e-10, both of trace 1, or a 2 x 2 matrix: a state for a source,
+    any bare one for a target.  The priorities pass :func:`check_priorities`.
+    """
+    pis = check_priorities(priorities)
+    if not len(sources) == len(targets) == pis.size == 2:
+        raise LinalgError("a pair needs two sources, two targets and two priorities")
+    bloch, trace = np.empty((4, 3)), np.ones(4)
+    for k, x in enumerate((*sources, *targets)):
+        if isinstance(x, DensityMatrix):
+            bloch[k] = x.bloch
+        elif np.shape(x) == (3,):
+            bloch[k] = x
+            if not np.linalg.norm(bloch[k]) <= 1.0 + 1e-10:  # NaN fails too
+                raise LinalgError(f"Bloch vector {bloch[k].tolist()} leaves the unit ball")
+        elif k < 2:  # a source matrix must be a state
+            bloch[k] = DensityMatrix(x).bloch
+        else:
+            m = np.asarray(x, dtype=complex)
+            bloch[k], trace[k] = bloch_of(m), np.trace(m).real
+    return bloch[:2], pis[:, None] * bloch[2:], pis * trace[2:]
 
 
 def _cross3(a, b, out=None):
@@ -402,7 +420,7 @@ class QubitTrackerResult:
     fidelity: float
     certificate: DualCertificate
     choi: ChoiMatrix
-    unique: bool = True
+    unique: bool
 
 
 def track_pair(rho1, rho2, rbar1, rbar2, pi1=0.5) -> QubitTrackerResult:

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import PairGeometry, track_geometry
+from .analytic import track_pair
 from .channels import ChoiMatrix, DensityMatrix, KrausSet, _pauli_pairs, choi_from_kraus
+from .distances import check_priorities
 from .linalg import PAULI, LinalgError, min_eig
 
 
@@ -173,9 +174,7 @@ def discriminate(rho1: DensityMatrix, rho2: DensityMatrix, p1):
     Both success probabilities coincide; the tracking branch is decided by the
     sign of T = (p1 - p2)^2 - ||p1 R1 - p2 R2||^2.
     """
-    if not 0.0 < p1 < 1.0:
-        raise LinalgError("p1 must lie in (0, 1)")
-    p2 = 1.0 - p1
+    p1, p2 = check_priorities([p1, 1.0 - p1]).tolist()
     diff = p1 * rho1.mat - p2 * rho2.mat
     p_hel = 0.5 + 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
     bloch_gap = np.linalg.norm(p1 * rho1.bloch - p2 * rho2.bloch)
@@ -204,9 +203,7 @@ def purification(r_len, theta, theta_bar, pi1=0.5):
     r2 = r_len * np.array([np.cos(theta), 0.0, -np.sin(theta)])
     b1 = np.array([np.cos(theta_bar), 0.0, np.sin(theta_bar)])
     b2 = np.array([np.cos(theta_bar), 0.0, -np.sin(theta_bar)])
-    pi2 = 1.0 - pi1
-    g = PairGeometry(r1, r2, pi1 * b1, pi2 * b2, pi1, pi2)
-    res = track_geometry(g)
+    res = track_pair(r1, r2, b1, b2, pi1)
     return {
         "omega": res.omega,
         "procedure": res.procedure,
@@ -242,9 +239,7 @@ def clone_fidelity(phi, pi1=0.5):
     """
     if not 0.0 <= phi < np.pi / 4:
         raise LinalgError("phi must lie in [0, pi/4)")
-    if not 0.0 < pi1 < 1.0:
-        raise LinalgError("pi1 must lie in (0, 1)")
-    pi2 = 1.0 - pi1
+    pi1, pi2 = check_priorities([pi1, 1.0 - pi1]).tolist()
     omega_t = 2.0 * np.arccos(np.clip(np.sin(2 * phi), -1, 1)) - 2.0 * np.arccos(
         np.clip(np.sin(2 * phi) ** 2, -1, 1)
     )

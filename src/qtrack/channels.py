@@ -149,27 +149,17 @@ def choi_from_kraus(kraus: KrausSet) -> ChoiMatrix:
     return ChoiMatrix(d, acc)
 
 
-def kraus_from_choi(choi: ChoiMatrix, method="eig") -> KrausSet:
-    """Kraus operators by reshaping columns of a factor S^dag with C = S^dag S.
-
-    ``method='eig'`` returns rank-many operators; ``method='cholesky'`` returns
-    the full d^2 operators from the (regularized) Cholesky factor.
-    """
+def kraus_from_choi(choi: ChoiMatrix) -> KrausSet:
+    """Rank-many Kraus operators, reshaped from the eigenvectors of C scaled by sqrt(lambda)."""
     d = choi.d
-    if method == "eig":
-        w, u = np.linalg.eigh(choi.mat)
-        if w.min() < -PSD_TOL:
-            raise LinalgError(f"Choi matrix is not PSD (min eig {w.min():.3e})")
-        cutoff = max(1e-12 * max(w.max(), 1.0), 1e-13)
-        ops = [mat(np.sqrt(lam) * u[:, i], d) for i, lam in enumerate(w) if lam > cutoff]
-        if not ops:
-            ops = [np.zeros((d, d), dtype=complex)]
-        return KrausSet(ops)
-    if method == "cholesky":
-        shift = max(0.0, -min_eig(choi.mat)) + 1e-14
-        s = np.linalg.cholesky(choi.mat + shift * np.eye(d * d)).conj().T
-        return KrausSet([mat(s.conj().T[:, i], d) for i in range(d * d)])
-    raise LinalgError(f"unknown method {method!r}")
+    w, u = np.linalg.eigh(choi.mat)
+    if w.min() < -PSD_TOL:
+        raise LinalgError(f"Choi matrix is not PSD (min eig {w.min():.3e})")
+    cutoff = max(1e-12 * max(w.max(), 1.0), 1e-13)
+    ops = [mat(np.sqrt(lam) * u[:, i], d) for i, lam in enumerate(w) if lam > cutoff]
+    if not ops:
+        ops = [np.zeros((d, d), dtype=complex)]
+    return KrausSet(ops)
 
 
 def apply_choi(choi: ChoiMatrix, rho: DensityMatrix) -> DensityMatrix:
@@ -466,9 +456,9 @@ def random_state(d, rng, pure=False) -> DensityMatrix:
     return DensityMatrix((u * lam) @ u.conj().T)
 
 
-def random_channel(d, rng, kraus_count=None) -> ChoiMatrix:
-    """Random CPTP channel from a Haar-random Stinespring isometry."""
-    k = kraus_count or d * d
+def random_channel(d, rng) -> ChoiMatrix:
+    """Random CPTP channel with d^2 Kraus operators, from a Haar-random Stinespring isometry."""
+    k = d * d
     z = rng.standard_normal((d * k, d)) + 1j * rng.standard_normal((d * k, d))
     q, _ = np.linalg.qr(z)
     ops = [q[i * d : (i + 1) * d, :] for i in range(k)]

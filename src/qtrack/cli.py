@@ -184,12 +184,8 @@ def _cmd_solve(args):
 def _cmd_analytic(args):
     srcs = [serialize.state_from_json(serialize.load_json(p)) for p in args.src]
     tgts = [serialize.state_from_json(serialize.load_json(p)) for p in args.tgt]
-    pi1 = args.pi[0]
-    if not all(0.0 < p < 1.0 for p in args.pi):
-        raise FormatError("priorities must lie in (0, 1)")
-    if abs(sum(args.pi) - 1.0) > 1e-12:
-        raise FormatError("priorities must sum to one")
-    res = analytic.track_pair(srcs[0], srcs[1], tgts[0], tgts[1], pi1)
+    distances.check_priorities(args.pi)
+    res = analytic.track_pair(srcs[0], srcs[1], tgts[0], tgts[1], args.pi[0])
     out = {
         "omega": res.omega,
         "procedure": res.procedure,

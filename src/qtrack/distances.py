@@ -1,7 +1,9 @@
 """Distance and closeness measures between density matrices and sequences thereof.
 
 All functions accept either :class:`~qtrack.channels.DensityMatrix` instances
-or bare Hermitian arrays; validation is the caller's business for bare arrays.
+or bare Hermitian arrays, whose trace is not checked; F and the bound report
+raise LinalgError on an eigenvalue below -1e-10.  Priorities, here and
+in every module, pass :func:`check_priorities`, the one place for their rule.
 
 :func:`check_bounds` and :func:`fidelity_uhlmann` also take ``(..., d, d)``
 stacks of pairs; one pair is the stack of one.  Per pair, the bound report
@@ -199,6 +201,24 @@ def metric_functional(kind, value):
     raise LinalgError(f"unknown functional {kind!r}")
 
 
+def check_priorities(pis):
+    """``pis`` as floats; LinalgError unless they sum to 1 and each lies in (0, 1), or are [1]."""
+    pis = np.asarray(pis, dtype=float)
+    if not abs(pis.sum() - 1.0) <= 1e-12:  # NaN fails too
+        raise LinalgError(f"priorities sum to {pis.sum()}, not 1")
+    if pis.size > 1 and not all(0.0 < p < 1.0 for p in pis.tolist()):
+        raise LinalgError("priorities must lie in (0, 1)")
+    return pis
+
+
+def check_matching(src, tgt):
+    """LinalgError unless two weighted sequences agree in length, dimension and priorities."""
+    if len(src) != len(tgt) or src.d != tgt.d:
+        raise LinalgError("sequences must match in length and dimension")
+    if np.abs(src.priorities - tgt.priorities).max() > 1e-12:
+        raise LinalgError("sequences must carry identical priorities")
+
+
 @dataclass(frozen=True)
 class WeightedSequence:
     """Ordered list of (priority, state) with priorities in (0, 1) summing to 1."""
@@ -207,15 +227,10 @@ class WeightedSequence:
     states: tuple
 
     def __init__(self, items):
-        pis = np.array([float(p) for p, _ in items])
         states = tuple(s if isinstance(s, DensityMatrix) else DensityMatrix(s) for _, s in items)
         if len(states) < 1:
             raise LinalgError("sequence must have at least one element")
-        if not abs(pis.sum() - 1.0) <= 1e-12:  # NaN fails too
-            raise LinalgError(f"priorities sum to {pis.sum()}, not 1")
-        if np.any(pis <= 0.0) or np.any(pis >= 1.0):
-            if not (len(states) == 1 and abs(pis[0] - 1.0) <= 1e-12):
-                raise LinalgError("priorities must lie in (0, 1)")
+        pis = check_priorities([float(p) for p, _ in items])
         d = states[0].d
         if any(s.d != d for s in states):
             raise LinalgError("all states must share one dimension")
@@ -244,10 +259,7 @@ def sequence_distance(tag, scheme, src: WeightedSequence, tgt: WeightedSequence)
     Scheme 1 is the priority-weighted mean of elementwise values; scheme 2
     evaluates the measure once on the direct-sum states.
     """
-    if len(src) != len(tgt) or src.d != tgt.d:
-        raise LinalgError("sequences must match in length and dimension")
-    if np.abs(src.priorities - tgt.priorities).max() > 1e-12:
-        raise LinalgError("sequences must carry identical priorities")
+    check_matching(src, tgt)
     if scheme == "avg1":
         return float(
             sum(

@@ -12,7 +12,8 @@ computes the controllers of all rows with the stacked kernel
 the Newton Jacobian is one batched sweep over the perturbed points.  The
 kernel computes each row from its own data, and the batched propagation
 repeats :func:`forward_state` and :func:`backward_target` in the same order,
-so every restart gives the same bits as when it ran alone.
+so every restart gives the same bits as when it ran alone.  A
+:class:`ChainTask` reads its pair data from :func:`~qtrack.analytic.pair_bloch`.
 
 A sweep keeps one new ``(R, dim)`` array in :func:`_pack`'s layout, and
 each step writes into ``(R, 2, 3)`` and ``(R, 2)`` views of it.  The kernel's
@@ -31,8 +32,9 @@ from .analytic import (
     optimal_canonical,  # noqa: F401  unused here; perfbench's tracer wraps this name
     optimal_fidelity,
     optimal_frames,
+    pair_bloch,
 )
-from .channels import DensityMatrix, QubitChannelCanonical, check_rsw
+from .channels import QubitChannelCanonical, check_rsw
 from .linalg import LinalgError
 
 # restarts whose chain fidelities differ by no more than this are tied
@@ -139,16 +141,12 @@ class RestartRecord:
 class ChainTask:
     """Pair-stabilization data: sources, targets, priorities and the noises.
 
-    LinalgError unless every noise is a channel (``check_rsw``).
+    The pair data is read by :func:`~qtrack.analytic.pair_bloch`.  LinalgError
+    unless it passes there and every noise is a channel (``check_rsw``).
     """
 
     def __init__(self, sources, targets, priorities, noises):
-        self.pis = np.asarray(priorities, dtype=float)
-        if self.pis.shape != (2,) or abs(self.pis.sum() - 1.0) > 1e-12:
-            raise LinalgError("need two priorities summing to one")
-        self.r_sources = np.array([_as_bloch(s) for s in sources])
-        self.rb_final = np.array([p * _as_bloch(t) for p, t in zip(self.pis, targets)])
-        self.c_final = np.array([p * _as_trace(t) for p, t in zip(self.pis, targets)])
+        self.r_sources, self.rb_final, self.c_final = pair_bloch(sources, targets, priorities)
         self.noises = [_channel(noise) for noise in noises]
         self.n_steps = len(self.noises) + 1
 
@@ -171,24 +169,6 @@ class ChainTask:
             r = controllers[-1].bloch_map(r)
             total += 0.5 * (self.c_final[i] + r @ self.rb_final[i])
         return float(total)
-
-
-def _as_bloch(state):
-    if isinstance(state, DensityMatrix):
-        return state.bloch
-    arr = np.asarray(state)
-    if arr.shape == (3,):
-        return arr.astype(float)
-    return DensityMatrix(arr).bloch
-
-
-def _as_trace(state):
-    if isinstance(state, DensityMatrix):
-        return 1.0
-    arr = np.asarray(state)
-    if arr.shape == (3,):
-        return 1.0
-    return float(np.trace(arr).real)
 
 
 def _pack(task: ChainTask, r_steps, c_steps, rb_steps):

@@ -3,7 +3,7 @@
 Complex matrices travel as ``{"rows": n, "cols": m, "re": [...], "im": [...]}``
 with row-major entry order; states as ``{"d": n, "rho": <matrix>}`` or
 ``{"bloch": [x, y, z]}``; channels as ``{"d": n, "choi": <matrix>}`` or
-``{"d": n, "kraus": [<matrix>, ...]}``; canonical qubit channels as
+``{"d": n, "kraus": [<n x n matrix>, ...]}``; canonical qubit channels as
 ``{"mu": [...], "s": [...], "V": <matrix>, "U": <matrix>}``.
 """
 
@@ -91,12 +91,16 @@ def channel_from_json(obj):
         d = int(obj["d"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError("channel needs an integer 'd' field") from exc
-    if d != obj["d"]:
+    if d != obj["d"] or isinstance(obj["d"], bool):
         raise FormatError(f"channel 'd' must be an integer, got {obj['d']!r}")
     if "choi" in obj:
         return ChoiMatrix(d, matrix_from_json(obj["choi"]))
     if "kraus" in obj:
+        if not isinstance(obj["kraus"], list):
+            raise FormatError("channel 'kraus' must be a list of matrices")
         ops = [matrix_from_json(k) for k in obj["kraus"]]
+        if any(k.shape != (d, d) for k in ops):
+            raise FormatError(f"Kraus operators must be {d} x {d}, as 'd' declares")
         return choi_from_kraus(KrausSet(ops))
     raise FormatError("channel needs a 'choi' or 'kraus' field")
 

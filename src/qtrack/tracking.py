@@ -24,7 +24,8 @@ import numpy as np
 
 from . import sdp
 from .channels import TP_TOL, ChoiMatrix, DensityMatrix, apply_choi_raw, check_cptp, check_ppt
-from .distances import WeightedSequence, hs_distance, sequence_distance
+from .distances import (WeightedSequence, check_matching, check_priorities, hs_distance,
+                        sequence_distance)
 from .linalg import LinalgError, hermitian_basis, vec
 
 FEASIBLE_SETS = ("cptp", "ppt")
@@ -42,10 +43,7 @@ class TrackingProblem:
             raise LinalgError(f"unknown objective {self.objective!r}")
         if self.feasible not in FEASIBLE_SETS:
             raise LinalgError(f"unknown feasible set {self.feasible!r}")
-        if len(self.source) != len(self.target) or self.source.d != self.target.d:
-            raise LinalgError("source/target sequences must match")
-        if np.abs(self.source.priorities - self.target.priorities).max() > 1e-12:
-            raise LinalgError("source/target priorities must match")
+        check_matching(self.source, self.target)
 
     @property
     def d(self):
@@ -313,16 +311,15 @@ def reduce_nto2(group1, group2, target1: DensityMatrix, target2: DensityMatrix,
                 objective="FHSavg1", feasible="cptp") -> TrackingProblem:
     """Collapse two groups of weighted sources onto a two-element tracking problem.
 
-    ``group1``/``group2`` are lists of (q_j, state) with all q_j > 0 summing to
-    one across both groups; each group is replaced by its weight and its
-    weighted mean state.
+    ``group1``/``group2`` are lists of (q_j, state) whose q_j, across both
+    groups, are priorities (:func:`~qtrack.distances.check_priorities`); each
+    group is replaced by its weight and its weighted mean state.
     """
     if not group1 or not group2:
         raise LinalgError("both groups must be non-empty")
+    check_priorities([q for q, _ in (*group1, *group2)])
     q1 = float(sum(q for q, _ in group1))
     q2 = float(sum(q for q, _ in group2))
-    if abs(q1 + q2 - 1.0) > 1e-12:
-        raise LinalgError("group weights must sum to one")
     mean1 = sum((q / q1) * (s.mat if isinstance(s, DensityMatrix) else np.asarray(s)) for q, s in group1)
     mean2 = sum((q / q2) * (s.mat if isinstance(s, DensityMatrix) else np.asarray(s)) for q, s in group2)
     src = WeightedSequence([(q1, DensityMatrix(mean1)), (q2, DensityMatrix(mean2))])

@@ -385,6 +385,7 @@ _PAIR = [{"pi": 0.5, "bloch": [1.0, 0.0, 0.0]}, {"pi": 0.5, "bloch": [0.0, 0.0, 
 _DEPOLARIZING = {"rows": 4, "cols": 4, "re": (0.5 * np.eye(4)).ravel().tolist(), "im": [0.0] * 16}
 _CHOI_NAN = {**_DEPOLARIZING, "re": [float("nan")] + _DEPOLARIZING["re"][1:]}
 _EMPTY = {"rows": 0, "cols": 0, "re": [], "im": []}
+_KRAUS_I2 = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
 
 
 @pytest.mark.parametrize(
@@ -423,13 +424,20 @@ _EMPTY = {"rows": 0, "cols": 0, "re": [], "im": []}
         ({"c": {"d": 0, "choi": _EMPTY}}, ["channel", "--in", "c"]),
         ({"c": {"d": 2, "choi": _CHOI_NAN}}, ["channel", "--in", "c"]),
         ({"c": {"d": 2.5, "choi": _DEPOLARIZING}}, ["channel", "--in", "c"]),
+        ({"c": {"d": 5, "kraus": [_KRAUS_I2]}}, ["channel", "--in", "c"]),
+        ({"c": {"d": True, "kraus": [{"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}]}},
+         ["channel", "--in", "c"]),
+        ({"c": {"d": 2, "kraus": 5}}, ["channel", "--in", "c"]),
+        ({"p": {"source": _PAIR, "target": _PAIR}, "n": [{"d": 3, "kraus": [_KRAUS_I2]}]},
+         ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
     ],
     ids=["distances-state-5", "au-check-state-5", "distances-bloch-string",
          "distances-bloch-nan", "distances-rho-nan", "solve-pi-string", "solve-pi-nan", "solve-problem-5",
          "multistep-sweep-above-1", "multistep-sweep-nan", "multistep-noise-two-lam",
          "multistep-noise-lam-string", "multistep-noise-not-a-channel",
          "multistep-noise-not-a-list", "multistep-noise-entry-5", "channel-d-negative",
-         "channel-d0", "channel-choi-nan", "channel-d-not-integer"],
+         "channel-d0", "channel-choi-nan", "channel-d-not-integer", "channel-kraus-not-d-by-d",
+         "channel-d-bool", "channel-kraus-not-a-list", "multistep-noise-kraus-not-d-by-d"],
 )
 def test_cli_malformed_payloads_exit_2(files, argv, workdir, tmp_path, capsys):
     paths = dict(workdir)

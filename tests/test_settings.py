@@ -13,13 +13,10 @@ import qtrack
 SETTINGS = {
     "analytic.PairGeometry": ["c1", "c2"],
     "analytic.PairGeometry.from_states": ["pi1"],
-    "analytic.QubitTrackerResult": ["unique"],
     "analytic.optimal_frames": ["stage"],
     "analytic.track_pair": ["pi1"],
     "applications.clone_fidelity": ["pi1"],
     "applications.purification": ["pi1"],
-    "channels.kraus_from_choi": ["method"],
-    "channels.random_channel": ["kraus_count"],
     "channels.random_state": ["pure"],
     "cli.main": ["argv"],
     "linalg.hermitize": ["atol"],
