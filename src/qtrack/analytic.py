@@ -27,7 +27,7 @@ from .channels import (
     rotation_aligning,
 )
 from .distances import check_priorities
-from .linalg import LinalgError, stacked_dot
+from .linalg import LinalgError, hermitize, stacked_dot
 
 OMEGA_TIE = 1e-12
 _EYE3 = np.eye(3)
@@ -108,8 +108,9 @@ def pair_bloch(sources, targets, priorities):
     """Sources r_i, scaled targets pi_i rb_i and c_i = pi_i tr rb_i of a pair, as arrays over i.
 
     Each input is a :class:`DensityMatrix` or a Bloch 3-vector of length at
-    most 1 + 1e-10, both of trace 1, or a 2 x 2 matrix: a state for a source,
-    any bare one for a target.  The priorities pass :func:`check_priorities`.
+    most 1 + 1e-10, both of trace 1, or a 2 x 2 matrix: a state for a source;
+    for a target, any finite Hermitian matrix with no eigenvalue below -1e-10
+    (a state's floor), of any trace.  The priorities pass :func:`check_priorities`.
     """
     pis = check_priorities(priorities)
     if not len(sources) == len(targets) == pis.size == 2:
@@ -124,9 +125,11 @@ def pair_bloch(sources, targets, priorities):
                 raise LinalgError(f"Bloch vector {bloch[k].tolist()} leaves the unit ball")
         elif k < 2:  # a source matrix must be a state
             bloch[k] = DensityMatrix(x).bloch
-        else:
+        else:  # a bare target: a positive operator, its trace free
             m = np.asarray(x, dtype=complex)
             bloch[k], trace[k] = bloch_of(m), np.trace(m).real
+            if not (np.isfinite(m).all() and np.linalg.eigvalsh(hermitize(m)).min() >= -1e-10):
+                raise LinalgError("a bare target must be a finite positive operator")
     return bloch[:2], pis[:, None] * bloch[2:], pis * trace[2:]
 
 

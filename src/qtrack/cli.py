@@ -1,8 +1,11 @@
 """qtrack command line: one subcommand per capability.
 
-Exit codes: 0 success, 2 validation/input error, 3 solver failure.  Every
-randomized command requires ``--seed`` and is byte-for-byte reproducible for a
-fixed seed.
+Each handler returns the text it prints; :func:`main` writes it to stdout or
+``--out`` through :func:`_write`, the one place that opens a file or touches
+stdout (``solve --dump-problem`` writes there too).  Exit codes: 0 success,
+2 validation/input error (an unwritable output path included), 3 solver
+failure.  Every randomized command requires ``--seed`` and is byte-for-byte
+reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ PLOT_COLUMNS = {
     "multistep_sweep": ("lam1", "lam2", "t3", "class", "f_multi", "f_single"),
     "bench": ("measure", "mean_seconds"),
     "bound_report": ("measure", "value", "slack"),
+    "result": ("key", "value"),
 }
 
 
@@ -68,7 +72,7 @@ def _cell(text):
 
 
 def emit_plotdata(rows, kind):
-    """Render sweep results as CSV with a stable column order (%.10e numbers)."""
+    """Render rows as CSV with a stable column order (%.10e numbers)."""
     columns = PLOT_COLUMNS[kind]
     lines = [",".join(columns)]
     for row in rows:
@@ -80,26 +84,25 @@ def emit_plotdata(rows, kind):
     return "\n".join(lines) + "\n"
 
 
-def _write(text, path=None):
-    if path:
+def _write(text, path):
+    """``text`` to the file ``path``, or to stdout without one; FormatError if unwritable."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror}") from exc
 
 
-def _emit_result(obj, args):
-    """Scalar result payloads honor --format json|csv (key,value rows)."""
-    if getattr(args, "format", "json") == "csv":
-        lines = ["key,value"]
-        for key in sorted(obj):
-            val = obj[key]
-            if isinstance(val, (int, float, bool, str)):
-                cell = val if isinstance(val, str) else "%.10e" % float(val)
-                lines.append(f"{key},{cell}")
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        _write(serialize.dump_json(obj) + "\n", args.out)
+def _result_text(obj, fmt="json"):
+    """A result payload as JSON, or for ``--format csv`` its scalars as key,value rows."""
+    if fmt == "json":
+        return serialize.dump_json(obj) + "\n"
+    scalars = (int, float, bool, str)
+    return emit_plotdata([{"key": k, "value": v} for k, v in sorted(obj.items())
+                          if isinstance(v, scalars)], "result")
 
 
 def _cmd_distances(args):
@@ -114,11 +117,9 @@ def _cmd_distances(args):
         ]
         for key, val in report["values"].items():
             rows.append({"measure": key, "value": val, "slack": float("nan")})
-        _write(emit_plotdata(rows, "bound_report"), args.out)
-        return EXIT_OK
+        return emit_plotdata(rows, "bound_report")
     value = distances.measure(args.measure, a, b)
-    _emit_result({"measure": args.measure, "value": value}, args)
-    return EXIT_OK
+    return _result_text({"measure": args.measure, "value": value}, args.format)
 
 
 def _cmd_scatter(args):
@@ -134,8 +135,7 @@ def _cmd_scatter(args):
                 "one_minus_FN": 1.0 - distances.super_fidelity(a, b),
             }
         )
-    _write(emit_plotdata(rows, "bound_scatter"), args.out)
-    return EXIT_OK
+    return emit_plotdata(rows, "bound_scatter")
 
 
 def _cmd_channel(args):
@@ -147,17 +147,15 @@ def _cmd_channel(args):
     }
     if choi.d == 2 and out["cptp"]["cp"] and out["cptp"]["tp"]:
         out["canonical"] = serialize.canonical_to_json(canonical_qubit(choi))
-    _write(serialize.dump_json(out) + "\n", args.out)
-    return EXIT_OK
+    return _result_text(out)
 
 
 def _cmd_solve(args):
     src, tgt = serialize.problem_from_json(serialize.load_json(args.problem))
     tp = tracking.TrackingProblem(src, tgt, args.objective, args.feasible)
-    if args.dump_problem:
-        serialize.dump_json(
-            serialize.sdp_problem_to_json(tracking.assemble(tp)), args.dump_problem
-        )
+    if args.dump_problem:  # written before the solve, so a failing program is still dumped
+        program = serialize.sdp_problem_to_json(tracking.assemble(tp))
+        _write(_result_text(program), args.dump_problem)
     res = tracking.solve_tracking(tp)
     out = {
         "objective": args.objective,
@@ -177,8 +175,7 @@ def _cmd_solve(args):
         out["output_bloch"] = [
             bloch_of(apply_choi_raw(res.controller.mat, s.mat)).tolist() for s in src.states
         ]
-    _write(serialize.dump_json(out) + "\n", args.out)
-    return EXIT_OK
+    return _result_text(out)
 
 
 def _cmd_analytic(args):
@@ -200,8 +197,7 @@ def _cmd_analytic(args):
         },
         "controller": serialize.channel_to_json(res.choi),
     }
-    _write(serialize.dump_json(out) + "\n", args.out)
-    return EXIT_OK
+    return _result_text(out)
 
 
 def _cmd_stabilize(args):
@@ -225,22 +221,21 @@ def _cmd_stabilize(args):
                         "qc": f["qc_opt"],
                     }
                 )
-        _write(emit_plotdata(rows, "stabilize_grid"), args.out)
-        return EXIT_OK
+        return emit_plotdata(rows, "stabilize_grid")
+    if None in (args.p, args.theta):
+        build_parser().error("stabilize needs --p and --theta, or --grid")
     task = applications.DephasingTask(args.p, args.theta)
     out = applications.stabilization_fidelities(task)
     out["quantum_certificate"] = applications.quantum_optimality_certificate(task)
     out["classical_certificate"] = applications.classical_optimality_certificate(task)
-    _emit_result(out, args)
-    return EXIT_OK
+    return _result_text(out, args.format)
 
 
 def _cmd_discriminate(args):
     a = serialize.state_from_json(serialize.load_json(args.a))
     b = serialize.state_from_json(serialize.load_json(args.b))
     out = applications.discriminate(a, b, args.p1)
-    _emit_result(out, args)
-    return EXIT_OK
+    return _result_text(out, args.format)
 
 
 def _cmd_clone(args):
@@ -249,16 +244,14 @@ def _cmd_clone(args):
         "pi1": args.pi1,
         "fidelity": applications.clone_fidelity(args.phi, args.pi1),
     }
-    _emit_result(out, args)
-    return EXIT_OK
+    return _result_text(out, args.format)
 
 
 def _cmd_au_check(args):
     srcs = [serialize.state_from_json(serialize.load_json(p)) for p in args.src]
     tgts = [serialize.state_from_json(serialize.load_json(p)) for p in args.tgt]
     out = applications.alberti_uhlmann(srcs[0], srcs[1], tgts[0], tgts[1])
-    _write(serialize.dump_json(out) + "\n", args.out)
-    return EXIT_OK
+    return _result_text(out)
 
 
 def _load_noise(obj):
@@ -287,8 +280,7 @@ def _cmd_multistep(args):
             )
 
         records = multistep.sweep_2step(factory, grid, grid, restarts=args.restarts, seed=args.seed)
-        _write(emit_plotdata(records, "multistep_sweep"), args.out)
-        return EXIT_OK
+        return emit_plotdata(records, "multistep_sweep")
     if args.noise is None:
         raise FormatError("multistep needs --noise (a chain solve) or --sweep (a noise sweep)")
     noises = serialize.load_json(args.noise)
@@ -306,8 +298,7 @@ def _cmd_multistep(args):
         "seed_chain": chain.seed_label,
         "controllers": [serialize.canonical_to_json(ctrl) for ctrl in chain.controllers],
     }
-    _write(serialize.dump_json(out) + "\n", args.out)
-    return EXIT_OK
+    return _result_text(out)
 
 
 def _cmd_compat(args):
@@ -322,8 +313,7 @@ def _cmd_compat(args):
             },
             "orderings": data["orderings"],
         }
-    _write(serialize.dump_json(out) + "\n", args.out)
-    return EXIT_OK
+    return _result_text(out)
 
 
 def _cmd_bench(args):
@@ -331,8 +321,7 @@ def _cmd_bench(args):
     times = distances.benchmark_measures(args.d, args.repeats, rng)
     rows = [{"measure": k, "mean_seconds": v} for k, v in times.items()]
     ordering = sorted(times, key=times.get)
-    _write(emit_plotdata(rows, "bench") + "# fastest-to-slowest: " + ",".join(ordering) + "\n", args.out)
-    return EXIT_OK
+    return emit_plotdata(rows, "bench") + "# fastest-to-slowest: " + ",".join(ordering) + "\n"
 
 
 @functools.cache
@@ -350,19 +339,16 @@ def build_parser():
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--bounds", action="store_true", help="emit the bound-slack CSV report")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_distances)
 
     p = sub.add_parser("scatter-bounds", help="random-state scatter of D vs 1 - F_N")
     p.add_argument("--d", type=_int_in(2), required=True)
     p.add_argument("--n", type=_int_in(1), default=1000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_scatter)
 
     p = sub.add_parser("channel", help="inspect a channel (CPTP/PPT/canonical form)")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_channel)
 
     p = sub.add_parser("solve", help="solve a tracking SDP")
@@ -370,14 +356,12 @@ def build_parser():
     p.add_argument("--objective", required=True, choices=tracking.OBJECTIVES)
     p.add_argument("--feasible", default="cptp", choices=tracking.FEASIBLE_SETS)
     p.add_argument("--dump-problem", help="also write the assembled program as JSON")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("analytic", help="closed-form optimal tracker for a qubit pair")
     p.add_argument("--src", nargs=2, required=True)
     p.add_argument("--tgt", nargs=2, required=True)
     p.add_argument("--pi", nargs=2, type=float, default=(0.5, 0.5))
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_analytic)
 
     p = sub.add_parser("stabilize", help="dephasing stabilization fidelities")
@@ -385,7 +369,6 @@ def build_parser():
     p.add_argument("--p", type=float)
     p.add_argument("--theta", type=float)
     p.add_argument("--grid", type=_int_in(1), help="emit a grid CSV instead of one point")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_stabilize)
 
     p = sub.add_parser("discriminate", help="Helstrom vs tracking discrimination")
@@ -393,20 +376,17 @@ def build_parser():
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--p1", type=float, required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_discriminate)
 
     p = sub.add_parser("clone", help="state-dependent cloning fidelity")
     p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--phi", type=float, required=True)
     p.add_argument("--pi1", type=float, default=0.5)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_clone)
 
     p = sub.add_parser("au-check", help="two-state convertibility criterion")
     p.add_argument("--src", nargs=2, required=True)
     p.add_argument("--tgt", nargs=2, required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_au_check)
 
     p = sub.add_parser("multistep", help="multi-step chain solve or 2-step sweep")
@@ -420,7 +400,6 @@ def build_parser():
                    help="grid size: sweep extremal noises instead")
     p.add_argument("--sweep-min", type=float, default=0.05)
     p.add_argument("--sweep-max", type=float, default=0.95)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_multistep)
 
     p = sub.add_parser("compat", help="cross-objective compatibility experiment")
@@ -428,32 +407,30 @@ def build_parser():
                    help="IxD cells, e.g. 2x2 3x2")
     p.add_argument("--samples", type=_int_in(1), default=20)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_compat)
 
     p = sub.add_parser("bench", help="relative measure-cost ordering")
     p.add_argument("--d", type=_int_in(2), default=32)
     p.add_argument("--repeats", type=_int_in(1), default=20)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_bench)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write the output to this file instead of stdout")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.fn is _cmd_stabilize and not args.grid and None in (args.p, args.theta):
-        parser.error("stabilize needs --p and --theta, or --grid")
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        _write(args.fn(args), args.out)
     except (FormatError, LinalgError) as exc:
         print(f"qtrack: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except SolverError as exc:
         print(f"qtrack: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -165,10 +165,6 @@ def load_json(path):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def dump_json(obj, path=None):
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path is None:
-        return text
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    return None
+def dump_json(obj):
+    """``obj`` as the indented, key-sorted JSON text of every qtrack output, without a newline."""
+    return json.dumps(obj, indent=2, sort_keys=True)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from make_golden import write_inputs
 from qtrack import cli, distances, serialize
 from qtrack.channels import random_channel, random_state
 from qtrack.distances import WeightedSequence
@@ -13,24 +14,9 @@ from qtrack.distances import WeightedSequence
 
 @pytest.fixture
 def workdir(tmp_path):
-    a = {"bloch": [0.3, 0.2, 0.1]}
-    b = {"bloch": [0.0, 0.0, 0.9]}
-    t1 = {"bloch": [1.0, 0.0, 0.0]}
-    t2 = {"bloch": [0.0, 0.0, 1.0]}
-    paths = {}
-    for name, payload in (("a", a), ("b", b), ("t1", t1), ("t2", t2)):
-        p = tmp_path / f"{name}.json"
-        p.write_text(json.dumps(payload))
-        paths[name] = str(p)
-    problem = {
-        "source": [{"pi": 0.5, **a}, {"pi": 0.5, **b}],
-        "target": [{"pi": 0.5, **t1}, {"pi": 0.5, **t2}],
-    }
-    p = tmp_path / "problem.json"
-    p.write_text(json.dumps(problem))
-    paths["problem"] = str(p)
-    paths["dir"] = tmp_path
-    return paths
+    """The golden corpus's input files: states a, b, t1, t2, "problem" (a, b onto
+    t1, t2), a qubit channel "chan", and a symmetric "chain" with its "noise"."""
+    return write_inputs(tmp_path)
 
 
 def test_matrix_roundtrip_bit_for_bit():
@@ -211,20 +197,10 @@ def test_cli_au_check(workdir, capsys):
     assert out["feasible"]
 
 
-def test_cli_multistep_chain(workdir, tmp_path, capsys):
-    task = {
-        "source": [
-            {"pi": 0.5, "bloch": [np.cos(np.pi / 4), 0.0, np.sin(np.pi / 4)]},
-            {"pi": 0.5, "bloch": [np.cos(np.pi / 4), 0.0, -np.sin(np.pi / 4)]},
-        ],
-    }
-    task["target"] = task["source"]
-    tpath = tmp_path / "task.json"
-    tpath.write_text(json.dumps(task))
-    npath = tmp_path / "noise.json"
-    npath.write_text(json.dumps([{"lam": [0.7, 0.46, 0.322], "t": [0, 0, 0.6341009383371073]}]))
+def test_cli_multistep_chain(workdir, capsys):
     code = cli.main(
-        ["multistep", "--steps", "2", "--noise", str(npath), "--task", str(tpath), "--seed", "0"]
+        ["multistep", "--steps", "2", "--noise", workdir["noise"], "--task", workdir["chain"],
+         "--seed", "0"]
     )
     assert code == 0
     out = json.loads(capsys.readouterr().out)
@@ -430,6 +406,11 @@ _KRAUS_I2 = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
         ({"c": {"d": 2, "kraus": 5}}, ["channel", "--in", "c"]),
         ({"p": {"source": _PAIR, "target": _PAIR}, "n": [{"d": 3, "kraus": [_KRAUS_I2]}]},
          ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
+        ({}, ["clone", "--phi", "0.3", "--out", "/nonexistent/x.json"]),
+        ({}, ["clone", "--phi", "0.3", "--out", "."]),
+        ({}, ["solve", "--problem", "problem", "--objective", "FHSavg1",
+              "--dump-problem", "/nonexistent/d.json"]),
+        ({}, ["solve", "--problem", "problem", "--objective", "FHSavg1", "--dump-problem", "."]),
     ],
     ids=["distances-state-5", "au-check-state-5", "distances-bloch-string",
          "distances-bloch-nan", "distances-rho-nan", "solve-pi-string", "solve-pi-nan", "solve-problem-5",
@@ -437,7 +418,9 @@ _KRAUS_I2 = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
          "multistep-noise-lam-string", "multistep-noise-not-a-channel",
          "multistep-noise-not-a-list", "multistep-noise-entry-5", "channel-d-negative",
          "channel-d0", "channel-choi-nan", "channel-d-not-integer", "channel-kraus-not-d-by-d",
-         "channel-d-bool", "channel-kraus-not-a-list", "multistep-noise-kraus-not-d-by-d"],
+         "channel-d-bool", "channel-kraus-not-a-list", "multistep-noise-kraus-not-d-by-d",
+         "clone-out-missing-dir", "clone-out-directory", "solve-dump-problem-missing-dir",
+         "solve-dump-problem-directory"],
 )
 def test_cli_malformed_payloads_exit_2(files, argv, workdir, tmp_path, capsys):
     paths = dict(workdir)

@@ -72,3 +72,18 @@ def test_from_states_and_chain_task_read_the_same_pair_data():
     assert np.array_equal(task.r_sources, [g.r1, g.r2])
     assert np.array_equal(task.rb_final, [g.rb1, g.rb2])
     assert task.c_final.tolist() == [g.c1, g.c2] == [0.3 * 1.1, 0.7]
+
+
+@pytest.mark.parametrize(
+    "target, why",
+    [(np.array([[1.0, 1j], [0.0, 0.0]]), "not Hermitian"),
+     (np.diag([1.5, -0.5]), "positive operator"),
+     (-np.eye(2), "positive operator")],
+    ids=["non-hermitian", "indefinite-trace-1", "minus-identity"],
+)
+def test_a_bare_target_must_be_a_positive_operator(target, why):
+    # not positive operators: unchecked, each gets a "fidelity" with a valid certificate
+    with pytest.raises(LinalgError, match=why):
+        analytic.track_pair(S1, S2, target, S1.mat, 0.5)
+    # an unnormalized positive target stays legal: its weighted overlap may exceed 1
+    assert analytic.track_pair(S1, S2, 3 * np.eye(2), S1.mat, 0.5).fidelity > 1.0

@@ -26,7 +26,6 @@ SETTINGS = {
     "multistep.sweep_2step": ["restarts", "seed", "mapper"],
     "sdp.SdpSolution": ["iterates"],
     "sdp.solve": ["trace_iterates"],
-    "serialize.dump_json": ["path"],
     "tracking.TrackingProblem": ["feasible"],
     "tracking.reduce_nto2": ["objective", "feasible"],
 }
