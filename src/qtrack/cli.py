@@ -2,8 +2,9 @@
 
 Each handler returns the text it prints; :func:`main` writes it to stdout or
 ``--out`` through :func:`_write`, the one place that opens a file or touches
-stdout (``solve --dump-problem`` writes there too).  Exit codes: 0 success,
-2 validation/input error (an unwritable output path included), 3 solver
+stdout (``solve --dump-problem`` writes there too).  An unwritable ``--out``
+is rejected before the handler runs.  Exit codes: 0 success, 2
+validation/input error (an unwritable output path included), 3 solver
 failure.  Every randomized command requires ``--seed`` and is byte-for-byte
 reproducible for a fixed seed.
 """
@@ -11,7 +12,9 @@ reproducible for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 
 import numpy as np
@@ -92,6 +95,26 @@ def _write(text, path):
     try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"{path}: {exc.strerror}") from exc
+
+
+def _check_writable(path):
+    """FormatError, worded as :func:`_write`'s, if ``path`` cannot be opened for writing.
+
+    Creates and truncates nothing: an existing file is opened without
+    truncation, and a new one needs a writable directory.
+    """
+    if not path:
+        return
+    try:
+        try:
+            os.close(os.open(path, os.O_WRONLY))
+        except FileNotFoundError:
+            parent = os.path.dirname(path) or "."
+            os.stat(parent)  # a missing directory fails here as open() would
+            if not os.access(parent, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES)) from None
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror}") from exc
 
@@ -423,6 +446,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_writable(args.out)
         _write(args.fn(args), args.out)
     except (FormatError, LinalgError) as exc:
         print(f"qtrack: invalid input: {exc}", file=sys.stderr)

@@ -23,6 +23,14 @@ one ``eigvalsh``.  Per matrix the arithmetic is that of one call each, so the
 iterates are the same bit for bit.  ``SdpSolution.iterations`` is the index of
 the accepted iterate and ``SdpSolution.passes`` the number of loop passes,
 each one Newton step.
+
+A step of length alpha_p along a direction with A(dx) = r_p leaves the primal
+residual (1 - alpha_p) r_p.  When the next pass finds its residual farther
+than ``FEAS_TOL`` (1 + ||b||) from that aim, the ridge has bent dy off
+A(dx) = r_p, and every direction stage of that pass refines dy twice against
+M without the ridge: dy += (M + ridge I)^-1 (rhs - M dy).  Other passes solve
+once.
+
 The first iterate that meets the gap and feasibility tolerances is accepted;
 it is returned 15 passes later unless an iterate that also meets the
 complementarity tolerance comes first, so ``passes <= iterations + 15``.
@@ -201,6 +209,7 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
 
     info = {"iterations": 0}
     accepted = None
+    aim = None  # the primal residual that the last step aimed at, (1 - alpha_p) r_p
     for it in range(MAX_ITER):
         rp = b - a_dot(x)
         rd = c_mat - s - a_comb(y)
@@ -253,11 +262,13 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
         m_mat = a_flat @ _flat(w_nt @ a_stack @ w_nt).T
         ridge = 1e-14 * max(np.trace(m_mat) / max(m, 1), 1.0)
         w_rd_w = w_nt @ rd @ w_nt  # the same for every direction of this iteration
-        m_mat = m_mat + ridge * eye_m
+        m_ridge = m_mat + ridge * eye_m
         try:
-            np.linalg.cholesky(m_mat)  # the test that M is positive definite
+            np.linalg.cholesky(m_ridge)  # the test that M is positive definite
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular normal system: {exc}") from exc
+        # the last step missed its primal target: the ridge bent dy off A(dx) = r_p
+        refine = aim is not None and np.linalg.norm(rp - aim) > FEAS_TOL * b_scale
 
         def directions(*specs):
             """Stacks (dx, dy, ds) of the directions for each (sigma mu, corrector or None).
@@ -271,7 +282,11 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
                 [sm * s_inv - x if cr is None else sm * s_inv - x - cr for sm, cr in specs]
             )
             rhs = rp - np.matmul(a_flat, _flat(rhs_mat - w_rd_w)[..., None])[..., 0]
-            dy = np.linalg.solve(m_mat, rhs[..., None])[..., 0]
+            dy = np.linalg.solve(m_ridge, rhs[..., None])[..., 0]
+            for _ in range(2 if refine else 0):
+                # iterative refinement against M without the ridge
+                res = rhs - np.matmul(m_mat, dy[..., None])[..., 0]
+                dy = dy + np.linalg.solve(m_ridge, res[..., None])[..., 0]
             ds = rd - np.matmul(dy[:, None], a_flat).view(complex).reshape(-1, n, n)
             dx = rhs_mat - w_nt @ ds @ w_nt
             return _herm(dx), dy, _herm(ds)
@@ -302,6 +317,7 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
         if min(max(c[1], c[2]) for c in candidates) < 0.2:
             candidates += try_steps((0.5 * mu, None))
         _, a_p, a_d, (dx, dy, ds) = min(candidates, key=lambda c: c[0])
+        aim = (1 - a_p) * rp
         x = _herm(x + a_p * dx)
         y = y + a_d * dy
         s = _herm(s + a_d * ds)

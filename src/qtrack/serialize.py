@@ -162,7 +162,7 @@ def load_json(path):
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except OSError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        raise FormatError(f"{path}: {exc.strerror}") from exc
 
 
 def dump_json(obj):

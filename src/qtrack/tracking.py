@@ -8,10 +8,13 @@ one builder with one layout:
 
 * variables: first the Choi coefficients x_munu of
   ``C = I/d + sum_{mu, nu>=2} x_munu H^mu (x) H^nu``, then the objective's
-  extra variables (Davg's two Hermitian corners; t for H2avg1, Havg2, Oavg2);
+  extra variables (Davg's block-diagonal P = (+)_i P_i, d^2 real coefficients
+  per P_i; t for H2avg1, Havg2, Oavg2);
 * LMI: the objective's own block (+) the Choi cone (C, and C^{T_B} for PPT).
-  The objective block holds the weighted residuals w_i (Phi(rho_i) - rhobar_i);
-  it is empty for the closeness objectives, which are linear in C.
+  The objective block holds the weighted residuals w_i (Phi(rho_i) - rhobar_i):
+  as (P + M) (+) (P - M) for Davg, with M = (+)_i R_i, and as the off-diagonal
+  corner of a 2 x 2 block for the other distances.  It is empty for the
+  closeness objectives, which are linear in C.
 """
 
 from __future__ import annotations
@@ -85,25 +88,35 @@ def _cone(d, mu, nu, ppt):
     return _dsum([kron[mu, nu], kron_t[mu, nu]]) if ppt else kron[mu, nu]
 
 
-def _off_diagonal(m, fixed=None):
-    """[[P, M], [M^dag, Q]] for a rectangular M, where P (+) Q is ``fixed`` or zero."""
+def _off_diagonal(layout, blocks):
+    """[[0, M], [M^dag, 0]] for the rectangular M = layout(blocks)."""
+    m = layout(blocks)
     r = m.shape[0]
-    out = np.zeros((sum(m.shape),) * 2, dtype=complex) if fixed is None else fixed.astype(complex)
+    out = np.zeros((sum(m.shape),) * 2, dtype=complex)
     out[:r, r:] = m
     out[r:, :r] = m.conj().T
     return out
 
 
+def _plus_minus(blocks):
+    """M (+) -M for the Hermitian M = (+)_i R_i."""
+    m = _dsum(blocks)
+    return _dsum([m, -m])
+
+
 def _trace_norm(pis, d):
-    """Davg: ||(+)_i R_i||_1 <= (tr P + tr Q) / 2 for free Hermitian P, Q."""
-    n = len(pis) * d
-    z = np.zeros((n, n))
-    extras = [
-        (corner, 0.5 * n if a == 0 else 0.0)
-        for a, h in enumerate(hermitian_basis(n))
-        for corner in ([h, z], [z, h])
-    ]
-    return _dsum, None, extras
+    """Davg: ||(+)_i R_i||_1 = min tr P over P = (+)_i P_i with P + M >= 0 and P - M >= 0.
+
+    The block is (P + M) (+) (P - M), and each P_i carries the d^2
+    coefficients of the Hermitian basis, at cost tr P.
+    """
+    zero = np.zeros((d, d))
+    extras = []
+    for i in range(len(pis)):
+        for a, h in enumerate(hermitian_basis(d)):
+            p_k = _dsum([h if j == i else zero for j in range(len(pis))])
+            extras.append(([p_k, p_k], float(d) if a == 0 else 0.0))
+    return _plus_minus, 0.0, extras
 
 
 def _residual_column(blocks):
@@ -117,19 +130,19 @@ def _norm_epigraph(layout, pis, d):
     Havg2's M is the residual column, whose operator norm is ||(+)_i R_i||_2.
     """
     p, q = layout([np.zeros((d, d))] * len(pis)).shape
-    return layout, None, [([np.eye(p), np.eye(q)], 1.0)]
+    return partial(_off_diagonal, layout), 0.0, [([np.eye(p), np.eye(q)], 1.0)]
 
 
 def _mean_hs_squared(pis, d):
     """H2avg1: sum_i p_i ||R_i||_2^2 <= t as M^dag P^-1 M <= t, P = (+)_i I / p_i, Q = t."""
     diag = _dsum([np.eye(d * d) / p for p in pis])
     head = [np.zeros_like(diag), np.ones((1, 1))]
-    return _residual_column, _dsum([diag, np.zeros((1, 1))]), [(head, 1.0)]
+    return partial(_off_diagonal, _residual_column), _dsum([diag, np.zeros((1, 1))]), [(head, 1.0)]
 
 
 def _linear(pis, d):
     """Closeness: linear in the Choi matrix, so the objective's block is empty."""
-    return lambda blocks: np.zeros((0, 0)), None, []
+    return lambda blocks: np.zeros((0, 0)), 0.0, []
 
 
 def _h2avg1(outs, tgt):
@@ -142,11 +155,13 @@ class _Objective:
     """Everything that differs between the objectives.
 
     ``score`` evaluates the measure on (outputs, targets) and ``weight`` maps
-    the priorities to the residual weights w_i.  The objective's LMI block
-    is [[P, M], [M^dag, Q]] >= 0, where M lays out the weighted residuals;
-    ``block(pis, d)`` returns (layout, fixed, extras): ``layout`` maps the
-    residual blocks to M, ``fixed`` is the constant P (+) Q (None: zero), and ``extras``
-    lists the extra variables as (diagonal blocks of P_k (+) Q_k, cost).
+    the priorities to the residual weights w_i.  The objective's LMI block is
+    layout(R_1, ..., R_I) + fixed + sum_k t_k E_k >= 0 over its extra
+    variables t_k; ``block(pis, d)`` returns (layout, fixed, extras):
+    ``layout`` maps the weighted residual blocks R_i linearly onto the block
+    ([[0, M], [M^dag, 0]] for the epigraphs, M (+) -M for Davg), ``fixed`` is
+    its constant part (0: none), and ``extras`` lists the extra variables as
+    (diagonal blocks of E_k, cost).
     """
 
     score: Callable
@@ -213,8 +228,8 @@ def assemble(tp: TrackingProblem):
     scale = w[:, None] * np.array([[np.trace(r.T @ h).real for h in basis] for r in sources])
     layout, fixed, extras = obj.block(pis, d)
     const = [wi * (np.eye(d) / d - t) for wi, t in zip(w, targets)]
-    block0 = _off_diagonal(layout(const), fixed)
-    blocks = [_off_diagonal(layout([s * basis[nu] for s in scale[:, mu]])) for mu, nu in pairs]
+    block0 = layout(const) + fixed
+    blocks = [layout([s * basis[nu] for s in scale[:, mu]]) for mu, nu in pairs]
     c = np.array([0.0] * len(pairs) + [cost for _, cost in extras])
     if obj.closeness:
         # maximize sum_i w_i tr(Phi(rho_i) rhobar_i): a linear cost on x

@@ -154,12 +154,55 @@ def test_cli_seed_reproducibility(tmp_path):
 def test_cli_exit_code_invalid(workdir, capsys):
     code = cli.main(["distances", "--measure", "F", "--a", "/nonexistent.json", "--b", workdir["b"]])
     assert code == 2
+    # the path is named once, with the OS's reason
+    err = capsys.readouterr().err
+    assert err == "qtrack: invalid input: /nonexistent.json: No such file or directory\n"
     bad = workdir["dir"] / "bad.json"
     bad.write_text("{ not json")
     code = cli.main(["distances", "--measure", "F", "--a", str(bad), "--b", workdir["b"]])
     assert code == 2
     err = capsys.readouterr().err
     assert "line" in err
+
+
+def _run_with_handler(monkeypatch, handler):
+    """Make every parsed command call ``handler`` instead of its own."""
+    parser = cli.build_parser()
+    parse = parser.parse_args
+
+    def parse_args(argv=None):
+        args = parse(argv)
+        args.fn = handler
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", parse_args)
+
+
+@pytest.mark.parametrize("out, reason", [("missing/x.csv", "No such file or directory"),
+                                         (".", "Is a directory")])
+def test_cli_unwritable_out_exits_2_before_the_handler_runs(out, reason, workdir, monkeypatch,
+                                                            capsys):
+    # an 8 x 8 sweep takes seconds, a 20 x 20 one minutes: the path is checked first
+    _run_with_handler(monkeypatch, lambda args: pytest.fail("handler called"))
+    path = str(workdir["dir"] / out)
+    argv = ["multistep", "--task", workdir["chain"], "--seed", "0", "--sweep", "8", "--out", path]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"qtrack: invalid input: {path}: {reason}\n")
+
+
+def test_cli_out_is_neither_created_nor_truncated_before_the_handler_returns(tmp_path,
+                                                                            monkeypatch):
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_text("old\n")
+
+    def handler(args):
+        assert kept.read_text() == "old\n" and not new.exists()
+        raise serialize.FormatError("synthetic")
+
+    _run_with_handler(monkeypatch, handler)
+    for path in (kept, new):
+        assert cli.main(["clone", "--phi", "0.3", "--out", str(path)]) == 2
+    assert kept.read_text() == "old\n" and not new.exists()
 
 
 def test_cli_exit_code_solver_failure(workdir, monkeypatch):

@@ -18,8 +18,8 @@ def random_problem(rng, i_count=2, d=2, pure_targets=True, uniform=True):
 
 
 SIZE_TABLE = [
-    ("Davg", "cptp", 44, 12),
-    ("Davg", "ppt", 44, 16),
+    ("Davg", "cptp", 20, 12),
+    ("Davg", "ppt", 20, 16),
     ("H2avg1", "cptp", 13, 13),
     ("H2avg1", "ppt", 13, 17),
     ("Havg2", "cptp", 13, 13),
@@ -336,29 +336,29 @@ def _reference_assemble(tp):
     cone_dim = cone.shape[0]
 
     if tp.objective == "Davg":
-        big = hermitian_basis(i_count * d)
         top = 2 * i_count * d
         total = top + cone_dim
         f0 = np.zeros((total, total), dtype=complex)
-        off = _ref_dsum([0.5 * p * (np.eye(d) / d - t) for p, t in zip(pis, targets)])
-        f0[: i_count * d, i_count * d : top] = off
-        f0[i_count * d : top, : i_count * d] = off.conj().T
+        res = _ref_dsum([0.5 * p * (np.eye(d) / d - t) for p, t in zip(pis, targets)])
+        f0[: i_count * d, : i_count * d] = res
+        f0[i_count * d : top, i_count * d : top] = -res
         f0[top:, top:] = cone
         fs, c = [], []
         for mu, nu in pairs:
             f = np.zeros((total, total), dtype=complex)
-            off = _ref_dsum([0.5 * p * rc * basis[nu] for p, rc in zip(pis, rho_coef[:, mu])])
-            f[: i_count * d, i_count * d : top] = off
-            f[i_count * d : top, : i_count * d] = off.conj().T
+            res = _ref_dsum([0.5 * p * rc * basis[nu] for p, rc in zip(pis, rho_coef[:, mu])])
+            f[: i_count * d, : i_count * d] = res
+            f[i_count * d : top, i_count * d : top] = -res
             f[top:, top:] = _ref_cptp_blocks(basis, mu, nu, ppt)
             fs.append(f)
             c.append(0.0)
-        for alpha in range((i_count * d) ** 2):
-            for corner in (0, i_count * d):
+        for i in range(i_count):
+            for alpha in range(d * d):
                 f = np.zeros((total, total), dtype=complex)
-                f[corner : corner + i_count * d, corner : corner + i_count * d] = big[alpha]
+                for corner in (i * d, (i_count + i) * d):
+                    f[corner : corner + d, corner : corner + d] = basis[alpha]
                 fs.append(f)
-                c.append(0.5 * i_count * d if alpha == 0 else 0.0)
+                c.append(float(d) if alpha == 0 else 0.0)
         return sdp.SdpInequality(np.array(c), f0, fs)
 
     if tp.objective == "H2avg1":
