@@ -14,15 +14,19 @@ and Mehrotra-style adaptive centering, run directly on complex Hermitian data
 
 On small LMIs numpy's per-call overhead, not arithmetic, sets the cost of a
 pass, so each stage of a pass is one stacked call over small matrices, in the
-manner of SDPT3's block layout: X and S are decomposed by one ``eigh``; the
-affine direction, then the two (or three) centering candidates, are each
-solved as one stack, with one ``np.linalg.solve`` of the Schur complement
-M + ridge I (its Cholesky factorization serves only as the test that M is
-positive definite); and each stage's primal and dual step-length tests share
-one ``eigvalsh``.  Per matrix the arithmetic is that of one call each, so the
-iterates are the same bit for bit.  ``SdpSolution.iterations`` is the index of
-the accepted iterate and ``SdpSolution.passes`` the number of loop passes,
-each one Newton step.
+manner of SDPT3's block layout.  X and S travel as one (2, n, n) pair, which
+one ``eigh`` decomposes.  The affine direction, then the two (or three)
+centering candidates, are each solved as one (q, 2, n, n) stack of (dx, ds),
+with one ``np.linalg.solve`` of the Schur complement M + ridge I (its Cholesky
+factorization serves only as the test that M is positive definite); the
+stage's primal and dual step-length tests take that stack as it is, in one
+``eigvalsh``, and one trial stack (X, S) + alpha (dx, ds) gives every
+candidate's mu and the winner's next iterate.  max|X S| is formed only once an
+iterate has converged, and the two (m, n, n) temporaries of the Schur build
+are allocated once per solve.  Per matrix the arithmetic is that of one call
+each, so the iterates are the same bit for bit.  ``SdpSolution.iterations``
+is the index of the accepted iterate and ``SdpSolution.passes`` the number of
+loop passes, each one Newton step.
 
 A step of length alpha_p along a direction with A(dx) = r_p leaves the primal
 residual (1 - alpha_p) r_p.  When the next pass finds its residual farther
@@ -45,7 +49,8 @@ a negative eigenvalue ends the solve at once, ``unbounded`` for the standard
 form and ``infeasible`` for the inequality form.  The loop runs on the rest,
 and X (and every traced iterate) comes back at full size, zero on the dropped
 rows and columns; there the traced dual slack is C's constant block.  Only
-hand-built programs have constant rows: tracking programs drop nothing.
+hand-built programs have constant rows: tracking programs drop nothing, and
+their (C, A_i) reach the loop as they are.
 
 ``verify_certificate`` checks a solution of either form on the same (C, A_i, b).
 """
@@ -189,60 +194,56 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
     m = len(b)
     a_flat = _flat(a_stack)
     c_flat = _flat(c_mat)
-    x = np.eye(n, dtype=complex)
     scale = max(1.0, np.abs(c_mat).max())
-    s = scale * np.eye(n, dtype=complex)
+    xs = np.array([np.eye(n), scale * np.eye(n)], dtype=complex)  # the pair (X, S)
     y = np.zeros(m)
     iterates = []
     b_scale = 1.0 + np.linalg.norm(b)
     c_scale = 1.0 + np.abs(c_mat).max()
     eye_m = np.eye(m)
+    # W A_i and W A_i W of the Schur build, refilled every pass
+    wa, waw = np.empty((2, m, n, n), dtype=complex)
 
-    def a_dot(mat):
-        return a_flat @ _flat(mat)
+    def mu_of(pair):
+        f = _flat(pair)
+        return float(f[0] @ f[1]) / n  # tr(X S) / n
 
-    def a_comb(vec_):
-        return (vec_ @ a_flat).view(complex).reshape(n, n)
+    def result(x, y, s, it0, gap, pres, dres, passes, status="optimal"):
+        info = dict(iterations=it0, passes=passes, status=status, gap=gap, pres=pres, dres=dres)
+        return x, y, s, info, iterates
 
-    def mu_of(x_, s_):
-        return float(_flat(x_) @ _flat(s_)) / n  # tr(X S) / n
-
-    info = {"iterations": 0}
     accepted = None
     aim = None  # the primal residual that the last step aimed at, (1 - alpha_p) r_p
     for it in range(MAX_ITER):
-        rp = b - a_dot(x)
-        rd = c_mat - s - a_comb(y)
-        mu = mu_of(x, s)
+        x, s = xs
+        rp = b - a_flat @ _flat(x)
+        rd = c_mat - s - (y @ a_flat).view(complex).reshape(n, n)
+        mu = mu_of(xs)
         pobj = float(c_flat @ _flat(x))
         dobj = float(b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        pres = np.linalg.norm(rp) / b_scale
+        rp_norm = np.sqrt(rp.dot(rp))
+        pres = rp_norm / b_scale
         dres = np.abs(rd).max() / c_scale
         if trace_iterates:
-            iterates.append((x.copy(), y.copy(), s.copy()))
-        comp = np.abs(x @ s).max() / scale
+            iterates.append((x, y, s))
         converged = gap <= GAP_TOL and pres <= FEAS_TOL and dres <= FEAS_TOL
-        if converged and (comp <= COMP_TOL or mu <= 1e-13 * scale):
-            info.update(iterations=it, passes=it, status="optimal", gap=gap, pres=pres, dres=dres)
-            return x, y, s, info, iterates
+        if converged and (np.abs(x @ s).max() / scale <= COMP_TOL or mu <= 1e-13 * scale):
+            return result(x, y, s, it, gap, pres, dres, it)
         # gap and feasibility are in: polish complementarity for 15 more
         # passes, converged or not, then return the first converged iterate
         # (the primal refinement step removes the residual misalignment)
         if converged and accepted is None:
-            accepted = (x.copy(), y.copy(), s.copy(), it, gap, pres, dres)
+            accepted = (x, y, s, it, gap, pres, dres)
         elif accepted is not None and it - accepted[3] >= 15:
-            x, y, s, it0, gap, pres, dres = accepted
-            info.update(iterations=it0, passes=it, status="optimal", gap=gap, pres=pres,
-                        dres=dres)
-            return x, y, s, info, iterates
+            return result(*accepted, it)
 
         # Nesterov-Todd scaling point: W S W = X
         try:
-            w, u = np.linalg.eigh(np.stack([x, s]))
+            w, u = np.linalg.eigh(xs)
             if w[0].min() < -1e-10 * max(w[0].max(), 1.0):
                 raise SolverError("primal iterate left the cone")
-            w = np.clip(w, 1e-16 * np.maximum(w.max(axis=1), 1.0)[:, None], None)
+            w = np.maximum(w, 1e-16 * np.maximum(w.max(axis=1), 1.0)[:, None])
             root = np.sqrt(w)
             ux, us = u
             x_half = (ux * root[0]) @ ux.conj().T
@@ -251,7 +252,7 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
             wt, ut = np.linalg.eigh(_herm(x_half @ s @ x_half))
             if wt.min() < -1e-10 * max(wt.max(), 1.0):
                 raise SolverError("dual iterate left the cone")
-            wt = np.clip(wt, 1e-16 * max(wt.max(), 1.0), None)
+            wt = np.maximum(wt, 1e-16 * max(wt.max(), 1.0))
             t_mhalf = (ut / np.sqrt(wt)) @ ut.conj().T  # T^(-1/2)
             w_nt = _herm(x_half @ t_mhalf @ x_half)
             s_inv = (us / w[1]) @ us.conj().T
@@ -259,7 +260,7 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
             raise SolverError(f"factorization failed: {exc}") from exc
 
         # Schur complement M_ij = tr(A_i W A_j W), one real GEMM
-        m_mat = a_flat @ _flat(w_nt @ a_stack @ w_nt).T
+        m_mat = a_flat @ _flat(np.matmul(np.matmul(w_nt, a_stack, out=wa), w_nt, out=waw)).T
         ridge = 1e-14 * max(np.trace(m_mat) / max(m, 1), 1.0)
         w_rd_w = w_nt @ rd @ w_nt  # the same for every direction of this iteration
         m_ridge = m_mat + ridge * eye_m
@@ -270,71 +271,59 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
         # the last step missed its primal target: the ridge bent dy off A(dx) = r_p
         refine = aim is not None and np.linalg.norm(rp - aim) > FEAS_TOL * b_scale
 
-        def directions(*specs):
-            """Stacks (dx, dy, ds) of the directions for each (sigma mu, corrector or None).
+        def directions(targets, corr=None):
+            """(dx, ds) as one (q, 2, n, n) stack, and dy, for each sigma mu in ``targets``.
 
-            The products with A and the solve of M dy = rhs keep one
-            matrix-vector product and one right-hand side per direction, as
-            for a single direction, so the bits match; a GEMM over the stack,
-            or one solve with several right-hand sides, may round differently.
+            ``corr`` is the first direction's corrector.  The products with A
+            and the solve of M dy = rhs keep one matrix-vector product and one
+            right-hand side per direction, as for a single direction, so the
+            bits match; a GEMM over the stack, or one solve with several
+            right-hand sides, may round differently.
             """
-            rhs_mat = np.stack(
-                [sm * s_inv - x if cr is None else sm * s_inv - x - cr for sm, cr in specs]
-            )
+            rhs_mat = np.multiply.outer(targets, s_inv) - x
+            if corr is not None:
+                rhs_mat[0] -= corr
             rhs = rp - np.matmul(a_flat, _flat(rhs_mat - w_rd_w)[..., None])[..., 0]
             dy = np.linalg.solve(m_ridge, rhs[..., None])[..., 0]
             for _ in range(2 if refine else 0):
                 # iterative refinement against M without the ridge
                 res = rhs - np.matmul(m_mat, dy[..., None])[..., 0]
                 dy = dy + np.linalg.solve(m_ridge, res[..., None])[..., 0]
-            ds = rd - np.matmul(dy[:, None], a_flat).view(complex).reshape(-1, n, n)
-            dx = rhs_mat - w_nt @ ds @ w_nt
-            return _herm(dx), dy, _herm(ds)
+            d = np.empty((len(targets), 2, n, n), dtype=complex)
+            np.subtract(rd, np.matmul(dy[:, None], a_flat).view(complex).reshape(-1, n, n),
+                        out=d[:, 1])
+            np.subtract(rhs_mat, w_nt @ d[:, 1] @ w_nt, out=d[:, 0])
+            return _herm(d), dy
 
-        dx_a, _, ds_a = directions((0.0, None))
-        ap, ad = _max_step(ihalf, np.concatenate([dx_a, ds_a]))
-        mu_aff = mu_of(x + ap * dx_a[0], s + ad * ds_a[0])
+        d_a, _ = directions(np.zeros(1))
+        steps = _max_step(ihalf, d_a)
+        mu_aff = mu_of(xs + steps[0, :, None, None] * d_a[0])
         sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
         if max(pres, dres) > max(gap, 1e-15):
             # keep complementarity from racing ahead of feasibility
             sigma = max(sigma, 0.5)
-        corr = _herm(dx_a[0] @ ds_a[0] @ s_inv)
+        corr = _herm(d_a[0, 0] @ d_a[0, 1] @ s_inv)
+        rd_norm = np.linalg.norm(rd)
 
-        rp_norm, rd_norm = np.linalg.norm(rp), np.linalg.norm(rd)
+        def try_steps(targets, corr=None):
+            """(merit, alpha_p, alpha_d, (X, S) after the step, dy) of each direction."""
+            d, dys = directions(targets, corr)
+            steps = np.minimum(STEP_FRACTION * _max_step(ihalf, d), 1.0)
+            trial = xs + steps[..., None, None] * d
+            return [(mu_of(t) + 0.1 * ((1 - a_p) * rp_norm + (1 - a_d) * rd_norm), a_p, a_d, t, dy)
+                    for (a_p, a_d), t, dy in zip(steps, trial, dys)]
 
-        def try_steps(*specs):
-            dxs, dys, dss = directions(*specs)
-            steps = _max_step(ihalf, np.stack([dxs, dss], axis=1))
-            out = []
-            for (a_p, a_d), dx, dy, ds in zip(np.minimum(STEP_FRACTION * steps, 1.0),
-                                              dxs, dys, dss):
-                mu_n = mu_of(x + a_p * dx, s + a_d * ds)
-                merit = mu_n + 0.1 * ((1 - a_p) * rp_norm + (1 - a_d) * rd_norm)
-                out.append((merit, a_p, a_d, (dx, dy, ds)))
-            return out
-
-        candidates = try_steps((sigma * mu, corr), (sigma * mu, None))
+        candidates = try_steps(np.full(2, sigma * mu), corr)
         if min(max(c[1], c[2]) for c in candidates) < 0.2:
-            candidates += try_steps((0.5 * mu, None))
-        _, a_p, a_d, (dx, dy, ds) = min(candidates, key=lambda c: c[0])
+            candidates += try_steps(np.full(1, 0.5 * mu))
+        _, a_p, a_d, trial, dy = min(candidates, key=lambda c: c[0])
         aim = (1 - a_p) * rp
-        x = _herm(x + a_p * dx)
+        xs = _herm(trial)
         y = y + a_d * dy
-        s = _herm(s + a_d * ds)
 
-    info["passes"] = MAX_ITER
     if accepted is not None:
-        x, y, s, it0, gap, pres, dres = accepted
-        info.update(iterations=it0, status="optimal", gap=gap, pres=pres, dres=dres)
-        return x, y, s, info, iterates
-    info.update(
-        iterations=MAX_ITER,
-        status="max_iter",
-        gap=gap,
-        pres=pres,
-        dres=dres,
-    )
-    return x, y, s, info, iterates
+        return result(*accepted, MAX_ITER)
+    return result(xs[0], y, xs[1], MAX_ITER, gap, pres, dres, MAX_ITER, "max_iter")
 
 
 def _refine_primal(x, y, a_stack, b, c_mat):
@@ -410,14 +399,20 @@ def _embed(base, rows, block):
 def _solve_live(c_mat, a_stack, b, standard, trace_iterates):
     """Solve with the constant rows dropped: X = 0 on them is optimal once C is PSD there.
 
-    Returns (X, y, info, iterates) at full size; a program without constant
-    rows takes the same path with nothing dropped.
+    Returns (X, y, info, iterates) at full size.  A program without constant
+    rows reaches the loop as it is, C-contiguous from ``_prepare``; one with
+    them is solved again with them dropped, and then has none.
     """
     dropped = _constant_rows(c_mat, a_stack)
+    if not dropped.any():
+        x, y, _, info, iterates = _solve_textbook(c_mat, a_stack, b, trace_iterates)
+        if info["status"] == "optimal":
+            x = _refine_primal(x, y, a_stack, b, c_mat)
+        return x, y, info, iterates
     n, m = c_mat.shape[0], len(b)
     zero = np.zeros((n, n), dtype=complex)
     const = c_mat[np.ix_(dropped, dropped)]
-    if dropped.any() and np.linalg.eigvalsh(const).min() < -1e-12 * max(1.0, np.abs(const).max()):
+    if np.linalg.eigvalsh(const).min() < -1e-12 * max(1.0, np.abs(const).max()):
         # X = t v v^dag along a negative direction of C's constant block sends
         # tr(C X) to -infinity, and no y makes the slack PSD there
         status = "unbounded" if standard else "infeasible"
@@ -433,9 +428,7 @@ def _solve_live(c_mat, a_stack, b, standard, trace_iterates):
     # the index copy puts the constraint axis innermost; every W A_i W of
     # every pass is faster on C-contiguous matrices
     c_loop, a_loop = c_mat[live], np.ascontiguousarray(a_stack[:, live[0], live[1]])
-    x, y, _, info, iterates = _solve_textbook(c_loop, a_loop, b, trace_iterates)
-    if info["status"] == "optimal":
-        x = _refine_primal(x, y, a_loop, b, c_loop)
+    x, y, info, iterates = _solve_live(c_loop, a_loop, b, standard, trace_iterates)
     # the dual slack C - sum_i y_i A_i is C itself on the dropped rows
     iterates = [(_embed(zero, live, x_), y_, _embed(c_mat, live, s_)) for x_, y_, s_ in iterates]
     return _embed(zero, live, x), y, info, iterates

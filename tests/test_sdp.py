@@ -413,18 +413,33 @@ PROGRAMS_22 = [(obj, fs) for obj in tracking.OBJECTIVES for fs in tracking.FEASI
 
 @pytest.mark.parametrize(
     "i_count,d,objective,feasible,draws",
-    [(2, 2, obj, fs, 3) for obj, fs in PROGRAMS_22] + [(3, 3, "Davg", "ppt", 1)],
+    [(2, 2, obj, fs, 3) for obj, fs in PROGRAMS_22]
+    + [(3, 3, "Davg", "ppt", 1)]
+    # ``draws`` as a list names qubit pool pairs: pair 126 Davg/cptp refines dy
+    # after missed primal steps, pair 10 Oavg2/cptp runs the whole polish window
+    + [
+        pytest.param(2, 2, "Davg", "cptp", [126], id="pool126-Davg-cptp"),
+        pytest.param(2, 2, "Oavg2", "cptp", [10], id="pool10-Oavg2-cptp"),
+    ],
 )
 def test_stacked_pass_matches_the_unstacked_reference(i_count, d, objective, feasible, draws):
-    for draw in range(draws):
-        rng = np.random.default_rng([47, i_count, d, draw])
-        program = _draw_program(rng, i_count, d, objective, feasible, draw)
+    if isinstance(draws, int):
+        programs = [
+            _draw_program(np.random.default_rng([47, i_count, d, draw]), i_count, d, objective,
+                          feasible, draw)
+            for draw in range(draws)
+        ]
+    else:
+        programs = [_bench_program([2009, 1, k], i_count, d, objective, feasible) for k in draws]
+    for program in programs:
         c_mat, a_stack, b = sdp._prepare(program)
-        x, y, s, info, _ = sdp._solve_textbook(c_mat, a_stack, b, False)
-        x0, y0, s0, info0, _ = _reference_solve_textbook(c_mat, a_stack, b, False)
+        x, y, s, info, iterates = sdp._solve_textbook(c_mat, a_stack, b, True)
+        x0, y0, s0, info0, iterates0 = _reference_solve_textbook(c_mat, a_stack, b, True)
         assert np.array_equal(x, x0) and np.array_equal(y, y0) and np.array_equal(s, s0)
-        for key in ("status", "iterations", "passes"):
-            assert info[key] == info0[key], key
+        assert info == info0
+        assert len(iterates) == len(iterates0) == info["passes"] + 1
+        for it, (got, want) in enumerate(zip(iterates, iterates0)):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), f"iterate {it}"
 
 
 def test_stacked_max_step_matches_single_calls():
