@@ -344,6 +344,26 @@ class DualCertificate:
         )
 
 
+def _monic_roots(*tail):
+    """Real parts, sorted, of ``np.roots([1, *tail])``, from the same companion matrix.
+
+    As in ``np.roots``, each trailing zero coefficient is a root at 0 and
+    the rest are the eigenvalues of the companion matrix whose first row is
+    -tail (the leading coefficient is 1), without its generic set-up.
+    """
+    tail = list(tail)
+    zeros = 0
+    while tail and tail[-1] == 0:
+        tail.pop()
+        zeros += 1
+    roots = np.zeros(zeros)
+    if tail:
+        companion = np.eye(len(tail), k=-1)
+        companion[0] = [-c for c in tail]
+        roots = np.concatenate([np.linalg.eigvals(companion).real, roots])
+    return np.sort(roots)
+
+
 def dual_certificate(g: PairGeometry) -> DualCertificate:
     """Dual-feasible coefficients proving optimality of the analytic tracker.
 
@@ -378,7 +398,7 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
         const = upsilon * (
             (rm * rm - rx * rx) * gam**4 - xi_u * xi_u
         )
-        roots = np.roots([1.0, -gam, const])
+        roots = _monic_roots(-gam, const)
     else:
         gam = gamma_b(g)
         x0 = 0.25 * (c_tot + gam)
@@ -389,7 +409,7 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
             (rx * gam * gam - xi_l)
             * (rm * rm * gam * gam * xi_l - rx * (xi_l * xi_l + xi_u * xi_u))
         ) / (8.0 * rm**4 * gam**3)
-        roots = np.roots([1.0, -gam, varpi, omega_c])
+        roots = _monic_roots(-gam, varpi, omega_c)
 
     coeffs = np.array([x0, x1, 0.0, x3])
     rv, ru = canonical.rv, canonical.ru
@@ -409,7 +429,7 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
         min_eig=float(spectrum.min()),
         weak_duality_residual=float(weak),
         slackness_residual=slackness,
-        poly_roots=np.sort(np.real(roots)),
+        poly_roots=roots,
         spectrum=spectrum,
         canonical=canonical,
     )

@@ -12,21 +12,44 @@ The solver is a primal-dual path-following method with Nesterov-Todd scaling
 and Mehrotra-style adaptive centering, run directly on complex Hermitian data
 (real data is Hermitian data with a zero imaginary part).
 
+Before the loop, ``solve`` finds the LMI's blocks from the sparsity pattern of
+C and the A_i, as Fujisawa, Kojima and Nakata do: rows i and j are linked when
+C or some A_i has a nonzero (i, j) entry, and the LMI is the direct sum over
+the connected components.  A component that no A_i touches is constant: X = 0
+there is optimal once C is PSD there, which one ``eigvalsh`` checks; a
+negative eigenvalue ends the solve at once, ``unbounded`` for the standard
+form and ``infeasible`` for the inequality form.  The other components are
+packed first-fit-decreasing into K blocks of the smallest size B that divides
+their total and that they fill exactly, else one block of them all (K = 1), in
+SDPT3's block layout.  C and the A_i are gathered once into (K, B, B) and
+(m, K, B, B) stacks, without the K axis when K = 1; a program whose one block
+holds every row reaches the loop with its own arrays.  X, S and every traced
+iterate come back at full size, zero off the blocks for X; there the traced
+dual slack is C itself.  Tracking programs have no constant rows.  Their
+components are the Choi cone (beside its partial transpose under PPT) and the
+objective's per-state blocks, which pack for Davg, Oavg2 and the PPT closeness
+programs; the bordered block of H2avg1 and Havg2 holds every residual, so they
+stay at K = 1.
+
+Every stage of a pass runs on (..., K, B, B) stacks, and every reduction (mu,
+traces, norms, maxima, the eigenvalue floors, the step-length minimum) is
+taken over all K blocks together, so the loop is the dense algorithm on the
+direct sum, and at K = 1, on (..., B, B) stacks, it is the dense loop itself.
 On small LMIs numpy's per-call overhead, not arithmetic, sets the cost of a
-pass, so each stage of a pass is one stacked call over small matrices, in the
-manner of SDPT3's block layout.  X and S travel as one (2, n, n) pair, which
-one ``eigh`` decomposes.  The affine direction, then the two (or three)
-centering candidates, are each solved as one (q, 2, n, n) stack of (dx, ds),
-with one ``np.linalg.solve`` of the Schur complement M + ridge I (its Cholesky
-factorization serves only as the test that M is positive definite); the
-stage's primal and dual step-length tests take that stack as it is, in one
-``eigvalsh``, and one trial stack (X, S) + alpha (dx, ds) gives every
-candidate's mu and the winner's next iterate.  max|X S| is formed only once an
-iterate has converged, and the two (m, n, n) temporaries of the Schur build
-are allocated once per solve.  Per matrix the arithmetic is that of one call
-each, so the iterates are the same bit for bit.  ``SdpSolution.iterations``
-is the index of the accepted iterate and ``SdpSolution.passes`` the number of
-loop passes, each one Newton step.
+pass, so each stage is one stacked call over small matrices.  X and S travel
+as one (2, K, B, B) pair, which one ``eigh`` decomposes.  The affine
+direction, then the two (or three) centering candidates, are each solved as
+one (q, 2, K, B, B) stack of (dx, ds), with one ``np.linalg.solve`` of the
+Schur complement M + ridge I (its Cholesky factorization serves only as the
+test that M is positive definite); the stage's primal and dual step-length
+tests take that stack as it is, in one ``eigvalsh``, and one trial stack
+(X, S) + alpha (dx, ds) gives every candidate's mu and the winner's next
+iterate.  max|X S| is formed only once an iterate has converged.  The Schur
+build forms W [A_1 ... A_m] and then [W A_1; ...; W A_m] W as one product per
+block each, in buffers allocated once per solve.  Per matrix the arithmetic is
+that of one call each, so the iterates are the same bit for bit.
+``SdpSolution.iterations`` is the index of the accepted iterate and
+``SdpSolution.passes`` the number of loop passes, each one Newton step.
 
 A step of length alpha_p along a direction with A(dx) = r_p leaves the primal
 residual (1 - alpha_p) r_p.  When the next pass finds its residual farther
@@ -40,17 +63,7 @@ it is returned 15 passes later unless an iterate that also meets the
 complementarity tolerance comes first, so ``passes <= iterations + 15``.
 The tolerances are module constants (``GAP_TOL``, ``FEAS_TOL``, ``COMP_TOL``);
 ``solve``'s one setting, ``trace_iterates``, keeps every pass's iterate.
-
-Before the loop, ``solve`` drops the LMI's constant rows: those that no A_i
-touches and that C does not couple, directly or through other rows, to a
-touched row.  C is block diagonal between the two sets, so X = 0 on the
-constant block is optimal once C is PSD there, which one ``eigvalsh`` checks;
-a negative eigenvalue ends the solve at once, ``unbounded`` for the standard
-form and ``infeasible`` for the inequality form.  The loop runs on the rest,
-and X (and every traced iterate) comes back at full size, zero on the dropped
-rows and columns; there the traced dual slack is C's constant block.  Only
-hand-built programs have constant rows: tracking programs drop nothing, and
-their (C, A_i) reach the loop as they are.
+The primal refinement runs on the full-size X.
 
 ``verify_certificate`` checks a solution of either form on the same (C, A_i, b).
 """
@@ -158,54 +171,76 @@ class SdpSolution:
     iterates: list = field(default_factory=list)
 
 
-def _flat(h):
+def _flat(h, axes=2):
     """Real (Re, Im) view of a stack of complex matrices, one row of 2 n^2 per matrix.
 
     For Hermitian A, ``_flat(A) @ _flat(B) = Re tr(A B)``, so the Hermitian
-    inner products of a whole stack are one real matrix-vector product.
+    inner products of a whole stack are one real matrix-vector product.  With
+    ``axes=3`` a row is a whole (K, B, B) stack of diagonal blocks, whose
+    inner products are those of the block-diagonal matrices.
     """
     h = np.ascontiguousarray(h, dtype=complex)
-    return h.view(float).reshape(*h.shape[:-2], 2 * h.shape[-2] * h.shape[-1])
+    row = 2 * h.shape[-2] * h.shape[-1] * (h.shape[-3] if axes == 3 else 1)
+    return h.view(float).reshape(*h.shape[:-axes], row)
 
 
 def _herm(m):
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+    return 0.5 * (m + m.conj().mT)
 
 
-def _max_step(m_ihalf, delta):
+def _max_step(m_ihalf, delta, axis=-1):
     """Largest alpha in (0, 1] with m + alpha * delta PSD, given m_ihalf = m^(-1/2), m near-PD.
 
     Works on stacks (..., n, n) with one eigensolve for the whole stack; a
-    pair of n x n matrices gives a scalar.  -1 / min(lam, -1) is 1 for every
-    lam >= -1 and -1 / lam below.
+    pair of n x n matrices gives a scalar.  The least eigenvalue is taken
+    over ``axis`` of the eigenvalues: for (K, B, B) block stacks the loop
+    passes (-2, -1), so it runs over all K blocks of a block-diagonal m and
+    delta.  -1 / min(lam, -1) is 1 for every lam >= -1 and -1 / lam below.
     """
-    lam = np.linalg.eigvalsh(_herm(m_ihalf @ delta @ m_ihalf)).min(axis=-1)
+    lam = np.linalg.eigvalsh(_herm(m_ihalf @ delta @ m_ihalf)).min(axis=axis)
     return -1.0 / np.fmin(lam, -1.0)
 
 
 def _solve_textbook(c_mat, a_stack, b, trace_iterates):
-    """min tr(C X) s.t. tr(A_i X) = b_i, X >= 0 over Hermitian X, via NT path following.
+    """min tr(C X) s.t. tr(A_i X) = b_i, X >= 0 over block-diagonal Hermitian X: NT path following.
 
-    Returns (X, y, S, info, iterates); ``iterates`` holds (X, y, S) of every
-    pass if ``trace_iterates``.  Infeasible start; residuals are driven to zero
-    together with the complementarity gap.
+    C is the (K, B, B) stack of its diagonal blocks, or its one (B, B) block
+    when K = 1, and ``a_stack`` the (m, *C.shape) stack of the A_i's; X and
+    S share that layout, and every reduction runs over all K blocks, so this
+    is the loop on the dense direct sum, and at K = 1 the dense loop itself.
+    Returns (X, y, S, info, iterates) in the block layout; ``iterates``
+    holds (X, y, S) of every pass if ``trace_iterates``.  Infeasible start;
+    residuals are driven to zero together with the complementarity gap.
     """
-    n = c_mat.shape[0]
+    shape, size = c_mat.shape, c_mat.shape[-1]
+    n = c_mat.size // size  # K B, the dimension of the direct sum
+    axes = c_mat.ndim  # the axes of one matrix: (B, B), or (K, B, B) for K > 1
+    spread = (..., *(None,) * axes)  # one value per matrix, over its entries
+    lam = tuple(range(1 - axes, 0))  # the axes of one matrix's eigenvalues
     m = len(b)
-    a_flat = _flat(a_stack)
-    c_flat = _flat(c_mat)
+    a_flat = _flat(a_stack, axes)
+    c_flat = _flat(c_mat, axes)
     scale = max(1.0, np.abs(c_mat).max())
-    xs = np.array([np.eye(n), scale * np.eye(n)], dtype=complex)  # the pair (X, S)
+    xs = np.empty((2, *shape), dtype=complex)  # the pair (X, S)
+    xs[0] = np.eye(size)
+    xs[1] = scale * xs[0]
     y = np.zeros(m)
     iterates = []
     b_scale = 1.0 + np.linalg.norm(b)
     c_scale = 1.0 + np.abs(c_mat).max()
     eye_m = np.eye(m)
-    # W A_i and W A_i W of the Schur build, refilled every pass
-    wa, waw = np.empty((2, m, n, n), dtype=complex)
+    # the Schur build per block: W [A_1 ... A_m] is one product, and so is
+    # [W A_1; ...; W A_m] W once the W A_i are copied into rows; its buffers
+    # are refilled every pass, and views of them give the W A_i and W A_i W
+    a_wide = np.ascontiguousarray(np.moveaxis(a_stack, 0, -2)).reshape(*shape[:-1], m * size)
+    wa = np.empty(a_wide.shape, dtype=complex)
+    tall, waw = np.empty((2, *shape[:-2], m * size, size), dtype=complex)
+    wa_rows = wa.reshape(*shape[:-1], m, size).swapaxes(-3, -2)  # (..., m, B, B)
+    tall_rows = tall.reshape(*shape[:-2], m, size, size)
+    waw_rows = waw.reshape(*shape[:-2], m, size, size).swapaxes(0, -3)  # (m, ..., B, B)
 
     def mu_of(pair):
-        f = _flat(pair)
+        f = _flat(pair, axes)
         return float(f[0] @ f[1]) / n  # tr(X S) / n
 
     def result(x, y, s, it0, gap, pres, dres, passes, status="optimal"):
@@ -216,10 +251,10 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
     aim = None  # the primal residual that the last step aimed at, (1 - alpha_p) r_p
     for it in range(MAX_ITER):
         x, s = xs
-        rp = b - a_flat @ _flat(x)
-        rd = c_mat - s - (y @ a_flat).view(complex).reshape(n, n)
+        rp = b - a_flat @ _flat(x, axes)
+        rd = c_mat - s - (y @ a_flat).view(complex).reshape(shape)
         mu = mu_of(xs)
-        pobj = float(c_flat @ _flat(x))
+        pobj = float(c_flat @ _flat(x, axes))
         dobj = float(b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         rp_norm = np.sqrt(rp.dot(rp))
@@ -243,24 +278,27 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
             w, u = np.linalg.eigh(xs)
             if w[0].min() < -1e-10 * max(w[0].max(), 1.0):
                 raise SolverError("primal iterate left the cone")
-            w = np.maximum(w, 1e-16 * np.maximum(w.max(axis=1), 1.0)[:, None])
+            w = np.maximum(w, 1e-16 * np.maximum(w.max(axis=lam, keepdims=True), 1.0))
             root = np.sqrt(w)
             ux, us = u
-            x_half = (ux * root[0]) @ ux.conj().T
+            x_half = (ux * root[0][..., None, :]) @ ux.conj().mT
             # X^(-1/2) and S^(-1/2), for every _max_step of this pass
-            ihalf = (u / root[:, None, :]) @ u.conj().swapaxes(-1, -2)
+            ihalf = (u / root[..., None, :]) @ u.conj().mT
             wt, ut = np.linalg.eigh(_herm(x_half @ s @ x_half))
             if wt.min() < -1e-10 * max(wt.max(), 1.0):
                 raise SolverError("dual iterate left the cone")
             wt = np.maximum(wt, 1e-16 * max(wt.max(), 1.0))
-            t_mhalf = (ut / np.sqrt(wt)) @ ut.conj().T  # T^(-1/2)
+            t_mhalf = (ut / np.sqrt(wt)[..., None, :]) @ ut.conj().mT  # T^(-1/2)
             w_nt = _herm(x_half @ t_mhalf @ x_half)
-            s_inv = (us / w[1]) @ us.conj().T
+            s_inv = (us / w[1][..., None, :]) @ us.conj().mT
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SolverError(f"factorization failed: {exc}") from exc
 
         # Schur complement M_ij = tr(A_i W A_j W), one real GEMM
-        m_mat = a_flat @ _flat(np.matmul(np.matmul(w_nt, a_stack, out=wa), w_nt, out=waw)).T
+        np.matmul(w_nt, a_wide, out=wa)
+        np.copyto(tall_rows, wa_rows)
+        np.matmul(tall, w_nt, out=waw)
+        m_mat = a_flat @ _flat(waw_rows, axes).T
         ridge = 1e-14 * max(np.trace(m_mat) / max(m, 1), 1.0)
         w_rd_w = w_nt @ rd @ w_nt  # the same for every direction of this iteration
         m_ridge = m_mat + ridge * eye_m
@@ -272,7 +310,7 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
         refine = aim is not None and np.linalg.norm(rp - aim) > FEAS_TOL * b_scale
 
         def directions(targets, corr=None):
-            """(dx, ds) as one (q, 2, n, n) stack, and dy, for each sigma mu in ``targets``.
+            """(dx, ds) as one (q, 2, K, B, B) stack, and dy, for each sigma mu in ``targets``.
 
             ``corr`` is the first direction's corrector.  The products with A
             and the solve of M dy = rhs keep one matrix-vector product and one
@@ -283,21 +321,21 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
             rhs_mat = np.multiply.outer(targets, s_inv) - x
             if corr is not None:
                 rhs_mat[0] -= corr
-            rhs = rp - np.matmul(a_flat, _flat(rhs_mat - w_rd_w)[..., None])[..., 0]
+            rhs = rp - np.matmul(a_flat, _flat(rhs_mat - w_rd_w, axes)[..., None])[..., 0]
             dy = np.linalg.solve(m_ridge, rhs[..., None])[..., 0]
             for _ in range(2 if refine else 0):
                 # iterative refinement against M without the ridge
                 res = rhs - np.matmul(m_mat, dy[..., None])[..., 0]
                 dy = dy + np.linalg.solve(m_ridge, res[..., None])[..., 0]
-            d = np.empty((len(targets), 2, n, n), dtype=complex)
-            np.subtract(rd, np.matmul(dy[:, None], a_flat).view(complex).reshape(-1, n, n),
+            d = np.empty((len(targets), 2, *shape), dtype=complex)
+            np.subtract(rd, np.matmul(dy[:, None], a_flat).view(complex).reshape(-1, *shape),
                         out=d[:, 1])
             np.subtract(rhs_mat, w_nt @ d[:, 1] @ w_nt, out=d[:, 0])
             return _herm(d), dy
 
         d_a, _ = directions(np.zeros(1))
-        steps = _max_step(ihalf, d_a)
-        mu_aff = mu_of(xs + steps[0, :, None, None] * d_a[0])
+        steps = _max_step(ihalf, d_a, lam)
+        mu_aff = mu_of(xs + steps[0][spread] * d_a[0])
         sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
         if max(pres, dres) > max(gap, 1e-15):
             # keep complementarity from racing ahead of feasibility
@@ -308,8 +346,8 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
         def try_steps(targets, corr=None):
             """(merit, alpha_p, alpha_d, (X, S) after the step, dy) of each direction."""
             d, dys = directions(targets, corr)
-            steps = np.minimum(STEP_FRACTION * _max_step(ihalf, d), 1.0)
-            trial = xs + steps[..., None, None] * d
+            steps = np.minimum(STEP_FRACTION * _max_step(ihalf, d, lam), 1.0)
+            trial = xs + steps[spread] * d
             return [(mu_of(t) + 0.1 * ((1 - a_p) * rp_norm + (1 - a_d) * rd_norm), a_p, a_d, t, dy)
                     for (a_p, a_d), t, dy in zip(steps, trial, dys)]
 
@@ -373,65 +411,122 @@ def _prepare(problem):
     raise LinalgError(f"unsupported problem type {type(problem)!r}")
 
 
-def _constant_rows(c_mat, a_stack):
-    """Mask of the rows that no A_i touches and that C does not couple to a touched row.
+def _block_layout(c_mat, a_stack):
+    """The LMI's blocks: (mask of the constant rows, (K, B) row indices of the K blocks).
 
-    The touched rows grow along C's off-diagonal pattern until they stop
-    changing; C is block diagonal between the two sets, and the LMI holds X
-    on the constant rows only to X >= 0.
+    Rows i and j are linked when C or some A_i has a nonzero (i, j) entry,
+    and the LMI is the direct sum over the connected components of these
+    links.  A component that no A_i touches is constant, and the LMI holds X
+    there only to X >= 0.  The others are packed first-fit-decreasing into K
+    blocks of the smallest size B that divides their total and that they
+    fill exactly; B = their total, K = 1, always qualifies.  Each block holds
+    its rows in ascending order.
     """
-    coupled = c_mat != 0
-    live = (a_stack != 0).any(axis=(0, 1))  # the columns of Hermitian A_i are its rows
+    n = c_mat.shape[0]
+    pattern = _flat(a_stack).any(axis=0).reshape(n, n, 2)
+    touched = pattern[..., 0] | pattern[..., 1]
+    linked = touched | (c_mat != 0)
+    # every row takes the least label among itself and its links, then that
+    # row's new label; at the fixed point a component carries its least row
+    label = np.arange(n)
     while True:
-        grown = live | coupled[:, live].any(axis=1)
-        if np.array_equal(grown, live):
-            return ~live
-        live = grown
+        least = np.where(linked, label, label[:, None]).min(axis=1)
+        if (least == label).all():
+            break
+        label = least[least]
+    live = np.zeros(n, dtype=bool)
+    live[label[touched.any(axis=0)]] = True
+    sizes = (np.bincount(label, minlength=n) * live).tolist()  # per live component, at its label
+    live = live[label]
+    total = sum(sizes)
+    if not total:
+        return ~live, None
+    comps = sorted((r for r in range(n) if sizes[r]), key=lambda r: -sizes[r])  # stable
+    for size in range(sizes[comps[0]], total + 1):
+        if total % size:
+            continue
+        bins, free = [[] for _ in range(total // size)], [size] * (total // size)
+        for root in comps:
+            k = next((k for k, f in enumerate(free) if f >= sizes[root]), None)
+            if k is None:
+                break
+            bins[k].append(root)
+            free[k] -= sizes[root]
+        else:
+            break
+    # the rows sorted by their block, constant rows last, ascending within each
+    block = [len(bins)] * n
+    for k, roots in enumerate(bins):
+        for root in roots:
+            block[root] = k
+    rows = np.argsort(np.array(block)[label], kind="stable")[:total]
+    return ~live, rows.reshape(len(bins), size)
 
 
-def _embed(base, rows, block):
-    """``base`` with its ``rows`` block (an ``np.ix_`` pair) replaced by ``block``."""
-    out = base.copy()
-    out[rows] = block
+def _constant_rows(c_mat, a_stack):
+    """Mask of the rows that no A_i touches and that C does not couple to a touched row."""
+    return _block_layout(c_mat, a_stack)[0]
+
+
+def _block_index(rows, n):
+    """Flat indices, in an n x n matrix, of the (K, B, B) blocks on ``rows``; (B, B) when K = 1."""
+    index = rows[:, :, None] * n + rows[:, None, :]
+    return index[0] if len(rows) == 1 else index
+
+
+def _gather(mats, rows):
+    """The diagonal blocks on ``rows`` of a (..., n, n) stack, (..., K, B, B) or (..., B, B).
+
+    When one block holds every row, ``mats`` itself.
+    """
+    n = mats.shape[-1]
+    if rows.shape == (1, n):
+        return mats
+    return np.take(mats.reshape(*mats.shape[:-2], n * n), _block_index(rows, n), axis=-1)
+
+
+def _scatter(blocks, rows, base):
+    """``base`` with ``blocks`` put back on ``rows``; ``blocks`` itself when it holds every row."""
+    n = base.shape[-1]
+    if rows.shape == (1, n):
+        return blocks
+    out = np.array(base, dtype=complex)
+    out.reshape(-1)[_block_index(rows, n)] = blocks
     return out
 
 
 def _solve_live(c_mat, a_stack, b, standard, trace_iterates):
-    """Solve with the constant rows dropped: X = 0 on them is optimal once C is PSD there.
+    """Solve on the LMI's blocks, its constant rows dropped: there X = 0 is optimal if C >= 0.
 
-    Returns (X, y, info, iterates) at full size.  A program without constant
-    rows reaches the loop as it is, C-contiguous from ``_prepare``; one with
-    them is solved again with them dropped, and then has none.
+    Returns (X, y, info, iterates) at full size, zero on the dropped rows and
+    columns of X; there the traced dual slack is C's constant block.
     """
-    dropped = _constant_rows(c_mat, a_stack)
-    if not dropped.any():
-        x, y, _, info, iterates = _solve_textbook(c_mat, a_stack, b, trace_iterates)
-        if info["status"] == "optimal":
-            x = _refine_primal(x, y, a_stack, b, c_mat)
-        return x, y, info, iterates
+    dropped, rows = _block_layout(c_mat, a_stack)
     n, m = c_mat.shape[0], len(b)
     zero = np.zeros((n, n), dtype=complex)
-    const = c_mat[np.ix_(dropped, dropped)]
-    if np.linalg.eigvalsh(const).min() < -1e-12 * max(1.0, np.abs(const).max()):
-        # X = t v v^dag along a negative direction of C's constant block sends
-        # tr(C X) to -infinity, and no y makes the slack PSD there
-        status = "unbounded" if standard else "infeasible"
-        return zero, np.zeros(m), dict(status=status, iterations=0, passes=0, pres=np.nan,
-                                       dres=np.nan), []
-    if dropped.all():
+    if dropped.any():
+        const = c_mat[np.ix_(dropped, dropped)]
+        if np.linalg.eigvalsh(const).min() < -1e-12 * max(1.0, np.abs(const).max()):
+            # X = t v v^dag along a negative direction of C's constant block sends
+            # tr(C X) to -infinity, and no y makes the slack PSD there
+            status = "unbounded" if standard else "infeasible"
+            return zero, np.zeros(m), dict(status=status, iterations=0, passes=0, pres=np.nan,
+                                           dres=np.nan), []
+    if rows is None:
         # no variable reaches the LMI: X = 0, y = 0 leave only tr(A_i X) = b_i
         pres = np.linalg.norm(b) / (1.0 + np.linalg.norm(b))
         status = "optimal" if pres <= FEAS_TOL else "infeasible" if standard else "unbounded"
         return zero, np.zeros(m), dict(status=status, iterations=0, passes=0, pres=pres,
                                        dres=0.0), []
-    live = np.ix_(~dropped, ~dropped)
-    # the index copy puts the constraint axis innermost; every W A_i W of
-    # every pass is faster on C-contiguous matrices
-    c_loop, a_loop = c_mat[live], np.ascontiguousarray(a_stack[:, live[0], live[1]])
-    x, y, info, iterates = _solve_live(c_loop, a_loop, b, standard, trace_iterates)
-    # the dual slack C - sum_i y_i A_i is C itself on the dropped rows
-    iterates = [(_embed(zero, live, x_), y_, _embed(c_mat, live, s_)) for x_, y_, s_ in iterates]
-    return _embed(zero, live, x), y, info, iterates
+    x, y, _, info, iterates = _solve_textbook(_gather(c_mat, rows), _gather(a_stack, rows), b,
+                                              trace_iterates)
+    x = _scatter(x, rows, zero)
+    # the dual slack C - sum_i y_i A_i is C itself off the blocks
+    iterates = [(_scatter(x_, rows, zero), y_, _scatter(s_, rows, c_mat))
+                for x_, y_, s_ in iterates]
+    if info["status"] == "optimal":
+        x = _refine_primal(x, y, a_stack, b, c_mat)
+    return x, y, info, iterates
 
 
 def solve(problem, trace_iterates=False) -> SdpSolution:

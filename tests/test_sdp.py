@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtrack import sdp, tracking
 from qtrack.channels import DensityMatrix, haar_random_unitary, random_state
@@ -442,6 +443,108 @@ def test_stacked_pass_matches_the_unstacked_reference(i_count, d, objective, fea
             assert all(np.array_equal(g, w) for g, w in zip(got, want)), f"iterate {it}"
 
 
+# -- the blocked loop against the one-block loop -----------------------------
+
+
+def _blocked_and_one_block(c_mat, a_stack, b, rows):
+    """(tr(C X), b^T y, status) of the loop on ``rows``' blocks and on them as one block."""
+    out = []
+    for layout in (rows, np.sort(rows, axis=None)[None]):
+        c_blocks = sdp._gather(c_mat, layout)
+        x, y, _, info, _ = sdp._solve_textbook(c_blocks, sdp._gather(a_stack, layout), b, False)
+        flat = c_blocks.ndim  # the one block is a matrix, K > 1 blocks a stack
+        out.append((float(sdp._flat(c_blocks, flat) @ sdp._flat(x, flat)), float(b @ y),
+                    info["status"]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "i_count,d,objective,feasible,draws",
+    [(2, 2, obj, fs, 3) for obj, fs in PROGRAMS_22]
+    + [(3, 3, "Davg", "ppt", 1)]
+    # pool pairs whose blocked values lie farthest from the dense ones
+    + [
+        pytest.param(2, 2, "Davg", "cptp", [88, 126], id="pool88,126-Davg-cptp"),
+        pytest.param(2, 2, "Oavg2", "cptp", [110], id="pool110-Oavg2-cptp"),
+        pytest.param(2, 2, "Davg", "ppt", [126], id="pool126-Davg-ppt"),
+    ],
+)
+def test_blocked_loop_matches_one_block(i_count, d, objective, feasible, draws):
+    if isinstance(draws, int):
+        programs = [
+            _draw_program(np.random.default_rng([47, i_count, d, draw]), i_count, d, objective,
+                          feasible, draw)
+            for draw in range(draws)
+        ]
+    else:
+        programs = [_bench_program([2009, 1, k], i_count, d, objective, feasible) for k in draws]
+    for program in programs:
+        c_mat, a_stack, b = sdp._prepare(program)
+        _, rows = sdp._block_layout(c_mat, a_stack)
+        blocked, one = _blocked_and_one_block(c_mat, a_stack, b, rows)
+        assert blocked[2] == one[2] == "optimal"
+        assert abs(blocked[0] - one[0]) <= 1e-9 and abs(blocked[1] - one[1]) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.booleans()), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_block_analysis_finds_planted_blocks(planted, seed):
+    # Hermitian blocks of the given sizes on randomly permuted rows; a block
+    # flagged True is touched only by C, which is positive definite there
+    rng = np.random.default_rng(seed)
+    n = sum(size for size, _ in planted)
+    order = rng.permutation(n)
+    c_mat = np.zeros((n, n), dtype=complex)
+    cons, live_blocks, constant = [], [], np.zeros(n, dtype=bool)
+    at = 0
+    for size, only_c in planted:
+        rows = np.sort(order[at:at + size])
+        at += size
+        block = np.ix_(rows, rows)
+        g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        if only_c:
+            c_mat[block] = g @ g.conj().T + np.eye(size)
+            constant[rows] = True
+            continue
+        c_mat[block] = g + g.conj().T
+        live_blocks.append(rows)
+        for a_block in (np.eye(size), rng.normal(size=(size, size)) * (1 + 1j)):
+            a = np.zeros((n, n), dtype=complex)
+            a[block] = a_block + a_block.conj().T
+            # X = I / size on every live block is strictly feasible
+            cons.append((a, np.trace(a[block]).real / size))
+    program = sdp.SdpStandard(c_mat, cons)
+    c_mat, a_stack, b = sdp._prepare(program)
+    dropped, rows = sdp._block_layout(c_mat, a_stack)
+    assert np.array_equal(dropped, constant)
+    if not live_blocks:
+        assert rows is None
+        return
+    # every live row in exactly one block, ascending there, and every planted
+    # block inside one of them
+    k_count, b_size = rows.shape
+    assert np.array_equal(np.sort(rows, axis=None), np.flatnonzero(~constant))
+    assert (np.diff(rows, axis=1) > 0).all()
+    assert all(sum(np.isin(planted, r).all() for r in rows) == 1 for planted in live_blocks)
+    sizes = [len(r) for r in live_blocks]
+    assert b_size >= max(sizes) and k_count * b_size == sum(sizes)
+    if len(set(sizes)) == 1:
+        assert (k_count, b_size) == (len(sizes), sizes[0])
+    # gather then scatter gives back C (its constant block from the base) and every A_i
+    base = np.where(np.outer(constant, constant), c_mat, 0)
+    assert np.array_equal(sdp._scatter(sdp._gather(c_mat, rows), rows, base), c_mat)
+    gathered = sdp._gather(a_stack, rows)
+    assert all(np.array_equal(sdp._scatter(g, rows, np.zeros_like(c_mat)), a)
+               for g, a in zip(gathered, a_stack))
+    blocked, one = _blocked_and_one_block(c_mat, a_stack, b, rows)
+    assert blocked[2] == one[2] == "optimal"
+    # values here reach 10 and more, and the loop stops at a relative gap of
+    # GAP_TOL, so 1e-9 is relative to the values
+    tol = sdp.GAP_TOL * (1.0 + abs(one[0]) + abs(one[1]))
+    assert abs(blocked[0] - one[0]) <= tol and abs(blocked[1] - one[1]) <= tol
+
+
 def test_stacked_max_step_matches_single_calls():
     rng = np.random.default_rng(53)
     for n in (2, 4, 7):
@@ -580,18 +683,35 @@ def _loop_arrays(program, monkeypatch):
     return prepared[0][:2], looped[0]
 
 
-# every tracking program, Havg2's norm epigraph included, has no constant rows
-LOOP_PROGRAMS = [pytest.param(2, 2, obj, fs, id=f"{obj}-{fs}") for obj, fs in PROGRAMS_22] + [
-    (i_count, d, "Havg2", fs) for i_count, d in ((3, 3), (2, 4)) for fs in tracking.FEASIBLE_SETS
+# every tracking program, Havg2's norm epigraph included, has no constant rows;
+# (K, B) is its block layout
+BLOCKS_22 = {("Davg", "cptp"): (3, 4), ("Davg", "ppt"): (4, 4), ("H2avg1", "cptp"): (1, 13),
+             ("H2avg1", "ppt"): (1, 17), ("Havg2", "cptp"): (1, 13), ("Havg2", "ppt"): (1, 17),
+             ("Oavg2", "cptp"): (3, 4), ("Oavg2", "ppt"): (4, 4), ("FHSavg1", "cptp"): (1, 4),
+             ("FHSavg1", "ppt"): (2, 4), ("FHSavg2", "cptp"): (1, 4), ("FHSavg2", "ppt"): (2, 4)}
+LOOP_PROGRAMS = [
+    pytest.param(2, 2, obj, fs, BLOCKS_22[obj, fs], id=f"{obj}-{fs}") for obj, fs in PROGRAMS_22
+] + [
+    pytest.param(i_count, d, "Havg2", fs, blocks, id=f"{i_count}-{d}-Havg2-{fs}")
+    for i_count, d, fs, blocks in ((3, 3, "cptp", (1, 37)), (3, 3, "ppt", (1, 46)),
+                                   (2, 4, "cptp", (1, 49)), (2, 4, "ppt", (1, 65)))
 ]
 
 
-@pytest.mark.parametrize("i_count,d,objective,feasible", LOOP_PROGRAMS)
+@pytest.mark.parametrize("i_count,d,objective,feasible,blocks", LOOP_PROGRAMS)
 def test_programs_without_constant_rows_reach_the_loop_untouched(i_count, d, objective, feasible,
-                                                                 monkeypatch):
+                                                                 blocks, monkeypatch):
     program = _bench_program([7, i_count, d], i_count, d, objective, feasible)
     (c_mat, a_stack), (c_loop, a_loop) = _loop_arrays(program, monkeypatch)
-    assert np.array_equal(c_loop, c_mat) and np.array_equal(a_loop, a_stack)
+    dropped, rows = sdp._block_layout(c_mat, a_stack)
+    assert not dropped.any() and rows.shape == blocks
+    if blocks[0] == 1:
+        # the one block is _prepare's arrays themselves, not a copy
+        assert c_loop is c_mat and a_loop is a_stack
+    else:
+        assert c_loop.shape == blocks + blocks[1:]
+        assert np.array_equal(c_loop, c_mat[rows[:, :, None], rows[:, None, :]])
+        assert np.array_equal(a_loop, a_stack[:, rows[:, :, None], rows[:, None, :]])
     assert a_loop.flags.c_contiguous
 
 

@@ -17,29 +17,36 @@ def random_problem(rng, i_count=2, d=2, pure_targets=True, uniform=True):
     return src, tgt
 
 
+# (objective, feasible set, variables, LMI size, (K, B) of the LMI's K blocks of size B)
 SIZE_TABLE = [
-    ("Davg", "cptp", 20, 12),
-    ("Davg", "ppt", 20, 16),
-    ("H2avg1", "cptp", 13, 13),
-    ("H2avg1", "ppt", 13, 17),
-    ("Havg2", "cptp", 13, 13),
-    ("Havg2", "ppt", 13, 17),
-    ("Oavg2", "cptp", 13, 12),
-    ("Oavg2", "ppt", 13, 16),
-    ("FHSavg1", "cptp", 4, 4),
-    ("FHSavg1", "ppt", 12, 8),
-    ("FHSavg2", "cptp", 4, 4),
-    ("FHSavg2", "ppt", 12, 8),
+    ("Davg", "cptp", 20, 12, (3, 4)),
+    ("Davg", "ppt", 20, 16, (4, 4)),
+    ("H2avg1", "cptp", 13, 13, (1, 13)),
+    ("H2avg1", "ppt", 13, 17, (1, 17)),
+    ("Havg2", "cptp", 13, 13, (1, 13)),
+    ("Havg2", "ppt", 13, 17, (1, 17)),
+    ("Oavg2", "cptp", 13, 12, (3, 4)),
+    ("Oavg2", "ppt", 13, 16, (4, 4)),
+    ("FHSavg1", "cptp", 4, 4, (1, 4)),
+    ("FHSavg1", "ppt", 12, 8, (2, 4)),
+    ("FHSavg2", "cptp", 4, 4, (1, 4)),
+    ("FHSavg2", "ppt", 12, 8, (2, 4)),
 ]
 
 
-@pytest.mark.parametrize("objective,feasible,n_want,m_want", SIZE_TABLE)
-def test_program_sizes_match_reference(objective, feasible, n_want, m_want):
+@pytest.mark.parametrize("objective,feasible,n_want,m_want,blocks", [
+    pytest.param(*row, id="-".join(map(str, row[:4]))) for row in SIZE_TABLE
+])
+def test_program_sizes_match_reference(objective, feasible, n_want, m_want, blocks):
     rng = np.random.default_rng(0)
     src, tgt = random_problem(rng)
     tp = tracking.TrackingProblem(src, tgt, objective, feasible)
-    n, m = tracking.problem_size(tracking.assemble(tp))
+    program = tracking.assemble(tp)
+    n, m = tracking.problem_size(program)
     assert (n, m) == (n_want, m_want)
+    c_mat, a_stack, _ = sdp._prepare(program)
+    dropped, rows = sdp._block_layout(c_mat, a_stack)
+    assert not dropped.any() and rows.shape == blocks
 
 
 @pytest.mark.parametrize("objective", tracking.OBJECTIVES)
