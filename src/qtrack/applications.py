@@ -174,6 +174,8 @@ def discriminate(rho1: DensityMatrix, rho2: DensityMatrix, p1):
     Both success probabilities coincide; the tracking branch is decided by the
     sign of T = (p1 - p2)^2 - ||p1 R1 - p2 R2||^2.
     """
+    if rho1.d != rho2.d:
+        raise LinalgError(f"cannot discriminate a d = {rho1.d} state from a d = {rho2.d} state")
     p1, p2 = check_priorities([p1, 1.0 - p1]).tolist()
     diff = p1 * rho1.mat - p2 * rho2.mat
     p_hel = 0.5 + 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()

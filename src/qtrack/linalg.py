@@ -35,9 +35,12 @@ def mat(v, d):
 def hermitize(m, atol=1e-8):
     """Return the Hermitian part ``(M + M^dag)/2``, rejecting grossly non-Hermitian input.
 
-    Works on a matrix or on a stack ``(..., n, n)``, the empty stack included.
+    Works on a matrix or on a stack ``(..., n, n)``, the empty stack included;
+    anything else is rejected too.
     """
     m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise LinalgError(f"an array of shape {m.shape} is not a square matrix or stack")
     m_dag = m.conj().swapaxes(-1, -2)
     if np.abs(m - m_dag).max(initial=0.0) > atol:
         raise LinalgError("matrix is not Hermitian within tolerance")

@@ -1,12 +1,11 @@
-"""Dense semidefinite programming: problem forms, duality, and an interior-point solver.
+"""Dense semidefinite programming: one problem form and an interior-point solver.
 
-Problem forms follow the conventions used across the package:
-
-* standard form      maximize -tr(E0 Z)  s.t.  Z >= 0,  tr(E_i Z) = b_i
-* inequality form    minimize c^T x      s.t.  F0 + sum_j x_j F_j >= 0
-
-The two are Lagrange duals of each other under ``c = -b, F0 = E0, F_j = -E_j``,
-and weak duality reads p <= d for every feasible pair.
+A program is ``SdpInequality(c, F0, [F_j])``: minimize c^T x s.t. F0 + sum_j
+x_j F_j >= 0.  Its Lagrange dual is the standard form, maximize -tr(F0 Z) s.t.
+tr(F_j Z) = c_j, Z >= 0, so a standard-form program, maximize -tr(E0 Z) s.t.
+tr(E_i Z) = b_i, Z >= 0, is written ``SdpInequality(-b, E0, [-E_i])``.  ``solve``
+returns x at ``primal_value`` and Z as ``z`` at ``dual_value`` <= primal_value.
+The loop solves the dual as min tr(C X) s.t. tr(A_i X) = b_i, X >= 0.
 
 The solver is a primal-dual path-following method with Nesterov-Todd scaling
 and Mehrotra-style adaptive centering, run directly on complex Hermitian data
@@ -17,10 +16,10 @@ C and the A_i, as Fujisawa, Kojima and Nakata do: rows i and j are linked when
 C or some A_i has a nonzero (i, j) entry, and the LMI is the direct sum over
 the connected components.  A component that no A_i touches is constant: X = 0
 there is optimal once C is PSD there, which one ``eigvalsh`` checks; a
-negative eigenvalue ends the solve at once, ``unbounded`` for the standard
-form and ``infeasible`` for the inequality form.  The other components are
-packed first-fit-decreasing into K blocks of the smallest size B that divides
-their total and that they fill exactly, else one block of them all (K = 1), in
+negative eigenvalue ends the solve at once as ``infeasible``, since no x
+makes the slack PSD there.  The other components are packed
+first-fit-decreasing into K blocks of the smallest size B that divides their
+total and that they fill exactly, else one block of them all (K = 1), in
 SDPT3's block layout.  C and the A_i are gathered once into (K, B, B) and
 (m, K, B, B) stacks, without the K axis when K = 1; a program whose one block
 holds every row reaches the loop with its own arrays.  X, S and every traced
@@ -65,7 +64,7 @@ The tolerances are module constants (``GAP_TOL``, ``FEAS_TOL``, ``COMP_TOL``);
 ``solve``'s one setting, ``trace_iterates``, keeps every pass's iterate.
 The primal refinement runs on the full-size X.
 
-``verify_certificate`` checks a solution of either form on the same (C, A_i, b).
+``verify_certificate`` checks a pair (Z, x) on the same (C, A_i, b).
 """
 
 from __future__ import annotations
@@ -79,31 +78,6 @@ from .linalg import LinalgError, hermitize
 
 class SolverError(RuntimeError):
     """Numerical breakdown inside the interior-point iteration."""
-
-
-@dataclass(frozen=True)
-class SdpStandard:
-    """maximize -tr(E0 Z) subject to Z >= 0 and tr(E_i Z) = b_i."""
-
-    e0: np.ndarray
-    constraints: tuple  # of (E_i, b_i)
-
-    def __init__(self, e0, constraints):
-        e0 = hermitize(np.asarray(e0, dtype=complex), atol=1e-9)
-        es, bs = [], []
-        for e, b in constraints:
-            es.append(np.asarray(e, dtype=complex))
-            bs.append(float(b))
-        n = e0.shape[0]
-        if any(e.shape != (n, n) for e in es):
-            raise LinalgError("constraint matrices must match the objective dimension")
-        es = hermitize(np.array(es, dtype=complex).reshape(-1, n, n), atol=1e-9)
-        object.__setattr__(self, "e0", e0)
-        object.__setattr__(self, "constraints", tuple(zip(es, bs)))
-
-    @property
-    def dim(self):
-        return self.e0.shape[0]
 
 
 @dataclass(frozen=True)
@@ -136,12 +110,6 @@ class SdpInequality:
         return self.f0 + sum(xj * fj for xj, fj in zip(np.asarray(x), self.fs))
 
 
-def dualize(p: SdpStandard) -> SdpInequality:
-    """Lagrange dual of the standard form: minimize -b^T nu s.t. E0 - sum nu_i E_i >= 0."""
-    b = np.array([bi for _, bi in p.constraints])
-    return SdpInequality(-b, p.e0, tuple(-e for e, _ in p.constraints))
-
-
 # an iterate converges once both scaled residuals are within FEAS_TOL and the
 # relative gap within GAP_TOL, and is returned at once if also max|X S| / scale
 # is within COMP_TOL; each step goes STEP_FRACTION of the way to the cone
@@ -163,8 +131,7 @@ class SdpSolution:
     dual_value: float
     gap: float
     z: np.ndarray
-    x: np.ndarray | None
-    nu: np.ndarray | None
+    x: np.ndarray
     iterations: int  # index of the accepted iterate
     passes: int  # loop passes, one Newton step each
     residuals: dict
@@ -399,16 +366,11 @@ def _refine_primal(x, y, a_stack, b, c_mat):
 
 
 def _prepare(problem):
-    """Map either public form onto the textbook problem (C, stack of A_i, b)."""
-    n = problem.dim
-    if isinstance(problem, SdpStandard):
-        a_stack = np.array([e for e, _ in problem.constraints], dtype=complex)
-        b = np.array([bi for _, bi in problem.constraints], dtype=float)
-        return problem.e0, a_stack.reshape(-1, n, n), b
-    if isinstance(problem, SdpInequality):
-        a_stack = -np.array(problem.fs, dtype=complex)
-        return problem.f0, a_stack.reshape(-1, n, n), -problem.c
-    raise LinalgError(f"unsupported problem type {type(problem)!r}")
+    """Map an inequality-form program onto its dual textbook problem (C, stack of A_i, b)."""
+    if not isinstance(problem, SdpInequality):
+        raise LinalgError(f"unsupported problem type {type(problem)!r}")
+    a_stack = -np.array(problem.fs, dtype=complex)
+    return problem.f0, a_stack.reshape(-1, problem.dim, problem.dim), -problem.c
 
 
 def _block_layout(c_mat, a_stack):
@@ -463,11 +425,6 @@ def _block_layout(c_mat, a_stack):
     return ~live, rows.reshape(len(bins), size)
 
 
-def _constant_rows(c_mat, a_stack):
-    """Mask of the rows that no A_i touches and that C does not couple to a touched row."""
-    return _block_layout(c_mat, a_stack)[0]
-
-
 def _block_index(rows, n):
     """Flat indices, in an n x n matrix, of the (K, B, B) blocks on ``rows``; (B, B) when K = 1."""
     index = rows[:, :, None] * n + rows[:, None, :]
@@ -495,7 +452,7 @@ def _scatter(blocks, rows, base):
     return out
 
 
-def _solve_live(c_mat, a_stack, b, standard, trace_iterates):
+def _solve_live(c_mat, a_stack, b, trace_iterates):
     """Solve on the LMI's blocks, its constant rows dropped: there X = 0 is optimal if C >= 0.
 
     Returns (X, y, info, iterates) at full size, zero on the dropped rows and
@@ -509,13 +466,12 @@ def _solve_live(c_mat, a_stack, b, standard, trace_iterates):
         if np.linalg.eigvalsh(const).min() < -1e-12 * max(1.0, np.abs(const).max()):
             # X = t v v^dag along a negative direction of C's constant block sends
             # tr(C X) to -infinity, and no y makes the slack PSD there
-            status = "unbounded" if standard else "infeasible"
-            return zero, np.zeros(m), dict(status=status, iterations=0, passes=0, pres=np.nan,
-                                           dres=np.nan), []
+            return zero, np.zeros(m), dict(status="infeasible", iterations=0, passes=0,
+                                           pres=np.nan, dres=np.nan), []
     if rows is None:
         # no variable reaches the LMI: X = 0, y = 0 leave only tr(A_i X) = b_i
         pres = np.linalg.norm(b) / (1.0 + np.linalg.norm(b))
-        status = "optimal" if pres <= FEAS_TOL else "infeasible" if standard else "unbounded"
+        status = "optimal" if pres <= FEAS_TOL else "unbounded"
         return zero, np.zeros(m), dict(status=status, iterations=0, passes=0, pres=pres,
                                        dres=0.0), []
     x, y, _, info, iterates = _solve_textbook(_gather(c_mat, rows), _gather(a_stack, rows), b,
@@ -530,26 +486,22 @@ def _solve_live(c_mat, a_stack, b, standard, trace_iterates):
 
 
 def solve(problem, trace_iterates=False) -> SdpSolution:
-    """Solve a standard- or inequality-form SDP; see the module docstring for signs.
+    """Solve a program and its dual: x at ``primal_value``, the dual's Z as ``z`` at ``dual_value``.
 
     With ``trace_iterates``, ``SdpSolution.iterates`` holds (X, y, S) of every
     loop pass at full size.
     """
     c_mat, a_stack, b = _prepare(problem)
-    standard = isinstance(problem, SdpStandard)
-    x, y, info, iterates = _solve_live(c_mat, a_stack, b, standard, trace_iterates)
-    # -tr(C X) and -b^T y are the standard form's primal and dual values, and
-    # the other way round for the inequality form
-    x_value = -float(np.trace(c_mat @ x).real)
-    y_value = -float(b @ y)
+    x, y, info, iterates = _solve_live(c_mat, a_stack, b, trace_iterates)
+    primal = -float(b @ y)  # c^T x, with the program's x the loop's y
+    dual = -float(np.trace(c_mat @ x).real)  # -tr(F0 Z), with Z the loop's X
     return SdpSolution(
         status=info["status"],
-        primal_value=x_value if standard else y_value,
-        dual_value=y_value if standard else x_value,
-        gap=y_value - x_value,
+        primal_value=primal,
+        dual_value=dual,
+        gap=primal - dual,
         z=x,
-        x=None if standard else y,
-        nu=y if standard else None,
+        x=y,
         iterations=info["iterations"],
         passes=info["passes"],
         residuals={"primal": info["pres"], "dual": info["dres"]},
@@ -557,28 +509,27 @@ def solve(problem, trace_iterates=False) -> SdpSolution:
     )
 
 
-def verify_certificate(z, nu, problem):
-    """Check a candidate optimal pair for either form, on ``_prepare``'s (C, A_i, b).
+def verify_certificate(z, x, problem):
+    """Check a candidate optimal pair (``sol.z``, ``sol.x``) on ``_prepare``'s (C, A_i, b).
 
-    ``z`` is the matrix variable and ``nu`` the multiplier vector: ``sol.nu``
-    for the standard form and ``sol.x`` for the inequality form, whose dual
-    slack F0 + sum x_j F_j is C - sum nu_i A_i.  The entries are named for the
-    standard form (the inequality form's dual): (i) the equality residuals
-    tr(A_i Z) - b_i, (ii) PSD-ness of Z and of the dual slack, (iii) the
-    duality gap between -b^T nu and -tr(C Z), and (iv) complementary
-    slackness ||(C - sum nu_i A_i) Z||.
+    ``x`` is the program's variable and ``z`` the dual's matrix variable; the
+    slack F0 + sum x_j F_j is C - sum x_j A_j.  The entries are named for the
+    program over Z, maximize -tr(F0 Z) s.t. tr(F_j Z) = c_j, Z >= 0: (i) the
+    equality residuals tr(A_j Z) - b_j, (ii) PSD-ness of Z and of the slack,
+    (iii) the duality gap between c^T x and -tr(F0 Z), and (iv) complementary
+    slackness ||(F0 + sum x_j F_j) Z||.
     """
     c_mat, a_stack, b = _prepare(problem)
     n = c_mat.shape[0]
     z = np.asarray(z, dtype=complex)
-    nu = np.asarray(nu, dtype=float)
+    x = np.asarray(x, dtype=float)
     a_flat = _flat(a_stack)
-    slack = c_mat - (nu @ a_flat).view(complex).reshape(n, n)
+    slack = c_mat - (x @ a_flat).view(complex).reshape(n, n)
     pres = np.abs(a_flat @ _flat(z) - b).max(initial=0.0)
     z_min = float(np.linalg.eigvalsh(hermitize(z, atol=1e-6)).min())
     s_min = float(np.linalg.eigvalsh(hermitize(slack, atol=1e-6)).min())
     pval = -float(_flat(c_mat) @ _flat(z))
-    dval = -float(b @ nu)
+    dval = -float(b @ x)
     comp = float(np.abs(slack @ z).max())
     scale = max(1.0, float(np.abs(c_mat).max()))
     return {

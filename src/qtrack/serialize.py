@@ -32,17 +32,34 @@ def matrix_to_json(m):
     }
 
 
-def matrix_from_json(obj):
+def _integer(obj, key, what):
+    """``obj[key]`` as an int, which it must equal: 2.7, "2" and true are refused."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad matrix payload: {exc}") from exc
-    if re.size != rows * cols or im.size != rows * cols:
-        raise FormatError(
-            f"matrix payload declares {rows}x{cols} but carries {re.size} entries"
-        )
+        val = int(obj[key])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{what} needs an integer {key!r} field") from exc
+    if val != obj[key] or isinstance(obj[key], bool):
+        raise FormatError(f"{what} {key!r} must be an integer, got {obj[key]!r}")
+    return val
+
+
+def _reals(obj, key, size):
+    """``obj[key]`` as a float array: it must be a flat list of ``size`` reals."""
+    vals = obj.get(key)
+    if not (isinstance(vals, list) and len(vals) == size
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals)):
+        raise FormatError(f"matrix {key!r} must be a flat list of {size} reals")
+    try:
+        return np.array(vals, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise FormatError(f"matrix {key!r}: {exc}") from exc
+
+
+def matrix_from_json(obj):
+    rows, cols = _integer(obj, "rows", "matrix"), _integer(obj, "cols", "matrix")
+    if rows < 0 or cols < 0:
+        raise FormatError(f"matrix payload declares {rows}x{cols}: sizes must be non-negative")
+    re, im = _reals(obj, "re", rows * cols), _reals(obj, "im", rows * cols)
     return (re + 1j * im).reshape(rows, cols)
 
 
@@ -87,12 +104,7 @@ def canonical_to_json(q):
 
 
 def channel_from_json(obj):
-    try:
-        d = int(obj["d"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError("channel needs an integer 'd' field") from exc
-    if d != obj["d"] or isinstance(obj["d"], bool):
-        raise FormatError(f"channel 'd' must be an integer, got {obj['d']!r}")
+    d = _integer(obj, "d", "channel")
     if "choi" in obj:
         return ChoiMatrix(d, matrix_from_json(obj["choi"]))
     if "kraus" in obj:
@@ -134,17 +146,9 @@ def problem_from_json(obj):
 
 
 def sdp_problem_to_json(problem):
-    """Dump a standard- or inequality-form program for external cross-checking."""
-    from .sdp import SdpInequality, SdpStandard
+    """Dump an inequality-form program for external cross-checking."""
+    from .sdp import SdpInequality
 
-    if isinstance(problem, SdpStandard):
-        return {
-            "form": "standard",
-            "e0": matrix_to_json(problem.e0),
-            "constraints": [
-                {"e": matrix_to_json(e), "b": float(b)} for e, b in problem.constraints
-            ],
-        }
     if isinstance(problem, SdpInequality):
         return {
             "form": "inequality",

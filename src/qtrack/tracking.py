@@ -2,9 +2,10 @@
 
 Six objectives are supported over two feasible sets (CPTP; CPTP with positive
 partial transpose).  The decision variable is always the controller's Choi
-matrix.  The Hilbert-Schmidt closeness objectives over plain CPTP keep it as
-a standard-form variable; every other program is in inequality form, built by
-one builder with one layout:
+matrix.  The Hilbert-Schmidt closeness objectives over plain CPTP are linear
+in it under d^2 trace-preserving equalities, so their program is the dual of
+a d^2-variable inequality program, whose ``z`` is the Choi matrix.  Every
+other program is built by one builder with one layout:
 
 * variables: first the Choi coefficients x_munu of
   ``C = I/d + sum_{mu, nu>=2} x_munu H^mu (x) H^nu``, then the objective's
@@ -203,12 +204,17 @@ def choi_from_coefficients(x, d):
     return ChoiMatrix(d, c)
 
 
-def assemble(tp: TrackingProblem):
+def _choi_is_dual(tp: TrackingProblem):
+    """Closeness over plain CPTP: the Choi matrix is the dual variable ``z`` of the program."""
+    return _OBJECTIVES[tp.objective].closeness and tp.feasible == "cptp"
+
+
+def assemble(tp: TrackingProblem) -> sdp.SdpInequality:
     """Build the SDP for a tracking problem.
 
-    Returns :class:`~qtrack.sdp.SdpStandard` for the Hilbert-Schmidt
-    objectives over plain CPTP (their natural form) and
-    :class:`~qtrack.sdp.SdpInequality` otherwise.
+    Closeness over plain CPTP maximizes -tr(E0 C) over Choi matrices C >= 0
+    with tr((H^a (x) I) C) = d delta_a0: the dual of minimizing -d nu_0 over
+    E0 - sum_a nu_a (H^a (x) I) >= 0, whose ``z`` is C.
     """
     d, ppt, obj = tp.d, tp.feasible == "ppt", _OBJECTIVES[tp.objective]
     basis = hermitian_basis(d)
@@ -216,11 +222,11 @@ def assemble(tp: TrackingProblem):
     w = obj.weight(pis)
     sources = [s.mat for s in tp.source.states]
     targets = [s.mat for s in tp.target.states]
-    if obj.closeness and not ppt:
+    if _choi_is_dual(tp):
         e0 = -sum(wi * np.kron(r.T, t) for wi, r, t in zip(w, sources, targets))
         kron, _ = _kron_table(d)
-        cons = [(kron[a, 0], float(d) if a == 0 else 0.0) for a in range(d * d)]
-        return sdp.SdpStandard(e0, cons)
+        b = np.array([float(d) if a == 0 else 0.0 for a in range(d * d)])
+        return sdp.SdpInequality(-b, e0, [-kron[a, 0] for a in range(d * d)])
 
     # residual i, w_i (Phi(rho_i) - rhobar_i), is w_i (I/d - rhobar_i) plus
     # x_munu scale[i, mu] H^nu over the Choi pairs (mu, nu)
@@ -244,8 +250,6 @@ def assemble(tp: TrackingProblem):
 
 def problem_size(assembled):
     """(n, m): number of scalar variables and LMI dimension of an assembled program."""
-    if isinstance(assembled, sdp.SdpStandard):
-        return len(assembled.constraints), assembled.dim
     return len(assembled.c), assembled.dim
 
 
@@ -301,9 +305,9 @@ def solve_tracking(tp: TrackingProblem) -> TrackingResult:
         sol = sdp.solve(program)
         if sol.status != "optimal":
             raise sdp.SolverError(f"tracking SDP ended with status {sol.status!r}")
-        if isinstance(program, sdp.SdpStandard):
+        if _choi_is_dual(tp):
             controller = ChoiMatrix(d, sol.z)
-            value = sol.primal_value
+            value = sol.dual_value
         else:
             controller = choi_from_coefficients(sol.x[: len(_choi_pairs(d))], d)
             value = _OBJECTIVES[tp.objective].value(sol.primal_value, tp.source.priorities, d)

@@ -405,6 +405,11 @@ _DEPOLARIZING = {"rows": 4, "cols": 4, "re": (0.5 * np.eye(4)).ravel().tolist(),
 _CHOI_NAN = {**_DEPOLARIZING, "re": [float("nan")] + _DEPOLARIZING["re"][1:]}
 _EMPTY = {"rows": 0, "cols": 0, "re": [], "im": []}
 _KRAUS_I2 = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
+_RHO_HALF = {"rows": 2, "cols": 2, "re": [0.5, 0.0, 0.0, 0.5], "im": [0.0] * 4}
+# a 4 x 3 matrix that holds I / 2 in its top rows
+_CHOI_4X3 = {"rows": 4, "cols": 3, "re": [0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0.5, 0, 0], "im": [0.0] * 12}
+_QUTRIT = {"d": 3, "rho": {"rows": 3, "cols": 3, "re": (np.eye(3) / 3).ravel().tolist(),
+                           "im": [0.0] * 9}}
 
 
 @pytest.mark.parametrize(
@@ -449,6 +454,20 @@ _KRAUS_I2 = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
         ({"c": {"d": 2, "kraus": 5}}, ["channel", "--in", "c"]),
         ({"p": {"source": _PAIR, "target": _PAIR}, "n": [{"d": 3, "kraus": [_KRAUS_I2]}]},
          ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
+        ({"s": {"rho": {**_RHO_HALF, "rows": -2, "cols": -2}}},
+         ["distances", "--measure", "F", "--a", "s", "--b", "b"]),
+        ({"s": {"rho": {**_RHO_HALF, "rows": 2.7}}},
+         ["distances", "--measure", "F", "--a", "s", "--b", "b"]),
+        ({"s": {"rho": {**_RHO_HALF, "rows": "2"}}},
+         ["distances", "--measure", "F", "--a", "s", "--b", "b"]),
+        ({"s": {"rho": {"rows": 2, "cols": 3, "re": [0.5, 0, 0, 0, 0.5, 0], "im": [0.0] * 6}}},
+         ["distances", "--measure", "F", "--a", "s", "--b", "b"]),
+        ({"s": {"rho": {**_RHO_HALF, "re": [[0.5, 0.0], [0.0, 0.5]]}}},
+         ["distances", "--measure", "F", "--a", "s", "--b", "b"]),
+        ({"c": {"d": 2, "choi": _CHOI_4X3}}, ["channel", "--in", "c"]),
+        ({"p": {"source": _PAIR, "target": _PAIR}, "n": [{"d": 2, "choi": _CHOI_4X3}]},
+         ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
+        ({"s": _QUTRIT}, ["discriminate", "--a", "b", "--b", "s", "--p1", "0.4"]),
         ({}, ["clone", "--phi", "0.3", "--out", "/nonexistent/x.json"]),
         ({}, ["clone", "--phi", "0.3", "--out", "."]),
         ({}, ["solve", "--problem", "problem", "--objective", "FHSavg1",
@@ -462,6 +481,9 @@ _KRAUS_I2 = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
          "multistep-noise-not-a-list", "multistep-noise-entry-5", "channel-d-negative",
          "channel-d0", "channel-choi-nan", "channel-d-not-integer", "channel-kraus-not-d-by-d",
          "channel-d-bool", "channel-kraus-not-a-list", "multistep-noise-kraus-not-d-by-d",
+         "distances-rows-negative", "distances-rows-fraction", "distances-rows-string",
+         "distances-rho-2x3", "distances-re-nested", "channel-choi-4x3", "multistep-noise-choi-4x3",
+         "discriminate-d2-d3",
          "clone-out-missing-dir", "clone-out-directory", "solve-dump-problem-missing-dir",
          "solve-dump-problem-directory"],
 )

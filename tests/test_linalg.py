@@ -191,3 +191,9 @@ def test_hermitize_stack_matches_per_matrix():
     stack[2, 0, 1] += 1.0
     with pytest.raises(la.LinalgError):
         la.hermitize(stack)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4, 3, 2), (3,), ()])
+def test_hermitize_rejects_non_square_shapes(shape):
+    with pytest.raises(la.LinalgError, match="square"):
+        la.hermitize(np.zeros(shape))

@@ -8,6 +8,12 @@ from qtrack.distances import WeightedSequence
 from qtrack.linalg import LinalgError, hermitian_basis, hermitize
 
 
+def standard_form(e0, cons):
+    """maximize -tr(E0 Z) s.t. tr(E_i Z) = b_i, Z >= 0, as the dual of (-b, E0, [-E_i])."""
+    b = np.array([bi for _, bi in cons], dtype=float)
+    return sdp.SdpInequality(-b, e0, [-np.asarray(e, dtype=complex) for e, _ in cons])
+
+
 def fhs_problem(rng, d=2, pi1=0.5):
     basis = hermitian_basis(d)
     r1, r2 = random_state(d, rng), random_state(d, rng)
@@ -17,11 +23,11 @@ def fhs_problem(rng, d=2, pi1=0.5):
         (np.kron(basis[a], np.eye(d)), float(d) if a == 0 else 0.0)
         for a in range(d * d)
     ]
-    return sdp.SdpStandard(e0, cons)
+    return standard_form(e0, cons)
 
 
 def test_trivial_standard_problem():
-    p = sdp.SdpStandard(-np.diag([1.0, 0.0]), [(np.eye(2), 1.0)])
+    p = standard_form(-np.diag([1.0, 0.0]), [(np.eye(2), 1.0)])
     sol = sdp.solve(p)
     assert sol.status == "optimal"
     assert abs(sol.primal_value - 1.0) < 1e-8
@@ -29,41 +35,28 @@ def test_trivial_standard_problem():
     assert np.abs(sol.z - np.diag([1.0, 0.0])).max() < 1e-6
 
 
-def test_dualize_single_constraint():
-    p = sdp.SdpStandard(-np.diag([1.0, 0.0]), [(np.eye(2), 1.0)])
-    dual = sdp.dualize(p)
-    assert np.array_equal(dual.c, [-1.0])
-    assert np.abs(dual.f0 + np.diag([1.0, 0.0])).max() == 0
-    sol = sdp.solve(dual)
-    assert abs(sol.x[0] + 1.0) < 1e-7  # nu* = -1, value -b nu = 1
-    assert abs(sol.primal_value - 1.0) < 1e-8
-
-
 def test_empty_constraints_psd_objective():
     # maximize -tr(E0 Z), Z >= 0 with E0 >= 0: optimum 0 at Z = 0
-    p = sdp.SdpStandard(np.diag([1.0, 2.0]), [])
+    p = standard_form(np.diag([1.0, 2.0]), [])
     sol = sdp.solve(p)
-    assert abs(sol.primal_value) < 1e-7
+    assert abs(sol.dual_value) < 1e-7
     # the dual of a constraint-free problem has no variables; it is feasible
     # (value 0) exactly because E0 >= 0
-    dual = sdp.dualize(p)
-    assert len(dual.c) == 0
-    assert np.linalg.eigvalsh(dual.slack([])).min() >= 0
+    assert len(p.c) == 0
+    assert np.linalg.eigvalsh(p.slack([])).min() >= 0
 
 
 def test_complex_standard_and_certificate():
     rng = np.random.default_rng(0)
     prob = fhs_problem(rng)
-    # the inequality form is certified with x as the multiplier vector
-    for program, multipliers in ((prob, "nu"), (sdp.dualize(prob), "x")):
-        sol = sdp.solve(program)
-        assert sol.status == "optimal"
-        report = sdp.verify_certificate(sol.z, getattr(sol, multipliers), program)
-        assert report["pass"]
-        assert report["primal_residual"] <= 1e-8
-        assert report["dual_slack_min_eig"] >= -1e-9
-        assert abs(report["gap"]) <= 1e-8
-        assert report["complementary_slackness"] <= 1e-8 * max(np.abs(prob.e0).max(), 1.0) * 10
+    sol = sdp.solve(prob)
+    assert sol.status == "optimal"
+    report = sdp.verify_certificate(sol.z, sol.x, prob)
+    assert report["pass"]
+    assert report["primal_residual"] <= 1e-8
+    assert report["dual_slack_min_eig"] >= -1e-9
+    assert abs(report["gap"]) <= 1e-8
+    assert report["complementary_slackness"] <= 1e-8 * max(np.abs(prob.f0).max(), 1.0) * 10
 
 
 def test_perturbed_primal_fails_gap_check():
@@ -74,7 +67,7 @@ def test_perturbed_primal_fails_gap_check():
     d2 = prob.dim
     depol = np.kron(np.eye(2), np.eye(2) / 2)
     z_bad = 0.7 * sol.z + 0.3 * depol
-    report = sdp.verify_certificate(z_bad, sol.nu, prob)
+    report = sdp.verify_certificate(z_bad, sol.x, prob)
     assert report["primal_residual"] <= 1e-9  # still feasible
     assert report["gap"] > 1e-4
     assert not report["pass"]
@@ -100,13 +93,10 @@ def test_weak_duality_along_iterates():
         if lam < 0:
             t = min(1.0, -lam / (0.25 - lam))
             z_fixed = (1 - t) * z_fixed + t * feas
-        pval = -np.trace(prob.e0 @ z_fixed).real
-        nu = y
-        slack_min = np.linalg.eigvalsh(
-            prob.e0 - sum(v * e for v, (e, _) in zip(nu, prob.constraints))
-        ).min()
+        pval = -np.trace(prob.f0 @ z_fixed).real
+        slack_min = np.linalg.eigvalsh(prob.f0 + sum(v * f for v, f in zip(y, prob.fs))).min()
         if slack_min >= -1e-14:  # dual feasible iterate
-            dval = -np.array([bi for _, bi in prob.constraints]) @ nu
+            dval = prob.c @ y
             assert pval <= dval + 1e-12
 
 
@@ -148,7 +138,7 @@ def test_inequality_form_complex():
 
 def test_infeasible_not_reported_optimal(monkeypatch):
     # contradictory equalities: tr(Z) = 1 and tr(Z) = 2
-    p = sdp.SdpStandard(np.eye(2), [(np.eye(2), 1.0), (np.eye(2), 2.0)])
+    p = standard_form(np.eye(2), [(np.eye(2), 1.0), (np.eye(2), 2.0)])
     monkeypatch.setattr(sdp, "MAX_ITER", 60)
     with pytest.raises(sdp.SolverError):
         sol = sdp.solve(p)
@@ -163,33 +153,24 @@ def test_constraint_stack_is_validated_as_per_matrix():
     mats = [m + m.conj().T + 1e-11 * rng.normal(size=(3, 3)) for m in g]  # Hermitian to 1e-11
     want = [hermitize(m, atol=1e-9) for m in mats]
     ineq = sdp.SdpInequality(np.ones(4), mats[0], mats[1:])
-    std = sdp.SdpStandard(mats[0], [(m, 1.0) for m in mats[1:]])
-    for got in (ineq.fs, [e for e, _ in std.constraints]):
-        assert all(np.array_equal(a, b) for a, b in zip(got, want[1:], strict=True))
+    assert all(np.array_equal(a, b) for a, b in zip(ineq.fs, want[1:], strict=True))
     assert sdp.SdpInequality([], mats[0], []).fs == ()
-    assert sdp.SdpStandard(mats[0], []).constraints == ()
     skew = mats[1] + np.triu(np.ones((3, 3)), 1)
     with pytest.raises(LinalgError):
         sdp.SdpInequality(np.ones(2), mats[0], [mats[1], skew])
-    with pytest.raises(LinalgError):
-        sdp.SdpStandard(mats[0], [(mats[1], 1.0), (skew, 0.0)])
     # mismatched shapes are named before anything is stacked
     with pytest.raises(LinalgError, match="dimension"):
         sdp.SdpInequality(np.ones(2), mats[0], [mats[1], np.eye(2)])
-    with pytest.raises(LinalgError, match="dimension"):
-        sdp.SdpStandard(mats[0], [(mats[1], 1.0), (np.eye(2), 0.0)])
 
 
 def test_solution_slack_is_psd():
     rng = np.random.default_rng(4)
     prob = fhs_problem(rng)
-    dual = sdp.dualize(prob)
-    sol = sdp.solve(dual)
+    sol = sdp.solve(prob)
     assert sol.status == "optimal"
-    assert np.linalg.eigvalsh(dual.slack(sol.x)).min() >= -1e-8
-    # inequality optimum equals the primal optimum of the original problem
-    primal = sdp.solve(prob)
-    assert abs(sol.primal_value - primal.primal_value) < 1e-7
+    assert np.linalg.eigvalsh(prob.slack(sol.x)).min() >= -1e-8
+    # the inequality optimum equals the optimum of the standard-form program
+    assert abs(sol.primal_value - sol.dual_value) < 1e-7
 
 
 def _inverse_sqrt(m):
@@ -229,7 +210,7 @@ def test_one_eigendecomposition_per_iterate(objective, feasible, monkeypatch):
     src = WeightedSequence([(0.3, random_state(2, rng)), (0.7, random_state(2, rng))])
     tgt = WeightedSequence([(0.3, random_state(2, rng)), (0.7, random_state(2, rng, pure=True))])
     program = tracking.assemble(tracking.TrackingProblem(src, tgt, objective, feasible))
-    assert isinstance(program, sdp.SdpStandard if feasible == "cptp" else sdp.SdpInequality)
+    assert isinstance(program, sdp.SdpInequality)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
@@ -514,7 +495,7 @@ def test_block_analysis_finds_planted_blocks(planted, seed):
             a[block] = a_block + a_block.conj().T
             # X = I / size on every live block is strictly feasible
             cons.append((a, np.trace(a[block]).real / size))
-    program = sdp.SdpStandard(c_mat, cons)
+    program = standard_form(c_mat, cons)
     c_mat, a_stack, b = sdp._prepare(program)
     dropped, rows = sdp._block_layout(c_mat, a_stack)
     assert np.array_equal(dropped, constant)
@@ -721,19 +702,19 @@ def test_constant_rows_follow_the_coupling_of_c():
     c_mat[0, 1] = c_mat[1, 0] = c_mat[1, 2] = c_mat[2, 1] = 0.5
     a_stack = np.zeros((1, 4, 4), dtype=complex)
     a_stack[0, 0, 0] = 1.0
-    assert sdp._constant_rows(c_mat, a_stack).tolist() == [False, False, False, True]
+    assert sdp._block_layout(c_mat, a_stack)[0].tolist() == [False, False, False, True]
 
 
 def test_solution_and_iterates_are_full_size():
     # rows 0-1 carry tr Z = 1 over a complex E0 block; row 2 is constant, C = 3 there
     e0 = np.array([[1.0, 0.5 - 0.25j, 0.0], [0.5 + 0.25j, 2.0, 0.0], [0.0, 0.0, 3.0]])
-    program = sdp.SdpStandard(e0, [(np.diag([1.0, 1.0, 0.0]), 1.0)])
+    program = standard_form(e0, [(np.diag([1.0, 1.0, 0.0]), 1.0)])
     c_mat, a_stack, _ = sdp._prepare(program)
-    dropped = sdp._constant_rows(c_mat, a_stack)
+    dropped = sdp._block_layout(c_mat, a_stack)[0]
     assert dropped.tolist() == [False, False, True]
     sol = sdp.solve(program, trace_iterates=True)
     assert sol.status == "optimal"
-    assert abs(sol.primal_value + np.linalg.eigvalsh(e0[:2, :2]).min()) <= 1e-8
+    assert abs(sol.dual_value + np.linalg.eigvalsh(e0[:2, :2]).min()) <= 1e-8
     assert len(sol.iterates) > 1
     for z in [sol.z] + [x for x, _, _ in sol.iterates]:
         assert z.shape == (program.dim, program.dim)
@@ -746,23 +727,20 @@ def test_solution_and_iterates_are_full_size():
 
 
 def test_negative_constant_block_stops_before_the_loop(monkeypatch):
-    # row 1 is constant with C = -1 there: maximize -tr(E0 Z) is unbounded,
-    # and its dual E0 - nu E_1 >= 0 is infeasible
+    # row 1 is constant with C = -1 there: E0 - nu E_1 >= 0 is infeasible
     monkeypatch.setattr(sdp, "_solve_textbook", lambda *args: pytest.fail("loop entered"))
-    standard = sdp.SdpStandard(np.diag([1.0, -1.0]), [(np.diag([1.0, 0.0]), 1.0)])
-    for program, status in ((standard, "unbounded"), (sdp.dualize(standard), "infeasible")):
-        sol = sdp.solve(program)
-        assert sol.status == status
-        assert sol.iterations == sol.passes == 0
+    sol = sdp.solve(standard_form(np.diag([1.0, -1.0]), [(np.diag([1.0, 0.0]), 1.0)]))
+    assert sol.status == "infeasible"
+    assert sol.iterations == sol.passes == 0
 
 
 def test_every_row_constant_skips_the_loop(monkeypatch):
     monkeypatch.setattr(sdp, "_solve_textbook", lambda *args: pytest.fail("loop entered"))
-    sol = sdp.solve(sdp.SdpStandard(np.diag([1.0, 2.0]), []))
-    assert sol.status == "optimal" and sol.primal_value == 0.0
+    sol = sdp.solve(standard_form(np.diag([1.0, 2.0]), []))
+    assert sol.status == "optimal" and sol.dual_value == 0.0
     assert np.array_equal(sol.z, np.zeros((2, 2)))
-    # a constraint no Z can meet: tr(0 Z) = 1
-    assert sdp.solve(sdp.SdpStandard(np.eye(2), [(np.zeros((2, 2)), 1.0)])).status == "infeasible"
+    # a constraint no Z can meet, tr(0 Z) = 1: minimize -nu over E0 - nu 0 >= 0 is unbounded
+    assert sdp.solve(standard_form(np.eye(2), [(np.zeros((2, 2)), 1.0)])).status == "unbounded"
 
 
 @pytest.mark.parametrize(
@@ -775,8 +753,7 @@ def test_reduced_havg2_solutions_certify_on_the_full_problem(seed, i_count, d, f
     sol = sdp.solve(program)
     assert sol.status == "optimal"
     # verify_certificate works on the unreduced (C, A, b)
-    multipliers = sol.nu if isinstance(program, sdp.SdpStandard) else sol.x
-    report = sdp.verify_certificate(sol.z, multipliers, program)
+    report = sdp.verify_certificate(sol.z, sol.x, program)
     assert report["primal_residual"] <= 1e-8
     assert report["primal_min_eig"] >= -1e-9
     assert report["dual_slack_min_eig"] >= -1e-9

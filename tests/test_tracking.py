@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from qtrack import sdp, tracking
+from qtrack import cli, sdp, serialize, tracking
 from qtrack.channels import ChoiMatrix, DensityMatrix, apply_choi, check_cptp, random_state
 from qtrack.distances import WeightedSequence
-from qtrack.linalg import LinalgError, hermitian_basis, vec
+from qtrack.linalg import LinalgError, hermitian_basis, hermitize, vec
 
 
 def random_problem(rng, i_count=2, d=2, pure_targets=True, uniform=True):
@@ -321,11 +323,8 @@ def _reference_assemble(tp):
     if tp.objective in ("FHSavg1", "FHSavg2"):
         if not ppt:
             e0 = -sum(w * np.kron(r.T, t) for w, r, t in zip(weights, sources, targets))
-            cons = [
-                (np.kron(basis[a], np.eye(d)), float(d) if a == 0 else 0.0)
-                for a in range(d * d)
-            ]
-            return sdp.SdpStandard(e0, cons)
+            b = np.array([float(d) if a == 0 else 0.0 for a in range(d * d)])
+            return sdp.SdpInequality(-b, e0, [-np.kron(basis[a], np.eye(d)) for a in range(d * d)])
         a_coef = np.array(
             [
                 sum(
@@ -450,12 +449,6 @@ CELLS = [(2, 2), (3, 3), (2, 4), (3, 2)]
 
 def _assert_same_program(got, want):
     assert type(got) is type(want)
-    if isinstance(want, sdp.SdpStandard):
-        assert np.array_equal(got.e0, want.e0)
-        assert len(got.constraints) == len(want.constraints)
-        for (e_got, b_got), (e_want, b_want) in zip(got.constraints, want.constraints):
-            assert np.array_equal(e_got, e_want) and b_got == b_want
-        return
     assert got.c.dtype == want.c.dtype and np.array_equal(got.c, want.c)
     assert np.array_equal(got.f0, want.f0)
     assert len(got.fs) == len(want.fs)
@@ -472,3 +465,30 @@ def test_assemble_matches_the_per_objective_reference(i_count, d):
             for feasible in tracking.FEASIBLE_SETS:
                 tp = tracking.TrackingProblem(src, tgt, objective, feasible)
                 _assert_same_program(tracking.assemble(tp), _reference_assemble(tp))
+
+
+@pytest.mark.parametrize("objective", ["FHSavg1", "FHSavg2"])
+@pytest.mark.parametrize("i_count,d", [(2, 2), (3, 3), (2, 4)])
+def test_plain_cptp_closeness_is_the_dual_program(i_count, d, objective, tmp_path, capsys):
+    # the d^2-variable inequality program whose z is the Choi matrix, at its
+    # dual value, and dumped as that program; the refined z carries round-off
+    # off the Hermitian matrices, which ChoiMatrix drops
+    rng = np.random.default_rng([29, i_count, d])
+    src, tgt = random_problem(rng, i_count, d, pure_targets=False, uniform=False)
+    res = tracking.solve_tracking(tracking.TrackingProblem(src, tgt, objective, "cptp"))
+    assert np.array_equal(res.controller.mat, hermitize(res.solution.z))
+    assert res.value == res.solution.dual_value
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"source": serialize.sequence_to_json(src),
+                                   "target": serialize.sequence_to_json(tgt)}))
+    dump = tmp_path / "dump.json"
+    assert cli.main(["solve", "--problem", str(problem), "--objective", objective,
+                     "--dump-problem", str(dump)]) == 0
+    printed = json.loads(capsys.readouterr().out)["value"]
+    dumped = json.loads(dump.read_text())
+    assert dumped["form"] == "inequality" and len(dumped["c"]) == d * d
+    rebuilt = sdp.SdpInequality(dumped["c"], serialize.matrix_from_json(dumped["f0"]),
+                                [serialize.matrix_from_json(f) for f in dumped["fs"]])
+    sol = sdp.solve(rebuilt)
+    assert sol.status == "optimal"
+    assert abs(sol.dual_value - printed) <= 1e-9
