@@ -6,7 +6,7 @@ import pytest
 from qtrack import cli, sdp, serialize, tracking
 from qtrack.channels import ChoiMatrix, DensityMatrix, apply_choi, check_cptp, random_state
 from qtrack.distances import WeightedSequence
-from qtrack.linalg import LinalgError, hermitian_basis, hermitize, vec
+from qtrack.linalg import LinalgError, hermitian_basis, vec
 
 
 def random_problem(rng, i_count=2, d=2, pure_targets=True, uniform=True):
@@ -471,12 +471,14 @@ def test_assemble_matches_the_per_objective_reference(i_count, d):
 @pytest.mark.parametrize("i_count,d", [(2, 2), (3, 3), (2, 4)])
 def test_plain_cptp_closeness_is_the_dual_program(i_count, d, objective, tmp_path, capsys):
     # the d^2-variable inequality program whose z is the Choi matrix, at its
-    # dual value, and dumped as that program; the refined z carries round-off
-    # off the Hermitian matrices, which ChoiMatrix drops
+    # dual value, and dumped as that program; the primal refinement returns
+    # an exactly Hermitian z, so the controller is z itself
     rng = np.random.default_rng([29, i_count, d])
     src, tgt = random_problem(rng, i_count, d, pure_targets=False, uniform=False)
     res = tracking.solve_tracking(tracking.TrackingProblem(src, tgt, objective, "cptp"))
-    assert np.array_equal(res.controller.mat, hermitize(res.solution.z))
+    z = res.solution.z
+    assert np.array_equal(z, z.conj().T)
+    assert np.array_equal(res.controller.mat, z)
     assert res.value == res.solution.dual_value
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps({"source": serialize.sequence_to_json(src),
