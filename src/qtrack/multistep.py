@@ -5,15 +5,18 @@ constrained to be the closed-form optimal single-step tracker for its own
 (source, virtual target) pair; the sources follow from forward propagation and
 the virtual targets from backward (adjoint) propagation, giving a coupled
 nonlinear system in the Bloch data.  The solver is a damped fixed-point sweep
-with a finite-difference Newton fallback, restarted from several seeds.  The
-restarts are iterated together as one ``(restarts, dim)`` array: each sweep
-computes the controllers of all rows with the stacked kernel
-:func:`~qtrack.analytic.optimal_frames`, a row stops when it converges, and
-the Newton Jacobian is one batched sweep over the perturbed points.  The
+with a finite-difference Newton polish every ``NEWTON_AFTER`` sweeps,
+restarted from several seeds.  The restarts are iterated together as one
+``(restarts, dim)`` array: each sweep computes the controllers of all rows
+with the stacked kernel :func:`~qtrack.analytic.optimal_frames`, a row stops
+when it converges, and each Newton step of the rows still active is one
+batched sweep over all their perturbed points and one stacked solve.  The
 kernel computes each row from its own data, and the batched propagation
 repeats :func:`forward_state` and :func:`backward_target` in the same order,
-so every restart gives the same bits as when it ran alone.  A
-:class:`ChainTask` reads its pair data from :func:`~qtrack.analytic.pair_bloch`.
+so every restart gives the same bits as when it ran alone.  The fidelity of
+each converged restart is computed from its frames the same way; only the
+winner's controllers are built.  A :class:`ChainTask` reads its pair data
+from :func:`~qtrack.analytic.pair_bloch`.
 
 A sweep keeps one new ``(R, dim)`` array in :func:`_pack`'s layout, and
 each step writes into ``(R, 2, 3)`` and ``(R, 2)`` views of it.  The kernel's
@@ -35,7 +38,7 @@ from .analytic import (
     pair_bloch,
 )
 from .channels import QubitChannelCanonical, check_rsw
-from .linalg import LinalgError
+from .linalg import LinalgError, stacked_dot
 
 # restarts whose chain fidelities differ by no more than this are tied
 FIDELITY_TIE = 1e-12
@@ -43,12 +46,12 @@ FIDELITY_TIE = 1e-12
 MAX_RESTARTS = 8
 # a restart has converged once its fixed-point residual max|Phi(z) - z| is
 # within CHAIN_TOL; each damped sweep moves z DAMPING of the way to Phi(z).
-# A restart runs at most MAX_SWEEPS sweeps, and Newton polishes the rows still
-# active after sweep NEWTON_AFTER, in at most MAX_NEWTON steps
+# A restart runs at most MAX_SWEEPS sweeps, and after every NEWTON_AFTER
+# sweeps Newton polishes the rows still active, in at most MAX_NEWTON steps
 CHAIN_TOL = 1e-10
 DAMPING = 0.65
 MAX_SWEEPS = 300
-NEWTON_AFTER = 120
+NEWTON_AFTER = 20
 MAX_NEWTON = 25
 
 
@@ -225,12 +228,16 @@ def _pull_back(c, rb, frames, noise, c_out, rb_out):
     np.add(c_mid, np.matmul(noise.s, g_dots.transpose(1, 2, 0)[..., None])[..., 0], out=c_out)
 
 
-def _push(r, frames, noise, out):
-    """:func:`forward_state` of both sources of each row, ``(R, 2, 3)``, bit for bit."""
+def _control(r, frames):
+    """Each row's controller on both its sources ``(R, 2, 3)``, as ``(R, 2, 3, 1)`` columns."""
     rv, ru, mu, s = frames
     r = np.matmul(rv[:, None], r[..., None])
-    r = np.matmul(ru[:, None], mu[:, None, :, None] * r + s[:, None, :, None])
-    r = np.matmul(noise.rv, r)
+    return np.matmul(ru[:, None], mu[:, None, :, None] * r + s[:, None, :, None])
+
+
+def _push(r, frames, noise, out):
+    """:func:`forward_state` of both sources of each row, ``(R, 2, 3)``, bit for bit."""
+    r = np.matmul(noise.rv, _control(r, frames))
     np.matmul(noise.ru, noise.mu[:, None] * r + noise.s[:, None], out=out[..., None])
 
 
@@ -306,56 +313,79 @@ def solve_chain(task: ChainTask, restarts=MAX_RESTARTS, seed=0) -> StepChain:
         raise LinalgError(f"restarts must be between 1 and {MAX_RESTARTS}, got {restarts}")
     seeds = _seed_chains(task, np.random.default_rng(seed))[:restarts]
     z, residual, sweeps, newton = _solve_batch(task, np.array([z0 for z0, _ in seeds]))
-    kept = np.flatnonzero(residual <= CHAIN_TOL)
-    chains = dict(zip(kept, _chains_at(task, z[kept], [seeds[k][1] for k in kept],
-                                       residual[kept])))
+    kept = np.flatnonzero(residual <= CHAIN_TOL)  # NaN is dropped too
+    if not kept.size:
+        raise LinalgError("no restart converged; relax tolerances or add seeds")
+    r_steps, c_steps, rb_steps = _unpack(task, z)
+    frames = [f.reshape(kept.size, task.n_steps, *f.shape[1:])
+              for f in _frames(r_steps[kept].reshape(-1, 2, 3), rb_steps[kept].reshape(-1, 2, 3))]
+    fidelity = dict(zip(kept, _chain_fidelities(task, frames).tolist()))
     best, records = None, []
     for k, (_, label) in enumerate(seeds):
         record = RestartRecord(label, int(sweeps[k]), newton[k] is not None, bool(newton[k]),
-                               float(residual[k]))
-        if not residual[k] <= CHAIN_TOL:  # NaN is dropped too
+                               float(residual[k]), fidelity.get(k))
+        if k not in fidelity:
             record.dropped = f"residual {residual[k]:.3g} not within tol after {sweeps[k]} sweeps"
-        else:
-            chain = chains[k]
-            record.fidelity = chain.fidelity
-            if best is None or chain.fidelity > best.fidelity + FIDELITY_TIE:
-                best = chain
+        elif best is None or record.fidelity > records[best].fidelity + FIDELITY_TIE:
+            best = k
         records.append(record)
-    if best is None:
-        raise LinalgError("no restart converged; relax tolerances or add seeds")
-    best.restarts = records
-    return best
+    row = np.searchsorted(kept, best)
+    return StepChain(
+        sources=r_steps[best],
+        targets_c=c_steps[best],
+        targets_rb=rb_steps[best],
+        controllers=[QubitChannelCanonical(*step) for step in zip(*(f[row] for f in frames))],
+        fidelity=records[best].fidelity,
+        residual=records[best].residual,
+        converged=True,
+        seed_label=records[best].label,
+        restarts=records,
+    )
+
+
+def _chain_fidelities(task, frames):
+    """:meth:`ChainTask.chain_fidelity` of each row's ``(R, N, ...)`` controller frames.
+
+    The pushes are :func:`_push`'s and the dots BLAS dots, so each row gets the
+    scalar form's bits.
+    """
+    r = task.r_sources[None].repeat(len(frames[0]), 0)
+    for n, noise in enumerate(task.noises):
+        r_next = np.empty_like(r)
+        _push(r, [f[:, n] for f in frames], noise, r_next)
+        r = r_next
+    r = _control(r, [f[:, -1] for f in frames])[..., 0]
+    half = 0.5 * (task.c_final + stacked_dot(r, task.rb_final))
+    return 0.0 + half[:, 0] + half[:, 1]
 
 
 def _solve_batch(task, z):
     """Damped sweeps of every row of ``z`` at once; a row freezes when it converges.
 
-    Active rows are swept as one array, written back only when some stop.  Returns
-    the final rows, their last residuals, the sweeps each row ran and, per row,
-    whether Newton succeeded (None where it did not run).
+    Active rows are swept as one array, written back only when some stop.  After
+    every ``NEWTON_AFTER`` sweeps the rows still above ``CHAIN_TOL`` are polished
+    together by :func:`_newton_polish`.  Returns the final rows, their last
+    residuals, the sweeps each row ran and, per row, whether its last polish
+    succeeded (None where none ran).
     """
     z = z.copy()
     residual = np.full(len(z), np.inf)
     sweeps = np.zeros(len(z), dtype=int)
-    newton = [None] * len(z)
+    newton = np.full(len(z), None)
     active, z_act = np.arange(len(z)), z
     for sweep in range(1, MAX_SWEEPS + 1):
         z_new = _sweep(task, z_act)
         res = np.abs(z_new - z_act).max(axis=1)
         done = res <= CHAIN_TOL
         z_act = (1.0 - DAMPING) * z_act + DAMPING * z_new
-        stop = np.count_nonzero(done) > 0
-        if stop:
-            z_act[done] = z_new[done]
-        if sweep == NEWTON_AFTER + 1:
-            for k in np.flatnonzero(res > CHAIN_TOL):
-                z_newton = _newton_polish(task, z_act[k])
-                newton[active[k]] = z_newton is not None
-                if z_newton is not None:
-                    z_act[k] = z_newton
-                    res[k] = np.abs(_sweep(task, z_newton[None])[0] - z_newton).max()
-                    done[k] = stop = True
-        if stop or sweep == MAX_SWEEPS:
+        z_act[done] = z_new[done]
+        polish = np.flatnonzero(res > CHAIN_TOL)
+        if sweep > 1 and sweep % NEWTON_AFTER == 1 and polish.size:
+            z_pol, res_pol, ok = _newton_polish(task, z_act[polish])
+            newton[active[polish]] = ok
+            polish = polish[ok]
+            z_act[polish], res[polish], done[polish] = z_pol[ok], res_pol[ok], True
+        if done.any() or sweep == MAX_SWEEPS:
             z[active], residual[active], sweeps[active] = z_act, res, sweep
             active, z_act = active[~done], z_act[~done]
             if not active.size:
@@ -363,60 +393,51 @@ def _solve_batch(task, z):
     return z, residual, sweeps, newton
 
 
-def _chains_at(task, z, labels, residuals):
-    """The :class:`StepChain` of each row of ``z``, its controllers from one kernel call."""
-    r_steps, c_steps, rb_steps = _unpack(task, z)
-    frames = _frames(r_steps.reshape(-1, 2, 3), rb_steps.reshape(-1, 2, 3))
-    controllers = [QubitChannelCanonical(*row) for row in zip(*frames)]
-    n_steps = task.n_steps
-    chains = []
-    for k, (label, residual) in enumerate(zip(labels, residuals)):
-        steps = controllers[k * n_steps:(k + 1) * n_steps]
-        chains.append(StepChain(
-            sources=r_steps[k],
-            targets_c=c_steps[k],
-            targets_rb=rb_steps[k],
-            controllers=steps,
-            fidelity=task.chain_fidelity(steps),
-            residual=float(residual),
-            converged=True,
-            seed_label=label,
-        ))
-    return chains
-
-
 def _newton_polish(task, z):
-    """Damped Newton on G(z) = z - Phi(z) with a finite-difference Jacobian.
+    """Damped Newton on G(z) = z - Phi(z) of each row of ``(R, dim)`` ``z``.
 
-    Each step sweeps ``z`` and its ``dim`` perturbations as one batch, then
-    scores the damped candidates with one more batch and takes the first that
-    lowers the residual.
+    Each step sweeps the live rows and their ``dim`` finite-difference
+    perturbations as one batch, solves their Jacobians as one stack (row by
+    row, with a least-squares fallback, when one is singular), then scores the
+    damped candidates of every row with one more batch.  A row takes its first
+    candidate that lowers its residual and fails when none does, so it gets the
+    bits it would get alone.  Returns the rows, their last residuals max|G|
+    and whether each converged within ``CHAIN_TOL``.
     """
-    dim = z.size
+    rows, dim = z.shape
     h = 1e-7
-    damps = np.array([1.0, 0.5, 0.25, 0.1])
+    damps = np.array([1.0, 0.5, 0.25, 0.1])[:, None]
     diag = np.arange(dim)
-    for _ in range(MAX_NEWTON):
-        probes = np.tile(z, (dim + 1, 1))
-        probes[diag + 1, diag] += h
-        g = probes - _sweep(task, probes)
-        g0 = g[0]
-        if np.abs(g0).max() <= CHAIN_TOL:
-            return z
-        jac = ((g[1:] - g0) / h).T
+    z, res, ok, live = z.copy(), np.full(rows, np.inf), np.zeros(rows, dtype=bool), np.arange(rows)
+    for step in range(MAX_NEWTON + 1):
+        probes = np.repeat(z[live, None], dim + 1, axis=1)
+        probes[:, diag + 1, diag] += h
+        g = probes - _sweep(task, probes.reshape(-1, dim)).reshape(probes.shape)
+        res[live] = np.abs(g[:, 0]).max(axis=1)
+        ok[live] = res[live] <= CHAIN_TOL
+        g, live = g[~ok[live]], live[~ok[live]]
+        if step == MAX_NEWTON or not live.size:
+            break
+        jac = ((g[:, 1:] - g[:, :1]) / h).transpose(0, 2, 1)
         try:
-            step = np.linalg.solve(jac, g0)
+            dz = np.linalg.solve(jac, g[:, 0, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, g0, rcond=None)
-        cands = z - damps[:, None] * step
-        better = np.flatnonzero(
-            np.abs(cands - _sweep(task, cands)).max(axis=1) < np.abs(g0).max()
-        )
-        if not better.size:
-            return None
-        z = cands[better[0]]
-    g0 = z - _sweep(task, z[None])[0]
-    return z if np.abs(g0).max() <= CHAIN_TOL else None
+            dz = np.array([_solve_or_lstsq(a, b) for a, b in zip(jac, g[:, 0])])
+        cands = z[live, None] - damps * dz[:, None]
+        g = cands - _sweep(task, cands.reshape(-1, dim)).reshape(cands.shape)
+        better = np.abs(g).max(axis=2) < res[live, None]
+        moved = better.any(axis=1)
+        live = live[moved]
+        z[live] = cands[moved, better[moved].argmax(axis=1)]
+    return z, res, ok
+
+
+def _solve_or_lstsq(a, b):
+    """``a x = b`` for one square ``a``; least squares where ``a`` is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
 def sweep_2step(task_factory, lam1_grid, lam2_grid, restarts=MAX_RESTARTS, seed=0, mapper=map):
