@@ -116,20 +116,25 @@ def pair_bloch(sources, targets, priorities):
     if not len(sources) == len(targets) == pis.size == 2:
         raise LinalgError("a pair needs two sources, two targets and two priorities")
     bloch, trace = np.empty((4, 3)), np.ones(4)
+    states = {}  # position -> the matrix of a state, read by one bloch_of below
     for k, x in enumerate((*sources, *targets)):
+        if k < 2 and not isinstance(x, DensityMatrix) and np.shape(x) != (3,):
+            x = DensityMatrix(x)  # a source matrix must be a state
         if isinstance(x, DensityMatrix):
-            bloch[k] = x.bloch
+            if x.d != 2:
+                raise LinalgError("Bloch vector defined only for qubits")
+            states[k] = x.mat
         elif np.shape(x) == (3,):
             bloch[k] = x
             if not np.linalg.norm(bloch[k]) <= 1.0 + 1e-10:  # NaN fails too
                 raise LinalgError(f"Bloch vector {bloch[k].tolist()} leaves the unit ball")
-        elif k < 2:  # a source matrix must be a state
-            bloch[k] = DensityMatrix(x).bloch
         else:  # a bare target: a positive operator, its trace free
             m = np.asarray(x, dtype=complex)
             bloch[k], trace[k] = bloch_of(m), np.trace(m).real
             if not (np.isfinite(m).all() and np.linalg.eigvalsh(hermitize(m)).min() >= -1e-10):
                 raise LinalgError("a bare target must be a finite positive operator")
+    if states:
+        bloch[list(states)] = bloch_of(np.array(list(states.values())))
     return bloch[:2], pis[:, None] * bloch[2:], pis * trace[2:]
 
 
@@ -166,11 +171,13 @@ def optimal_canonical(g: PairGeometry) -> QubitChannelCanonical:
     """Optimal tracker of one pair: :func:`optimal_frames` on its kept stage.
 
     LinalgError when the frames of this geometry are no proper rotations.
+    The kernel has checked the frames of a row it keeps, so they are not
+    checked again.
     """
     rv, ru, mu, s, ok = optimal_frames(g.r1, g.r2, g.rb1, g.rb2, g.stage)
     if not ok:
         raise LinalgError("the optimal tracker's frames are not proper rotations")
-    return QubitChannelCanonical(rv, ru, mu, s)
+    return QubitChannelCanonical._checked(rv, ru, mu, s)
 
 
 def _geometry(r1, r2, rb1, rb2):
@@ -212,7 +219,10 @@ def optimal_frames(r1, r2, rb1, rb2, stage=None):
     the caller has it already.  Returns ``rv``, ``ru`` of shape ``(..., 3, 3)``,
     ``mu``, ``s`` of shape ``(..., 3)`` and a mask ``ok`` of the rows that have
     a tracker.  The other rows (coincident sources, maximally mixed targets,
-    frames that are no proper rotation) hold the identity channel.  Procedure
+    frames that are no proper rotation) hold the identity channel.  So every
+    row is a channel that :class:`QubitChannelCanonical` accepts: its frames
+    pass :func:`_orthogonal`, and its ``mu``, ``s`` are finite, since a
+    non-finite one comes only with a non-finite frame.  Procedure
     A's rows have S + T >= Omega > 0, so none of them divides by S + T = 0.
     Each procedure's closed form is evaluated only on stacks with a row that
     takes it.  Each row is computed from its own data only, so it rounds the
@@ -422,7 +432,7 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
     d_choi = _diagonal_choi(canonical.mu, canonical.s)
     weak = abs(2.0 * coeffs[0] + np.trace(f0_tilde @ d_choi).real)
     slackness = float(np.abs(d_choi @ f_matrix).max())
-    spectrum = np.linalg.eigvalsh(0.5 * (f_matrix + f_matrix.conj().T))
+    spectrum = np.linalg.eigvalsh(f_matrix)  # exactly Hermitian, as _pauli_pairs builds it
     return DualCertificate(
         coefficients=coeffs,
         f_matrix=f_matrix,

@@ -234,6 +234,15 @@ class QubitChannelCanonical:
             raise LinalgError(f"mu={mu.tolist()}, s={s.tolist()} is not a channel")
         vars(self).update(rv=_proper_rotation(self.rv), ru=_proper_rotation(self.ru), mu=mu, s=s)
 
+    @classmethod
+    def _checked(cls, rv, ru, mu, s):
+        """The channel of float arrays the caller has checked already, as
+        :func:`~qtrack.analytic.optimal_frames` does its rows: proper rotations
+        ``rv``, ``ru`` and finite ``mu``, ``s``.  They are taken as they are."""
+        q = object.__new__(cls)
+        vars(q).update(rv=rv, ru=ru, mu=mu, s=s)
+        return q
+
     @cached_property
     def V(self):
         return unitary_of_rotation(self.rv)

@@ -279,11 +279,8 @@ def _cmd_au_check(args):
 
 def _load_noise(obj):
     if "lam" in obj:
-        try:
-            lam, t = (np.asarray(v, dtype=float).reshape(3)
-                      for v in (obj["lam"], obj.get("t", [0.0, 0.0, 0.0])))
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"noise 'lam' and 't' must each hold three reals: {exc}") from exc
+        lam = serialize._reals(obj, "lam", 3, "noise")
+        t = serialize._reals(obj, "t", 3, "noise") if "t" in obj else np.zeros(3)
         return multistep.diagonal_noise(lam, t)  # LinalgError unless a channel
     choi = serialize.channel_from_json(obj)
     return canonical_qubit(choi)

@@ -7,12 +7,15 @@ in every module, pass :func:`check_priorities`, the one place for their rule.
 
 :func:`check_bounds` and :func:`fidelity_uhlmann` also take ``(..., d, d)``
 stacks of pairs; one pair is the stack of one.  Per pair, the bound report
-makes two eigensolves.  One stacked ``eigh`` of rho and sigma gives F, bit for
-bit as :func:`fidelity_uhlmann`, and F_N from the two spectra and the overlap
-of the eigenbases.  The spectrum of rho - sigma gives D, O and the rank, bit
-for bit as :func:`trace_distance`, :func:`spectral_distance` and
-:func:`difference_rank`, and H.  F_N and H match :func:`super_fidelity` and
-:func:`hs_distance`, which keep their trace formulas, up to round-off.
+makes three LAPACK calls.  One stacked ``eigh`` of rho and sigma and one SVD
+of the core matrix behind F give F, bit for bit as :func:`fidelity_uhlmann`;
+F_N comes from the two spectra and the overlap of the eigenbases.  The
+spectrum of rho - sigma gives D, O and the rank, bit for bit as
+:func:`trace_distance`, :func:`spectral_distance` and :func:`difference_rank`,
+and H.  F_N and H match :func:`super_fidelity` and :func:`hs_distance`, which
+keep their trace formulas, up to round-off.  A pair of validated states
+(:class:`DensityMatrix`) is exactly Hermitian and is not hermitized again;
+bare arrays and stacks of them are.
 """
 
 from __future__ import annotations
@@ -54,23 +57,28 @@ def fidelity_uhlmann(rho, sigma):
     diag(sqrt w_r) (U_r^dag U_s) diag(sqrt w_s).  Over ``(..., d, d)`` stacks
     it returns an array; one pair gives a float.
     """
-    f, _ = _fidelity(*_pair_eigh(*_pair(rho, sigma)))
+    f, _ = _fidelity(*_pair_eigh(rho, sigma)[2:])
     return float(f) if f.ndim == 0 else f
 
 
-def _pair_eigh(r, s):
-    """Eigenvalues and eigenvectors of the Hermitian parts of r and s, from one stacked eigh.
+def _pair_eigh(rho, sigma):
+    """Arrays r, s of the pair, and their eigenvalues and eigenvectors from one stacked eigh.
 
-    ``w[0]``, ``u[0]`` belong to r and ``w[1]``, ``u[1]`` to s.  LinalgError
-    on an eigenvalue below -1e-10.
+    ``w[0]``, ``u[0]`` belong to r and ``w[1]``, ``u[1]`` to s.  A
+    :class:`DensityMatrix` is exactly Hermitian already, so a pair of them is
+    decomposed as it is; any other pair is replaced by its Hermitian part
+    first.  LinalgError on an eigenvalue below -1e-10.
     """
+    r, s = _pair(rho, sigma)
     m = np.array([r, s])
     if not m.size:
         raise LinalgError("empty stack of states")
-    w, u = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    if not (isinstance(rho, DensityMatrix) and isinstance(sigma, DensityMatrix)):
+        m = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    w, u = np.linalg.eigh(m)
     if w.min() < -1e-10:
         raise LinalgError(f"state has negative eigenvalue {w.min():.3e}")
-    return w, u
+    return r, s, w, u
 
 
 def _fidelity(w, u):
@@ -282,8 +290,9 @@ def check_bounds(rho, sigma):
     """Slack report for the inequality suite tying D, H, O, F and F_N together.
 
     Each entry is (value, slack); every slack is expected to be >= -1e-9.
-    Two eigensolves serve every value.  One stacked eigh of rho and sigma
-    gives F (as :func:`fidelity_uhlmann` does) and F_N, from tr rho sigma =
+    Three LAPACK calls serve every value.  One stacked eigh of rho and sigma
+    and the SVD behind F give F (as :func:`fidelity_uhlmann` does), and the
+    eigh gives F_N, from tr rho sigma =
     w_rho . |U_rho^dag U_sigma|^2 . w_sigma and tr rho^2 = sum w_rho^2 (within
     round-off of :func:`super_fidelity`).  The spectrum of rho - sigma gives
     D, O and the rank (as :func:`trace_distance`, :func:`spectral_distance`
@@ -294,19 +303,19 @@ def check_bounds(rho, sigma):
     stacks every entry is an array over the leading axes, equal to the
     pairs' own reports.
     """
-    r, s = _pair(rho, sigma)
-    w, u = _pair_eigh(r, s)
+    r, s, w, u = _pair_eigh(rho, sigma)
     f, overlap = _fidelity(w, u)
     tr_rs = (w[0][..., None, :] @ (np.abs(overlap) ** 2) @ w[1][..., :, None])[..., 0, 0]
     purity = (w * w).sum(-1)
     spectrum = np.abs(np.linalg.eigvalsh(r - s))
     top = spectrum.max(-1)
-    values = np.array([f, tr_rs, *purity, 0.5 * spectrum.sum(-1),
-                       np.sqrt((spectrum * spectrum).sum(-1)), top]).reshape(7, -1)
-    ranks = (spectrum > RANK_RTOL * top[..., None]).sum(-1).reshape(-1)
-    reports = [_bound_report(*row, rank) for row, rank in zip(values.T.tolist(), ranks.tolist())]
+    values = (f, tr_rs, *purity, 0.5 * spectrum.sum(-1),
+              np.sqrt((spectrum * spectrum).sum(-1)), top)
+    ranks = (spectrum > RANK_RTOL * top[..., None]).sum(-1)
     if r.ndim == 2:
-        return reports[0]
+        return _bound_report(*map(float, values), int(ranks))
+    reports = [_bound_report(*row, rank) for row, rank in
+               zip(np.array(values).reshape(7, -1).T.tolist(), ranks.reshape(-1).tolist())]
     lead = r.shape[:-2]
     out = {k: np.array([rep[k] for rep in reports]).reshape(lead)
            for k in reports[0] if k != "values"}

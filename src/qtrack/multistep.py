@@ -334,7 +334,9 @@ def solve_chain(task: ChainTask, restarts=MAX_RESTARTS, seed=0) -> StepChain:
         sources=r_steps[best],
         targets_c=c_steps[best],
         targets_rb=rb_steps[best],
-        controllers=[QubitChannelCanonical(*step) for step in zip(*(f[row] for f in frames))],
+        # every row of the kernel's frames is a channel: built without a second check
+        controllers=[QubitChannelCanonical._checked(*step)
+                     for step in zip(*(f[row] for f in frames))],
         fidelity=records[best].fidelity,
         residual=records[best].residual,
         converged=True,

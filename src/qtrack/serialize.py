@@ -4,7 +4,9 @@ Complex matrices travel as ``{"rows": n, "cols": m, "re": [...], "im": [...]}``
 with row-major entry order; states as ``{"d": n, "rho": <matrix>}`` or
 ``{"bloch": [x, y, z]}``; channels as ``{"d": n, "choi": <matrix>}`` or
 ``{"d": n, "kraus": [<n x n matrix>, ...]}``; canonical qubit channels as
-``{"mu": [...], "s": [...], "V": <matrix>, "U": <matrix>}``.
+``{"mu": [...], "s": [...], "V": <matrix>, "U": <matrix>}``.  A state's
+optional ``"d"`` must match it.  Matrix entries, Bloch components and
+priorities must be JSON numbers of magnitude at most ``MAX_MAGNITUDE`` (1e100).
 """
 
 from __future__ import annotations
@@ -43,16 +45,37 @@ def _integer(obj, key, what):
     return val
 
 
-def _reals(obj, key, size):
-    """``obj[key]`` as a float array: it must be a flat list of ``size`` reals."""
+# Every number a valid input carries (a state's, Kraus operator's or qubit Choi
+# matrix's entry, a Bloch component, a priority) lies within a few units of 0.
+# Below this bound no sum of products the checks then take can overflow.
+MAX_MAGNITUDE = 1e100
+
+
+def _is_real(val):
+    """True for a JSON number (not a bool) of magnitude at most MAX_MAGNITUDE; NaN fails."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) <= MAX_MAGNITUDE
+
+
+def _real(obj, key, what):
+    """``obj[key]`` as a float: a JSON number of magnitude at most MAX_MAGNITUDE (1e100)."""
+    if not _is_real(obj.get(key)):
+        raise FormatError(f"{what} {key!r} must be a number of magnitude at most "
+                          f"{MAX_MAGNITUDE:g}, got {obj.get(key)!r}")
+    return float(obj[key])
+
+
+def _reals(obj, key, size, what="matrix"):
+    """``obj[key]`` as a float array: a flat list of ``size`` JSON numbers.
+
+    Each must be finite and at most MAX_MAGNITUDE (1e100) in magnitude, and is
+    checked before any arithmetic: an integer beyond the float range or 1e308
+    is refused here instead of overflowing in a later sum.
+    """
     vals = obj.get(key)
-    if not (isinstance(vals, list) and len(vals) == size
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals)):
-        raise FormatError(f"matrix {key!r} must be a flat list of {size} reals")
-    try:
-        return np.array(vals, dtype=float)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise FormatError(f"matrix {key!r}: {exc}") from exc
+    if not (isinstance(vals, list) and len(vals) == size and all(map(_is_real, vals))):
+        raise FormatError(f"{what} {key!r} must be a flat list of {size} numbers "
+                          f"of magnitude at most {MAX_MAGNITUDE:g}")
+    return np.array(vals, dtype=float)
 
 
 def matrix_from_json(obj):
@@ -68,25 +91,28 @@ def state_to_json(state: DensityMatrix):
 
 
 def state_from_json(obj):
+    """A state from ``{"bloch": [x, y, z]}`` or ``{"rho": <matrix>}``.
+
+    An optional ``"d"`` must be 2 for a Bloch vector and the matrix's size
+    for ``rho``.
+    """
     if not isinstance(obj, dict):
         raise FormatError("state must be a JSON object")
     if "bloch" in obj:
-        try:
-            vec = np.asarray(obj["bloch"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad Bloch vector: {exc}") from exc
-        if vec.shape != (3,):
-            raise FormatError("bloch field must hold three reals")
-        try:
-            return DensityMatrix.from_bloch(vec)
-        except LinalgError as exc:
-            raise FormatError(f"invalid Bloch vector: {exc}") from exc
-    if "rho" in obj:
-        try:
-            return DensityMatrix(matrix_from_json(obj["rho"]))
-        except LinalgError as exc:
-            raise FormatError(f"invalid density matrix: {exc}") from exc
-    raise FormatError("state needs a 'rho' or 'bloch' field")
+        what, size, build = "Bloch vector", 2, DensityMatrix.from_bloch
+        data = _reals(obj, "bloch", 3, "state")
+    elif "rho" in obj:
+        what, build = "density matrix", DensityMatrix
+        data = matrix_from_json(obj["rho"])
+        size = data.shape[0]
+    else:
+        raise FormatError("state needs a 'rho' or 'bloch' field")
+    if "d" in obj and _integer(obj, "d", "state") != size:
+        raise FormatError(f"state 'd' is {obj['d']!r}, but its {what} has d = {size}")
+    try:
+        return build(data)
+    except LinalgError as exc:
+        raise FormatError(f"invalid {what}: {exc}") from exc
 
 
 def channel_to_json(choi: ChoiMatrix):
@@ -119,10 +145,9 @@ def channel_from_json(obj):
 
 def sequence_from_json(obj):
     """[{'pi': p, ...state...}, ...] -> WeightedSequence."""
-    try:
-        items = [(float(entry["pi"]), state_from_json(entry)) for entry in obj]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad sequence payload: {exc}") from exc
+    if not (isinstance(obj, list) and all(isinstance(entry, dict) for entry in obj)):
+        raise FormatError("a sequence must be a list of state objects")
+    items = [(_real(entry, "pi", "sequence entry"), state_from_json(entry)) for entry in obj]
     try:
         return WeightedSequence(items)
     except LinalgError as exc:

@@ -660,6 +660,17 @@ def test_certificate_in_frames_matches_su2_reference():
         assert got.valid == want.valid
 
 
+def test_certificate_matrix_is_exactly_hermitian():
+    # dual_certificate takes the spectrum of F as _pauli_pairs builds it: F
+    # equals its adjoint bit for bit, so its Hermitian part is F itself
+    for g, _ in [(g, None) for g in _criterion_2_draws()] + _special_geometries():
+        cert = analytic.dual_certificate(g)
+        f = cert.f_matrix
+        assert np.array_equal(f, f.conj().T)
+        hermitian_part = np.linalg.eigvalsh(0.5 * (f + f.conj().T))
+        assert hermitian_part.tobytes() == cert.spectrum.tobytes()
+
+
 def test_certificate_residuals_at_round_off():
     # built in the frames of the optimal channel, F and D lose no digits to
     # an SU(2) rebuild: D F = 0 and F >= 0 hold to round-off on every draw

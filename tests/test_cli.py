@@ -406,6 +406,9 @@ _CHOI_NAN = {**_DEPOLARIZING, "re": [float("nan")] + _DEPOLARIZING["re"][1:]}
 _EMPTY = {"rows": 0, "cols": 0, "re": [], "im": []}
 _KRAUS_I2 = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
 _RHO_HALF = {"rows": 2, "cols": 2, "re": [0.5, 0.0, 0.0, 0.5], "im": [0.0] * 4}
+# entries that overflow the sums the checks take, before any check can refuse them
+_RHO_INF = {**_RHO_HALF, "re": [float("inf"), 0.0, 0.0, 0.5]}
+_RHO_1E308 = {**_RHO_HALF, "re": [1e308, 0.0, 0.0, 0.5]}
 # a 4 x 3 matrix that holds I / 2 in its top rows
 _CHOI_4X3 = {"rows": 4, "cols": 3, "re": [0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0.5, 0, 0], "im": [0.0] * 12}
 _QUTRIT = {"d": 3, "rho": {"rows": 3, "cols": 3, "re": (np.eye(3) / 3).ravel().tolist(),
@@ -468,6 +471,25 @@ _QUTRIT = {"d": 3, "rho": {"rows": 3, "cols": 3, "re": (np.eye(3) / 3).ravel().t
         ({"p": {"source": _PAIR, "target": _PAIR}, "n": [{"d": 2, "choi": _CHOI_4X3}]},
          ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
         ({"s": _QUTRIT}, ["discriminate", "--a", "b", "--b", "s", "--p1", "0.4"]),
+        ({"p": {"source": [{"pi": 0.5, "rho": _RHO_INF}, _PAIR[1]], "target": _PAIR}},
+         ["solve", "--problem", "p", "--objective", "Davg", "--feasible", "ppt"]),
+        ({"p": {"source": [{"pi": 0.5, "rho": _RHO_1E308}, _PAIR[1]], "target": _PAIR}},
+         ["solve", "--problem", "p", "--objective", "Davg", "--feasible", "ppt"]),
+        ({"p": {"source": [{"pi": 0.5, "bloch": [1e308, 0, 0]}, _PAIR[1]], "target": _PAIR}},
+         ["solve", "--problem", "p", "--objective", "Davg", "--feasible", "ppt"]),
+        ({"s": {"rho": _RHO_1E308}}, ["distances", "--measure", "F", "--a", "s", "--b", "b"]),
+        ({"s": {"rho": _RHO_1E308}}, ["discriminate", "--a", "s", "--b", "b", "--p1", "0.4"]),
+        ({"c": {"d": 2, "kraus": [{**_KRAUS_I2, "re": [float("inf"), 0.0, 0.0, 1.0]}]}},
+         ["channel", "--in", "c"]),
+        ({"p": {"source": [{"pi": 0.5, "d": 3, "bloch": [1, 0, 0]}, _PAIR[1]], "target": _PAIR}},
+         ["solve", "--problem", "p", "--objective", "Davg", "--feasible", "ppt"]),
+        ({"s": {"d": 3, "rho": _RHO_HALF}}, ["distances", "--measure", "F", "--a", "s", "--b", "b"]),
+        ({"p": {"source": [{"pi": "0.5", "bloch": [1, 0, 0]}, _PAIR[1]], "target": _PAIR}},
+         ["solve", "--problem", "p", "--objective", "Davg", "--feasible", "ppt"]),
+        ({"p": {"source": [{"pi": 0.5, "bloch": ["1", 0, 0]}, _PAIR[1]], "target": _PAIR}},
+         ["solve", "--problem", "p", "--objective", "Davg", "--feasible", "ppt"]),
+        ({"p": {"source": _PAIR, "target": _PAIR}, "n": [{"lam": ["0.5", "0.5", "0.5"]}]},
+         ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
         ({}, ["clone", "--phi", "0.3", "--out", "/nonexistent/x.json"]),
         ({}, ["clone", "--phi", "0.3", "--out", "."]),
         ({}, ["solve", "--problem", "problem", "--objective", "FHSavg1",
@@ -483,7 +505,10 @@ _QUTRIT = {"d": 3, "rho": {"rows": 3, "cols": 3, "re": (np.eye(3) / 3).ravel().t
          "channel-d-bool", "channel-kraus-not-a-list", "multistep-noise-kraus-not-d-by-d",
          "distances-rows-negative", "distances-rows-fraction", "distances-rows-string",
          "distances-rho-2x3", "distances-re-nested", "channel-choi-4x3", "multistep-noise-choi-4x3",
-         "discriminate-d2-d3",
+         "discriminate-d2-d3", "solve-re-infinity", "solve-re-1e308", "solve-bloch-1e308",
+         "distances-re-1e308", "discriminate-re-1e308", "channel-kraus-infinity",
+         "solve-bloch-d-mismatch", "distances-rho-d-mismatch", "solve-pi-number-string",
+         "solve-bloch-number-string", "multistep-noise-lam-number-strings",
          "clone-out-missing-dir", "clone-out-directory", "solve-dump-problem-missing-dir",
          "solve-dump-problem-directory"],
 )

@@ -297,3 +297,63 @@ def test_benchmark_runs():
     times = ds.benchmark_measures(8, 3, rng)
     assert set(times) == {"FN", "D", "F", "Q"}
     assert all(v > 0 for v in times.values())
+
+
+def _frozen_check_bounds(rho, sigma):
+    """check_bounds as it was when it hermitized every pair and packed one pair's
+    values into a (7, 1) array, kept to pin the one-pair path bit for bit."""
+    r, s = ds._pair(rho, sigma)
+    m = np.array([r, s])
+    if not m.size:
+        raise LinalgError("empty stack of states")
+    w, u = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    if w.min() < -1e-10:
+        raise LinalgError(f"state has negative eigenvalue {w.min():.3e}")
+    f, overlap = ds._fidelity(w, u)
+    tr_rs = (w[0][..., None, :] @ (np.abs(overlap) ** 2) @ w[1][..., :, None])[..., 0, 0]
+    purity = (w * w).sum(-1)
+    spectrum = np.abs(np.linalg.eigvalsh(r - s))
+    top = spectrum.max(-1)
+    values = np.array([f, tr_rs, *purity, 0.5 * spectrum.sum(-1),
+                       np.sqrt((spectrum * spectrum).sum(-1)), top]).reshape(7, -1)
+    ranks = (spectrum > ds.RANK_RTOL * top[..., None]).sum(-1).reshape(-1)
+    reports = [ds._bound_report(*row, rank) for row, rank in zip(values.T.tolist(), ranks.tolist())]
+    if r.ndim == 2:
+        return reports[0]
+    lead = r.shape[:-2]
+    out = {k: np.array([rep[k] for rep in reports]).reshape(lead)
+           for k in reports[0] if k != "values"}
+    out["values"] = {k: np.array([rep["values"][k] for rep in reports]).reshape(lead)
+                     for k in reports[0]["values"]}
+    return out
+
+
+def _bits(report):
+    """A bound report as text that tells every float bit apart (-0.0 included) and every type."""
+    def text(v):
+        if isinstance(v, np.ndarray):
+            return f"{v.dtype}{v.shape}{v.tobytes().hex()}"
+        return f"{type(v).__name__}:{v!r}"
+    return {k: ({j: text(x) for j, x in v.items()} if k == "values" else text(v))
+            for k, v in report.items()}
+
+
+def test_check_bounds_matches_its_frozen_one_pair_path():
+    # DensityMatrix pairs are exactly Hermitian and skip the second
+    # hermitization; bare arrays, Hermitian or a round-off off it, keep it
+    rng = np.random.default_rng(41)
+    for d in range(2, 7):
+        for _ in range(40):
+            a, b = random_state(d, rng), random_state(d, rng, pure=bool(rng.integers(2)))
+            for pair in ((a, b), (a, a), (b, a)):
+                assert _bits(ds.check_bounds(*pair)) == _bits(_frozen_check_bounds(*pair))
+                assert ds.fidelity_uhlmann(*pair) == _frozen_check_bounds(*pair)["values"]["F"]
+            skew = 1e-13 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            for pair in ((a.mat, b.mat), (a.mat + skew, b.mat), (a, b.mat + skew),
+                         (np.array(a.mat), b)):
+                assert _bits(ds.check_bounds(*pair)) == _bits(_frozen_check_bounds(*pair))
+        mats = np.array([random_state(d, rng).mat for _ in range(24)]).reshape(2, 3, 4, d, d)
+        mats[0, 1] += 1e-13 * rng.normal(size=(4, d, d))
+        assert _bits(ds.check_bounds(*mats)) == _bits(_frozen_check_bounds(*mats))
+        assert _bits(ds.check_bounds(mats[0, 0], mats[1, 0])) == _bits(
+            _frozen_check_bounds(mats[0, 0], mats[1, 0]))

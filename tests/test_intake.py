@@ -87,3 +87,57 @@ def test_a_bare_target_must_be_a_positive_operator(target, why):
         analytic.track_pair(S1, S2, target, S1.mat, 0.5)
     # an unnormalized positive target stays legal: its weighted overlap may exceed 1
     assert analytic.track_pair(S1, S2, 3 * np.eye(2), S1.mat, 0.5).fidelity > 1.0
+
+
+def _frozen_pair_bloch(sources, targets, priorities):
+    """pair_bloch as it was when it read each state by its own ``bloch`` call,
+    kept to pin the batched read bit for bit."""
+    from qtrack.channels import bloch_of
+    from qtrack.distances import check_priorities
+    from qtrack.linalg import hermitize
+
+    pis = check_priorities(priorities)
+    if not len(sources) == len(targets) == pis.size == 2:
+        raise LinalgError("a pair needs two sources, two targets and two priorities")
+    bloch, trace = np.empty((4, 3)), np.ones(4)
+    for k, x in enumerate((*sources, *targets)):
+        if isinstance(x, DensityMatrix):
+            bloch[k] = x.bloch
+        elif np.shape(x) == (3,):
+            bloch[k] = x
+            if not np.linalg.norm(bloch[k]) <= 1.0 + 1e-10:
+                raise LinalgError(f"Bloch vector {bloch[k].tolist()} leaves the unit ball")
+        elif k < 2:
+            bloch[k] = DensityMatrix(x).bloch
+        else:
+            m = np.asarray(x, dtype=complex)
+            bloch[k], trace[k] = bloch_of(m), np.trace(m).real
+            if not (np.isfinite(m).all() and np.linalg.eigvalsh(hermitize(m)).min() >= -1e-10):
+                raise LinalgError("a bare target must be a finite positive operator")
+    return bloch[:2], pis[:, None] * bloch[2:], pis * trace[2:]
+
+
+def _outcome(fn, *args):
+    try:
+        return [(a.dtype, a.shape, a.tobytes()) for a in fn(*args)]
+    except LinalgError as exc:
+        return (type(exc), str(exc))
+
+
+def test_pair_bloch_matches_its_frozen_path_on_every_input_kind():
+    from qtrack.channels import random_state
+
+    rng = np.random.default_rng(43)
+    qutrit = random_state(3, rng)
+    for _ in range(60):
+        state, pure = random_state(2, rng), random_state(2, rng, pure=True)
+        vec = rng.normal(size=3)
+        vec *= rng.uniform(0.0, 1.0) / np.linalg.norm(vec)
+        kinds = [state, pure, state.mat, pure.mat, vec, vec.tolist(),
+                 2.5 * state.mat, np.diag([1.5, -0.5]), 3.0 * vec, qutrit, qutrit.mat]
+        for _ in range(12):
+            pick = rng.integers(len(kinds), size=4)
+            sources, targets = [kinds[j] for j in pick[:2]], [kinds[j] for j in pick[2:]]
+            pi1 = rng.uniform(0.05, 0.95)
+            args = (sources, targets, (pi1, 1.0 - pi1))
+            assert _outcome(analytic.pair_bloch, *args) == _outcome(_frozen_pair_bloch, *args)

@@ -770,3 +770,42 @@ def test_optimal_frames_matches_the_scalar_route_on_special_rows(kind, r1, r2, t
     frames = ms._frames(np.array([[row[0], row[1]]]), np.array([[row[2], row[3]]]))
     for got, want in zip(frames, _scalar_frames(*row)):
         assert np.array_equal(got[0], want)
+
+
+def _checked_optimal_canonical(g):
+    """optimal_canonical as it was when the public constructor re-checked the kernel's frames."""
+    rv, ru, mu, s, ok = analytic.optimal_frames(g.r1, g.r2, g.rb1, g.rb2, g.stage)
+    if not ok:
+        raise ms.LinalgError("the optimal tracker's frames are not proper rotations")
+    return ch.QubitChannelCanonical(rv, ru, mu, s)
+
+
+@_kernel_settings
+@given(st.sampled_from(["generic", "coincident-sources", "collinear-sources", "parallel-targets",
+                        "collinear-sources-parallel-targets", "axis-targets",
+                        "maximally-mixed-targets", "nan-source", "vanishing-s-plus-t",
+                        "vanishing-first-target", "improper-frame"]),
+       _bloch, _bloch, _bloch, _bloch, st.floats(-1.0, 1.0), st.floats(1e-13, 1e-12))
+@example("improper-frame", np.array([-0.3, 0.4, -0.5]), np.array([-0.2, 0.5, -0.2]),
+         np.array([0.3, 0.1, 0.3]), np.array([0.1, -0.1, 0.3]), -0.9, 5e-13)
+def test_optimal_canonical_raises_where_the_checked_constructor_did(kind, r1, r2, t1, t2, k, eps):
+    # optimal_canonical takes the kernel's frames unchecked: every row the
+    # kernel returns, kept or set to the identity, passes the public checks,
+    # and optimal_canonical raises exactly where re-checking them did
+    row = ((r1, r2, 0.5 * t1, 0.5 * t2) if kind == "generic"
+           else _special_row(kind, r1, r2, 0.5 * t1, 0.5 * t2, k, eps))
+    ch.QubitChannelCanonical(*analytic.optimal_frames(*row)[:4])
+    try:
+        g = analytic.PairGeometry(*row)
+    except analytic.DegenerateGeometryError:
+        return
+    try:
+        want = _checked_optimal_canonical(g)
+    except ms.LinalgError as exc:
+        with pytest.raises(ms.LinalgError, match=str(exc)):
+            analytic.optimal_canonical(g)
+        return
+    got = analytic.optimal_canonical(g)
+    for name in ("rv", "ru", "mu", "s"):
+        assert getattr(got, name).dtype == float
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
