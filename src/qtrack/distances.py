@@ -300,8 +300,8 @@ def check_bounds(rho, sigma):
     :func:`hs_distance`).
 
     One pair gives Python floats and an int rank.  Over ``(..., d, d)``
-    stacks every entry is an array over the leading axes, equal to the
-    pairs' own reports.
+    stacks every entry is an array over the leading axes, computed
+    elementwise over the whole stack, and equal to the pairs' own reports.
     """
     r, s, w, u = _pair_eigh(rho, sigma)
     f, overlap = _fidelity(w, u)
@@ -314,31 +314,28 @@ def check_bounds(rho, sigma):
     ranks = (spectrum > RANK_RTOL * top[..., None]).sum(-1)
     if r.ndim == 2:
         return _bound_report(*map(float, values), int(ranks))
-    reports = [_bound_report(*row, rank) for row, rank in
-               zip(np.array(values).reshape(7, -1).T.tolist(), ranks.reshape(-1).tolist())]
-    lead = r.shape[:-2]
-    out = {k: np.array([rep[k] for rep in reports]).reshape(lead)
-           for k in reports[0] if k != "values"}
-    out["values"] = {k: np.array([rep["values"][k] for rep in reports]).reshape(lead)
-                     for k in reports[0]["values"]}
-    return out
+    return _bound_report(*values, ranks, sqrt=np.sqrt, floor=np.maximum)
 
 
-def _bound_report(f, tr_rs, purity_r, purity_s, d, h, o, rank):
-    """One pair's :func:`check_bounds` report, in Python floats."""
-    fn = tr_rs + math.sqrt(max(1.0 - purity_r, 0.0)) * math.sqrt(max(1.0 - purity_s, 0.0))
-    r = max(rank, 1)
+def _bound_report(f, tr_rs, purity_r, purity_s, d, h, o, rank, sqrt=math.sqrt, floor=max):
+    """One pair's :func:`check_bounds` report, in Python floats.
+
+    With ``sqrt=np.sqrt`` and ``floor=np.maximum`` the same arithmetic runs
+    elementwise over a stack's arrays, and gives every pair's bits.
+    """
+    fn = tr_rs + sqrt(floor(1.0 - purity_r, 0.0)) * sqrt(floor(1.0 - purity_s, 0.0))
+    r = floor(rank, 1)
     return {
-        "fuchs_lower": d - (1.0 - math.sqrt(f)),
-        "fuchs_upper": math.sqrt(max(1.0 - f, 0.0)) - d,
-        "fn_rank_upper": math.sqrt(r / 2.0) * math.sqrt(max(1.0 - fn, 0.0)) - d,
+        "fuchs_lower": d - (1.0 - sqrt(f)),
+        "fuchs_upper": sqrt(floor(1.0 - f, 0.0)) - d,
+        "fn_rank_upper": sqrt(r / 2.0) * sqrt(floor(1.0 - fn, 0.0)) - d,
         "fn_lower": d - (1.0 - fn),
         # F_N of orthogonal pure states may come out a round-off below 0
-        "fn_sqrt_lower": d - (1.0 - math.sqrt(max(fn, 0.0))),
+        "fn_sqrt_lower": d - (1.0 - sqrt(floor(fn, 0.0))),
         "chain_O_le_H": h - o,
         "chain_H_le_2D": 2.0 * d - h,
-        "chain_2D_le_rootr_H": math.sqrt(r) * h - 2.0 * d,
-        "chain_rootr_H_le_r_O": r * o - math.sqrt(r) * h,
+        "chain_2D_le_rootr_H": sqrt(r) * h - 2.0 * d,
+        "chain_rootr_H_le_r_O": r * o - sqrt(r) * h,
         "rank": r,
         "values": {"F": f, "FN": fn, "D": d, "H": h, "O": o},
     }

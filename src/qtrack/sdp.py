@@ -7,9 +7,13 @@ tr(E_i Z) = b_i, Z >= 0, is written ``SdpInequality(-b, E0, [-E_i])``.  ``solve`
 returns x at ``primal_value`` and Z as ``z`` at ``dual_value`` <= primal_value.
 The loop solves the dual as min tr(C X) s.t. tr(A_i X) = b_i, X >= 0.
 
-The solver is a primal-dual path-following method with Nesterov-Todd scaling
-and Mehrotra-style adaptive centering, run directly on complex Hermitian data
-(real data is Hermitian data with a zero imaginary part).
+The solver is a primal-dual path-following method with the HKM search
+direction (Helmberg, Rendl, Vanderbei and Wolkowicz; Kojima, Shindoh and Hara;
+Monteiro), SDPT3's default, and Mehrotra-style adaptive centering, run
+directly on complex Hermitian data (real data is Hermitian data with a zero
+imaginary part).  Complementarity is linearized as dX + X dS S^-1 = sigma mu
+S^-1 - X - corr and dX made Hermitian, so the Schur complement is M_ij =
+Re tr(A_i X A_j S^-1), and no scaling point is formed.
 
 Before the loop, ``solve`` finds the LMI's blocks from the sparsity pattern of
 C and the A_i, as Fujisawa, Kojima and Nakata do: rows i and j are linked when
@@ -36,17 +40,18 @@ taken over all K blocks together, so the loop is the dense algorithm on the
 direct sum, and at K = 1, on (..., B, B) stacks, it is the dense loop itself.
 On small LMIs numpy's per-call overhead, not arithmetic, sets the cost of a
 pass, so each stage is one stacked call over small matrices.  X and S travel
-as one (2, K, B, B) pair, which one ``eigh`` decomposes.  The affine
-direction, then the two centering candidates, are each solved as one
+as one (2, K, B, B) pair, which one ``eigh`` decomposes; that is the pass's
+only eigendecomposition, and it gives X^(-1/2), S^(-1/2) and S^-1.  The
+affine direction, then the two centering candidates, are each solved as one
 (q, 2, K, B, B) stack of (dx, ds), with one ``np.linalg.solve`` of the
 Schur complement M + ridge I (its Cholesky factorization serves only as the
 test that M is positive definite); the stage's primal and dual step-length
 tests take that stack as it is, in one ``eigvalsh``, and one trial stack
 (X, S) + alpha (dx, ds) gives every candidate's mu and the winner's next
 iterate.  max|X S| is formed only once an iterate has converged.  The Schur
-build forms W [A_1 ... A_m] and then [W A_1; ...; W A_m] W as one product per
-block each, in buffers allocated once per solve.  Per matrix the arithmetic is
-that of one call each, so the iterates are the same bit for bit.
+build forms X [A_1 ... A_m] and then [X A_1; ...; X A_m] S^-1 as one product
+per block each, in buffers allocated once per solve.  Per matrix the
+arithmetic is that of one call each, so the iterates are the same bit for bit.
 ``SdpSolution.iterations`` is the index of the accepted iterate and
 ``SdpSolution.passes`` the number of loop passes, each one Newton step.
 
@@ -174,7 +179,7 @@ def _max_step(m_ihalf, delta, axis=-1):
 
 
 def _solve_textbook(c_mat, a_stack, b, trace_iterates):
-    """min tr(C X) s.t. tr(A_i X) = b_i, X >= 0 over block-diagonal Hermitian X: NT path following.
+    """min tr(C X) s.t. tr(A_i X) = b_i, X >= 0 over block-diagonal Hermitian X, by HKM steps.
 
     C is the (K, B, B) stack of its diagonal blocks, or its one (B, B) block
     when K = 1, and ``a_stack`` the (m, *C.shape) stack of the A_i's; X and
@@ -201,15 +206,15 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
     b_scale = 1.0 + np.linalg.norm(b)
     c_scale = 1.0 + np.abs(c_mat).max()
     eye_m = np.eye(m)
-    # the Schur build per block: W [A_1 ... A_m] is one product, and so is
-    # [W A_1; ...; W A_m] W once the W A_i are copied into rows; its buffers
-    # are refilled every pass, and views of them give the W A_i and W A_i W
+    # the Schur build per block: X [A_1 ... A_m] is one product, and so is
+    # [X A_1; ...; X A_m] S^-1 once the X A_i are copied into rows; its buffers
+    # are refilled every pass, and views of them give the X A_i and X A_i S^-1
     a_wide = np.ascontiguousarray(np.moveaxis(a_stack, 0, -2)).reshape(*shape[:-1], m * size)
-    wa = np.empty(a_wide.shape, dtype=complex)
-    tall, waw = np.empty((2, *shape[:-2], m * size, size), dtype=complex)
-    wa_rows = wa.reshape(*shape[:-1], m, size).swapaxes(-3, -2)  # (..., m, B, B)
+    xa = np.empty(a_wide.shape, dtype=complex)
+    tall, xas = np.empty((2, *shape[:-2], m * size, size), dtype=complex)
+    xa_rows = xa.reshape(*shape[:-1], m, size).swapaxes(-3, -2)  # (..., m, B, B)
     tall_rows = tall.reshape(*shape[:-2], m, size, size)
-    waw_rows = waw.reshape(*shape[:-2], m, size, size).swapaxes(0, -3)  # (m, ..., B, B)
+    xas_rows = xas.reshape(*shape[:-2], m, size, size).swapaxes(0, -3)  # (m, ..., B, B)
 
     def mu_of(pair):
         f = _flat(pair, axes)
@@ -245,37 +250,30 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
         elif accepted is not None and it - accepted[3] >= 15:
             return result(*accepted, it)
 
-        # Nesterov-Todd scaling point: W S W = X
+        # the one eigendecomposition of the pass: X^(-1/2) and S^(-1/2), for
+        # every _max_step of this pass, and S^-1
         try:
             w, u = np.linalg.eigh(xs)
             if w[0].min() < -1e-10 * max(w[0].max(), 1.0):
                 raise SolverError("primal iterate left the cone")
-            w = np.maximum(w, 1e-16 * np.maximum(w.max(axis=lam, keepdims=True), 1.0))
-            root = np.sqrt(w)
-            ux, us = u
-            x_half = (ux * root[0][..., None, :]) @ ux.conj().mT
-            # X^(-1/2) and S^(-1/2), for every _max_step of this pass
-            ihalf = (u / root[..., None, :]) @ u.conj().mT
-            wt, ut = np.linalg.eigh(_herm(x_half @ s @ x_half))
-            if wt.min() < -1e-10 * max(wt.max(), 1.0):
+            if w[1].min() < -1e-10 * max(w[1].max(), 1.0):
                 raise SolverError("dual iterate left the cone")
-            wt = np.maximum(wt, 1e-16 * max(wt.max(), 1.0))
-            t_mhalf = (ut / np.sqrt(wt)[..., None, :]) @ ut.conj().mT  # T^(-1/2)
-            w_nt = _herm(x_half @ t_mhalf @ x_half)
-            s_inv = (us / w[1][..., None, :]) @ us.conj().mT
+            w = np.maximum(w, 1e-16 * np.maximum(w.max(axis=lam, keepdims=True), 1.0))
+            ihalf = (u / np.sqrt(w)[..., None, :]) @ u.conj().mT
+            s_inv = (u[1] / w[1][..., None, :]) @ u[1].conj().mT
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SolverError(f"factorization failed: {exc}") from exc
 
-        # Schur complement M_ij = tr(A_i W A_j W), one real GEMM
-        np.matmul(w_nt, a_wide, out=wa)
-        np.copyto(tall_rows, wa_rows)
-        np.matmul(tall, w_nt, out=waw)
-        m_mat = a_flat @ _flat(waw_rows, axes).T
+        # HKM Schur complement M_ij = Re tr(A_i X A_j S^-1), one real GEMM
+        np.matmul(x, a_wide, out=xa)
+        np.copyto(tall_rows, xa_rows)
+        np.matmul(tall, s_inv, out=xas)
+        m_mat = a_flat @ _flat(xas_rows, axes).T
         ridge = 1e-14 * max(np.trace(m_mat) / max(m, 1), 1.0)
-        w_rd_w = w_nt @ rd @ w_nt  # the same for every direction of this iteration
+        x_rd_s = x @ rd @ s_inv  # the same for every direction of this iteration
         m_ridge = m_mat + ridge * eye_m
         try:
-            np.linalg.cholesky(m_ridge)  # the test that M is positive definite
+            np.linalg.cholesky(m_ridge)  # the test that M, symmetric to round-off, is PD
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular normal system: {exc}") from exc
         # the last step missed its primal target: the ridge bent dy off A(dx) = r_p
@@ -293,7 +291,7 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
             rhs_mat = np.multiply.outer(targets, s_inv) - x
             if corr is not None:
                 rhs_mat[0] -= corr
-            rhs = rp - np.matmul(a_flat, _flat(rhs_mat - w_rd_w, axes)[..., None])[..., 0]
+            rhs = rp - np.matmul(a_flat, _flat(rhs_mat - x_rd_s, axes)[..., None])[..., 0]
             dy = np.linalg.solve(m_ridge, rhs[..., None])[..., 0]
             for _ in range(2 if refine else 0):
                 # iterative refinement against M without the ridge
@@ -302,7 +300,7 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
             d = np.empty((len(targets), 2, *shape), dtype=complex)
             np.subtract(rd, np.matmul(dy[:, None], a_flat).view(complex).reshape(-1, *shape),
                         out=d[:, 1])
-            np.subtract(rhs_mat, w_nt @ d[:, 1] @ w_nt, out=d[:, 0])
+            np.subtract(rhs_mat, x @ d[:, 1] @ s_inv, out=d[:, 0])
             return _herm(d), dy
 
         d_a, _ = directions(np.zeros(1))

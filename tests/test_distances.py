@@ -167,6 +167,33 @@ def test_stacked_check_bounds_equals_the_pairs():
         assert grid["values"]["H"].shape == grid["rank"].shape == (8, 250)
 
 
+def test_stacked_check_bounds_builds_one_report_equal_to_the_pairs(monkeypatch):
+    # the stack's report is one elementwise pass over its arrays, not a dict per
+    # pair restacked; every entry, rank and values included, equals (==) the
+    # pairs' own reports, coincident and orthogonal pairs among them
+    rng = np.random.default_rng(23)
+    calls = []
+    report = ds._bound_report
+    monkeypatch.setattr(ds, "_bound_report", lambda *a, **k: calls.append(1) or report(*a, **k))
+    for d in range(2, 7):
+        rho = np.array([random_state(d, rng).mat for _ in range(60)])
+        sigma = np.array([random_state(d, rng, pure=k % 2 == 0).mat for k in range(60)])
+        sigma[0] = rho[0]
+        u = haar_random_unitary(d, rng)
+        rho[1], sigma[1] = (np.outer(u[:, j], u[:, j].conj()) for j in (0, 1))
+        calls.clear()
+        stacked = ds.check_bounds(rho, sigma)
+        assert len(calls) == 1
+        assert np.issubdtype(stacked["rank"].dtype, np.integer)
+        for k in range(len(rho)):
+            rep = ds.check_bounds(rho[k], sigma[k])
+            for key, val in rep.items():
+                if key != "values":
+                    assert val == stacked[key][k], (d, k, key)
+            for key, val in rep["values"].items():
+                assert val == stacked["values"][key][k], (d, k, key)
+
+
 def test_check_bounds_on_orthogonal_pure_states():
     # the spectra carry round-off of either sign, so F_N may fall a hair below 0
     rng = np.random.default_rng(19)

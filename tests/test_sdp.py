@@ -219,8 +219,9 @@ def test_max_step_reaches_the_cone_boundary():
 
 @pytest.mark.parametrize("objective,feasible", [("FHSavg1", "cptp"), ("Davg", "ppt")])
 def test_one_eigendecomposition_per_iterate(objective, feasible, monkeypatch):
-    # NT scaling decomposes X, X^(1/2) S X^(1/2) and S once per iteration, and
-    # every step-length test reuses those; the primal refinement adds one
+    # the HKM direction needs X^(-1/2), S^(-1/2) and S^-1 alone: one eigh of the
+    # (X, S) pair per pass, which every step-length test reuses; the primal
+    # refinement adds one
     rng = np.random.default_rng(43)
     src = WeightedSequence([(0.3, random_state(2, rng)), (0.7, random_state(2, rng))])
     tgt = WeightedSequence([(0.3, random_state(2, rng)), (0.7, random_state(2, rng, pure=True))])
@@ -234,7 +235,7 @@ def test_one_eigendecomposition_per_iterate(objective, feasible, monkeypatch):
     # one traced iterate per pass of the loop, the last of which returns
     passes = len(sol.iterates) - 1
     assert passes == sol.iterations
-    assert len(calls) <= 3 * passes + 1
+    assert len(calls) <= passes + 1
 
 
 # -- the stacked pass against the unstacked loop it replaced -----------------
@@ -257,7 +258,8 @@ def _reference_solve_textbook(c_mat, a_stack, b, trace_iterates):
 
     Kept as the reference the stacked loop must match bit for bit.  Since
     then it has gained the ``passes`` count and the refinement of dy after a
-    missed primal step, and lost the anti-stall lift, as the loop did, and it
+    missed primal step, lost the anti-stall lift, and moved from the
+    Nesterov-Todd scaling point to the HKM direction, as the loop did, and it
     reads the loop's constants as literals.
     """
     n = c_mat.shape[0]
@@ -309,31 +311,26 @@ def _reference_solve_textbook(c_mat, a_stack, b, trace_iterates):
             )
             return x, y, s, info, iterates
 
-        # Nesterov-Todd scaling point: W S W = X
+        # HKM direction: no scaling point, only X^(-1/2), S^(-1/2) and S^-1
         try:
             wx, ux = np.linalg.eigh(x)
             if wx.min() < -1e-10 * max(wx.max(), 1.0):
                 raise sdp.SolverError("primal iterate left the cone")
             wx = np.clip(wx, 1e-16 * max(wx.max(), 1.0), None)
-            x_half = (ux * np.sqrt(wx)) @ ux.conj().T
             x_ihalf = (ux / np.sqrt(wx)) @ ux.conj().T  # for _max_step, as is s_ihalf
-            wt, ut = np.linalg.eigh(_reference_herm(x_half @ s @ x_half))
-            if wt.min() < -1e-10 * max(wt.max(), 1.0):
-                raise sdp.SolverError("dual iterate left the cone")
-            wt = np.clip(wt, 1e-16 * max(wt.max(), 1.0), None)
-            t_mhalf = (ut / np.sqrt(wt)) @ ut.conj().T  # T^(-1/2)
-            w_nt = _reference_herm(x_half @ t_mhalf @ x_half)
             ws, us = np.linalg.eigh(s)
+            if ws.min() < -1e-10 * max(ws.max(), 1.0):
+                raise sdp.SolverError("dual iterate left the cone")
             ws = np.clip(ws, 1e-16 * max(ws.max(), 1.0), None)
             s_inv = (us / ws) @ us.conj().T
             s_ihalf = (us / np.sqrt(ws)) @ us.conj().T
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise sdp.SolverError(f"factorization failed: {exc}") from exc
 
-        # Schur complement M_ij = tr(A_i W A_j W), one real GEMM
-        m_mat = a_flat @ sdp._flat(w_nt @ a_stack @ w_nt).T
+        # Schur complement M_ij = Re tr(A_i X A_j S^-1), one real GEMM
+        m_mat = a_flat @ sdp._flat(x @ a_stack @ s_inv).T
         ridge = 1e-14 * max(np.trace(m_mat) / max(m, 1), 1.0)
-        w_rd_w = w_nt @ rd @ w_nt  # the same for every direction of this iteration
+        x_rd_s = x @ rd @ s_inv  # the same for every direction of this iteration
         m_ridge = m_mat + ridge * np.eye(m)
         try:
             np.linalg.cholesky(m_ridge)
@@ -343,12 +340,12 @@ def _reference_solve_textbook(c_mat, a_stack, b, trace_iterates):
 
         def direction(sigma_mu, correction):
             rhs_mat = sigma_mu * s_inv - x if correction is None else sigma_mu * s_inv - x - correction
-            rhs = rp - a_dot(rhs_mat - w_rd_w)
+            rhs = rp - a_dot(rhs_mat - x_rd_s)
             dy = np.linalg.solve(m_ridge, rhs)
             for _ in range(2 if refine else 0):
                 dy = dy + np.linalg.solve(m_ridge, rhs - m_mat @ dy)
             ds = rd - a_comb(dy)
-            dx = rhs_mat - w_nt @ ds @ w_nt
+            dx = rhs_mat - x @ ds @ s_inv
             return _reference_herm(dx), dy, _reference_herm(ds)
 
         dx_a, dy_a, ds_a = direction(0.0, None)
@@ -410,12 +407,13 @@ PROGRAMS_22 = [(obj, fs) for obj in tracking.OBJECTIVES for fs in tracking.FEASI
     "i_count,d,objective,feasible,draws",
     [(2, 2, obj, fs, 3) for obj, fs in PROGRAMS_22]
     + [(3, 3, "Davg", "ppt", 1)]
-    # ``draws`` as a list names qubit pool pairs: pair 126 Davg/cptp refines dy
-    # after missed primal steps (on 9 of its 30 passes), pair 87 Davg/cptp runs
-    # the whole polish window
+    # ``draws`` as a list names qubit pool pairs: Davg/cptp refines dy after
+    # missed primal steps on pair 126 (on 3 of its 16 passes) and pair 87 (2 of
+    # 19), and pair 111 runs the whole polish window and refines on 7 of its 26
     + [
         pytest.param(2, 2, "Davg", "cptp", [126], id="pool126-Davg-cptp"),
         pytest.param(2, 2, "Davg", "cptp", [87], id="pool87-Davg-cptp"),
+        pytest.param(2, 2, "Davg", "cptp", [111], id="pool111-Davg-cptp"),
     ],
 )
 def test_stacked_pass_matches_the_unstacked_reference(i_count, d, objective, feasible, draws):
@@ -577,11 +575,30 @@ def _assert_one_newton_step_per_pass(program):
     return sol
 
 
+def _longest_mu_stall(sol):
+    """The most passes in a row whose mu = tr(X S) / n stays above 0.9 times its least so far.
+
+    The anti-stall lift counted passes this way and fired at 4.
+    """
+    least, stall, longest = np.inf, 0, 0
+    for x, _, s in sol.iterates[:-1]:
+        mu = np.trace(x @ s).real / x.shape[0]
+        if mu < 0.9 * least:
+            least, stall = mu, 0
+        else:
+            stall += 1
+        longest = max(longest, stall)
+    return longest
+
+
 def test_no_pass_without_a_newton_step():
-    # pool pair 4 Oavg2/cptp stalls long enough that an anti-stall lift, which
-    # moved X and S but left y, once took an extra pass here
-    sol = _assert_one_newton_step_per_pass(_bench_program([2009, 1, 4], 2, 2, "Oavg2", "cptp"))
-    assert sol.passes == 18
+    # pool pair 2 Davg/cptp is the first pool solve (pairs in order, programs
+    # in PROGRAMS_22's order) whose mu stalls for 4 passes running (6 here),
+    # where an anti-stall lift, which moved X and S but left y, took an extra
+    # pass; every pass is still one Newton step
+    sol = _assert_one_newton_step_per_pass(_bench_program([2009, 1, 2], 2, 2, "Davg", "cptp"))
+    assert _longest_mu_stall(sol) >= 4
+    assert sol.passes == 23
 
 
 # -- the polish window and the normal-equation solves ------------------------
@@ -626,26 +643,29 @@ def _bench_problem(seed, i_count, d, objective, feasible):
 
 
 def test_polish_window_closes_15_passes_after_acceptance():
-    # pool pair 87 Davg/cptp converges at pass 11 with max|X S| near 5e-7;
-    # mu then falls to round-off (2e-13 to 8e-13) while max|X S| stays at
-    # 4e-8 to 2e-7, above COMP_TOL, and from pass 14 the primal residual
-    # drifts past FEAS_TOL (up to 2e-8), so no later iterate converges; the
-    # accepted iterate is still returned 15 passes on, not at max_iter
-    sol = sdp.solve(_bench_program([2009, 1, 87], 2, 2, "Davg", "cptp"))
+    # pool pair 111 Davg/cptp is the first pool solve (pairs in order,
+    # programs in PROGRAMS_22's order) that runs the whole window: it
+    # converges at pass 11 with max|X S| near 8e-7; mu then falls to round-off
+    # (1e-14 to 1e-13) and max|X S| to 1.4e-9, but from pass 13 the primal
+    # residual drifts past FEAS_TOL (up to 4.3e-9), so no later iterate
+    # converges; the accepted iterate is still returned 15 passes on, not at
+    # max_iter
+    sol = sdp.solve(_bench_program([2009, 1, 111], 2, 2, "Davg", "cptp"))
     assert sol.status == "optimal"
     assert sol.passes == sol.iterations + 15
     assert sol.residuals["primal"] <= 1e-9 and sol.residuals["dual"] <= 1e-9
 
 
 def test_pool_pairs_0_to_7_stay_within_the_pass_budget():
-    # 96 qubit solves, 1,438 passes at STEP_FRACTION = 0.95 (1,686 at 0.98)
+    # 96 qubit solves, 1,328 passes with the HKM direction (1,438 with
+    # Nesterov-Todd scaling at STEP_FRACTION = 0.95, 1,686 at 0.98)
     passes = 0
     for k in range(8):
         for objective, feasible in PROGRAMS_22:
             sol = sdp.solve(_bench_program([2009, 1, k], 2, 2, objective, feasible))
             assert sol.status == "optimal", (k, objective, feasible)
             passes += sol.passes
-    assert passes <= 1500
+    assert passes <= 1400
 
 
 @pytest.mark.parametrize("objective,feasible", [("FHSavg1", "cptp"), ("Davg", "ppt")])
