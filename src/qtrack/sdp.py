@@ -41,16 +41,16 @@ direct sum, and at K = 1, on (..., B, B) stacks, it is the dense loop itself.
 On small LMIs numpy's per-call overhead, not arithmetic, sets the cost of a
 pass, so each stage is one stacked call over small matrices.  X and S travel
 as one (2, K, B, B) pair, which one ``eigh`` decomposes; that is the pass's
-only eigendecomposition, and it gives X^(-1/2), S^(-1/2) and S^-1.  The
-affine direction, then the two centering candidates, are each solved as one
-(q, 2, K, B, B) stack of (dx, ds), with one ``np.linalg.solve`` of the
-Schur complement M + ridge I (its Cholesky factorization serves only as the
-test that M is positive definite); the stage's primal and dual step-length
-tests take that stack as it is, in one ``eigvalsh``, and one trial stack
-(X, S) + alpha (dx, ds) gives every candidate's mu and the winner's next
-iterate.  max|X S| is formed only once an iterate has converged.  The Schur
-build forms X [A_1 ... A_m] and then [X A_1; ...; X A_m] S^-1 as one product
-per block each, in buffers allocated once per solve.  Per matrix the
+only eigendecomposition, and it gives X^(-1/2), S^(-1/2) and S^-1.  Each pass
+takes one Mehrotra predictor-corrector step: the affine direction (sigma = 0)
+gives sigma and the second-order corrector, then one corrected centering
+direction is the step, taken as it is.  Each direction is one (2, K, B, B)
+pair (dx, ds) with one ``np.linalg.solve`` of the Schur complement M + ridge I
+(its Cholesky factorization serves only as the test that M is positive
+definite); its primal and dual step-length tests take that pair as it is, in
+one ``eigvalsh``.  max|X S| is formed only once an iterate has converged.
+The Schur build forms X [A_1 ... A_m] and then [X A_1; ...; X A_m] S^-1 as one
+product per block each, in buffers allocated once per solve.  Per matrix the
 arithmetic is that of one call each, so the iterates are the same bit for bit.
 ``SdpSolution.iterations`` is the index of the accepted iterate and
 ``SdpSolution.passes`` the number of loop passes, each one Newton step.
@@ -58,8 +58,8 @@ arithmetic is that of one call each, so the iterates are the same bit for bit.
 A step of length alpha_p along a direction with A(dx) = r_p leaves the primal
 residual (1 - alpha_p) r_p.  When the next pass finds its residual farther
 than ``FEAS_TOL`` (1 + ||b||) from that aim, the ridge has bent dy off
-A(dx) = r_p, and every direction stage of that pass refines dy twice against
-M without the ridge: dy += (M + ridge I)^-1 (rhs - M dy).  Other passes solve
+A(dx) = r_p, and both directions of that pass refine dy twice against M
+without the ridge: dy += (M + ridge I)^-1 (rhs - M dy).  Other passes solve
 once.
 
 The first iterate that meets the gap and feasibility tolerances is accepted;
@@ -67,7 +67,6 @@ it is returned 15 passes later unless an iterate that also meets the
 complementarity tolerance comes first, so ``passes <= iterations + 15``.
 The tolerances are module constants (``GAP_TOL``, ``FEAS_TOL``, ``COMP_TOL``);
 ``solve``'s one setting, ``trace_iterates``, keeps every pass's iterate.
-The primal refinement runs on the full-size X.
 
 ``verify_certificate`` checks a pair (Z, x) on the same (C, A_i, b).
 """
@@ -234,8 +233,7 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
         pobj = float(c_flat @ _flat(x, axes))
         dobj = float(b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        rp_norm = np.sqrt(rp.dot(rp))
-        pres = rp_norm / b_scale
+        pres = np.sqrt(rp.dot(rp)) / b_scale
         dres = np.abs(rd).max() / c_scale
         if trace_iterates:
             iterates.append((x, y, s))
@@ -244,7 +242,6 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
             return result(x, y, s, it, gap, pres, dres, it)
         # gap and feasibility are in: polish complementarity for 15 more
         # passes, converged or not, then return the first converged iterate
-        # (the primal refinement step removes the residual misalignment)
         if converged and accepted is None:
             accepted = (x, y, s, it, gap, pres, dres)
         elif accepted is not None and it - accepted[3] >= 15:
@@ -279,90 +276,40 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
         # the last step missed its primal target: the ridge bent dy off A(dx) = r_p
         refine = aim is not None and np.linalg.norm(rp - aim) > FEAS_TOL * b_scale
 
-        def directions(targets, corr=None):
-            """(dx, ds) as one (q, 2, K, B, B) stack, and dy, for each sigma mu in ``targets``.
-
-            ``corr`` is the first direction's corrector.  The products with A
-            and the solve of M dy = rhs keep one matrix-vector product and one
-            right-hand side per direction, as for a single direction, so the
-            bits match; a GEMM over the stack, or one solve with several
-            right-hand sides, may round differently.
-            """
-            rhs_mat = np.multiply.outer(targets, s_inv) - x
+        def direction(target, corr=None):
+            """(dx, ds) as one (2, K, B, B) pair, and dy, aimed at sigma mu = ``target``."""
+            rhs_mat = target * s_inv - x
             if corr is not None:
-                rhs_mat[0] -= corr
-            rhs = rp - np.matmul(a_flat, _flat(rhs_mat - x_rd_s, axes)[..., None])[..., 0]
-            dy = np.linalg.solve(m_ridge, rhs[..., None])[..., 0]
+                rhs_mat -= corr
+            rhs = rp - a_flat @ _flat(rhs_mat - x_rd_s, axes)
+            dy = np.linalg.solve(m_ridge, rhs)
             for _ in range(2 if refine else 0):
                 # iterative refinement against M without the ridge
-                res = rhs - np.matmul(m_mat, dy[..., None])[..., 0]
-                dy = dy + np.linalg.solve(m_ridge, res[..., None])[..., 0]
-            d = np.empty((len(targets), 2, *shape), dtype=complex)
-            np.subtract(rd, np.matmul(dy[:, None], a_flat).view(complex).reshape(-1, *shape),
-                        out=d[:, 1])
-            np.subtract(rhs_mat, x @ d[:, 1] @ s_inv, out=d[:, 0])
+                dy = dy + np.linalg.solve(m_ridge, rhs - m_mat @ dy)
+            d = np.empty((2, *shape), dtype=complex)
+            np.subtract(rd, (dy @ a_flat).view(complex).reshape(shape), out=d[1])
+            np.subtract(rhs_mat, x @ d[1] @ s_inv, out=d[0])
             return _herm(d), dy
 
-        d_a, _ = directions(np.zeros(1))
+        # Mehrotra's predictor-corrector: the affine direction sets sigma and
+        # the corrector, and the corrected centering direction is the step
+        d_a, _ = direction(0.0)
         steps = _max_step(ihalf, d_a, lam)
-        mu_aff = mu_of(xs + steps[0][spread] * d_a[0])
+        mu_aff = mu_of(xs + steps[spread] * d_a)
         sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
         if max(pres, dres) > max(gap, 1e-15):
             # keep complementarity from racing ahead of feasibility
             sigma = max(sigma, 0.5)
-        corr = _herm(d_a[0, 0] @ d_a[0, 1] @ s_inv)
-        rd_norm = np.linalg.norm(rd)
-
-        def try_steps(targets, corr=None):
-            """(merit, alpha_p, alpha_d, (X, S) after the step, dy) of each direction."""
-            d, dys = directions(targets, corr)
-            steps = np.minimum(STEP_FRACTION * _max_step(ihalf, d, lam), 1.0)
-            trial = xs + steps[spread] * d
-            return [(mu_of(t) + 0.1 * ((1 - a_p) * rp_norm + (1 - a_d) * rd_norm), a_p, a_d, t, dy)
-                    for (a_p, a_d), t, dy in zip(steps, trial, dys)]
-
-        _, a_p, a_d, trial, dy = min(try_steps(np.full(2, sigma * mu), corr), key=lambda c: c[0])
+        d, dy = direction(sigma * mu, _herm(d_a[0] @ d_a[1] @ s_inv))
+        steps = np.minimum(STEP_FRACTION * _max_step(ihalf, d, lam), 1.0)
+        a_p, a_d = steps
         aim = (1 - a_p) * rp
-        xs = _herm(trial)
+        xs = _herm(xs + steps[spread] * d)
         y = y + a_d * dy
 
     if accepted is not None:
         return result(*accepted, MAX_ITER)
     return result(xs[0], y, xs[1], MAX_ITER, gap, pres, dres, MAX_ITER, "max_iter")
-
-
-def _refine_primal(x, y, a_stack, b, c_mat):
-    """Project the converged primal onto the face annihilated by the dual slack.
-
-    Interior-point iterates satisfy ||X S|| ~ sqrt(mu); restricting X to the
-    numerical null space of the slack and re-solving the equality constraints
-    by least squares restores complementarity to round-off level.  The input
-    is returned unchanged whenever the projection would damage feasibility:
-    its equality residual must not exceed the input's beyond round-off, and it
-    must stay PSD.
-    """
-    n = x.shape[0]
-    a_flat = _flat(a_stack)
-    w, u = np.linalg.eigh(c_mat - (y @ a_flat).view(complex).reshape(n, n))
-    keep = w < 1e-6 * max(w.max(), 1.0)
-    r = int(keep.sum())
-    if r == 0 or r == n:
-        return x
-    nbasis = u[:, keep]
-    g = _flat(nbasis.conj().T @ a_stack @ nbasis)
-    w0 = nbasis.conj().T @ x @ nbasis
-    try:
-        dw, *_ = np.linalg.lstsq(g, b - g @ _flat(w0), rcond=None)
-    except np.linalg.LinAlgError:  # pragma: no cover - defensive
-        return x
-    w_new = w0 + _herm(dw.view(complex).reshape(r, r))
-    x_new = _herm(nbasis @ w_new @ nbasis.conj().T)
-    feas_old = np.abs(b - a_flat @ _flat(x)).max(initial=0.0)
-    feas_new = np.abs(b - a_flat @ _flat(x_new)).max(initial=0.0)
-    round_off = 1e-13 * (1.0 + np.abs(b).max(initial=0.0))
-    if feas_new > max(feas_old, round_off) or np.linalg.eigvalsh(w_new).min() < -1e-9:
-        return x
-    return x_new
 
 
 def _prepare(problem):
@@ -480,8 +427,6 @@ def _solve_live(c_mat, a_stack, b, trace_iterates):
     # the dual slack C - sum_i y_i A_i is C itself off the blocks
     iterates = [(_scatter(x_, rows, zero), y_, _scatter(s_, rows, c_mat))
                 for x_, y_, s_ in iterates]
-    if info["status"] == "optimal":
-        x = _refine_primal(x, y, a_stack, b, c_mat)
     return x, y, info, iterates
 
 

@@ -115,21 +115,6 @@ def test_weak_duality_along_iterates():
             assert pval <= dval + 1e-12
 
 
-def test_refine_primal_keeps_input_when_face_is_too_small():
-    # the slack diag(0, 1) leaves the face span(e1), which cannot carry the
-    # 5e-10 that the second constraint puts on e2
-    c_mat = np.diag([0.0, 1.0]).astype(complex)
-    a_stack = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
-    b = np.array([1.0 - 5e-10, 5e-10])
-    x = np.diag(b).astype(complex)
-    assert sdp._refine_primal(x, np.zeros(2), a_stack, b, c_mat) is x
-    # on a face that can satisfy the constraints the projection is taken
-    b_face = np.array([1.0, 0.0])
-    x_near = np.diag([1.0 - 1e-7, 1e-7]).astype(complex)
-    refined = sdp._refine_primal(x_near, np.zeros(2), a_stack, b_face, c_mat)
-    assert np.abs(refined - np.diag(b_face)).max() < 1e-15
-
-
 def test_solver_deterministic():
     rng = np.random.default_rng(3)
     prob = fhs_problem(rng)
@@ -258,9 +243,10 @@ def _reference_solve_textbook(c_mat, a_stack, b, trace_iterates):
 
     Kept as the reference the stacked loop must match bit for bit.  Since
     then it has gained the ``passes`` count and the refinement of dy after a
-    missed primal step, lost the anti-stall lift, and moved from the
-    Nesterov-Todd scaling point to the HKM direction, as the loop did, and it
-    reads the loop's constants as literals.
+    missed primal step, lost the anti-stall lift, moved from the
+    Nesterov-Todd scaling point to the HKM direction, and gone from two
+    centering candidates to one corrected step per pass, as the loop did, and
+    it reads the loop's constants as literals.
     """
     n = c_mat.shape[0]
     m = len(b)
@@ -358,21 +344,9 @@ def _reference_solve_textbook(c_mat, a_stack, b, trace_iterates):
             sigma = max(sigma, 0.5)
         corr = _reference_herm(dx_a @ ds_a @ s_inv)
 
-        rp_norm, rd_norm = np.linalg.norm(rp), np.linalg.norm(rd)
-
-        def try_step(delta):
-            dx, dy, ds = delta
-            a_p = min(0.95 * _reference_max_step(x_ihalf, dx), 1.0)
-            a_d = min(0.95 * _reference_max_step(s_ihalf, ds), 1.0)
-            mu_n = mu_of(x + a_p * dx, s + a_d * ds)
-            merit = mu_n + 0.1 * ((1 - a_p) * rp_norm + (1 - a_d) * rd_norm)
-            return merit, a_p, a_d, delta
-
-        candidates = [
-            try_step(direction(sigma * mu, corr)),
-            try_step(direction(sigma * mu, None)),
-        ]
-        _, a_p, a_d, (dx, dy, ds) = min(candidates, key=lambda c: c[0])
+        dx, dy, ds = direction(sigma * mu, corr)
+        a_p = min(0.95 * _reference_max_step(x_ihalf, dx), 1.0)
+        a_d = min(0.95 * _reference_max_step(s_ihalf, ds), 1.0)
         aim = (1 - a_p) * rp
         x = _reference_herm(x + a_p * dx)
         y = y + a_d * dy
@@ -552,7 +526,7 @@ def test_stacked_max_step_matches_single_calls():
                 delta[j, k] = g @ g.conj().T if j == 0 else 10.0 ** (j - 4) * (g + g.conj().T)
         want = [[_reference_max_step(ihalf[j, k], delta[j, k]) for k in range(2)] for j in range(6)]
         assert np.array_equal(sdp._max_step(ihalf, delta), want)
-        # the (2, n, n) NT pair broadcast over a stack of directions, as the solver calls it
+        # one (2, n, n) pair of inverse square roots broadcast over a stack of directions
         assert np.array_equal(sdp._max_step(ihalf[0], delta), want[:1] + [
             [_reference_max_step(ihalf[0, k], delta[j, k]) for k in range(2)] for j in range(1, 6)
         ])
@@ -592,13 +566,15 @@ def _longest_mu_stall(sol):
 
 
 def test_no_pass_without_a_newton_step():
-    # pool pair 2 Davg/cptp is the first pool solve (pairs in order, programs
-    # in PROGRAMS_22's order) whose mu stalls for 4 passes running (6 here),
-    # where an anti-stall lift, which moved X and S but left y, took an extra
-    # pass; every pass is still one Newton step
-    sol = _assert_one_newton_step_per_pass(_bench_program([2009, 1, 2], 2, 2, "Davg", "cptp"))
+    # pool pair 87 Davg/cptp is the first pool solve (pairs in order, programs
+    # in PROGRAMS_22's order) whose mu stalls for 4 passes running (5 here)
+    # and that runs the whole polish window (accepted at pass 11), where an
+    # anti-stall lift, which moved X and S but left y, took an extra pass;
+    # every pass is still one Newton step
+    sol = _assert_one_newton_step_per_pass(_bench_program([2009, 1, 87], 2, 2, "Davg", "cptp"))
     assert _longest_mu_stall(sol) >= 4
-    assert sol.passes == 23
+    assert sol.passes == sol.iterations + 15
+    assert sol.passes == 26
 
 
 # -- the polish window and the normal-equation solves ------------------------
@@ -657,22 +633,23 @@ def test_polish_window_closes_15_passes_after_acceptance():
 
 
 def test_pool_pairs_0_to_7_stay_within_the_pass_budget():
-    # 96 qubit solves, 1,328 passes with the HKM direction (1,438 with
-    # Nesterov-Todd scaling at STEP_FRACTION = 0.95, 1,686 at 0.98)
+    # 96 qubit solves, 1,310 passes with one corrected step per pass (1,328
+    # with two centering candidates, 1,438 with those and Nesterov-Todd
+    # scaling at STEP_FRACTION = 0.95, 1,686 at 0.98)
     passes = 0
     for k in range(8):
         for objective, feasible in PROGRAMS_22:
             sol = sdp.solve(_bench_program([2009, 1, k], 2, 2, objective, feasible))
             assert sol.status == "optimal", (k, objective, feasible)
             passes += sol.passes
-    assert passes <= 1400
+    assert passes <= 1350
 
 
 @pytest.mark.parametrize("objective,feasible", [("FHSavg1", "cptp"), ("Davg", "ppt")])
 def test_one_normal_solve_per_direction_stage(objective, feasible, monkeypatch):
-    # the affine direction and the two centering candidates are two stages,
-    # each one np.linalg.solve of M + ridge I over its stacked right-hand
-    # sides; a pass after a missed primal step adds two refinement solves to
+    # the affine direction and the corrected centering direction are two
+    # stages, each one np.linalg.solve of M + ridge I with a 1-D right-hand
+    # side; a pass after a missed primal step adds two refinement solves to
     # each stage, and on these programs few passes miss, so the total stays
     # within three solves per pass
     rng = np.random.default_rng(43)
@@ -681,10 +658,13 @@ def test_one_normal_solve_per_direction_stage(objective, feasible, monkeypatch):
     program = tracking.assemble(tracking.TrackingProblem(src, tgt, objective, feasible))
     calls = []
     solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(1) or solve(a, b))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(np.ndim(b)) or solve(a, b))
     sol = sdp.solve(program)
     assert sol.status == "optimal"
-    assert 0 < len(calls) <= 3 * sol.passes
+    assert calls and set(calls) == {1}
+    refined = len(calls) - 2 * sol.passes
+    assert refined >= 0 and refined % 4 == 0
+    assert len(calls) <= 3 * sol.passes
 
 
 # -- constant rows: dropped before the loop, X = 0 on them -------------------
