@@ -123,7 +123,6 @@ class StepChain:
     controllers: list
     fidelity: float
     residual: float
-    converged: bool
     seed_label: str = ""
     restarts: list = field(default_factory=list)  # one RestartRecord per restart
 
@@ -339,7 +338,6 @@ def solve_chain(task: ChainTask, restarts=MAX_RESTARTS, seed=0) -> StepChain:
                      for step in zip(*(f[row] for f in frames))],
         fidelity=records[best].fidelity,
         residual=records[best].residual,
-        converged=True,
         seed_label=records[best].label,
         restarts=records,
     )

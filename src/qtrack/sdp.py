@@ -48,10 +48,10 @@ direction is the step, taken as it is.  Each direction is one (2, K, B, B)
 pair (dx, ds) with one ``np.linalg.solve`` of the Schur complement M + ridge I
 (its Cholesky factorization serves only as the test that M is positive
 definite); its primal and dual step-length tests take that pair as it is, in
-one ``eigvalsh``.  max|X S| is formed only once an iterate has converged.
-The Schur build forms X [A_1 ... A_m] and then [X A_1; ...; X A_m] S^-1 as one
-product per block each, in buffers allocated once per solve.  Per matrix the
-arithmetic is that of one call each, so the iterates are the same bit for bit.
+one ``eigvalsh``.  The Schur build forms X [A_1 ... A_m] and then [X A_1; ...;
+X A_m] S^-1 as one product per block each, in buffers allocated once per
+solve.  Per matrix the arithmetic is that of one call each, so the iterates
+are the same bit for bit.
 ``SdpSolution.iterations`` is the index of the accepted iterate and
 ``SdpSolution.passes`` the number of loop passes, each one Newton step.
 
@@ -62,13 +62,15 @@ A(dx) = r_p, and both directions of that pass refine dy twice against M
 without the ridge: dy += (M + ridge I)^-1 (rhs - M dy).  Other passes solve
 once.
 
-The first iterate that meets the gap and feasibility tolerances is accepted;
-it is returned 15 passes later unless an iterate that also meets the
-complementarity tolerance comes first, so ``passes <= iterations + 15``.
-The tolerances are module constants (``GAP_TOL``, ``FEAS_TOL``, ``COMP_TOL``);
-``solve``'s one setting, ``trace_iterates``, keeps every pass's iterate.
-
-``verify_certificate`` checks a pair (Z, x) on the same (C, A_i, b).
+An iterate converges once it meets the gap and feasibility tolerances.  The
+loop returns the first converged iterate whose certificate passes: X, the
+slack S + R_d = C - sum_i y_i A_i, r_p and the gap tr(C X) - b^T y pass
+``verify_certificate``'s check on the loop's own blocks, which for a program
+without constant rows is the full-size check of the returned pair.  A solve
+whose converged iterates do not certify returns the first of them 15 passes
+later, so ``passes <= iterations + 15``.  The tolerances are module
+constants (``GAP_TOL``, ``FEAS_TOL``, ``CERT_TOL``); ``solve``'s one
+setting, ``trace_iterates``, keeps every pass's iterate.
 """
 
 from __future__ import annotations
@@ -115,11 +117,10 @@ class SdpInequality:
 
 
 # an iterate converges once both scaled residuals are within FEAS_TOL and the
-# relative gap within GAP_TOL, and is returned at once if also max|X S| / scale
-# is within COMP_TOL; each step goes STEP_FRACTION of the way to the cone
-# boundary; a solve that accepts no iterate stops after MAX_ITER passes.
-# verify_certificate passes a pair whose residuals and eigenvalues are within
-# CERT_TOL, and whose gap and complementarity are within 10 CERT_TOL scale.
+# relative gap within GAP_TOL, and is returned at once if its certificate also
+# passes: residuals and eigenvalues within CERT_TOL, gap and max|slack Z|
+# within 10 CERT_TOL scale; each step goes STEP_FRACTION of the way to the
+# cone boundary; a solve that accepts no iterate stops after MAX_ITER passes.
 # STEP_FRACTION, measured on the 1,536 qubit pool solves (128 pairs x 12
 # programs) plus 24 (3,3) and (2,4) programs: 26,358 + 597 passes and 59 + 2
 # failed certificates at 0.98, 23,190 + 489 and 21 + 1 at 0.96, 23,039 + 464
@@ -127,7 +128,6 @@ class SdpInequality:
 # Davg/cptp ends 1.05e-9 from the one-block loop's, at 0.95 2.3e-11
 FEAS_TOL = 1e-9
 GAP_TOL = 1e-9
-COMP_TOL = 5e-9
 STEP_FRACTION = 0.95
 MAX_ITER = 200
 CERT_TOL = 1e-8
@@ -238,9 +238,9 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
         if trace_iterates:
             iterates.append((x, y, s))
         converged = gap <= GAP_TOL and pres <= FEAS_TOL and dres <= FEAS_TOL
-        if converged and (np.abs(x @ s).max() / scale <= COMP_TOL or mu <= 1e-13 * scale):
+        if converged and _certificate(x, s + rd, rp, pobj - dobj, scale)["pass"]:
             return result(x, y, s, it, gap, pres, dres, it)
-        # gap and feasibility are in: polish complementarity for 15 more
+        # gap and feasibility are in but the certificate is not: run 15 more
         # passes, converged or not, then return the first converged iterate
         if converged and accepted is None:
             accepted = (x, y, s, it, gap, pres, dres)
@@ -454,6 +454,21 @@ def solve(problem, trace_iterates=False) -> SdpSolution:
     )
 
 
+def _certificate(z, slack, rp, gap, scale):
+    """``verify_certificate``'s report on Z, the slack, r_p = b - A(Z) and the gap.
+
+    Z and the slack are matrices or (K, B, B) stacks of diagonal blocks; the
+    eigenvalue floors and max|slack Z| run over all K blocks.
+    """
+    z_min, s_min = np.linalg.eigvalsh(np.stack((z, slack))).reshape(2, -1).min(axis=1).tolist()
+    pres, comp = float(np.abs(rp).max(initial=0.0)), float(np.abs(slack @ z).max())
+    bound = CERT_TOL * scale * 10
+    ok = (pres <= CERT_TOL and z_min >= -CERT_TOL and s_min >= -CERT_TOL
+          and abs(gap) <= bound and comp <= bound)
+    return {"primal_residual": pres, "primal_min_eig": z_min, "dual_slack_min_eig": s_min,
+            "gap": gap, "complementary_slackness": comp, "pass": ok}
+
+
 def verify_certificate(z, x, problem):
     """Check a candidate optimal pair (``sol.z``, ``sol.x``) on ``_prepare``'s (C, A_i, b).
 
@@ -462,34 +477,17 @@ def verify_certificate(z, x, problem):
     ``SdpSolution``: ``primal_value`` is c^T x and ``dual_value`` -tr(F0 Z).
     Checked: (i) the equality residuals tr(A_j Z) - b_j of the dual, (ii)
     PSD-ness of Z and of the slack, (iii) the duality gap c^T x + tr(F0 Z),
-    and (iv) complementary slackness ||(F0 + sum x_j F_j) Z||.
+    and (iv) complementary slackness ||(F0 + sum x_j F_j) Z||.  The loop
+    stops on the same check.
     """
     c_mat, a_stack, b = _prepare(problem)
     n = c_mat.shape[0]
-    z = np.asarray(z, dtype=complex)
+    z = hermitize(np.asarray(z, dtype=complex), atol=1e-6)
     x = np.asarray(x, dtype=float)
     a_flat = _flat(a_stack)
-    slack = c_mat - (x @ a_flat).view(complex).reshape(n, n)
-    pres = np.abs(a_flat @ _flat(z) - b).max(initial=0.0)
-    z_min = float(np.linalg.eigvalsh(hermitize(z, atol=1e-6)).min())
-    s_min = float(np.linalg.eigvalsh(hermitize(slack, atol=1e-6)).min())
+    slack = hermitize(c_mat - (x @ a_flat).view(complex).reshape(n, n), atol=1e-6)
     pval = -float(b @ x)  # c^T x
     dval = -float(_flat(c_mat) @ _flat(z))  # -tr(F0 Z)
-    comp = float(np.abs(slack @ z).max())
     scale = max(1.0, float(np.abs(c_mat).max()))
-    return {
-        "primal_residual": float(pres),
-        "primal_min_eig": z_min,
-        "dual_slack_min_eig": s_min,
-        "primal_value": pval,
-        "dual_value": dval,
-        "gap": pval - dval,
-        "complementary_slackness": comp,
-        "pass": bool(
-            pres <= CERT_TOL
-            and z_min >= -CERT_TOL
-            and s_min >= -CERT_TOL
-            and abs(pval - dval) <= CERT_TOL * scale * 10
-            and comp <= CERT_TOL * scale * 10
-        ),
-    }
+    report = _certificate(z, slack, b - a_flat @ _flat(z), pval - dval, scale)
+    return {"primal_value": pval, "dual_value": dval, **report}
