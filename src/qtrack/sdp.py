@@ -1,10 +1,11 @@
 """Dense semidefinite programming: one problem form and an interior-point solver.
 
 A program is ``SdpInequality(c, F0, [F_j])``: minimize c^T x s.t. F0 + sum_j
-x_j F_j >= 0.  Its Lagrange dual is the standard form, maximize -tr(F0 Z) s.t.
-tr(F_j Z) = c_j, Z >= 0, so a standard-form program, maximize -tr(E0 Z) s.t.
-tr(E_i Z) = b_i, Z >= 0, is written ``SdpInequality(-b, E0, [-E_i])``.  ``solve``
-returns x at ``primal_value`` and Z as ``z`` at ``dual_value`` <= primal_value.
+x_j F_j >= 0, with the F_j given as matrices or as one (m, n, n) stack.  Its
+Lagrange dual is the standard form, maximize -tr(F0 Z) s.t. tr(F_j Z) = c_j,
+Z >= 0, so a standard-form program, maximize -tr(E0 Z) s.t. tr(E_i Z) = b_i,
+Z >= 0, is written ``SdpInequality(-b, E0, [-E_i])``.  ``solve`` returns x at
+``primal_value`` and Z as ``z`` at ``dual_value`` <= primal_value.
 The loop solves the dual as min tr(C X) s.t. tr(A_i X) = b_i, X >= 0.
 
 The solver is a primal-dual path-following method with the HKM search
@@ -18,13 +19,14 @@ Re tr(A_i X A_j S^-1), and no scaling point is formed.
 Before the loop, ``solve`` finds the LMI's blocks from the sparsity pattern of
 C and the A_i, as Fujisawa, Kojima and Nakata do: rows i and j are linked when
 C or some A_i has a nonzero (i, j) entry, and the LMI is the direct sum over
-the connected components.  A component that no A_i touches is constant: X = 0
-there is optimal once C is PSD there, which one ``eigvalsh`` checks; a
-negative eigenvalue ends the solve at once as ``infeasible``, since no x
-makes the slack PSD there.  The other components are packed
-first-fit-decreasing into K blocks of the smallest size B that divides their
-total and that they fill exactly, else one block of them all (K = 1), in
-SDPT3's block layout.  C and the A_i are gathered once into (K, B, B) and
+the connected components.  Programs of one shape share that pattern, so the
+analysis is cached on it and only the pattern pass runs per solve.  A
+component that no A_i touches is constant: X = 0 there is optimal once C is
+PSD there, which one ``eigvalsh`` checks; a negative eigenvalue ends the solve
+at once as ``infeasible``, since no x makes the slack PSD there.  The other
+components are packed first-fit-decreasing into K blocks of the smallest size
+B that divides their total and that they fill exactly, else one block of them
+all (K = 1), in SDPT3's block layout.  C and the A_i are gathered once into (K, B, B) and
 (m, K, B, B) stacks, without the K axis when K = 1; a program whose one block
 holds every row reaches the loop with its own arrays.  X, S and every traced
 iterate come back at full size, zero off the blocks for X; there the traced
@@ -39,9 +41,13 @@ traces, norms, maxima, the eigenvalue floors, the step-length minimum) is
 taken over all K blocks together, so the loop is the dense algorithm on the
 direct sum, and at K = 1, on (..., B, B) stacks, it is the dense loop itself.
 On small LMIs numpy's per-call overhead, not arithmetic, sets the cost of a
-pass, so each stage is one stacked call over small matrices.  X and S travel
-as one (2, K, B, B) pair, which one ``eigh`` decomposes; that is the pass's
-only eigendecomposition, and it gives X^(-1/2), S^(-1/2) and S^-1.  Each pass
+pass, so each stage is one stacked call over small matrices, and nothing is
+allocated twice: X and S live in one (2, K, B, B) buffer that each pass
+updates in place, the two directions and the affine step's trial pair have
+buffers of their own, and the flat views the traces read are made once per
+solve.  An iterate is copied out of the buffer only when it is kept, traced
+or accepted.  One ``eigh`` of the pair is the pass's only
+eigendecomposition, and it gives X^(-1/2), S^(-1/2) and S^-1.  Each pass
 takes one Mehrotra predictor-corrector step: the affine direction (sigma = 0)
 gives sigma and the second-order corrector, then one corrected centering
 direction is the step, taken as it is.  Each direction is one (2, K, B, B)
@@ -76,6 +82,7 @@ setting, ``trace_iterates``, keeps every pass's iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,14 +102,19 @@ class SdpInequality:
     fs: tuple
 
     def __init__(self, c, f0, fs):
+        """``fs`` is a sequence of matrices or one (m, n, n) stack."""
         c = np.asarray(c, dtype=float)
         f0 = hermitize(np.asarray(f0, dtype=complex), atol=1e-9)
-        fs = [np.asarray(f, dtype=complex) for f in fs]
+        try:
+            fs = np.asarray(fs, dtype=complex)
+        except ValueError as exc:  # matrices of different shapes
+            raise LinalgError("constraint matrices must share the dimension of F0") from exc
+        if fs.size and fs.shape[1:] != f0.shape:
+            raise LinalgError("constraint matrices must share the dimension of F0")
+        fs = fs.reshape(-1, *f0.shape)
         if len(fs) != c.size:
             raise LinalgError("need one F_j per entry of c")
-        if any(f.shape != f0.shape for f in fs):
-            raise LinalgError("constraint matrices must share the dimension of F0")
-        fs = hermitize(np.array(fs, dtype=complex).reshape(-1, *f0.shape), atol=1e-9)
+        fs = hermitize(fs, atol=1e-9)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "f0", f0)
         object.__setattr__(self, "fs", tuple(fs))
@@ -160,8 +172,16 @@ def _flat(h, axes=2):
     return h.view(float).reshape(*h.shape[:-axes], row)
 
 
-def _herm(m):
-    return 0.5 * (m + m.conj().mT)
+def _herm(m, out=None):
+    """The Hermitian part 0.5 (m + m^dag) of a stack, written into ``out`` (``m`` itself allowed)."""
+    out = np.add(m, m.conj().mT, out=out)
+    out *= 0.5
+    return out
+
+
+def _norm(v):
+    """||v||_2 of a real vector, as ``np.linalg.norm`` computes it, without that call's overhead."""
+    return np.sqrt(v.dot(v))
 
 
 def _max_step(m_ihalf, delta, axis=-1):
@@ -173,7 +193,8 @@ def _max_step(m_ihalf, delta, axis=-1):
     passes (-2, -1), so it runs over all K blocks of a block-diagonal m and
     delta.  -1 / min(lam, -1) is 1 for every lam >= -1 and -1 / lam below.
     """
-    lam = np.linalg.eigvalsh(_herm(m_ihalf @ delta @ m_ihalf)).min(axis=axis)
+    m = m_ihalf @ delta @ m_ihalf
+    lam = np.linalg.eigvalsh(_herm(m, out=m)).min(axis=axis)
     return -1.0 / np.fmin(lam, -1.0)
 
 
@@ -197,9 +218,14 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
     a_flat = _flat(a_stack, axes)
     c_flat = _flat(c_mat, axes)
     scale = max(1.0, np.abs(c_mat).max())
-    xs = np.empty((2, *shape), dtype=complex)  # the pair (X, S)
-    xs[0] = np.eye(size)
-    xs[1] = scale * xs[0]
+    # the pair (X, S) lives in one buffer, updated in place, as do the two
+    # directions and the trial pair of the affine step; the flat views that
+    # r_p, mu, tr(C X) and mu_aff read are made once
+    xs, trial, d_a, d = np.empty((4, 2, *shape), dtype=complex)
+    x, s = xs
+    xs_flat, trial_flat = _flat(xs, axes), _flat(trial, axes)
+    x[...] = np.eye(size)
+    s[...] = scale * x
     y = np.zeros(m)
     iterates = []
     b_scale = 1.0 + np.linalg.norm(b)
@@ -215,9 +241,8 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
     tall_rows = tall.reshape(*shape[:-2], m, size, size)
     xas_rows = xas.reshape(*shape[:-2], m, size, size).swapaxes(0, -3)  # (m, ..., B, B)
 
-    def mu_of(pair):
-        f = _flat(pair, axes)
-        return float(f[0] @ f[1]) / n  # tr(X S) / n
+    def mu_of(pair_flat):
+        return float(pair_flat[0] @ pair_flat[1]) / n  # tr(X S) / n
 
     def result(x, y, s, it0, gap, pres, dres, passes, status="optimal"):
         info = dict(iterations=it0, passes=passes, status=status, gap=gap, pres=pres, dres=dres)
@@ -226,24 +251,24 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
     accepted = None
     aim = None  # the primal residual that the last step aimed at, (1 - alpha_p) r_p
     for it in range(MAX_ITER):
-        x, s = xs
-        rp = b - a_flat @ _flat(x, axes)
+        rp = b - a_flat @ xs_flat[0]
         rd = c_mat - s - (y @ a_flat).view(complex).reshape(shape)
-        mu = mu_of(xs)
-        pobj = float(c_flat @ _flat(x, axes))
+        mu = mu_of(xs_flat)
+        pobj = float(c_flat @ xs_flat[0])
         dobj = float(b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        pres = np.sqrt(rp.dot(rp)) / b_scale
+        pres = _norm(rp) / b_scale
         dres = np.abs(rd).max() / c_scale
+        # an iterate is copied out of the buffer only when it is kept
         if trace_iterates:
-            iterates.append((x, y, s))
+            iterates.append((x.copy(), y, s.copy()))
         converged = gap <= GAP_TOL and pres <= FEAS_TOL and dres <= FEAS_TOL
         if converged and _certificate(x, s + rd, rp, pobj - dobj, scale)["pass"]:
             return result(x, y, s, it, gap, pres, dres, it)
         # gap and feasibility are in but the certificate is not: run 15 more
         # passes, converged or not, then return the first converged iterate
         if converged and accepted is None:
-            accepted = (x, y, s, it, gap, pres, dres)
+            accepted = (x.copy(), y, s.copy(), it, gap, pres, dres)
         elif accepted is not None and it - accepted[3] >= 15:
             return result(*accepted, it)
 
@@ -251,13 +276,16 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
         # every _max_step of this pass, and S^-1
         try:
             w, u = np.linalg.eigh(xs)
-            if w[0].min() < -1e-10 * max(w[0].max(), 1.0):
+            top = np.maximum(w.max(axis=lam, keepdims=True), 1.0)
+            primal_out, dual_out = w.min(axis=lam) < -1e-10 * top.reshape(2)
+            if primal_out:
                 raise SolverError("primal iterate left the cone")
-            if w[1].min() < -1e-10 * max(w[1].max(), 1.0):
+            if dual_out:
                 raise SolverError("dual iterate left the cone")
-            w = np.maximum(w, 1e-16 * np.maximum(w.max(axis=lam, keepdims=True), 1.0))
-            ihalf = (u / np.sqrt(w)[..., None, :]) @ u.conj().mT
-            s_inv = (u[1] / w[1][..., None, :]) @ u[1].conj().mT
+            np.maximum(w, 1e-16 * top, out=w)
+            u_dag = u.conj().mT
+            ihalf = (u / np.sqrt(w)[..., None, :]) @ u_dag
+            s_inv = (u[1] / w[1][..., None, :]) @ u_dag[1]
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise SolverError(f"factorization failed: {exc}") from exc
 
@@ -274,10 +302,10 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular normal system: {exc}") from exc
         # the last step missed its primal target: the ridge bent dy off A(dx) = r_p
-        refine = aim is not None and np.linalg.norm(rp - aim) > FEAS_TOL * b_scale
+        refine = aim is not None and _norm(rp - aim) > FEAS_TOL * b_scale
 
-        def direction(target, corr=None):
-            """(dx, ds) as one (2, K, B, B) pair, and dy, aimed at sigma mu = ``target``."""
+        def direction(out, target, corr=None):
+            """dy, with (dx, ds) written into ``out``, aimed at sigma mu = ``target``."""
             rhs_mat = target * s_inv - x
             if corr is not None:
                 rhs_mat -= corr
@@ -286,30 +314,35 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
             for _ in range(2 if refine else 0):
                 # iterative refinement against M without the ridge
                 dy = dy + np.linalg.solve(m_ridge, rhs - m_mat @ dy)
-            d = np.empty((2, *shape), dtype=complex)
-            np.subtract(rd, (dy @ a_flat).view(complex).reshape(shape), out=d[1])
-            np.subtract(rhs_mat, x @ d[1] @ s_inv, out=d[0])
-            return _herm(d), dy
+            np.subtract(rd, (dy @ a_flat).view(complex).reshape(shape), out=out[1])
+            np.subtract(rhs_mat, x @ out[1] @ s_inv, out=out[0])
+            _herm(out, out=out)
+            return dy
 
         # Mehrotra's predictor-corrector: the affine direction sets sigma and
         # the corrector, and the corrected centering direction is the step
-        d_a, _ = direction(0.0)
+        direction(d_a, 0.0)
         steps = _max_step(ihalf, d_a, lam)
-        mu_aff = mu_of(xs + steps[spread] * d_a)
+        np.multiply(steps[spread], d_a, out=trial)
+        trial += xs
+        mu_aff = mu_of(trial_flat)
         sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3)
         if max(pres, dres) > max(gap, 1e-15):
             # keep complementarity from racing ahead of feasibility
             sigma = max(sigma, 0.5)
-        d, dy = direction(sigma * mu, _herm(d_a[0] @ d_a[1] @ s_inv))
+        corr = d_a[0] @ d_a[1] @ s_inv
+        dy = direction(d, sigma * mu, _herm(corr, out=corr))
         steps = np.minimum(STEP_FRACTION * _max_step(ihalf, d, lam), 1.0)
         a_p, a_d = steps
         aim = (1 - a_p) * rp
-        xs = _herm(xs + steps[spread] * d)
+        d *= steps[spread]
+        xs += d
+        _herm(xs, out=xs)
         y = y + a_d * dy
 
     if accepted is not None:
         return result(*accepted, MAX_ITER)
-    return result(xs[0], y, xs[1], MAX_ITER, gap, pres, dres, MAX_ITER, "max_iter")
+    return result(x, y, s, MAX_ITER, gap, pres, dres, MAX_ITER, "max_iter")
 
 
 def _prepare(problem):
@@ -329,12 +362,20 @@ def _block_layout(c_mat, a_stack):
     there only to X >= 0.  The others are packed first-fit-decreasing into K
     blocks of the smallest size B that divides their total and that they
     fill exactly; B = their total, K = 1, always qualifies.  Each block holds
-    its rows in ascending order.
+    its rows in ascending order.  Programs of one shape share their pattern,
+    so the analysis is cached on it, and the arrays it returns are read-only.
     """
     n = c_mat.shape[0]
-    pattern = _flat(a_stack).any(axis=0).reshape(n, n, 2)
+    pattern = (_flat(a_stack) != 0).any(axis=0).reshape(n, n, 2)
     touched = pattern[..., 0] | pattern[..., 1]
-    linked = touched | (c_mat != 0)
+    return _components(n, (touched | (c_mat != 0)).tobytes(), touched.any(axis=0).tobytes())
+
+
+@lru_cache(maxsize=128)
+def _components(n, linked, touched):
+    """``_block_layout`` of the n x n link pattern ``linked`` and the rows some A_i ``touched``."""
+    linked = np.frombuffer(linked, dtype=bool).reshape(n, n)
+    touched = np.frombuffer(touched, dtype=bool)
     # every row takes the least label among itself and its links, then that
     # row's new label; at the fixed point a component carries its least row
     label = np.arange(n)
@@ -344,12 +385,13 @@ def _block_layout(c_mat, a_stack):
             break
         label = least[least]
     live = np.zeros(n, dtype=bool)
-    live[label[touched.any(axis=0)]] = True
+    live[label[touched]] = True
     sizes = (np.bincount(label, minlength=n) * live).tolist()  # per live component, at its label
-    live = live[label]
+    dropped = ~live[label]
+    dropped.flags.writeable = False
     total = sum(sizes)
     if not total:
-        return ~live, None
+        return dropped, None
     comps = sorted((r for r in range(n) if sizes[r]), key=lambda r: -sizes[r])  # stable
     for size in range(sizes[comps[0]], total + 1):
         if total % size:
@@ -368,8 +410,9 @@ def _block_layout(c_mat, a_stack):
     for k, roots in enumerate(bins):
         for root in roots:
             block[root] = k
-    rows = np.argsort(np.array(block)[label], kind="stable")[:total]
-    return ~live, rows.reshape(len(bins), size)
+    rows = np.argsort(np.array(block)[label], kind="stable")[:total].reshape(len(bins), size)
+    rows.flags.writeable = False
+    return dropped, rows
 
 
 def _block_index(rows, n):

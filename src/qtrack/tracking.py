@@ -16,10 +16,18 @@ other program is built by one builder with one layout:
   as (P + M) (+) (P - M) for Davg, with M = (+)_i R_i, and as the off-diagonal
   corner of a 2 x 2 block for the other distances.  It is empty for the
   closeness objectives, which are linear in C.
+
+What depends only on (objective, feasible set, I, d) is read once per shape
+off the objective's own layout and cached as ``_template``: where each entry
+of the objective block goes and which slot input it holds, the extras' blocks
+and the cost.  ``assemble`` then fills one stack F0, F_1, ..., F_m: the
+objective block in one scatter of the scaled slot inputs, and the Choi cone
+copied from the cached table of H^mu (x) H^nu.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable
@@ -83,12 +91,6 @@ def _kron_table(d):
     return tuple(tables)
 
 
-def _cone(d, mu, nu, ppt):
-    """Cone block of the Choi term H^mu (x) H^nu: itself, beside its partial transpose for PPT."""
-    kron, kron_t = _kron_table(d)
-    return _dsum([kron[mu, nu], kron_t[mu, nu]]) if ppt else kron[mu, nu]
-
-
 def _off_diagonal(layout, blocks):
     """[[0, M], [M^dag, 0]] for the rectangular M = layout(blocks)."""
     m = layout(blocks)
@@ -105,7 +107,7 @@ def _plus_minus(blocks):
     return _dsum([m, -m])
 
 
-def _trace_norm(pis, d):
+def _trace_norm(i_count, d):
     """Davg: ||(+)_i R_i||_1 = min tr P over P = (+)_i P_i with P + M >= 0 and P - M >= 0.
 
     The block is (P + M) (+) (P - M), and each P_i carries the d^2
@@ -113,11 +115,11 @@ def _trace_norm(pis, d):
     """
     zero = np.zeros((d, d))
     extras = []
-    for i in range(len(pis)):
+    for i in range(i_count):
         for a, h in enumerate(hermitian_basis(d)):
-            p_k = _dsum([h if j == i else zero for j in range(len(pis))])
+            p_k = _dsum([h if j == i else zero for j in range(i_count)])
             extras.append(([p_k, p_k], float(d) if a == 0 else 0.0))
-    return _plus_minus, 0.0, extras
+    return _plus_minus, extras
 
 
 def _residual_column(blocks):
@@ -125,25 +127,29 @@ def _residual_column(blocks):
     return np.concatenate([vec(b) for b in blocks])[:, None]
 
 
-def _norm_epigraph(layout, pis, d):
+def _norm_epigraph(layout, i_count, d):
     """Oavg2 and Havg2: ||M||_inf <= t for a p x q layout M, as P = t I_p and Q = t I_q.
 
     Havg2's M is the residual column, whose operator norm is ||(+)_i R_i||_2.
     """
-    p, q = layout([np.zeros((d, d))] * len(pis)).shape
-    return partial(_off_diagonal, layout), 0.0, [([np.eye(p), np.eye(q)], 1.0)]
+    p, q = layout([np.zeros((d, d))] * i_count).shape
+    return partial(_off_diagonal, layout), [([np.eye(p), np.eye(q)], 1.0)]
 
 
-def _mean_hs_squared(pis, d):
+def _mean_hs_squared(i_count, d):
     """H2avg1: sum_i p_i ||R_i||_2^2 <= t as M^dag P^-1 M <= t, P = (+)_i I / p_i, Q = t."""
-    diag = _dsum([np.eye(d * d) / p for p in pis])
-    head = [np.zeros_like(diag), np.ones((1, 1))]
-    return partial(_off_diagonal, _residual_column), _dsum([diag, np.zeros((1, 1))]), [(head, 1.0)]
+    head = [np.zeros((i_count * d * d,) * 2), np.ones((1, 1))]
+    return partial(_off_diagonal, _residual_column), [(head, 1.0)]
 
 
-def _linear(pis, d):
+def _inverse_priorities(pis, d):
+    """H2avg1's fixed part: P = (+)_i I / p_i beside Q's zero."""
+    return _dsum([np.eye(d * d) / p for p in pis] + [np.zeros((1, 1))])
+
+
+def _linear(i_count, d):
     """Closeness: linear in the Choi matrix, so the objective's block is empty."""
-    return lambda blocks: np.zeros((0, 0)), 0.0, []
+    return lambda blocks: np.zeros((0, 0)), []
 
 
 def _h2avg1(outs, tgt):
@@ -157,16 +163,18 @@ class _Objective:
 
     ``score`` evaluates the measure on (outputs, targets) and ``weight`` maps
     the priorities to the residual weights w_i.  The objective's LMI block is
-    layout(R_1, ..., R_I) + fixed + sum_k t_k E_k >= 0 over its extra
-    variables t_k; ``block(pis, d)`` returns (layout, fixed, extras):
-    ``layout`` maps the weighted residual blocks R_i linearly onto the block
-    ([[0, M], [M^dag, 0]] for the epigraphs, M (+) -M for Davg), ``fixed`` is
-    its constant part (0: none), and ``extras`` lists the extra variables as
-    (diagonal blocks of E_k, cost).
+    layout(R_1, ..., R_I) + fixed(pis, d) + sum_k t_k E_k >= 0 over its extra
+    variables t_k; ``block(I, d)`` returns (layout, extras): ``layout`` maps
+    the weighted residual blocks R_i linearly onto the block ([[0, M],
+    [M^dag, 0]] for the epigraphs, M (+) -M for Davg), copying, negating or
+    conjugating their entries, and ``extras`` lists the extra variables as
+    (diagonal blocks of E_k, cost).  ``fixed`` is the block's constant part
+    (0: none).
     """
 
     score: Callable
     block: Callable = _linear
+    fixed: Callable = lambda pis, d: 0.0
     weight: Callable = lambda p: p
     closeness: bool = False
 
@@ -182,7 +190,7 @@ _OBJECTIVES = {
     "Davg": _Objective(
         partial(sequence_distance, "D", "avg1"), _trace_norm, weight=lambda p: 0.5 * p
     ),
-    "H2avg1": _Objective(_h2avg1, _mean_hs_squared, weight=np.ones_like),
+    "H2avg1": _Objective(_h2avg1, _mean_hs_squared, _inverse_priorities, weight=np.ones_like),
     "Havg2": _Objective(
         partial(sequence_distance, "H", "avg2"), partial(_norm_epigraph, _residual_column)
     ),
@@ -209,43 +217,113 @@ def _choi_is_dual(tp: TrackingProblem):
     return _OBJECTIVES[tp.objective].closeness and tp.feasible == "cptp"
 
 
+class _Template(namedtuple("_Template", "basis nb n at src signs extra_at extra_values c")):
+    """What (objective, feasible set, I, d) fix in ``assemble``'s program, as read-only arrays.
+
+    The program is the stack F0, F_1, ..., F_m of n x n matrices, the
+    objective's nb x nb block beside the Choi cone.  The Choi pairs (mu, nu)
+    come first, mu-major, then the objective's extra variables.  The
+    objective block of F0 and of each pair's F_j is the layout of that row's
+    I slot inputs; its entry at flat position ``at`` of an n x n matrix is
+    input entry ``src`` of the row, with ``signs`` on its real and imaginary
+    parts.  The extras' blocks are kept as the flat positions ``extra_at`` in
+    the stack of their F_j and the values there whose bytes are not zero.
+    ``basis`` is the Hermitian basis H^mu and ``c`` the cost.
+    """
+
+    __slots__ = ()
+
+
+@cache
+def _template(objective, feasible, i_count, d):
+    """The program's shape, read off the objective's own layout once.
+
+    The layout only copies, negates or conjugates its inputs' entries, and
+    negates or conjugates some of its own zeros.  One call on inputs whose
+    entries are k (1 + 1j), k = 1, 2, ..., therefore gives back, at each
+    entry it writes, the input entry it holds (|re| - 1, or the zero slot
+    after the inputs) and the signs it puts on its two parts.  Every entry
+    whose bytes are not zero is placed, zeros included: the product of a
+    scale and a zero takes the scale's sign, and the signs are applied
+    after the product, as the layout applies them.
+    """
+    layout, extras = _OBJECTIVES[objective].block(i_count, d)
+    n_inputs = i_count * d * d
+    probe = layout(list((1 + 1j) * np.arange(1, n_inputs + 1).reshape(i_count, d, d)))
+    nb = probe.shape[0]
+    n = nb + d * d * (2 if feasible == "ppt" else 1)
+    row, col = np.nonzero(_bytes_set(probe))
+    written = probe[row, col]
+    extra = np.array([_dsum(diagonal) for diagonal, _ in extras], dtype=complex)
+    extra = extra.reshape(len(extras), nb, nb)
+    k, e_row, e_col = np.nonzero(_bytes_set(extra))
+    template = _Template(
+        basis=np.array(hermitian_basis(d)), nb=nb, n=n, at=row * n + col,
+        src=np.where(written == 0, n_inputs, np.abs(written.real).astype(int) - 1),
+        signs=np.copysign(1.0, written.view(float).reshape(-1, 2)),
+        extra_at=(k * n + e_row) * n + e_col, extra_values=extra[k, e_row, e_col],
+        c=np.array([0.0] * len(_choi_pairs(d)) + [cost for _, cost in extras]),
+    )
+    for value in template:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return template
+
+
+def _bytes_set(m):
+    """Where a complex array's entries have a bit set: its nonzeros and its negative zeros."""
+    return m.view(np.uint64).reshape(*m.shape, 2).any(axis=-1)
+
+
 def assemble(tp: TrackingProblem) -> sdp.SdpInequality:
-    """Build the SDP for a tracking problem.
+    """Build the SDP for a tracking problem from its shape's cached ``_template``.
 
     Closeness over plain CPTP maximizes -tr(E0 C) over Choi matrices C >= 0
     with tr((H^a (x) I) C) = d delta_a0: the dual of minimizing -d nu_0 over
     E0 - sum_a nu_a (H^a (x) I) >= 0, whose ``z`` is C.
     """
     d, ppt, obj = tp.d, tp.feasible == "ppt", _OBJECTIVES[tp.objective]
-    basis = hermitian_basis(d)
     pis = tp.source.priorities
     w = obj.weight(pis)
-    sources = [s.mat for s in tp.source.states]
-    targets = [s.mat for s in tp.target.states]
+    sources = np.array([s.mat for s in tp.source.states])
+    targets = np.array([s.mat for s in tp.target.states])
     if _choi_is_dual(tp):
-        e0 = -sum(wi * np.kron(r.T, t) for wi, r, t in zip(w, sources, targets))
+        # sum_i w_i rho_i^T (x) rhobar_i, each Kronecker product as np.kron forms it
+        krons = sources.mT[:, :, None, :, None] * targets[:, None, :, None, :]
+        e0 = -sum(w[:, None, None, None, None] * krons).reshape(d * d, d * d)
         kron, _ = _kron_table(d)
         b = np.array([float(d) if a == 0 else 0.0 for a in range(d * d)])
-        return sdp.SdpInequality(-b, e0, [-kron[a, 0] for a in range(d * d)])
+        return sdp.SdpInequality(-b, e0, -kron[:, 0])
 
+    t = _template(tp.objective, tp.feasible, len(pis), d)
     # residual i, w_i (Phi(rho_i) - rhobar_i), is w_i (I/d - rhobar_i) plus
-    # x_munu scale[i, mu] H^nu over the Choi pairs (mu, nu)
-    pairs = _choi_pairs(d)
-    scale = w[:, None] * np.array([[np.trace(r.T @ h).real for h in basis] for r in sources])
-    layout, fixed, extras = obj.block(pis, d)
-    const = [wi * (np.eye(d) / d - t) for wi, t in zip(w, targets)]
-    block0 = layout(const) + fixed
-    blocks = [layout([s * basis[nu] for s in scale[:, mu]]) for mu, nu in pairs]
-    c = np.array([0.0] * len(pairs) + [cost for _, cost in extras])
+    # x_munu scale[i, mu] H^nu over the Choi pairs (mu, nu): these are the
+    # objective block's slot inputs, in F0 and in each pair's F_j
+    scale = w[:, None] * np.trace(sources.mT[:, None] @ t.basis, axis1=-2, axis2=-1).real
+    rows = 1 + d * d * (d * d - 1)
+    inputs = np.zeros((rows, len(pis) * d * d + 1), dtype=complex)  # the last slot stays zero
+    slots = inputs[:, :-1].reshape(rows, len(pis), d, d)
+    slots[0] = w[:, None, None] * (np.eye(d) / d - targets)
+    pair_slots = slots[1:].reshape(d * d, d * d - 1, len(pis), d, d)  # [mu, nu - 1, i]
+    np.multiply(scale.T[:, None, :, None, None], t.basis[None, 1:, None], out=pair_slots)
+    entries = np.take(inputs, t.src, axis=1)
+    parts = entries.view(float).reshape(*entries.shape, 2)
+    parts *= t.signs  # negation and conjugation, after the product as in the layout
+    stack = np.zeros((1 + len(t.c), t.n, t.n), dtype=complex)  # F0, F_1, ..., F_m
+    stack.reshape(len(stack), -1)[:rows, t.at] = entries
+    stack[0, : t.nb, : t.nb] += obj.fixed(pis, d)
+    # the Choi cone: C = I/d + sum x_munu H^mu (x) H^nu, beside C^{T_B} for PPT
+    for k, table in enumerate(_kron_table(d)[: 1 + ppt]):
+        cone = slice(t.nb + k * d * d, t.nb + (k + 1) * d * d)
+        stack[0, cone, cone] = table[0, 0] / d
+        stack[1:rows].reshape(d * d, d * d - 1, t.n, t.n)[..., cone, cone] = table[:, 1:]
+    stack[rows:].reshape(-1)[t.extra_at] = t.extra_values
+    c = t.c.copy()
     if obj.closeness:
-        # maximize sum_i w_i tr(Phi(rho_i) rhobar_i): a linear cost on x
-        overlap = np.array([[np.trace(h @ t).real for h in basis] for t in targets])
-        c = -np.array([sum(scale[:, mu] * overlap[:, nu]) for mu, nu in pairs])
-    cone = _cone(d, 0, 0, ppt) / d
-    fs = [_dsum([b, _cone(d, mu, nu, ppt)]) for b, (mu, nu) in zip(blocks, pairs)]
-    no_cone = [np.zeros_like(cone)]
-    fs += [_dsum(diagonal + no_cone) for diagonal, _ in extras]
-    return sdp.SdpInequality(c, _dsum([block0, cone]), fs)
+        # maximize sum_i w_i tr(Phi(rho_i) rhobar_i): a linear cost on x, per pair
+        overlap = np.trace(t.basis @ targets[:, None], axis1=-2, axis2=-1).real
+        c = -sum((scale[:, :, None] * overlap[:, None, 1:]).reshape(len(pis), -1))
+    return sdp.SdpInequality(c, stack[0], stack[1:])
 
 
 def problem_size(assembled):

@@ -636,6 +636,28 @@ def test_polish_window_closes_15_passes_after_acceptance():
     assert sol.residuals["primal"] <= 1e-9 and sol.residuals["dual"] <= 1e-9
 
 
+@pytest.mark.parametrize("objective,feasible", [("Havg2", "cptp"), ("FHSavg1", "cptp"),
+                                                ("Davg", "cptp")])
+def test_loop_buffers_do_not_leak_into_results(objective, feasible):
+    # the loop updates (X, S) in place; Havg2/cptp and FHSavg1/cptp reach it
+    # as one block, so X and the iterates come back as the loop's own arrays
+    sol = sdp.solve(_bench_program([2009, 1, 111], 2, 2, objective, feasible), trace_iterates=True)
+    xs = [x for x, _, _ in sol.iterates]
+    assert len(xs) == sol.passes + 1
+    for j, x in enumerate(xs):
+        assert not np.shares_memory(x, sol.z)
+        assert not any(np.shares_memory(x, other) for other in xs[j + 1 :])
+
+
+def test_fallback_returns_the_accepted_iterate_not_the_last():
+    # pool pair 111 Davg/cptp returns through the 15-pass fallback: the
+    # iterate kept at acceptance is returned as it was then
+    sol = sdp.solve(_bench_program([2009, 1, 111], 2, 2, "Davg", "cptp"), trace_iterates=True)
+    assert sol.passes == sol.iterations + 15
+    assert np.array_equal(sol.z, sol.iterates[sol.iterations][0])
+    assert not np.array_equal(sol.z, sol.iterates[-1][0])
+
+
 def test_pool_pairs_0_to_7_stay_within_the_pass_budget():
     # 96 qubit solves, 1,188 passes when the loop stops on its certificate
     # (1,310 when it stopped on max|X S| or mu, 1,328 with two centering

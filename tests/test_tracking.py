@@ -456,15 +456,93 @@ def _assert_same_program(got, want):
         assert np.array_equal(f_got, f_want), f"F_{j + 1} differs"
 
 
-@pytest.mark.parametrize("i_count,d", CELLS)
-def test_assemble_matches_the_per_objective_reference(i_count, d):
+def _degenerate_problem(rng, i_count, d, first):
+    """Sources I/d and a state diagonal in the computational basis, in slot order ``first``.
+
+    Every scale[i, mu >= 1] of the I/d source is zero (exactly so at d <= 3),
+    and a diagonal source has zero scales on the off-diagonal H^mu.  A third
+    source, when I = 3, is random; targets are random, priorities not uniform.
+    """
+    pis = rng.dirichlet(np.ones(i_count) * 4).tolist()
+    degenerate = [np.eye(d) / d, np.diag(rng.dirichlet(np.ones(d)))]
+    sources = [DensityMatrix(m) for m in (degenerate if first else degenerate[::-1])]
+    sources += [random_state(d, rng) for _ in range(i_count - 2)]
+    src = WeightedSequence(list(zip(pis, sources)))
+    tgt = WeightedSequence([(p, random_state(d, rng)) for p in pis])
+    return src, tgt
+
+
+def _cell_problems(i_count, d):
+    """The random draws of a cell, then its two degenerate draws."""
     for draw, pure in enumerate((True, False, True)):
         rng = np.random.default_rng([17, i_count, d, draw])
-        src, tgt = random_problem(rng, i_count, d, pure_targets=pure, uniform=draw == 0)
+        yield random_problem(rng, i_count, d, pure_targets=pure, uniform=draw == 0)
+    for first in (True, False):
+        yield _degenerate_problem(np.random.default_rng([19, i_count, d, first]), i_count, d, first)
+
+
+@pytest.mark.parametrize("i_count,d", CELLS)
+def test_assemble_matches_the_per_objective_reference(i_count, d):
+    for src, tgt in _cell_problems(i_count, d):
         for objective in tracking.OBJECTIVES:
             for feasible in tracking.FEASIBLE_SETS:
                 tp = tracking.TrackingProblem(src, tgt, objective, feasible)
                 _assert_same_program(tracking.assemble(tp), _reference_assemble(tp))
+
+
+def _layout_assemble(tp):
+    """The builder before the per-shape template: each F_j from its own layout call, kept frozen."""
+    d, ppt, obj = tp.d, tp.feasible == "ppt", tracking._OBJECTIVES[tp.objective]
+    basis = hermitian_basis(d)
+    pis = tp.source.priorities
+    w = obj.weight(pis)
+    pairs = _ref_choi_pairs(d)
+    scale = w[:, None] * np.array([[np.trace(s.mat.T @ h).real for h in basis]
+                                   for s in tp.source.states])
+    layout, extras = obj.block(len(pis), d)
+    const = [wi * (np.eye(d) / d - t.mat) for wi, t in zip(w, tp.target.states)]
+    blocks = [layout([s * basis[nu] for s in scale[:, mu]]) for mu, nu in pairs]
+    c = np.array([0.0] * len(pairs) + [cost for _, cost in extras])
+    if obj.closeness:
+        overlap = np.array([[np.trace(h @ t.mat).real for h in basis] for t in tp.target.states])
+        c = -np.array([sum(scale[:, mu] * overlap[:, nu]) for mu, nu in pairs])
+    cone = _ref_cptp_blocks(basis, 0, 0, ppt) / d
+    fs = [_ref_dsum([b, _ref_cptp_blocks(basis, mu, nu, ppt)]) for b, (mu, nu) in zip(blocks, pairs)]
+    fs += [_ref_dsum(diagonal + [np.zeros_like(cone)]) for diagonal, _ in extras]
+    return sdp.SdpInequality(c, _ref_dsum([layout(const) + obj.fixed(pis, d), cone]), fs)
+
+
+def _program_bytes(program):
+    return [m.tobytes() for m in (program.c, program.f0, *program.fs)]
+
+
+@pytest.mark.parametrize("i_count,d", CELLS)
+def test_template_gives_the_layout_calls_byte_for_byte(i_count, d):
+    # the template places every entry the layout writes, zeros with their
+    # signs included, so the program is the per-pair layout calls' own bytes
+    for src, tgt in _cell_problems(i_count, d):
+        for objective in tracking.OBJECTIVES:
+            for feasible in tracking.FEASIBLE_SETS:
+                tp = tracking.TrackingProblem(src, tgt, objective, feasible)
+                if tracking._choi_is_dual(tp):
+                    continue
+                assert _program_bytes(tracking.assemble(tp)) == _program_bytes(_layout_assemble(tp))
+
+
+@pytest.mark.parametrize("objective", tracking.OBJECTIVES)
+@pytest.mark.parametrize("feasible", tracking.FEASIBLE_SETS)
+def test_template_cache_is_isolated(objective, feasible):
+    # problem A, a different problem of the same shape, then A again: the
+    # cached template is shared, and nothing of one program reaches the next
+    rng = np.random.default_rng([23, 2, 3])
+    first, second = (random_problem(rng, 2, 3, pure_targets=False, uniform=False) for _ in "ab")
+    programs = [tracking.assemble(tracking.TrackingProblem(*pair, objective, feasible))
+                for pair in (first, second, first)]
+    assert _program_bytes(programs[0]) == _program_bytes(programs[2])
+    assert _program_bytes(programs[0]) != _program_bytes(programs[1])
+    template = tracking._template(objective, feasible, 2, 3)
+    arrays = [v for v in template if isinstance(v, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("objective", ["FHSavg1", "FHSavg2"])
