@@ -418,14 +418,15 @@ def test_stacked_pass_matches_the_unstacked_reference(i_count, d, objective, fea
 
 
 def _blocked_and_one_block(c_mat, a_stack, b, rows):
-    """(tr(C X), b^T y, status) of the loop on ``rows``' blocks and on them as one block."""
+    """(tr(C X), b^T y, status) of the loop on ``rows``' blocks and on their live rows as one block.
+
+    tr(C X) is taken at full size, where X has no padding rows.
+    """
     out = []
-    for layout in (rows, np.sort(rows, axis=None)[None]):
-        c_blocks = sdp._gather(c_mat, layout)
-        x, y, _, info, _ = sdp._solve_textbook(c_blocks, sdp._gather(a_stack, layout), b, False)
-        flat = c_blocks.ndim  # the one block is a matrix, K > 1 blocks a stack
-        out.append((float(sdp._flat(c_blocks, flat) @ sdp._flat(x, flat)), float(b @ y),
-                    info["status"]))
+    for layout in (rows, np.sort(rows[rows >= 0])[None]):
+        x, y, _, info, _ = sdp._solve_textbook(*sdp._gather(c_mat, a_stack, layout), b, False)
+        x = sdp._scatter(x, layout, np.zeros_like(c_mat))
+        out.append((float(sdp._flat(c_mat) @ sdp._flat(x)), float(b @ y), info["status"]))
     return out
 
 
@@ -433,11 +434,16 @@ def _blocked_and_one_block(c_mat, a_stack, b, rows):
     "i_count,d,objective,feasible,draws",
     [(2, 2, obj, fs, 3) for obj, fs in PROGRAMS_22]
     + [(3, 3, "Davg", "ppt", 1)]
+    # padded layouts: (3,3) Oavg2/cptp is 9 + 3 x 6 rows in (4, 9) blocks and
+    # (4,3) Davg/cptp 9 + 8 x 3 rows in (4, 9)
+    + [(3, 3, "Oavg2", "cptp", 1), (4, 3, "Davg", "cptp", 1)]
     # pool pairs whose blocked values lie farthest from the dense ones
     + [
         pytest.param(2, 2, "Davg", "cptp", [88, 126], id="pool88,126-Davg-cptp"),
         pytest.param(2, 2, "Oavg2", "cptp", [110], id="pool110-Oavg2-cptp"),
         pytest.param(2, 2, "Davg", "ppt", [126], id="pool126-Davg-ppt"),
+        pytest.param(2, 2, "H2avg1", "ppt", [117], id="pool117-H2avg1-ppt"),
+        pytest.param(2, 2, "Havg2", "ppt", [27], id="pool27-Havg2-ppt"),
     ],
 )
 def test_blocked_loop_matches_one_block(i_count, d, objective, feasible, draws):
@@ -492,22 +498,30 @@ def test_block_analysis_finds_planted_blocks(planted, seed):
     if not live_blocks:
         assert rows is None
         return
-    # every live row in exactly one block, ascending there, and every planted
-    # block inside one of them
+    # every live row in exactly one block, ascending there, padding (-1) only
+    # at the tail of a block, and every planted block inside one block
     k_count, b_size = rows.shape
-    assert np.array_equal(np.sort(rows, axis=None), np.flatnonzero(~constant))
-    assert (np.diff(rows, axis=1) > 0).all()
+    live = rows >= 0
+    assert np.array_equal(np.sort(rows[live]), np.flatnonzero(~constant))
+    assert all((np.diff(r[r >= 0]) > 0).all() for r in rows)
+    assert (live[:, :-1] >= live[:, 1:]).all()
     assert all(sum(np.isin(planted, r).all() for r in rows) == 1 for planted in live_blocks)
     sizes = [len(r) for r in live_blocks]
-    assert b_size >= max(sizes) and k_count * b_size == sum(sizes)
+    n_live = sum(sizes)
+    if k_count == 1:
+        assert b_size == n_live and live.all()
+    else:
+        # a padded layout has blocks of the largest planted block and at most
+        # half the eigen-work of one block
+        assert b_size == max(sizes) and 2 * k_count * b_size**3 <= n_live**3
     if len(set(sizes)) == 1:
         assert (k_count, b_size) == (len(sizes), sizes[0])
     # gather then scatter gives back C (its constant block from the base) and every A_i
     base = np.where(np.outer(constant, constant), c_mat, 0)
-    assert np.array_equal(sdp._scatter(sdp._gather(c_mat, rows), rows, base), c_mat)
-    gathered = sdp._gather(a_stack, rows)
+    c_blocks, a_blocks = sdp._gather(c_mat, a_stack, rows)
+    assert np.array_equal(sdp._scatter(c_blocks, rows, base), c_mat)
     assert all(np.array_equal(sdp._scatter(g, rows, np.zeros_like(c_mat)), a)
-               for g, a in zip(gathered, a_stack))
+               for g, a in zip(a_blocks, a_stack))
     blocked, one = _blocked_and_one_block(c_mat, a_stack, b, rows)
     assert blocked[2] == one[2] == "optimal"
     # values here reach 10 and more, and the loop stops at a relative gap of
@@ -720,15 +734,15 @@ def _loop_arrays(program, monkeypatch):
 # every tracking program, Havg2's norm epigraph included, has no constant rows;
 # (K, B) is its block layout
 BLOCKS_22 = {("Davg", "cptp"): (3, 4), ("Davg", "ppt"): (4, 4), ("H2avg1", "cptp"): (1, 13),
-             ("H2avg1", "ppt"): (1, 17), ("Havg2", "cptp"): (1, 13), ("Havg2", "ppt"): (1, 17),
+             ("H2avg1", "ppt"): (2, 9), ("Havg2", "cptp"): (1, 13), ("Havg2", "ppt"): (2, 9),
              ("Oavg2", "cptp"): (3, 4), ("Oavg2", "ppt"): (4, 4), ("FHSavg1", "cptp"): (1, 4),
              ("FHSavg1", "ppt"): (2, 4), ("FHSavg2", "cptp"): (1, 4), ("FHSavg2", "ppt"): (2, 4)}
 LOOP_PROGRAMS = [
     pytest.param(2, 2, obj, fs, BLOCKS_22[obj, fs], id=f"{obj}-{fs}") for obj, fs in PROGRAMS_22
 ] + [
     pytest.param(i_count, d, "Havg2", fs, blocks, id=f"{i_count}-{d}-Havg2-{fs}")
-    for i_count, d, fs, blocks in ((3, 3, "cptp", (1, 37)), (3, 3, "ppt", (1, 46)),
-                                   (2, 4, "cptp", (1, 49)), (2, 4, "ppt", (1, 65)))
+    for i_count, d, fs, blocks in ((3, 3, "cptp", (1, 37)), (3, 3, "ppt", (2, 28)),
+                                   (2, 4, "cptp", (1, 49)), (2, 4, "ppt", (2, 33)))
 ]
 
 
@@ -743,9 +757,16 @@ def test_programs_without_constant_rows_reach_the_loop_untouched(i_count, d, obj
         # the one block is _prepare's arrays themselves, not a copy
         assert c_loop is c_mat and a_loop is a_stack
     else:
+        # the blocks of C and the A_i on the live rows; a padding row carries C =
+        # scale = max(1, max|C|) on its diagonal and is 0 elsewhere
         assert c_loop.shape == blocks + blocks[1:]
-        assert np.array_equal(c_loop, c_mat[rows[:, :, None], rows[:, None, :]])
-        assert np.array_equal(a_loop, a_stack[:, rows[:, :, None], rows[:, None, :]])
+        live = rows[:, :, None] >= 0
+        live = live & live.swapaxes(1, 2)
+        c_want = np.where(live, c_mat[rows[:, :, None], rows[:, None, :]], 0)
+        a_want = np.where(live, a_stack[:, rows[:, :, None], rows[:, None, :]], 0)
+        k, i = np.nonzero(rows < 0)
+        c_want[k, i, i] = max(1.0, np.abs(c_mat).max())
+        assert np.array_equal(c_loop, c_want) and np.array_equal(a_loop, a_want)
     assert a_loop.flags.c_contiguous
 
 
@@ -777,6 +798,46 @@ def test_solution_and_iterates_are_full_size():
         assert s.shape == (program.dim, program.dim)
         assert np.array_equal(s[np.ix_(dropped, dropped)], c_mat[np.ix_(dropped, dropped)])
         assert not s[np.ix_(dropped, ~dropped)].any()
+
+
+def test_padded_solution_and_iterates_are_full_size():
+    # (2,2) H2avg1/ppt: components of 9, 4 and 4 rows in (2, 9) blocks, the
+    # second ending in one padding row, which the loop keeps and the solution drops
+    program = _bench_program([2009, 1, 0], 2, 2, "H2avg1", "ppt")
+    c_mat, a_stack, b = sdp._prepare(program)
+    rows = sdp._block_layout(c_mat, a_stack)[1]
+    assert rows.shape == (2, 9) and rows[1, -1] == -1 and (rows >= 0).sum() == program.dim
+    sol = sdp.solve(program, trace_iterates=True)
+    assert sol.status == "optimal" and sol.z.shape == (program.dim, program.dim)
+    assert np.array_equal(sol.z, sol.iterates[sol.iterations][0])
+    *_, loop_iterates = sdp._solve_textbook(*sdp._gather(c_mat, a_stack, rows), b, True)
+    assert len(loop_iterates) == len(sol.iterates)
+    blocks = [np.ix_(r[r >= 0], r[r >= 0]) for r in rows]
+    off = np.ones(c_mat.shape, dtype=bool)
+    for block in blocks:
+        off[block] = False
+    for (x, _, s), (x_loop, _, s_loop) in zip(sol.iterates, loop_iterates):
+        # the loop's X is positive on its padding row, and the full-size X and S
+        # hold only the live rows of the loop's blocks; off them X, and C, are 0
+        assert x_loop[1, -1, -1].real > 0
+        for full, looped in ((x, x_loop), (s, s_loop)):
+            assert full.shape == (program.dim, program.dim) and not full[off].any()
+            for k, block in enumerate(blocks):
+                live = len(block[0])
+                assert np.array_equal(full[block], looped[k, :live, :live])
+
+
+@pytest.mark.parametrize("sizes,blocks", [((9, 4), (1, 13)), ((9, 4, 4), (2, 9))])
+def test_padding_is_kept_at_half_the_eigen_work_or_less(sizes, blocks):
+    # padded into blocks of 9, both patterns take K B^3 = 2 x 729 = 1,458, against
+    # n^3 / 2 = 1,098.5 at n = 13 and 2,456.5 at n = 17
+    n = sum(sizes)
+    c_mat = np.zeros((n, n), dtype=complex)
+    at = 0
+    for size in sizes:
+        c_mat[at : at + size, at : at + size] = 1.0
+        at += size
+    assert sdp._block_layout(c_mat, np.eye(n, dtype=complex)[None])[1].shape == blocks
 
 
 def test_negative_constant_block_stops_before_the_loop(monkeypatch):

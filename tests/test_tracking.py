@@ -24,9 +24,9 @@ SIZE_TABLE = [
     ("Davg", "cptp", 20, 12, (3, 4)),
     ("Davg", "ppt", 20, 16, (4, 4)),
     ("H2avg1", "cptp", 13, 13, (1, 13)),
-    ("H2avg1", "ppt", 13, 17, (1, 17)),
+    ("H2avg1", "ppt", 13, 17, (2, 9)),
     ("Havg2", "cptp", 13, 13, (1, 13)),
-    ("Havg2", "ppt", 13, 17, (1, 17)),
+    ("Havg2", "ppt", 13, 17, (2, 9)),
     ("Oavg2", "cptp", 13, 12, (3, 4)),
     ("Oavg2", "ppt", 13, 16, (4, 4)),
     ("FHSavg1", "cptp", 4, 4, (1, 4)),
