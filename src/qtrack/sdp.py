@@ -134,8 +134,11 @@ class SdpInequality:
         return self.f0.shape[0]
 
     def slack(self, x):
-        """F0 + sum_j x_j F_j at the point x."""
-        return self.f0 + sum(xj * fj for xj, fj in zip(np.asarray(x), self.fs))
+        """F0 + sum_j x_j F_j at the point x, which has one entry per F_j."""
+        x = np.asarray(x)
+        if x.shape != self.c.shape:
+            raise LinalgError(f"x has {x.size} entries, the program {self.c.size} variables")
+        return self.f0 + sum(xj * fj for xj, fj in zip(x, self.fs))
 
 
 # an iterate converges once both scaled residuals are within FEAS_TOL and the
@@ -434,28 +437,23 @@ def _block_index(rows, n):
 def _gather(c_mat, a_stack, rows):
     """The loop's C and A_i on ``rows``' blocks: (K, B, B) and (m, K, B, B), or (B, B) and (m, B, B).
 
-    When one block holds every row, ``c_mat`` and ``a_stack`` themselves.  A
-    padding row (-1) is decoupled: C is scale = max(1, max|C|) on its
-    diagonal, which leaves the loop's scale as it is, and every A_i is 0 on
-    it.  A padded layout reads C and the A_i bordered by a zero last row and
-    column, which the padding rows index as -1 mod n + 1 = n.
+    When one block holds every row, ``c_mat`` and ``a_stack`` themselves.
+    Any other layout reads C and the A_i bordered by a zero last row and
+    column, which the padding rows (-1) index as -1 mod n + 1 = n.  A padding
+    row is decoupled: C is scale = max(1, max|C|) on its diagonal, which
+    leaves the loop's scale as it is, and every A_i is 0 on it.
     """
     n = c_mat.shape[0]
     if rows.shape == (1, n):
         return c_mat, a_stack
-    pad = rows < 0
-    if not pad.any():
-        index = _block_index(rows, n)
-        return tuple(np.take(m.reshape(*m.shape[:-2], n * n), index, axis=-1)
-                     for m in (c_mat, a_stack))
     index = _block_index(rows % (n + 1), n + 1)
     wide = np.zeros((1 + len(a_stack), n + 1, n + 1), dtype=complex)
     wide[0, :n, :n] = c_mat
     wide[1:, :n, :n] = a_stack
     blocks = np.take(wide.reshape(-1, (n + 1) ** 2), index, axis=-1)
-    c_blocks = blocks[0]
-    c_blocks.reshape(len(rows), -1)[:, :: rows.shape[1] + 1][pad] = max(1.0, np.abs(c_blocks).max())
-    return c_blocks, blocks[1:]
+    diagonal = blocks[0].reshape(len(rows), -1)[:, :: rows.shape[1] + 1]
+    diagonal[rows < 0] = max(1.0, np.abs(blocks[0]).max())
+    return blocks[0], blocks[1:]
 
 
 def _scatter(blocks, rows, base):
@@ -549,18 +547,21 @@ def _certificate(z, slack, rp, gap, scale, lazy=False):
 def verify_certificate(z, x, problem):
     """Check a candidate optimal pair (``sol.z``, ``sol.x``) on ``_prepare``'s (C, A_i, b).
 
-    ``x`` is the program's variable and ``z`` the dual's matrix variable; the
-    slack F0 + sum x_j F_j is C - sum x_j A_j.  The values are named as in
-    ``SdpSolution``: ``primal_value`` is c^T x and ``dual_value`` -tr(F0 Z).
-    Checked: (i) the equality residuals tr(A_j Z) - b_j of the dual, (ii)
-    PSD-ness of Z and of the slack, (iii) the duality gap c^T x + tr(F0 Z),
-    and (iv) complementary slackness ||(F0 + sum x_j F_j) Z||.  The loop
-    stops on the same check.
+    ``x`` is the program's variable and ``z`` the dual's matrix variable (a
+    pair of other sizes raises LinalgError); the slack F0 + sum x_j F_j is
+    C - sum x_j A_j.  The values are named as in ``SdpSolution``:
+    ``primal_value`` is c^T x and ``dual_value`` -tr(F0 Z).  Checked: (i) the
+    equality residuals tr(A_j Z) - b_j of the dual, (ii) PSD-ness of Z and of
+    the slack, (iii) the duality gap c^T x + tr(F0 Z), and (iv) complementary
+    slackness ||(F0 + sum x_j F_j) Z||.  The loop stops on the same check.
     """
     c_mat, a_stack, b = _prepare(problem)
     n = c_mat.shape[0]
-    z = hermitize(np.asarray(z, dtype=complex), atol=1e-6)
-    x = np.asarray(x, dtype=float)
+    z, x = np.asarray(z, dtype=complex), np.asarray(x, dtype=float)
+    if x.shape != b.shape or z.shape != c_mat.shape:
+        raise LinalgError(f"x has {x.size} entries and z shape {z.shape}, the program "
+                          f"{b.size} variables and an LMI of shape {c_mat.shape}")
+    z = hermitize(z, atol=1e-6)
     a_flat = _flat(a_stack)
     slack = hermitize(c_mat - (x @ a_flat).view(complex).reshape(n, n), atol=1e-6)
     pval = -float(b @ x)  # c^T x

@@ -17,17 +17,15 @@ other program is built by one builder with one layout:
   corner of a 2 x 2 block for the other distances.  It is empty for the
   closeness objectives, which are linear in C.
 
-What depends only on (objective, feasible set, I, d) is read once per shape
-off the objective's own layout and cached as ``_template``: where each entry
-of the objective block goes and which slot input it holds, the extras' blocks
-and the cost.  ``assemble`` then fills one stack F0, F_1, ..., F_m: the
-objective block in one scatter of the scaled slot inputs, and the Choi cone
+What (objective, I, d) fix, the objective's layout and block size, the
+extras' blocks and the cost, is cached per shape as ``_shape``.  ``assemble``
+fills one stack F0, F_1, ..., F_m: the objective blocks of all rows in one
+call of the layout, which broadcasts over leading axes, and the Choi cone
 copied from the cached table of H^mu (x) H^nu.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable
@@ -38,7 +36,7 @@ from . import sdp
 from .channels import TP_TOL, ChoiMatrix, DensityMatrix, apply_choi_raw, check_cptp, check_ppt
 from .distances import (WeightedSequence, check_matching, check_priorities, hs_distance,
                         sequence_distance)
-from .linalg import LinalgError, hermitian_basis, vec
+from .linalg import LinalgError, hermitian_basis
 
 FEASIBLE_SETS = ("cptp", "ppt")
 
@@ -63,12 +61,13 @@ class TrackingProblem:
 
 
 def _dsum(blocks):
-    sizes = [b.shape[0] for b in blocks]
-    out = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    """The direct sum of square blocks, over the leading axes they share."""
+    size = sum(b.shape[-1] for b in blocks)
+    out = np.zeros((*blocks[0].shape[:-2], size, size), dtype=complex)
     at = 0
     for b in blocks:
-        out[at : at + b.shape[0], at : at + b.shape[0]] = b
-        at += b.shape[0]
+        out[..., at : at + b.shape[-1], at : at + b.shape[-1]] = b
+        at += b.shape[-1]
     return out
 
 
@@ -94,10 +93,10 @@ def _kron_table(d):
 def _off_diagonal(layout, blocks):
     """[[0, M], [M^dag, 0]] for the rectangular M = layout(blocks)."""
     m = layout(blocks)
-    r = m.shape[0]
-    out = np.zeros((sum(m.shape),) * 2, dtype=complex)
-    out[:r, r:] = m
-    out[r:, :r] = m.conj().T
+    r, size = m.shape[-2], sum(m.shape[-2:])
+    out = np.zeros((*m.shape[:-2], size, size), dtype=complex)
+    out[..., :r, r:] = m
+    out[..., r:, :r] = m.conj().mT
     return out
 
 
@@ -124,7 +123,7 @@ def _trace_norm(i_count, d):
 
 def _residual_column(blocks):
     """The residual blocks as one column: vec R_1, ..., vec R_I stacked."""
-    return np.concatenate([vec(b) for b in blocks])[:, None]
+    return np.concatenate([b.mT.reshape(*b.shape[:-2], -1) for b in blocks], axis=-1)[..., None]
 
 
 def _norm_epigraph(layout, i_count, d):
@@ -166,10 +165,9 @@ class _Objective:
     layout(R_1, ..., R_I) + fixed(pis, d) + sum_k t_k E_k >= 0 over its extra
     variables t_k; ``block(I, d)`` returns (layout, extras): ``layout`` maps
     the weighted residual blocks R_i linearly onto the block ([[0, M],
-    [M^dag, 0]] for the epigraphs, M (+) -M for Davg), copying, negating or
-    conjugating their entries, and ``extras`` lists the extra variables as
-    (diagonal blocks of E_k, cost).  ``fixed`` is the block's constant part
-    (0: none).
+    [M^dag, 0]] for the epigraphs, M (+) -M for Davg), over any leading axes
+    the R_i share, and ``extras`` lists the extra variables as (diagonal
+    blocks of E_k, cost).  ``fixed`` is the block's constant part (0: none).
     """
 
     score: Callable
@@ -217,66 +215,30 @@ def _choi_is_dual(tp: TrackingProblem):
     return _OBJECTIVES[tp.objective].closeness and tp.feasible == "cptp"
 
 
-class _Template(namedtuple("_Template", "basis nb n at src signs extra_at extra_values c")):
-    """What (objective, feasible set, I, d) fix in ``assemble``'s program, as read-only arrays.
-
-    The program is the stack F0, F_1, ..., F_m of n x n matrices, the
-    objective's nb x nb block beside the Choi cone.  The Choi pairs (mu, nu)
-    come first, mu-major, then the objective's extra variables.  The
-    objective block of F0 and of each pair's F_j is the layout of that row's
-    I slot inputs; its entry at flat position ``at`` of an n x n matrix is
-    input entry ``src`` of the row, with ``signs`` on its real and imaginary
-    parts.  The extras' blocks are kept as the flat positions ``extra_at`` in
-    the stack of their F_j and the values there whose bytes are not zero.
-    ``basis`` is the Hermitian basis H^mu and ``c`` the cost.
-    """
-
-    __slots__ = ()
-
-
 @cache
-def _template(objective, feasible, i_count, d):
-    """The program's shape, read off the objective's own layout once.
+def _shape(objective, i_count, d):
+    """What (objective, I, d) fix in ``assemble``'s program: (layout, nb, extras, c, basis).
 
-    The layout only copies, negates or conjugates its inputs' entries, and
-    negates or conjugates some of its own zeros.  One call on inputs whose
-    entries are k (1 + 1j), k = 1, 2, ..., therefore gives back, at each
-    entry it writes, the input entry it holds (|re| - 1, or the zero slot
-    after the inputs) and the signs it puts on its two parts.  Every entry
-    whose bytes are not zero is placed, zeros included: the product of a
-    scale and a zero takes the scale's sign, and the signs are applied
-    after the product, as the layout applies them.
+    ``layout`` maps the slot inputs onto the objective's nb x nb block,
+    ``extras`` is the (k, nb, nb) stack of the extra variables' blocks, ``c``
+    the cost and ``basis`` the Hermitian basis H^mu; the arrays are read-only.
     """
     layout, extras = _OBJECTIVES[objective].block(i_count, d)
-    n_inputs = i_count * d * d
-    probe = layout(list((1 + 1j) * np.arange(1, n_inputs + 1).reshape(i_count, d, d)))
-    nb = probe.shape[0]
-    n = nb + d * d * (2 if feasible == "ppt" else 1)
-    row, col = np.nonzero(_bytes_set(probe))
-    written = probe[row, col]
-    extra = np.array([_dsum(diagonal) for diagonal, _ in extras], dtype=complex)
-    extra = extra.reshape(len(extras), nb, nb)
-    k, e_row, e_col = np.nonzero(_bytes_set(extra))
-    template = _Template(
-        basis=np.array(hermitian_basis(d)), nb=nb, n=n, at=row * n + col,
-        src=np.where(written == 0, n_inputs, np.abs(written.real).astype(int) - 1),
-        signs=np.copysign(1.0, written.view(float).reshape(-1, 2)),
-        extra_at=(k * n + e_row) * n + e_col, extra_values=extra[k, e_row, e_col],
-        c=np.array([0.0] * len(_choi_pairs(d)) + [cost for _, cost in extras]),
-    )
-    for value in template:
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return template
-
-
-def _bytes_set(m):
-    """Where a complex array's entries have a bit set: its nonzeros and its negative zeros."""
-    return m.view(np.uint64).reshape(*m.shape, 2).any(axis=-1)
+    nb = layout([np.zeros((d, d))] * i_count).shape[0]
+    blocks = np.array([_dsum(diagonal) for diagonal, _ in extras], dtype=complex)
+    shape = (layout, nb, blocks.reshape(len(extras), nb, nb),
+             np.array([0.0] * len(_choi_pairs(d)) + [cost for _, cost in extras]),
+             np.array(hermitian_basis(d)))
+    for value in shape[2:]:
+        value.flags.writeable = False
+    return shape
 
 
 def assemble(tp: TrackingProblem) -> sdp.SdpInequality:
-    """Build the SDP for a tracking problem from its shape's cached ``_template``.
+    """Build the SDP for a tracking problem from its shape's cached ``_shape``.
+
+    The slot inputs of F0 and of every Choi pair's F_j form one (rows, I, d,
+    d) stack, and one layout call over it gives all their objective blocks.
 
     Closeness over plain CPTP maximizes -tr(E0 C) over Choi matrices C >= 0
     with tr((H^a (x) I) C) = d delta_a0: the dual of minimizing -d nu_0 over
@@ -295,35 +257,31 @@ def assemble(tp: TrackingProblem) -> sdp.SdpInequality:
         b = np.array([float(d) if a == 0 else 0.0 for a in range(d * d)])
         return sdp.SdpInequality(-b, e0, -kron[:, 0])
 
-    t = _template(tp.objective, tp.feasible, len(pis), d)
+    layout, nb, extras, c, basis = _shape(tp.objective, len(pis), d)
+    n = nb + d * d * (1 + ppt)
     # residual i, w_i (Phi(rho_i) - rhobar_i), is w_i (I/d - rhobar_i) plus
     # x_munu scale[i, mu] H^nu over the Choi pairs (mu, nu): these are the
     # objective block's slot inputs, in F0 and in each pair's F_j
-    scale = w[:, None] * np.trace(sources.mT[:, None] @ t.basis, axis1=-2, axis2=-1).real
+    scale = w[:, None] * np.trace(sources.mT[:, None] @ basis, axis1=-2, axis2=-1).real
     rows = 1 + d * d * (d * d - 1)
-    inputs = np.zeros((rows, len(pis) * d * d + 1), dtype=complex)  # the last slot stays zero
-    slots = inputs[:, :-1].reshape(rows, len(pis), d, d)
+    slots = np.empty((rows, len(pis), d, d), dtype=complex)
     slots[0] = w[:, None, None] * (np.eye(d) / d - targets)
     pair_slots = slots[1:].reshape(d * d, d * d - 1, len(pis), d, d)  # [mu, nu - 1, i]
-    np.multiply(scale.T[:, None, :, None, None], t.basis[None, 1:, None], out=pair_slots)
-    entries = np.take(inputs, t.src, axis=1)
-    parts = entries.view(float).reshape(*entries.shape, 2)
-    parts *= t.signs  # negation and conjugation, after the product as in the layout
-    stack = np.zeros((1 + len(t.c), t.n, t.n), dtype=complex)  # F0, F_1, ..., F_m
-    stack.reshape(len(stack), -1)[:rows, t.at] = entries
-    stack[0, : t.nb, : t.nb] += obj.fixed(pis, d)
+    np.multiply(scale.T[:, None, :, None, None], basis[None, 1:, None], out=pair_slots)
+    stack = np.zeros((1 + len(c), n, n), dtype=complex)  # F0, F_1, ..., F_m
+    stack[:rows, :nb, :nb] = layout(list(slots.swapaxes(0, 1)))
+    stack[0, :nb, :nb] += obj.fixed(pis, d)
     # the Choi cone: C = I/d + sum x_munu H^mu (x) H^nu, beside C^{T_B} for PPT
     for k, table in enumerate(_kron_table(d)[: 1 + ppt]):
-        cone = slice(t.nb + k * d * d, t.nb + (k + 1) * d * d)
+        cone = slice(nb + k * d * d, nb + (k + 1) * d * d)
         stack[0, cone, cone] = table[0, 0] / d
-        stack[1:rows].reshape(d * d, d * d - 1, t.n, t.n)[..., cone, cone] = table[:, 1:]
-    stack[rows:].reshape(-1)[t.extra_at] = t.extra_values
-    c = t.c.copy()
+        stack[1:rows].reshape(d * d, d * d - 1, n, n)[..., cone, cone] = table[:, 1:]
+    stack[rows:, :nb, :nb] = extras
     if obj.closeness:
         # maximize sum_i w_i tr(Phi(rho_i) rhobar_i): a linear cost on x, per pair
-        overlap = np.trace(t.basis @ targets[:, None], axis1=-2, axis2=-1).real
+        overlap = np.trace(basis @ targets[:, None], axis1=-2, axis2=-1).real
         c = -sum((scale[:, :, None] * overlap[:, None, 1:]).reshape(len(pis), -1))
-    return sdp.SdpInequality(c, stack[0], stack[1:])
+    return sdp.SdpInequality(np.array(c), stack[0], stack[1:])  # c copied off the cache
 
 
 def problem_size(assembled):

@@ -173,6 +173,27 @@ def test_solution_slack_is_psd():
     assert abs(sol.primal_value - sol.dual_value) < 1e-7
 
 
+TWO_VARIABLES = sdp.SdpInequality([1.0, 1.0], np.eye(2), [np.eye(2), np.diag([1.0, -1.0])])
+
+
+def test_slack_refuses_a_point_of_the_wrong_length():
+    # a short x must not be read as padded with zeros, nor a long one cut to the program
+    prob = TWO_VARIABLES
+    assert np.array_equal(prob.slack([5.0, 0.0]), 6 * np.eye(2))
+    for x in ([5.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(LinalgError, match=f"x has {len(x)} entries, the program 2 variables"):
+            prob.slack(x)
+
+
+def test_certificate_refuses_a_pair_of_the_wrong_size():
+    prob, z, x = TWO_VARIABLES, np.eye(2), np.zeros(2)
+    assert sdp.verify_certificate(z, x, prob)["primal_value"] == 0.0
+    for z_bad, x_bad in ((z, x[:1]), (z, np.zeros(3)), (np.eye(3), x), (np.eye(1), x)):
+        with pytest.raises(LinalgError, match=rf"x has {x_bad.size} entries and z shape "
+                                              rf"\({len(z_bad)}, {len(z_bad)}\)"):
+            sdp.verify_certificate(z_bad, x_bad, prob)
+
+
 def _inverse_sqrt(m):
     w, u = np.linalg.eigh(m)
     return (u / np.sqrt(w)) @ u.conj().T

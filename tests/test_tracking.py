@@ -533,15 +533,14 @@ def test_template_gives_the_layout_calls_byte_for_byte(i_count, d):
 @pytest.mark.parametrize("feasible", tracking.FEASIBLE_SETS)
 def test_template_cache_is_isolated(objective, feasible):
     # problem A, a different problem of the same shape, then A again: the
-    # cached template is shared, and nothing of one program reaches the next
+    # cached shape is shared, and nothing of one program reaches the next
     rng = np.random.default_rng([23, 2, 3])
     first, second = (random_problem(rng, 2, 3, pure_targets=False, uniform=False) for _ in "ab")
     programs = [tracking.assemble(tracking.TrackingProblem(*pair, objective, feasible))
                 for pair in (first, second, first)]
     assert _program_bytes(programs[0]) == _program_bytes(programs[2])
     assert _program_bytes(programs[0]) != _program_bytes(programs[1])
-    template = tracking._template(objective, feasible, 2, 3)
-    arrays = [v for v in template if isinstance(v, np.ndarray)]
+    arrays = [v for v in tracking._shape(objective, 2, 3) if isinstance(v, np.ndarray)]
     assert arrays and not any(a.flags.writeable for a in arrays)
 
 
