@@ -5,8 +5,9 @@ Each handler returns the text it prints; :func:`main` writes it to stdout or
 stdout (``solve --dump-problem`` writes there too).  An unwritable ``--out``
 is rejected before the handler runs.  Exit codes: 0 success, 2
 validation/input error (an unwritable output path included), 3 solver
-failure.  Every randomized command requires ``--seed`` and is byte-for-byte
-reproducible for a fixed seed.
+failure (:class:`~qtrack.sdp.SolverError`, which ``multistep`` also raises
+when no restart converges).  Every randomized command requires ``--seed``
+and is byte-for-byte reproducible for a fixed seed.
 """
 
 from __future__ import annotations

@@ -8,9 +8,11 @@ nonlinear system in the Bloch data.  The solver is a damped fixed-point sweep
 with a finite-difference Newton polish every ``NEWTON_AFTER`` sweeps,
 restarted from several seeds.  The restarts are iterated together as one
 ``(restarts, dim)`` array: each sweep computes the controllers of all rows
-with the stacked kernel :func:`~qtrack.analytic.optimal_frames`, a row stops
-when it converges, and each Newton step of the rows still active is one
-batched sweep over all their perturbed points and one stacked solve.  The
+with the stacked kernel :func:`~qtrack.analytic.optimal_frames`, and a row
+stops when it converges.  The self-consistency map reads only a row's step
+sources, not its virtual targets, so each Newton step of the rows still
+active is one stacked solve and, mostly, one batched sweep: their damped
+candidates with the source perturbations of the next step.  The
 kernel computes each row from its own data, and the batched propagation
 repeats :func:`forward_state` and :func:`backward_target` in the same order,
 so every restart gives the same bits as when it ran alone.  The fidelity of
@@ -39,6 +41,7 @@ from .analytic import (
 )
 from .channels import QubitChannelCanonical, check_rsw
 from .linalg import LinalgError, stacked_dot
+from .sdp import SolverError
 
 # restarts whose chain fidelities differ by no more than this are tied
 FIDELITY_TIE = 1e-12
@@ -173,17 +176,24 @@ class ChainTask:
         return float(total)
 
 
+def _source_len(task: ChainTask):
+    """Length of the block of step sources that opens each :func:`_pack` row."""
+    return 6 * (task.n_steps - 1)
+
+
 def _pack(task: ChainTask, r_steps, c_steps, rb_steps):
-    """Free chain data, ``(..., N, 2, 3)`` and ``(..., N, 2)``, as ``(..., dim)`` rows."""
+    """Free chain data, ``(..., N, 2, 3)`` and ``(..., N, 2)``, as ``(..., dim)`` rows.
+
+    A row holds the step sources first, then each free step's target Bloch
+    vectors and scalars.
+    """
     lead = c_steps.shape[:-2]
     free = task.n_steps - 1
     targets = np.concatenate(
         [rb_steps[..., :-1, :, :].reshape(*lead, free, 6), c_steps[..., :-1, :]], axis=-1
     )
-    return np.concatenate(
-        [r_steps[..., 1:, :, :].reshape(*lead, 6 * free), targets.reshape(*lead, 8 * free)],
-        axis=-1,
-    )
+    sources = r_steps[..., 1:, :, :].reshape(*lead, _source_len(task))
+    return np.concatenate([sources, targets.reshape(*lead, 8 * free)], axis=-1)
 
 
 def _unpack(task: ChainTask, z):
@@ -192,8 +202,9 @@ def _unpack(task: ChainTask, z):
     free = task.n_steps - 1
     r_steps = np.empty((*lead, free + 1, 2, 3))
     r_steps[..., 0, :, :] = task.r_sources
-    r_steps[..., 1:, :, :] = z[..., : 6 * free].reshape(*lead, free, 2, 3)
-    targets = z[..., 6 * free :].reshape(*lead, free, 8)
+    src = _source_len(task)
+    r_steps[..., 1:, :, :] = z[..., :src].reshape(*lead, free, 2, 3)
+    targets = z[..., src:].reshape(*lead, free, 8)
     rb_steps = np.empty((*lead, free + 1, 2, 3))
     rb_steps[..., :-1, :, :] = targets[..., :6].reshape(*lead, free, 2, 3)
     rb_steps[..., -1, :, :] = task.rb_final
@@ -307,6 +318,8 @@ def solve_chain(task: ChainTask, restarts=MAX_RESTARTS, seed=0) -> StepChain:
     must beat the best so far by more than ``FIDELITY_TIE``, so ties at
     round-off level go to the earlier restart.  ``StepChain.restarts`` holds
     one :class:`RestartRecord` per restart, discarded ones included.
+    LinalgError unless ``restarts`` is between 1 and ``MAX_RESTARTS``;
+    :class:`~qtrack.sdp.SolverError` when no restart converges.
     """
     if not 1 <= restarts <= MAX_RESTARTS:
         raise LinalgError(f"restarts must be between 1 and {MAX_RESTARTS}, got {restarts}")
@@ -314,7 +327,7 @@ def solve_chain(task: ChainTask, restarts=MAX_RESTARTS, seed=0) -> StepChain:
     z, residual, sweeps, newton = _solve_batch(task, np.array([z0 for z0, _ in seeds]))
     kept = np.flatnonzero(residual <= CHAIN_TOL)  # NaN is dropped too
     if not kept.size:
-        raise LinalgError("no restart converged; relax tolerances or add seeds")
+        raise SolverError("no restart converged; relax tolerances or add seeds")
     r_steps, c_steps, rb_steps = _unpack(task, z)
     frames = [f.reshape(kept.size, task.n_steps, *f.shape[1:])
               for f in _frames(r_steps[kept].reshape(-1, 2, 3), rb_steps[kept].reshape(-1, 2, 3))]
@@ -396,23 +409,41 @@ def _solve_batch(task, z):
 def _newton_polish(task, z):
     """Damped Newton on G(z) = z - Phi(z) of each row of ``(R, dim)`` ``z``.
 
-    Each step sweeps the live rows and their ``dim`` finite-difference
-    perturbations as one batch, solves their Jacobians as one stack (row by
-    row, with a least-squares fallback, when one is singular), then scores the
-    damped candidates of every row with one more batch.  A row takes its first
-    candidate that lowers its residual and fails when none does, so it gets the
-    bits it would get alone.  Returns the rows, their last residuals max|G|
-    and whether each converged within ``CHAIN_TOL``.
+    Phi reads only a row's sources, its first :func:`_source_len` coordinates,
+    so of a row's ``dim`` finite-difference probes only those along a source
+    are swept: a probe along a target has the base row's Phi.  Each step solves
+    the live rows' Jacobians as one stack (row by row, with a least-squares
+    fallback, when one is singular), then sweeps as one batch the damped
+    candidates of every row with the source probes around its full-step
+    candidate.  A row takes its first candidate that lowers its residual and
+    fails when none does.  A row that took the full step enters the next step
+    probed; only the rows that took a damped candidate have their probes swept
+    again.  Each row of a sweep is computed from its own data, so a row gets
+    the bits it would get alone with all ``dim + 1`` probes swept.  Returns the
+    rows, their last residuals max|G| and whether each converged within
+    ``CHAIN_TOL``.
     """
     rows, dim = z.shape
+    src = _source_len(task)
     h = 1e-7
     damps = np.array([1.0, 0.5, 0.25, 0.1])[:, None]
     diag = np.arange(dim)
-    z, res, ok, live = z.copy(), np.full(rows, np.inf), np.zeros(rows, dtype=bool), np.arange(rows)
-    for step in range(MAX_NEWTON + 1):
-        probes = np.repeat(z[live, None], dim + 1, axis=1)
+
+    def probed(base):
+        """Each row of ``(L, dim)`` ``base`` and its ``dim`` probes, ``(L, dim + 1, dim)``."""
+        probes = np.repeat(base[:, None], dim + 1, axis=1)
         probes[:, diag + 1, diag] += h
-        g = probes - _sweep(task, probes.reshape(-1, dim)).reshape(probes.shape)
+        return probes
+
+    def sweep(points):
+        return _sweep(task, points.reshape(-1, dim)).reshape(points.shape)
+
+    z, res, ok, live = z.copy(), np.full(rows, np.inf), np.zeros(rows, dtype=bool), np.arange(rows)
+    phi = np.empty((rows, dim + 1, dim))  # Phi of each row's probes, the row itself first
+    phi[:, : src + 1] = sweep(probed(z)[:, : src + 1])
+    for step in range(MAX_NEWTON + 1):
+        phi[live, src + 1 :] = phi[live, :1]
+        g = probed(z[live]) - phi[live]
         res[live] = np.abs(g[:, 0]).max(axis=1)
         ok[live] = res[live] <= CHAIN_TOL
         g, live = g[~ok[live]], live[~ok[live]]
@@ -424,11 +455,15 @@ def _newton_polish(task, z):
         except np.linalg.LinAlgError:
             dz = np.array([_solve_or_lstsq(a, b) for a, b in zip(jac, g[:, 0])])
         cands = z[live, None] - damps * dz[:, None]
-        g = cands - _sweep(task, cands.reshape(-1, dim)).reshape(cands.shape)
-        better = np.abs(g).max(axis=2) < res[live, None]
+        swept = sweep(np.concatenate([cands, probed(cands[:, 0])[:, 1 : src + 1]], axis=1))
+        better = np.abs(cands - swept[:, : len(damps)]).max(axis=2) < res[live, None]
         moved = better.any(axis=1)
-        live = live[moved]
-        z[live] = cands[moved, better[moved].argmax(axis=1)]
+        live, pick = live[moved], better[moved].argmax(axis=1)
+        z[live], phi[live, 0] = cands[moved, pick], swept[moved, pick]
+        phi[live, 1 : src + 1] = swept[moved, len(damps) :]
+        damped = live[pick > 0]
+        if damped.size:
+            phi[damped, 1 : src + 1] = sweep(probed(z[damped])[:, 1 : src + 1])
     return z, res, ok
 
 
@@ -457,7 +492,7 @@ def sweep_2step(task_factory, lam1_grid, lam2_grid, restarts=MAX_RESTARTS, seed=
         try:
             chain = solve_chain(task, restarts=restarts, seed=seed)
             f_multi = chain.fidelity
-        except LinalgError:
+        except SolverError:
             f_multi = -np.inf
         if f_multi > f_single + 1e-9:
             label = "advantage"

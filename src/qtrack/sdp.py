@@ -99,7 +99,11 @@ from .linalg import LinalgError, hermitize
 
 
 class SolverError(RuntimeError):
-    """Numerical breakdown inside the interior-point iteration."""
+    """A solver failed on valid input.
+
+    Raised on numerical breakdown inside the interior-point iteration, and by
+    :func:`~qtrack.multistep.solve_chain` when no restart converges.
+    """
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qtrack import analytic, channels as ch, multistep as ms
+from qtrack import analytic, channels as ch, cli, multistep as ms, serialize
 from qtrack.channels import (
     DensityMatrix,
     apply_choi,
@@ -15,6 +15,7 @@ from qtrack.channels import (
     random_state,
 )
 from qtrack.distances import hs_inner
+from qtrack.sdp import SolverError
 
 
 def straddle_pair(half_angle, r_len=1.0):
@@ -362,7 +363,8 @@ def _reference_sweep(task, z):
     return ms._pack(task, new_r, new_c, new_rb)
 
 
-def _random_chain_task(rng, n_steps):
+def _random_chain_inputs(rng, n_steps):
+    """Sources, targets, priorities and noises of a random ``n_steps`` chain."""
     noises = []
     for _ in range(n_steps - 1):
         if rng.uniform() < 0.5:
@@ -373,8 +375,12 @@ def _random_chain_task(rng, n_steps):
                 lam, t = rng.uniform(0.2, 0.9, 3), rng.uniform(-0.1, 0.1, 3)
             noises.append(ms.diagonal_noise(lam, t))
     pi1 = float(rng.uniform(0.2, 0.8))
-    return ms.ChainTask([random_state(2, rng), random_state(2, rng)],
-                        [random_state(2, rng), random_state(2, rng)], [pi1, 1.0 - pi1], noises)
+    return ([random_state(2, rng), random_state(2, rng)],
+            [random_state(2, rng), random_state(2, rng)], [pi1, 1.0 - pi1], noises)
+
+
+def _random_chain_task(rng, n_steps):
+    return ms.ChainTask(*_random_chain_inputs(rng, n_steps))
 
 
 @pytest.mark.parametrize("n_steps", [2, 3, 4])
@@ -392,8 +398,12 @@ def test_batched_sweep_matches_scalar_reference(n_steps):
             z = 0.35 * z + 0.65 * batched
 
 
-def _reference_polish(task, z):
-    """The one-row polish the batched one replaced: the polished row, or None."""
+def _reference_polish(task, z, picks=None):
+    """The one-row polish the batched one replaced: the polished row, or None.
+
+    With a list ``picks``, each step's candidate index is appended to it, or
+    None for the step where no candidate lowered the residual.
+    """
     dim = z.size
     h = 1e-7
     damps = np.array([1.0, 0.5, 0.25, 0.1])
@@ -414,6 +424,8 @@ def _reference_polish(task, z):
         better = np.flatnonzero(
             np.abs(cands - ms._sweep(task, cands)).max(axis=1) < np.abs(g0).max()
         )
+        if picks is not None:
+            picks.append(better[0] if better.size else None)
         if not better.size:
             return None
         z = cands[better[0]]
@@ -461,6 +473,69 @@ def test_batched_polish_matches_one_row_polishes(n_steps, monkeypatch):
         if ok:
             assert np.array_equal(z_ok, want)
             assert res_ok == np.abs(ms._sweep(task, want[None])[0] - want).max()
+
+
+@pytest.mark.parametrize("n_steps", [2, 3, 4])
+def test_polish_sweeps_only_source_probes(n_steps, monkeypatch):
+    # the fixtures of the batched-polish test: the polish sweeps each row with
+    # its source probes once, then per Newton step the live rows' candidates
+    # with the source probes around their full steps, and fresh probes only
+    # for the rows that took a damped candidate
+    rng = np.random.default_rng(20 + n_steps)
+    task = _random_chain_task(rng, n_steps)
+    z = np.array([z0 for z0, _ in ms._seed_chains(task, rng)])
+    src, n_damps = ms._source_len(task), 4
+    sweep, swept = ms._sweep, []
+
+    def counted_sweep(task, z):
+        swept.append(len(z))
+        return sweep(task, z)
+
+    lstsq, lstsq_calls = np.linalg.lstsq, []
+
+    def counted_lstsq(*args, **kwargs):
+        lstsq_calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", _solve_failing_every_third(np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    monkeypatch.setattr(ms, "_sweep", counted_sweep)
+    batched = ms._newton_polish(task, z)
+    budget = swept.copy()
+    picks = [[] for _ in z]
+    for k, row in enumerate(z):
+        want = _reference_polish(task, row, picks[k])
+        assert batched[2][k] == (want is not None)
+        if want is not None:
+            assert np.array_equal(batched[0][k], want)
+    want_budget = [len(z) * (src + 1)]
+    for step in range(max(map(len, picks))):
+        taken = [p[step] for p in picks if step < len(p)]
+        want_budget.append(len(taken) * (n_damps + src))
+        damped = sum(1 for pick in taken if pick)  # None (a failing row) and 0 are not
+        if damped:
+            want_budget.append(damped * src)
+    assert budget == want_budget
+    flat = [pick for p in picks for pick in p]
+    assert lstsq_calls and None in flat and any(flat)  # a failing row and a damped step
+
+
+@pytest.mark.parametrize("n_steps", [2, 3, 4])
+def test_sweep_reads_only_the_sources(n_steps):
+    # Phi never reads a row's targets, so the polish sweeps no probe along one
+    rng = np.random.default_rng(40 + n_steps)
+    for _ in range(4):
+        task = _random_chain_task(rng, n_steps)
+        z = np.array([z0 for z0, _ in ms._seed_chains(task, rng)])
+        src = ms._source_len(task)
+        for _ in range(3):
+            other = z.copy()
+            targets = other[:, src:]
+            scale = 10.0 ** rng.uniform(-300, 300, targets.shape)
+            targets[:] = rng.standard_normal(targets.shape) * scale
+            targets[0, 0], targets[1, 0], targets[2, 0] = -0.0, 0.0, np.finfo(float).max
+            assert np.array_equal(ms._sweep(task, other), ms._sweep(task, z))
+            z = 0.35 * z + 0.65 * ms._sweep(task, z)
 
 
 @pytest.mark.parametrize("n_steps", [2, 3, 4])
@@ -540,6 +615,44 @@ def test_three_step_chain_restart_records(monkeypatch):
 def test_solve_chain_rejects_restart_count(restarts):
     with pytest.raises(ms.LinalgError):
         ms.solve_chain(stabilization_task(ms.extremal_noise(0.7, 0.46)), restarts)
+    with pytest.raises(ms.LinalgError):  # invalid input, not a point without a chain
+        ms.sweep_2step(stabilization_task, [0.7], [0.46], restarts=restarts)
+
+
+def _unconverged_draw():
+    """A 3-step draw none of whose first two restarts converges at solve seed 24."""
+    rng = np.random.default_rng([77, 3])
+    for _ in range(25):
+        inputs = _random_chain_inputs(rng, 3)
+    return inputs
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_no_restart_converged_is_a_solver_failure(restarts):
+    task = ms.ChainTask(*_unconverged_draw())
+    with pytest.raises(SolverError, match="no restart converged"):
+        ms.solve_chain(task, restarts=restarts, seed=24)
+    assert ms.solve_chain(task, restarts=3, seed=24).residual <= ms.CHAIN_TOL
+    # the sweep scores such a point as no chain at all
+    [record] = ms.sweep_2step(lambda noise: task, [0.5], [0.5], restarts=restarts, seed=24)
+    assert record["class"] == "suboptimal-converged" and record["f_multi"] == 0.0
+
+
+def test_cli_no_restart_converged_exits_as_a_solver_failure(tmp_path, capsys):
+    sources, targets, priorities, noises = _unconverged_draw()
+    task = {side: [{"pi": pi, **serialize.state_to_json(state)}
+                   for pi, state in zip(priorities, states)]
+            for side, states in (("source", sources), ("target", targets))}
+    (tmp_path / "task.json").write_text(json.dumps(task))
+    noise = [{"lam": n.mu.tolist(), "t": n.s.tolist()} for n in noises]
+    (tmp_path / "noise.json").write_text(json.dumps(noise))
+    argv = ["multistep", "--steps", "3", "--noise", str(tmp_path / "noise.json"),
+            "--task", str(tmp_path / "task.json"), "--seed", "24", "--restarts"]
+    assert cli.main([*argv, "1"]) == cli.EXIT_SOLVER
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1
+    assert err.startswith("qtrack: solver failure: no restart converged")
+    assert cli.main([*argv, "3"]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("lams", [(2.0, 0.5), (0.5, -1.5), (np.nan, 0.5), (0.5, np.inf)])
