@@ -251,10 +251,6 @@ class QubitChannelCanonical:
     def U(self):
         return unitary_of_rotation(self.ru)
 
-    def bloch_map(self, r):
-        """Affine Bloch action of the channel on a (possibly unnormalized) vector."""
-        return self.ru @ (self.mu * (self.rv @ np.asarray(r, dtype=float)) + self.s)
-
 
 def _proper_rotation(r):
     """``r`` as a float array; LinalgError unless R R^T = I (to 1e-9) and det R > 0."""

@@ -12,18 +12,21 @@ with the stacked kernel :func:`~qtrack.analytic.optimal_frames`, and a row
 stops when it converges.  The self-consistency map reads only a row's step
 sources, not its virtual targets, so each Newton step of the rows still
 active is one stacked solve and, mostly, one batched sweep: their damped
-candidates with the source perturbations of the next step.  The
-kernel computes each row from its own data, and the batched propagation
-repeats :func:`forward_state` and :func:`backward_target` in the same order,
-so every restart gives the same bits as when it ran alone.  The fidelity of
-each converged restart is computed from its frames the same way; only the
-winner's controllers are built.  A :class:`ChainTask` reads its pair data
-from :func:`~qtrack.analytic.pair_bloch`.
+candidates with the source perturbations of the next step.
 
-A sweep keeps one new ``(R, dim)`` array in :func:`_pack`'s layout, and
-each step writes into ``(R, 2, 3)`` and ``(R, 2)`` views of it.  The kernel's
-``rv``, ``ru`` are C-ordered ``(R, 3, 3)``; the pull-back keeps its dots
-k-first, ``(3, R, 2)``, and the push keeps sources as ``(R, 2, 3, 1)`` columns.
+Every channel acts through one stacked affine map, :func:`_affine`, and its
+adjoint, :func:`_adjoint`, over frame rows: a controller brings one row per
+chain row and a noise one row that broadcasts over them, so
+:func:`forward_state`, :func:`backward_target` and
+:meth:`ChainTask.chain_fidelity` are the batch's one-row case.  The kernel
+and the maps compute each row from its own data, so every restart gives the
+same bits as when it ran alone.  Each converged restart's fidelity comes from
+its frames; only the winner's controllers are built.  A :class:`ChainTask`
+reads its pair data from :func:`~qtrack.analytic.pair_bloch`.
+
+:func:`_views` alone knows a row's layout; a sweep writes each step into the
+views of one new ``(R, dim)`` array.  The kernel's ``rv``, ``ru`` are
+C-ordered ``(R, 3, 3)``; the adjoint keeps its dots k-first, ``(3, R, 2)``.
 """
 
 from __future__ import annotations
@@ -91,29 +94,20 @@ def extremal_noise(lam1, lam2) -> QubitChannelCanonical:
 
 
 def forward_state(r, controller: QubitChannelCanonical, noise: QubitChannelCanonical):
-    """Propagate a source Bloch vector through controller then noise."""
-    return noise.bloch_map(controller.bloch_map(np.asarray(r, dtype=float)))
+    """Propagate a source Bloch vector through controller then noise: one-row :func:`_push`."""
+    r = np.asarray(r, dtype=float)[None, None]
+    return _push(_rows([controller]), _rows([noise]), r)[0, 0]
 
 
 def backward_target(c_next, rb_next, controller_next: QubitChannelCanonical,
                     noise: QubitChannelCanonical):
     """Pull a (scalar, Bloch) virtual target back through noise and next controller.
 
-    Implements the adjoint (Heisenberg) propagation: with controller frames
-    (v_k, u_k) and scales (mu, s), the vector part maps to
-    Q = sum_k mu_k (u_k . Rb) v_k, and the noise then gives
-    Rb' = sum_k lam_k (Q . g_k) h_k with the matching scalar update.
+    The adjoint (Heisenberg) propagation: the one-row :func:`_pull_back`.
     """
-    rb_next = np.asarray(rb_next, dtype=float)
-    rv_c, ru_c = controller_next.rv, controller_next.ru  # v_k = rv[k], u_k = ru[:, k]
-    u_dots = np.array([ru_c[:, k] @ rb_next for k in range(3)])
-    c_mid = float(c_next + controller_next.s @ u_dots)
-    q_vec = sum(controller_next.mu[k] * u_dots[k] * rv_c[k] for k in range(3))
-    rv_n, ru_n = noise.rv, noise.ru
-    g_dots = np.array([ru_n[:, k] @ q_vec for k in range(3)])
-    c_prev = float(c_mid + noise.s @ g_dots)
-    rb_prev = sum(noise.mu[k] * g_dots[k] * rv_n[k] for k in range(3))
-    return c_prev, np.asarray(rb_prev, dtype=float)
+    rb_next = np.asarray(rb_next, dtype=float)[None, None]
+    c, rb = _pull_back(_rows([controller_next]), _rows([noise]), c_next, rb_next)
+    return float(c[0, 0]), rb[0, 0]
 
 
 @dataclass
@@ -146,71 +140,68 @@ class RestartRecord:
 class ChainTask:
     """Pair-stabilization data: sources, targets, priorities and the noises.
 
-    The pair data is read by :func:`~qtrack.analytic.pair_bloch`.  LinalgError
-    unless it passes there and every noise is a channel (``check_rsw``).
+    The pair data is read by :func:`~qtrack.analytic.pair_bloch`; each noise is
+    kept as a one-row frame stack in ``noise_rows``.  LinalgError unless the pair
+    data passes there and there are noises, each a channel (``check_rsw``).
     """
 
     def __init__(self, sources, targets, priorities, noises):
         self.r_sources, self.rb_final, self.c_final = pair_bloch(sources, targets, priorities)
-        self.noises = [_channel(noise) for noise in noises]
-        self.n_steps = len(self.noises) + 1
+        self.noise_rows = [_rows([_channel(noise)]) for noise in noises]
+        if not self.noise_rows:
+            raise LinalgError("a chain needs at least one noise")
+        self.n_steps = len(self.noise_rows) + 1
 
     def single_step_fidelity(self):
         """Optimal fidelity when correcting only after all the noise."""
-        r = [v.copy() for v in self.r_sources]
-        for noise in self.noises:
-            r = [noise.bloch_map(v) for v in r]
-        g = PairGeometry(r[0], r[1], self.rb_final[0], self.rb_final[1],
+        r = self.r_sources[None]
+        for noise in self.noise_rows:
+            r = _affine(noise, r)
+        g = PairGeometry(r[0, 0], r[0, 1], self.rb_final[0], self.rb_final[1],
                         self.c_final[0], self.c_final[1])
         return optimal_fidelity(g)
 
     def chain_fidelity(self, controllers):
         """End-to-end priority-weighted overlap of the controlled chain."""
-        total = 0.0
-        for i in range(2):
-            r = self.r_sources[i].copy()
-            for n in range(self.n_steps - 1):
-                r = forward_state(r, controllers[n], self.noises[n])
-            r = controllers[-1].bloch_map(r)
-            total += 0.5 * (self.c_final[i] + r @ self.rb_final[i])
-        return float(total)
+        return float(_chain_fidelities(self, [f[None] for f in _rows(controllers)])[0])
+
+
+def _rows(channels):
+    """The frames (rv, ru, mu, s) of ``channels``, stacked along a leading row axis."""
+    return tuple(np.array([getattr(q, name) for q in channels]) for name in ("rv", "ru", "mu", "s"))
 
 
 def _source_len(task: ChainTask):
-    """Length of the block of step sources that opens each :func:`_pack` row."""
+    """Length of the block of step sources that opens each :func:`_views` row."""
     return 6 * (task.n_steps - 1)
 
 
-def _pack(task: ChainTask, r_steps, c_steps, rb_steps):
-    """Free chain data, ``(..., N, 2, 3)`` and ``(..., N, 2)``, as ``(..., dim)`` rows.
+def _views(task: ChainTask, z):
+    """Views of ``(..., dim)`` rows: the step sources first, then each free step's
+    target Bloch vectors and scalars, as ``(..., N-1, 2, 3)``, ``(..., N-1, 2, 3)``
+    and ``(..., N-1, 2)``.  No other code knows the layout."""
+    lead, free, src = z.shape[:-1], task.n_steps - 1, _source_len(task)
+    targets = z[..., src:].reshape(*lead, free, 8)
+    return (z[..., :src].reshape(*lead, free, 2, 3),
+            targets[..., :6].reshape(*lead, free, 2, 3), targets[..., 6:])
 
-    A row holds the step sources first, then each free step's target Bloch
-    vectors and scalars.
-    """
-    lead = c_steps.shape[:-2]
-    free = task.n_steps - 1
-    targets = np.concatenate(
-        [rb_steps[..., :-1, :, :].reshape(*lead, free, 6), c_steps[..., :-1, :]], axis=-1
-    )
-    sources = r_steps[..., 1:, :, :].reshape(*lead, _source_len(task))
-    return np.concatenate([sources, targets.reshape(*lead, 8 * free)], axis=-1)
+
+def _pack(task: ChainTask, r_steps, c_steps, rb_steps):
+    """Free chain data, ``(..., N, 2, 3)`` and ``(..., N, 2)``, as ``(..., dim)`` rows."""
+    z = np.empty((*c_steps.shape[:-2], 14 * (task.n_steps - 1)))  # 6 + 8 per free step
+    r, rb, c = _views(task, z)
+    r[...], rb[...], c[...] = r_steps[..., 1:, :, :], rb_steps[..., :-1, :, :], c_steps[..., :-1, :]
+    return z
 
 
 def _unpack(task: ChainTask, z):
     """Inverse of :func:`_pack`, with the fixed sources and final targets filled in."""
-    lead = z.shape[:-1]
-    free = task.n_steps - 1
-    r_steps = np.empty((*lead, free + 1, 2, 3))
-    r_steps[..., 0, :, :] = task.r_sources
-    src = _source_len(task)
-    r_steps[..., 1:, :, :] = z[..., :src].reshape(*lead, free, 2, 3)
-    targets = z[..., src:].reshape(*lead, free, 8)
-    rb_steps = np.empty((*lead, free + 1, 2, 3))
-    rb_steps[..., :-1, :, :] = targets[..., :6].reshape(*lead, free, 2, 3)
-    rb_steps[..., -1, :, :] = task.rb_final
-    c_steps = np.empty((*lead, free + 1, 2))
-    c_steps[..., :-1, :] = targets[..., 6:]
+    lead, n_steps = z.shape[:-1], task.n_steps
+    r_steps, rb_steps = np.empty((*lead, n_steps, 2, 3)), np.empty((*lead, n_steps, 2, 3))
+    c_steps = np.empty((*lead, n_steps, 2))
+    r_steps[..., 0, :, :], rb_steps[..., -1, :, :] = task.r_sources, task.rb_final
     c_steps[..., -1, :] = task.c_final
+    r_steps[..., 1:, :, :], rb_steps[..., :-1, :, :], c_steps[..., :-1, :] = _views(task, z)
     return r_steps, c_steps, rb_steps
 
 
@@ -222,51 +213,52 @@ def _frames(r, rb):
     return optimal_frames(r[:, 0], r[:, 1], rb[:, 0], rb[:, 1])[:4]
 
 
-def _pull_back(c, rb, frames, noise, c_out, rb_out):
-    """:func:`backward_target` of both targets of each row, ``(R, 2)`` and ``(R, 2, 3)``.
+def _affine(frames, r):
+    """R_U(mu * R_V r + s) of both vectors of each ``(R, 2, 3)`` row of ``r``, by its frame row.
 
-    BLAS dots, and 3-term sums from Python's ``sum`` start, 0: the scalar form's bits.
+    ``frames`` stack ``(R, 3, 3)`` rotations and ``(R, 3)`` scales; one row broadcasts.
+    Matrix-vector matmuls: each row rounds as ``ru @ (mu * (rv @ r) + s)``.
     """
     rv, ru, mu, s = frames
-    u_dots = np.matmul(ru.transpose(2, 0, 1)[:, :, None, None], rb[..., None])[..., 0, 0]
-    c_mid = c + np.matmul(s[:, None, None], u_dots.transpose(1, 2, 0)[..., None])[..., 0, 0]
-    terms = (mu.T[:, :, None] * u_dots)[..., None] * rv.transpose(1, 0, 2)[:, :, None]
-    q_vec = 0.0 + terms[0] + terms[1] + terms[2]
-    g_dots = np.matmul(noise.ru.T[:, None, None, None], q_vec[..., None])[..., 0, 0]
-    terms = (noise.mu[:, None, None] * g_dots)[..., None] * noise.rv[:, None, None]
-    np.add(0.0 + terms[0] + terms[1], terms[2], out=rb_out)
-    np.add(c_mid, np.matmul(noise.s, g_dots.transpose(1, 2, 0)[..., None])[..., 0], out=c_out)
-
-
-def _control(r, frames):
-    """Each row's controller on both its sources ``(R, 2, 3)``, as ``(R, 2, 3, 1)`` columns."""
-    rv, ru, mu, s = frames
     r = np.matmul(rv[:, None], r[..., None])
-    return np.matmul(ru[:, None], mu[:, None, :, None] * r + s[:, None, :, None])
+    return np.matmul(ru[:, None], mu[:, None, :, None] * r + s[:, None, :, None])[..., 0]
 
 
-def _push(r, frames, noise, out):
-    """:func:`forward_state` of both sources of each row, ``(R, 2, 3)``, bit for bit."""
-    r = np.matmul(noise.rv, _control(r, frames))
-    np.matmul(noise.ru, noise.mu[:, None] * r + noise.s[:, None], out=out[..., None])
+def _adjoint(frames, c, rb):
+    """Adjoint of :func:`_affine` on each row's two targets, ``(R, 2)`` and ``(R, 2, 3)``.
+
+    With ``d_k = ru[:, k] . rb`` they map to ``c + s . d`` and ``sum_k mu_k d_k rv[k]``,
+    so ``c' + rb' . r = c + rb . _affine(r)``.  BLAS dots, kept k-first as ``(3, R, 2)``,
+    and 3-term sums from Python's ``sum`` start, 0.
+    """
+    rv, ru, mu, s = frames
+    dots = np.matmul(ru.transpose(2, 0, 1)[:, :, None, None], rb[..., None])[..., 0, 0]
+    c = c + np.matmul(s[:, None, None], dots.transpose(1, 2, 0)[..., None])[..., 0, 0]
+    terms = (mu.T[:, :, None] * dots)[..., None] * rv.transpose(1, 0, 2)[:, :, None]
+    return c, 0.0 + terms[0] + terms[1] + terms[2]
+
+
+def _push(frames, noise, r):
+    """Both sources ``(R, 2, 3)`` of each row through its controller ``frames``, then ``noise``."""
+    return _affine(noise, _affine(frames, r))
+
+
+def _pull_back(frames, noise, c, rb):
+    """Both targets of each row through the adjoint of its controller ``frames``, then ``noise``."""
+    return _adjoint(noise, *_adjoint(frames, c, rb))
 
 
 def _sweep(task: ChainTask, z):
     """One backward plus forward pass of the self-consistency map on each row of ``z``."""
-    rows, free = len(z), task.n_steps - 1
-    z_new = np.empty_like(z)
-    r_old, r_new = (a[:, : 6 * free].reshape(rows, free, 2, 3) for a in (z, z_new))
-    targets = z_new[:, 6 * free :].reshape(rows, free, 8)
-    rb_new, c_new = targets[..., :6].reshape(rows, free, 2, 3), targets[..., 6:]
+    rows, z_new = len(z), np.empty_like(z)
+    (r_old, _, _), (r_new, rb_new, c_new) = _views(task, z), _views(task, z_new)
     c, rb = task.c_final, task.rb_final[None].repeat(rows, 0)
-    for n in range(free - 1, -1, -1):
-        frames = _frames(r_old[:, n], rb)
-        _pull_back(c, rb, frames, task.noises[n], c_new[:, n], rb_new[:, n])
-        c, rb = c_new[:, n], rb_new[:, n]
+    for n in range(task.n_steps - 2, -1, -1):
+        c, rb = _pull_back(_frames(r_old[:, n], rb), task.noise_rows[n], c, rb)
+        c_new[:, n], rb_new[:, n] = c, rb
     r = task.r_sources[None].repeat(rows, 0)
-    for n in range(free):
-        _push(r, _frames(r, rb_new[:, n]), task.noises[n], r_new[:, n])
-        r = r_new[:, n]
+    for n, noise in enumerate(task.noise_rows):
+        r = r_new[:, n] = _push(_frames(r, rb_new[:, n]), noise, r)
     return z_new
 
 
@@ -292,18 +284,17 @@ def _seed_chains(task: ChainTask, rng):
     c_steps = np.zeros((n_seeds, n_steps, 2))
     rb_steps = np.zeros((n_seeds, n_steps, 2, 3))
     r_steps[:, 0], c_steps[:, -1], rb_steps[:, -1] = task.r_sources, task.c_final, task.rb_final
-    r = np.matmul(np.array(firsts)[:, None], task.r_sources[..., None])
-    for n, noise in enumerate(task.noises):
-        r = np.matmul(noise.ru, noise.mu[:, None] * np.matmul(noise.rv, r) + noise.s[:, None])
-        r_steps[:, n + 1] = r[..., 0]
-    eye = np.tile(np.eye(3), (n_seeds, 1, 1))
-    identity = (eye, eye, np.ones((n_seeds, 3)), np.zeros((n_seeds, 3)))
+    r = np.matmul(np.array(firsts)[:, None], task.r_sources[..., None])[..., 0]
+    for n, noise in enumerate(task.noise_rows):
+        r = r_steps[:, n + 1] = _affine(noise, r)
+    identity = (np.eye(3)[None], np.eye(3)[None], np.ones((1, 3)), np.zeros((1, 3)))
     last = _frames(r_steps[:, -1], rb_steps[:, -1])
     for frame, ident in zip(last, identity):
         frame[0] = ident[0]  # do-nothing
     for n in range(n_steps - 2, -1, -1):
-        _pull_back(c_steps[:, n + 1], rb_steps[:, n + 1], last if n == n_steps - 2 else identity,
-                   task.noises[n], c_steps[:, n], rb_steps[:, n])
+        c_steps[:, n], rb_steps[:, n] = _pull_back(
+            last if n == n_steps - 2 else identity, task.noise_rows[n],
+            c_steps[:, n + 1], rb_steps[:, n + 1])
     return list(zip(_pack(task, r_steps, c_steps, rb_steps), labels))
 
 
@@ -357,17 +348,14 @@ def solve_chain(task: ChainTask, restarts=MAX_RESTARTS, seed=0) -> StepChain:
 
 
 def _chain_fidelities(task, frames):
-    """:meth:`ChainTask.chain_fidelity` of each row's ``(R, N, ...)`` controller frames.
+    """End-to-end priority-weighted overlap of each row's ``(R, N, ...)`` controller frames.
 
-    The pushes are :func:`_push`'s and the dots BLAS dots, so each row gets the
-    scalar form's bits.
+    :meth:`ChainTask.chain_fidelity` is the one-row case.
     """
-    r = task.r_sources[None].repeat(len(frames[0]), 0)
-    for n, noise in enumerate(task.noises):
-        r_next = np.empty_like(r)
-        _push(r, [f[:, n] for f in frames], noise, r_next)
-        r = r_next
-    r = _control(r, [f[:, -1] for f in frames])[..., 0]
+    r = task.r_sources[None]
+    for n, noise in enumerate(task.noise_rows):
+        r = _push([f[:, n] for f in frames], noise, r)
+    r = _affine([f[:, -1] for f in frames], r)
     half = 0.5 * (task.c_final + stacked_dot(r, task.rb_final))
     return 0.0 + half[:, 0] + half[:, 1]
 

@@ -15,6 +15,7 @@ from qtrack.channels import (
     random_state,
 )
 from qtrack.distances import hs_inner
+from qtrack.linalg import PAULI
 from qtrack.sdp import SolverError
 
 
@@ -27,6 +28,41 @@ def straddle_pair(half_angle, r_len=1.0):
 def stabilization_task(noise, half_angle=np.pi / 4):
     s1, s2 = straddle_pair(half_angle)
     return ms.ChainTask([s1, s2], [s1, s2], [0.5, 0.5], [noise])
+
+
+def _rotated_noise(rng):
+    """A random qubit channel in canonical form: its frames are not the identity."""
+    noise = ch.canonical_qubit(ch.random_channel(2, rng))
+    for frame in (noise.rv, noise.ru):
+        assert np.abs(frame - np.eye(3)).max() > 1e-3
+    return noise
+
+
+# -- the scalar recursions, frozen as the reference of the batched ones -------
+#
+# forward_state and backward_target as they were written before they became
+# the one-row case of the stacked _push and _pull_back.
+
+
+def _ref_bloch_map(q, r):
+    return q.ru @ (q.mu * (q.rv @ np.asarray(r, dtype=float)) + q.s)
+
+
+def _ref_forward_state(r, controller, noise):
+    return _ref_bloch_map(noise, _ref_bloch_map(controller, np.asarray(r, dtype=float)))
+
+
+def _ref_backward_target(c_next, rb_next, controller_next, noise):
+    rb_next = np.asarray(rb_next, dtype=float)
+    rv_c, ru_c = controller_next.rv, controller_next.ru  # v_k = rv[k], u_k = ru[:, k]
+    u_dots = np.array([ru_c[:, k] @ rb_next for k in range(3)])
+    c_mid = float(c_next + controller_next.s @ u_dots)
+    q_vec = sum(controller_next.mu[k] * u_dots[k] * rv_c[k] for k in range(3))
+    rv_n, ru_n = noise.rv, noise.ru
+    g_dots = np.array([ru_n[:, k] @ q_vec for k in range(3)])
+    c_prev = float(c_mid + noise.s @ g_dots)
+    rb_prev = sum(noise.mu[k] * g_dots[k] * rv_n[k] for k in range(3))
+    return c_prev, np.asarray(rb_prev, dtype=float)
 
 
 def test_identity_noise_and_controller_fix_targets():
@@ -56,6 +92,12 @@ def test_non_channel_noise_is_rejected(lam, t):
         ms.ChainTask([s1, s2], [s1, s2], [0.5, 0.5], [ms.extremal_noise(0.7, 0.46), noise])
 
 
+def test_chain_without_noise_is_rejected():
+    s1, s2 = straddle_pair(np.pi / 4)
+    with pytest.raises(ch.LinalgError, match="a chain needs at least one noise"):
+        ms.ChainTask([s1, s2], [s1, s2], [0.5, 0.5], [])
+
+
 def test_backward_depolarizing_noise_kills_target():
     depol = ms.diagonal_noise([0, 0, 0], [0, 0, 0])
     c, rb = ms.backward_target(0.5, np.array([0.3, 0.1, -0.2]), ms.identity_canonical(), depol)
@@ -70,22 +112,20 @@ def test_backward_matches_tensor_contraction():
         t1, t2 = random_state(2, rng), random_state(2, rng)
         g = analytic.PairGeometry.from_states(r1, r2, t1, t2, 0.4)
         controller = analytic.optimal_canonical(g)
-        noise = ms.extremal_noise(*rng.uniform(0.2, 0.95, 2))
-        from qtrack.linalg import PAULI
-
         c_next, rb_next = 0.4, g.rb1
         target_mat = 0.5 * (
             c_next * np.eye(2) + sum(x * p for x, p in zip(rb_next, PAULI[1:]))
         )
         ctrl_choi = assemble_qubit_choi(controller).mat
-        noise_choi = assemble_qubit_choi(noise).mat
-        big = np.kron(np.eye(2), ctrl_choi) @ np.kron(noise_choi.T, target_mat)
-        r = big.reshape(2, 2, 2, 2, 2, 2)
-        contracted = np.einsum("ijkljk->il", r)
-        c_got, rb_got = ms.backward_target(c_next, rb_next, controller, noise)
-        assert abs(np.trace(contracted).real - c_got) < 1e-10
-        bloch_got = np.array([np.trace(contracted @ p).real for p in PAULI[1:]])
-        assert np.abs(bloch_got - rb_got).max() < 1e-10
+        for noise in (ms.extremal_noise(*rng.uniform(0.2, 0.95, 2)), _rotated_noise(rng)):
+            noise_choi = assemble_qubit_choi(noise).mat
+            big = np.kron(np.eye(2), ctrl_choi) @ np.kron(noise_choi.T, target_mat)
+            r = big.reshape(2, 2, 2, 2, 2, 2)
+            contracted = np.einsum("ijkljk->il", r)
+            c_got, rb_got = ms.backward_target(c_next, rb_next, controller, noise)
+            assert abs(np.trace(contracted).real - c_got) < 1e-10
+            bloch_got = np.array([np.trace(contracted @ p).real for p in PAULI[1:]])
+            assert np.abs(bloch_got - rb_got).max() < 1e-10
 
 
 def test_forward_matches_choi_composition():
@@ -95,12 +135,31 @@ def test_forward_matches_choi_composition():
         t1, t2 = random_state(2, rng), random_state(2, rng)
         g = analytic.PairGeometry.from_states(r1, r2, t1, t2, 0.6)
         controller = analytic.optimal_canonical(g)
-        noise = ms.extremal_noise(*rng.uniform(0.2, 0.95, 2))
         rho = random_state(2, rng)
-        got = ms.forward_state(rho.bloch, controller, noise)
-        chained = compose(assemble_qubit_choi(controller), assemble_qubit_choi(noise))
-        want = apply_choi(chained, rho).bloch
-        assert np.abs(got - want).max() < 1e-10
+        for noise in (ms.extremal_noise(*rng.uniform(0.2, 0.95, 2)), _rotated_noise(rng)):
+            got = ms.forward_state(rho.bloch, controller, noise)
+            chained = compose(assemble_qubit_choi(controller), assemble_qubit_choi(noise))
+            want = apply_choi(chained, rho).bloch
+            assert np.abs(got - want).max() < 1e-10
+
+
+def test_backward_is_the_adjoint_of_forward():
+    # c' + rb'.r = c + rb.Phi_ctrl(Phi_noise(r)) for (c', rb') = backward_target(c, rb, ctrl,
+    # noise), exactly up to round-off, on noises with rotated frames; the forward side is
+    # the frozen scalar map
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(200):
+        r1, r2, t1, t2 = (random_state(2, rng) for _ in range(4))
+        controller = analytic.optimal_canonical(
+            analytic.PairGeometry.from_states(r1, r2, t1, t2, float(rng.uniform(0.2, 0.8))))
+        noise = _rotated_noise(rng)
+        c, rb = float(rng.uniform(0.2, 0.8)), random_state(2, rng).bloch
+        r = random_state(2, rng).bloch
+        c_prev, rb_prev = ms.backward_target(c, rb, controller, noise)
+        want = c + rb @ _ref_forward_state(r, noise, controller)
+        worst = max(worst, abs(c_prev + rb_prev @ r - want))
+    assert worst <= 1e-14
 
 
 def test_forward_do_nothing_identity_noise():
@@ -345,6 +404,7 @@ def _reference_sweep(task, z):
     """The scalar sweep the batched one replaced: one restart, step by step."""
     r_steps, c_steps, rb_steps = ms._unpack(task, z)
     n_steps = task.n_steps
+    noises = [ch.QubitChannelCanonical(*(f[0] for f in rows)) for rows in task.noise_rows]
     new_rb = rb_steps.copy()
     new_c = c_steps.copy()
     for n in range(n_steps - 2, -1, -1):
@@ -352,14 +412,14 @@ def _reference_sweep(task, z):
             r_steps[n + 1, 0], r_steps[n + 1, 1], new_c[n + 1], new_rb[n + 1]
         )
         for i in range(2):
-            new_c[n, i], new_rb[n, i] = ms.backward_target(
-                new_c[n + 1, i], new_rb[n + 1, i], ctrl, task.noises[n]
+            new_c[n, i], new_rb[n, i] = _ref_backward_target(
+                new_c[n + 1, i], new_rb[n + 1, i], ctrl, noises[n]
             )
     new_r = r_steps.copy()
     for n in range(n_steps - 1):
         ctrl = _reference_controller(new_r[n, 0], new_r[n, 1], new_c[n], new_rb[n])
         for i in range(2):
-            new_r[n + 1, i] = ms.forward_state(new_r[n, i], ctrl, task.noises[n])
+            new_r[n + 1, i] = _ref_forward_state(new_r[n, i], ctrl, noises[n])
     return ms._pack(task, new_r, new_c, new_rb)
 
 
@@ -386,10 +446,14 @@ def _random_chain_task(rng, n_steps):
 @pytest.mark.parametrize("n_steps", [2, 3, 4])
 def test_batched_sweep_matches_scalar_reference(n_steps):
     # same arithmetic in the same order, so the same bits: near-collinear
-    # sources amplify any reordering of round-off past 1e-14
+    # sources amplify any reordering of round-off past 1e-14; the last four
+    # draws' noises have rotated frames
     rng = np.random.default_rng(10 + n_steps)
-    for _ in range(4):
-        task = _random_chain_task(rng, n_steps)
+    for draw in range(8):
+        sources, targets, priorities, noises = _random_chain_inputs(rng, n_steps)
+        if draw >= 4:
+            noises = [_rotated_noise(rng) for _ in noises]
+        task = ms.ChainTask(sources, targets, priorities, noises)
         z = np.array([z0 for z0, _ in ms._seed_chains(task, rng)])
         for _ in range(5):
             batched = ms._sweep(task, z)
