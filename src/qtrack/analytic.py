@@ -3,7 +3,10 @@
 Everything is driven by the Bloch-vector geometry of the two sources and the
 two priority-scaled targets.  The indicator Omega decides between a
 closed-loop extremal channel (procedure A) and an open-loop unitary
-(procedure B).  Both are written once, in the SO(3) canonical form, by the
+(procedure B).  That rule and each procedure's Gamma are applied once, in the
+geometry stage :func:`_geometry` and :class:`PairGeometry`; the kernel, the
+fidelity, the certificate and the feedback decomposition read them from
+there.  Both procedures are written once, in the SO(3) canonical form, by the
 stacked kernel :func:`optimal_frames`; a single pair is a stack of one.  Each
 optimum comes with a certificate built from the dual of the underlying
 semidefinite program.  Pair data and priorities enter through one intake,
@@ -53,8 +56,8 @@ class PairGeometry:
     ``pi_i rhobar_i`` and ``c1``/``c2`` their scalar parts ``pi_i tr(rhobar_i)``
     (so ``c = c1 + c2 = 1`` for normalized targets).  Every derived field is
     read from :func:`_geometry` on a stack of one, the computation that
-    :func:`optimal_frames` runs, so Omega here picks the procedure whose
-    frames the kernel builds.  That stage is kept as ``stage``, and
+    :func:`optimal_frames` runs, so ``procedure`` is the one whose frames the
+    kernel builds.  That stage is kept as ``stage``, and
     :func:`optimal_canonical` builds the frames from it.
     """
 
@@ -70,8 +73,8 @@ class PairGeometry:
             vars(self)[name] = np.asarray(getattr(self, name), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             stage = _geometry(self.r1, self.r2, self.rb1, self.rb2)
-        _, vecs, dots, t_val, s_val, omega = stage
-        dots, t_val, s_val, omega = dots[:, 0], t_val[0], s_val[0], omega[0]
+        _, vecs, dots, t_val, s_val, omega, proc_a = stage
+        dots, t_val, s_val, omega = dots[:, 0], t_val[0], s_val[0], float(omega[0])
         rb1_plus, rb2_plus = stacked_dot(vecs[[1, 3], :, 0], vecs[7, :, 0])  # rb_i . Rb+
         rm, rx, rbx = np.sqrt(dots[6:9])
         if rm <= 1e-12:
@@ -80,12 +83,14 @@ class PairGeometry:
             raise DegenerateGeometryError(
                 "both targets are maximally mixed; use the depolarizing channel"
             )
+        gamma = _gamma_a(dots, s_val + t_val) if proc_a[0] else _gamma_b(dots, t_val, rx, rbx)
         vars(self).update(
-            stage=stage, dots=dots,
+            stage=stage, dots=dots, procedure="A" if proc_a[0] else "B",
+            gamma=float(gamma), unique=abs(omega) > OMEGA_TIE,
             r_cross=vecs[4, :, 0], rb_cross=vecs[5, :, 0],
             r_minus=vecs[6, :, 0], rb_plus=vecs[7, :, 0],
             r_minus_norm=rm, r_cross_norm=rx, rb_cross_norm=rbx,
-            t_scalar=float(t_val), s_scalar=float(s_val), omega=float(omega),
+            t_scalar=float(t_val), s_scalar=float(s_val), omega=omega,
             c=float(self.c1 + self.c2),
             xi_upper=float(dots[10] * rb1_plus + dots[11] * rb2_plus),
             xi_lower=float(rx * dots[9] + rbx * dots[6]),
@@ -101,7 +106,9 @@ class PairGeometry:
     # Derived data (set in __post_init__): the _geometry tuple stage and its
     # 12 dots; r_minus, r_cross, rb_plus, rb_cross, their norms r_minus_norm,
     # r_cross_norm, rb_cross_norm, t_scalar, s_scalar, omega, c, xi_upper,
-    # xi_lower.
+    # xi_lower; and the A/B rule and Gamma, from this stage alone: procedure
+    # ("A" where the stage's mask has Omega > OMEGA_TIE, else "B"), gamma (that
+    # procedure's Gamma) and unique (|Omega| > OMEGA_TIE, one optimum).
 
 
 def pair_bloch(sources, targets, priorities):
@@ -148,23 +155,19 @@ def _cross3(a, b, out=None):
     return np.subtract(a[1:4] * b[2:5], a[2:5] * b[1:4], out=out)
 
 
-def gamma_a(g: PairGeometry):
-    st = g.s_scalar + g.t_scalar
-    rm2, rbx2, rbp2 = g.dots[6], g.dots[8], g.dots[9]
-    if st <= 1e-15:
-        raise DegenerateGeometryError("S + T vanishes; instance belongs to procedure B")
-    return float(np.sqrt(rbp2 + 2.0 * rm2 * rbx2 / st))
+def _gamma_a(dots, st):
+    """Procedure A's Gamma from :func:`_geometry`'s dots and S + T (> 0 on its rows)."""
+    return np.sqrt(dots[9] + 2.0 * dots[6] * dots[8] / st)
 
 
-def gamma_b(g: PairGeometry):
-    return float(np.sqrt(g.dots[9] - g.t_scalar + 2.0 * g.r_cross_norm * g.rb_cross_norm))
+def _gamma_b(dots, t_val, rx, rbx):
+    """Procedure B's Gamma from :func:`_geometry`'s dots, T, |R x| and |Rb x|."""
+    return np.sqrt(dots[9] - t_val + 2.0 * rx * rbx)
 
 
 def optimal_fidelity(g: PairGeometry):
     """Maximal priority-weighted Hilbert-Schmidt overlap (c + Gamma)/2."""
-    if g.omega > OMEGA_TIE:
-        return 0.5 * (g.c + gamma_a(g))
-    return 0.5 * (g.c + gamma_b(g))
+    return 0.5 * (g.c + g.gamma)
 
 
 def optimal_canonical(g: PairGeometry) -> QubitChannelCanonical:
@@ -187,8 +190,10 @@ def _geometry(r1, r2, rb1, rb2):
     the eight vectors r1, rb1, r2, rb2, R x, Rb x, R-, Rb+ as one ``(8, 3, n)``
     array, each a component-first block; their BLAS dots r1.r1, r1.r2, r2.r2,
     rb1.rb1, rb1.rb2, rb2.rb2, |R-|^2, |R x|^2, |Rb x|^2, |Rb+|^2, r1.R-, r2.R-
-    as ``(12, n)``; and T, S and Omega as ``(n,)``.  Each row is
-    computed from its own data only, so it rounds the same in any stack.
+    as ``(12, n)``; T, S and Omega as ``(n,)``; and the mask of the rows that
+    take procedure A, Omega > ``OMEGA_TIE``, the one place the rule is
+    applied.  Each row is computed from its own data only, so it rounds the
+    same in any stack.
     Callers run it under ``np.errstate`` for the rows of degenerate pairs.
     """
     given = np.array([r1, rb1, r2, rb2], dtype=float)
@@ -205,7 +210,8 @@ def _geometry(r1, r2, rb1, rb2):
     terms = (1.0 - dots[:3]) * dots[3:6]
     t_val = terms[0] + terms[1] + terms[1] + terms[2]
     s_val = np.sqrt(t_val * t_val + 4.0 * dots[8] * (dots[6] - dots[7]))
-    return lead, vecs, dots, t_val, s_val, s_val + t_val - 2.0 * np.sqrt(dots[8] * dots[7])
+    omega = s_val + t_val - 2.0 * np.sqrt(dots[8] * dots[7])
+    return lead, vecs, dots, t_val, s_val, omega, omega > OMEGA_TIE
 
 
 def optimal_frames(r1, r2, rb1, rb2, stage=None):
@@ -214,7 +220,7 @@ def optimal_frames(r1, r2, rb1, rb2, stage=None):
     Procedure A (the extremal, closed-loop channel) where Omega > 0 and
     procedure B (the open-loop unitary) elsewhere, over ``(..., 3)`` Bloch
     arrays of one shape (targets priority-scaled, as in :class:`PairGeometry`).
-    The geometry, Omega included, is :func:`_geometry`'s, as in
+    The geometry, the procedure mask included, is :func:`_geometry`'s, as in
     :class:`PairGeometry`; ``stage`` is that geometry of these arrays where
     the caller has it already.  Returns ``rv``, ``ru`` of shape ``(..., 3, 3)``,
     ``mu``, ``s`` of shape ``(..., 3)`` and a mask ``ok`` of the rows that have
@@ -232,11 +238,10 @@ def optimal_frames(r1, r2, rb1, rb2, stage=None):
     chain takes (a transposed one takes another BLAS kernel, off by 1 ulp).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        lead, vecs, dots, t_val, s_val, omega = stage or _geometry(r1, r2, rb1, rb2)
+        lead, vecs, dots, t_val, s_val, _, proc_a = stage or _geometry(r1, r2, rb1, rb2)
         n = len(t_val)
         norms = np.sqrt(dots[6:9])
         rm, rx, rbx = norms[0], norms[1], norms[2]
-        proc_a = omega > OMEGA_TIE
         rows_a = np.count_nonzero(proc_a)
         # an empty stack takes procedure B's (empty) branch
         some_a, some_b = rows_a > 0, rows_a < n or rows_a == 0
@@ -246,14 +251,12 @@ def optimal_frames(r1, r2, rb1, rb2, stage=None):
             k_a = np.sqrt(2.0 / (s_val * st))
             rbx_sq = rbx * rbx
             two_s = 2.0 * s_val
-            frame_a = [np.sqrt(st / two_s), k_a * dots[10:12],
-                       np.sqrt(dots[9] + 2.0 * dots[6] * dots[8] / st)]
+            frame_a = [np.sqrt(st / two_s), k_a * dots[10:12], _gamma_a(dots, st)]
             mu_s1_a = [2.0 * np.sqrt(2.0 / (s_val * st3)) * rbx_sq * rx * rm,
                        (2.0 / st) * rbx * rx, k_a * rbx * rm,
                        np.sqrt(1.0 / (two_s * st3)) * (st2 - 4.0 * rbx_sq * rx * rx)]
         if some_b:
-            frame_b = [rx / rm, dots[10:12] / (rbx * rm),
-                       np.sqrt(dots[9] - t_val + 2.0 * rx * rbx)]
+            frame_b = [rx / rm, dots[10:12] / (rbx * rm), _gamma_b(dots, t_val, rx, rbx)]
         # (alpha, (beta_1, beta_2), Gamma), and (mu, s) as one (2, 3, n) stack that
         # starts with (mu, s_1); procedure B is the unitary (1, 1, 1), (0, 0, 0)
         mu_s = np.zeros((2, 3, n))
@@ -393,13 +396,13 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
     xi_u = g.xi_upper
     xi_l = g.xi_lower
     c_tot = g.c
+    gam = g.gamma
     weighted = g.c1 * g.r1 + g.c2 * g.r2
+    x0 = 0.25 * (c_tot + gam)
+    x3 = ((weighted @ g.r_minus) + xi_u / gam) / (4.0 * rm)
 
-    if g.omega > OMEGA_TIE:
-        gam = gamma_a(g)
-        x0 = 0.25 * (c_tot + gam)
+    if g.procedure == "A":
         x1 = rx / (4.0 * rm) * (c_tot + gam)
-        x3 = ((weighted @ g.r_minus) + xi_u / gam) / (4.0 * rm)
         s_val, t_val = g.s_scalar, g.t_scalar
         st = s_val + t_val
         upsilon = (4.0 * rm * rm * rbx * rbx + st * st) / (
@@ -410,10 +413,7 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
         )
         roots = _monic_roots(-gam, const)
     else:
-        gam = gamma_b(g)
-        x0 = 0.25 * (c_tot + gam)
         x1 = (c_tot * rx + xi_l / gam) / (4.0 * rm)
-        x3 = ((weighted @ g.r_minus) + xi_u / gam) / (4.0 * rm)
         varpi = 0.25 * (-g.omega + g.s_scalar + rx * rbx)
         omega_c = -(
             (rx * gam * gam - xi_l)
@@ -467,17 +467,15 @@ def track_pair(rho1, rho2, rbar1, rbar2, pi1=0.5) -> QubitTrackerResult:
 
 
 def track_geometry(g: PairGeometry) -> QubitTrackerResult:
-    omega = g.omega
-    procedure = "A" if omega > OMEGA_TIE else "B"
     certificate = dual_certificate(g)
     return QubitTrackerResult(
-        omega=float(omega),
-        procedure=procedure,
+        omega=g.omega,
+        procedure=g.procedure,
         canonical=certificate.canonical,
         fidelity=optimal_fidelity(g),
         certificate=certificate,
         choi=assemble_qubit_choi(certificate.canonical),
-        unique=abs(omega) > OMEGA_TIE,
+        unique=g.unique,
     )
 
 
@@ -489,7 +487,7 @@ def feedback_decomposition(g: PairGeometry):
     outcome.  Measurement strengths: sin(chi) = mu_3, sin(eta) = mu_2.
     """
     canonical = optimal_canonical(g)
-    open_loop = g.omega <= OMEGA_TIE
+    open_loop = g.procedure == "B"
     if open_loop:
         m1, m2 = np.eye(2), np.zeros((2, 2))
     else:

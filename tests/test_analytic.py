@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -88,7 +89,7 @@ def test_from_states_validates_bare_sources_only():
 
 
 def test_pair_geometry_norms_round_as_numpy_norm():
-    # dual_certificate and gamma_b read the norms set once in __post_init__
+    # dual_certificate reads the norms set once in __post_init__
     rng = np.random.default_rng(43)
     for _ in range(200):
         g = analytic.PairGeometry.from_states(*random_instance(rng))
@@ -351,7 +352,7 @@ def test_certificate_structure():
         g = analytic.PairGeometry.from_states(r1, r2, t1, t2, pi1)
         if res.procedure == "A":
             # discriminant of the quadratic factor is non-negative
-            gam = analytic.gamma_a(g)
+            gam = g.gamma
             rm2 = g.r_minus @ g.r_minus
             rx2 = g.r_cross @ g.r_cross
             assert (rm2 - rx2) * gam**4 - g.xi_upper**2 >= -1e-10
@@ -392,8 +393,8 @@ def test_continuity_across_omega_zero():
                 lo = mid
         g_plus = omega_of(hi + 1e-13)
         g_minus = omega_of(lo - 1e-13)
-        fa = 0.5 * (g_plus.c + analytic.gamma_a(g_plus))
-        fb = 0.5 * (g_minus.c + analytic.gamma_b(g_minus))
+        fa = 0.5 * (g_plus.c + g_plus.gamma)
+        fb = 0.5 * (g_minus.c + g_minus.gamma)
         assert abs(fa - fb) <= 1e-8
 
 
@@ -549,7 +550,7 @@ def _reference_dual_certificate(g):
     weighted = g.c1 * g.r1 + g.c2 * g.r2
 
     if g.omega > analytic.OMEGA_TIE:
-        gam = analytic.gamma_a(g)
+        gam = g.gamma
         x0 = 0.25 * (c_tot + gam)
         x1 = rx / (4.0 * rm) * (c_tot + gam)
         x3 = ((weighted @ g.r_minus) + xi_u / gam) / (4.0 * rm)
@@ -563,7 +564,7 @@ def _reference_dual_certificate(g):
         )
         roots = np.roots([1.0, -gam, const])
     else:
-        gam = analytic.gamma_b(g)
+        gam = g.gamma
         x0 = 0.25 * (c_tot + gam)
         x1 = (c_tot * rx + xi_l / gam) / (4.0 * rm)
         x3 = ((weighted @ g.r_minus) + xi_u / gam) / (4.0 * rm)
@@ -680,3 +681,41 @@ def test_certificate_residuals_at_round_off():
         worst_slack = max(worst_slack, cert.slackness_residual)
         worst_eig = min(worst_eig, cert.min_eig)
     assert worst_slack <= 1e-15 and worst_eig >= -1e-15, (worst_slack, worst_eig)
+
+
+@pytest.mark.parametrize("field, past, inside", [
+    ("min_eig", -2e-9, -5e-10),
+    ("weak_duality_residual", 2e-9, 5e-10),
+    ("slackness_residual", 2e-8, 5e-9),
+])
+def test_certificate_verdict_flips_just_past_each_bound(field, past, inside):
+    # each conjunct of DualCertificate.valid on its own: a valid certificate
+    # with that one residual moved just inside its bound stays valid, and
+    # just past it is refused
+    s1, s2 = bloch_pair(0.8, 0.3)
+    t1, t2 = bloch_pair(1.0, 0.5)
+    cert = analytic.track_pair(s1, s2, t1, t2, 0.4).certificate
+    assert cert.valid
+    assert dataclasses.replace(cert, **{field: inside}).valid
+    assert not dataclasses.replace(cert, **{field: past}).valid
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 17: at extreme priorities Omega = 4.6e-13 falls under the "
+    "absolute tie OMEGA_TIE = 1e-12, so procedure B runs where A is optimal "
+    "(F = 0.50000018 against the SDP's 0.50000029974, min_eig -1.2e-7)",
+)
+def test_extreme_priority_pair_takes_the_optimal_procedure():
+    s1, s2 = DensityMatrix.from_bloch([0.6, 0.0, 0.0]), DensityMatrix.from_bloch([0.0, 0.6, 0.0])
+    t1, t2 = DensityMatrix(np.eye(2) / 2), DensityMatrix.from_bloch([0.0, 0.0, 0.6])
+    pi1 = 1.0 - 1e-6
+    res = analytic.track_pair(s1, s2, t1, t2, pi1)
+    src = WeightedSequence([(pi1, s1), (1.0 - pi1, s2)])
+    tgt = WeightedSequence([(pi1, t1), (1.0 - pi1, t2)])
+    sdp_value = tracking.solve_tracking(
+        tracking.TrackingProblem(src, tgt, "FHSavg1", "cptp")
+    ).value
+    assert abs(res.fidelity - sdp_value) <= 1e-9
+    assert res.certificate.valid

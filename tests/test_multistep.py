@@ -355,7 +355,8 @@ def _ref_procedure_a(g):
         alpha = np.sqrt(st / (2.0 * s_val))
         betas = [np.sqrt(2.0 / (s_val * st)) * (g.r1 @ g.r_minus),
                  np.sqrt(2.0 / (s_val * st)) * (g.r2 @ g.r_minus)]
-        ru = _ref_u_rotation_from_versors(g, alpha, betas, analytic.gamma_a(g))
+        gamma = np.sqrt(g.dots[9] + 2.0 * g.dots[6] * g.dots[8] / st)
+        ru = _ref_u_rotation_from_versors(g, alpha, betas, gamma)
     return ch.QubitChannelCanonical(_ref_v_rotation(g), ru, mu,
                                                    np.array([s1, 0.0, 0.0]))
 
@@ -368,7 +369,8 @@ def _ref_procedure_b(g):
     if rbx > 1e-14:
         alpha = rx / rm
         betas = [(g.r1 @ g.r_minus) / (rbx * rm), (g.r2 @ g.r_minus) / (rbx * rm)]
-        ru = _ref_u_rotation_from_versors(g, alpha, betas, analytic.gamma_b(g))
+        gamma = np.sqrt(g.dots[9] - g.t_scalar + 2.0 * g.r_cross_norm * g.rb_cross_norm)
+        ru = _ref_u_rotation_from_versors(g, alpha, betas, gamma)
     else:
         len1, len2 = np.linalg.norm(g.rb1), np.linalg.norm(g.rb2)
         rbp = np.linalg.norm(g.rb_plus)

@@ -937,3 +937,21 @@ def test_pool_pair_126_davg_value_is_what_its_controller_achieves(feasible):
     res = tracking.solve_tracking(tp)
     assert res.solution.status == "optimal"
     assert abs(tracking.evaluate_objective(res.controller, tp) - res.value) <= 1e-9
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_certificate_check_fails_each_conjunct_alone(lazy):
+    # sdp._certificate, the check of both the loop and verify_certificate, on
+    # complementary pairs that break one conjunct only: an eigenvalue of Z or
+    # of the slack at -delta (max|slack Z| = delta passes its 1e-7 bound), and
+    # a gap past CERT_TOL * scale * 10
+    rp = np.zeros(2)
+
+    def verdict(z_diag, slack_diag, gap=0.0):
+        return sdp._certificate(np.diag(z_diag), np.diag(slack_diag), rp, gap, 1.0, lazy)["pass"]
+
+    for delta, want in ((2e-8, False), (5e-9, True)):
+        assert verdict([1.0, -delta], [0.0, 1.0]) is want  # the Z floor
+        assert verdict([0.0, 1.0], [1.0, -delta]) is want  # the slack floor
+    assert not verdict([1.0, 0.0], [0.0, 1.0], gap=1.5e-7)
+    assert verdict([1.0, 0.0], [0.0, 1.0], gap=0.5e-7)
