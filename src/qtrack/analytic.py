@@ -3,10 +3,9 @@
 Everything is driven by the Bloch-vector geometry of the two sources and the
 two priority-scaled targets.  The indicator Omega decides between a
 closed-loop extremal channel (procedure A) and an open-loop unitary
-(procedure B).  That rule and each procedure's Gamma are applied once, in the
-geometry stage :func:`_geometry` and :class:`PairGeometry`; the kernel, the
-fidelity, the certificate and the feedback decomposition read them from
-there.  Both procedures are written once, in the SO(3) canonical form, by the
+(procedure B).  That rule and each Gamma come from the geometry stage alone
+(:func:`_geometry`, :class:`PairGeometry`), which all else reads.  Both
+procedures are written once, in the SO(3) canonical form, by the
 stacked kernel :func:`optimal_frames`; a single pair is a stack of one.  Each
 optimum comes with a certificate built from the dual of the underlying
 semidefinite program.  Pair data and priorities enter through one intake,
@@ -73,7 +72,7 @@ class PairGeometry:
             vars(self)[name] = np.asarray(getattr(self, name), dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             stage = _geometry(self.r1, self.r2, self.rb1, self.rb2)
-        _, vecs, dots, t_val, s_val, omega, proc_a = stage
+        _, vecs, dots, t_val, s_val, omega, proc_a, unique = stage
         dots, t_val, s_val, omega = dots[:, 0], t_val[0], s_val[0], float(omega[0])
         rb1_plus, rb2_plus = stacked_dot(vecs[[1, 3], :, 0], vecs[7, :, 0])  # rb_i . Rb+
         rm, rx, rbx = np.sqrt(dots[6:9])
@@ -86,7 +85,7 @@ class PairGeometry:
         gamma = _gamma_a(dots, s_val + t_val) if proc_a[0] else _gamma_b(dots, t_val, rx, rbx)
         vars(self).update(
             stage=stage, dots=dots, procedure="A" if proc_a[0] else "B",
-            gamma=float(gamma), unique=abs(omega) > OMEGA_TIE,
+            gamma=float(gamma), unique=bool(unique[0]),
             r_cross=vecs[4, :, 0], rb_cross=vecs[5, :, 0],
             r_minus=vecs[6, :, 0], rb_plus=vecs[7, :, 0],
             r_minus_norm=rm, r_cross_norm=rx, rb_cross_norm=rbx,
@@ -106,9 +105,8 @@ class PairGeometry:
     # Derived data (set in __post_init__): the _geometry tuple stage and its
     # 12 dots; r_minus, r_cross, rb_plus, rb_cross, their norms r_minus_norm,
     # r_cross_norm, rb_cross_norm, t_scalar, s_scalar, omega, c, xi_upper,
-    # xi_lower; and the A/B rule and Gamma, from this stage alone: procedure
-    # ("A" where the stage's mask has Omega > OMEGA_TIE, else "B"), gamma (that
-    # procedure's Gamma) and unique (|Omega| > OMEGA_TIE, one optimum).
+    # xi_lower; and, from the stage's two masks alone, procedure ("A"/"B"),
+    # gamma (that procedure's Gamma) and unique (a single optimum).
 
 
 def pair_bloch(sources, targets, priorities):
@@ -190,10 +188,10 @@ def _geometry(r1, r2, rb1, rb2):
     the eight vectors r1, rb1, r2, rb2, R x, Rb x, R-, Rb+ as one ``(8, 3, n)``
     array, each a component-first block; their BLAS dots r1.r1, r1.r2, r2.r2,
     rb1.rb1, rb1.rb2, rb2.rb2, |R-|^2, |R x|^2, |Rb x|^2, |Rb+|^2, r1.R-, r2.R-
-    as ``(12, n)``; T, S and Omega as ``(n,)``; and the mask of the rows that
-    take procedure A, Omega > ``OMEGA_TIE``, the one place the rule is
-    applied.  Each row is computed from its own data only, so it rounds the
-    same in any stack.
+    as ``(12, n)``; T, S and Omega as ``(n,)``; and, the one place the tie
+    ``OMEGA_TIE`` is applied, the masks Omega > tie (procedure A) and
+    |Omega| > tie (a unique optimum).  Each row is computed from its own data
+    only, so it rounds the same in any stack.
     Callers run it under ``np.errstate`` for the rows of degenerate pairs.
     """
     given = np.array([r1, rb1, r2, rb2], dtype=float)
@@ -211,7 +209,7 @@ def _geometry(r1, r2, rb1, rb2):
     t_val = terms[0] + terms[1] + terms[1] + terms[2]
     s_val = np.sqrt(t_val * t_val + 4.0 * dots[8] * (dots[6] - dots[7]))
     omega = s_val + t_val - 2.0 * np.sqrt(dots[8] * dots[7])
-    return lead, vecs, dots, t_val, s_val, omega, omega > OMEGA_TIE
+    return lead, vecs, dots, t_val, s_val, omega, omega > OMEGA_TIE, np.abs(omega) > OMEGA_TIE
 
 
 def optimal_frames(r1, r2, rb1, rb2, stage=None):
@@ -238,7 +236,7 @@ def optimal_frames(r1, r2, rb1, rb2, stage=None):
     chain takes (a transposed one takes another BLAS kernel, off by 1 ulp).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        lead, vecs, dots, t_val, s_val, _, proc_a = stage or _geometry(r1, r2, rb1, rb2)
+        lead, vecs, dots, t_val, s_val, _, proc_a, _ = stage or _geometry(r1, r2, rb1, rb2)
         n = len(t_val)
         norms = np.sqrt(dots[6:9])
         rm, rx, rbx = norms[0], norms[1], norms[2]

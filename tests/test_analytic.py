@@ -393,9 +393,23 @@ def test_continuity_across_omega_zero():
                 lo = mid
         g_plus = omega_of(hi + 1e-13)
         g_minus = omega_of(lo - 1e-13)
-        fa = 0.5 * (g_plus.c + g_plus.gamma)
-        fb = 0.5 * (g_minus.c + g_minus.gamma)
+        # both sides sit inside the tie, so the code takes B on each; the two
+        # closed forms are written out here to compare them where Omega = 0
+        assert g_plus.omega > 0 >= g_minus.omega and g_plus.procedure == "B"
+        fa = 0.5 * (g_plus.c + _reference_gamma_a(g_plus))
+        fb = 0.5 * (g_minus.c + _reference_gamma_b(g_minus))
         assert abs(fa - fb) <= 1e-8
+
+
+# the two Gamma closed forms, written out apart from the code under test
+def _reference_gamma_a(g):
+    rm2, rbx2, rbp2 = g.dots[6], g.dots[8], g.dots[9]
+    return np.sqrt(rbp2 + 2.0 * rm2 * rbx2 / (g.s_scalar + g.t_scalar))
+
+
+def _reference_gamma_b(g):
+    rx, rbx = np.linalg.norm(g.r_cross), np.linalg.norm(g.rb_cross)
+    return np.sqrt(g.dots[9] - g.t_scalar + 2.0 * rx * rbx)
 
 
 def test_unnormalized_target_extension():
@@ -550,7 +564,7 @@ def _reference_dual_certificate(g):
     weighted = g.c1 * g.r1 + g.c2 * g.r2
 
     if g.omega > analytic.OMEGA_TIE:
-        gam = g.gamma
+        gam = _reference_gamma_a(g)
         x0 = 0.25 * (c_tot + gam)
         x1 = rx / (4.0 * rm) * (c_tot + gam)
         x3 = ((weighted @ g.r_minus) + xi_u / gam) / (4.0 * rm)
@@ -564,7 +578,7 @@ def _reference_dual_certificate(g):
         )
         roots = np.roots([1.0, -gam, const])
     else:
-        gam = g.gamma
+        gam = _reference_gamma_b(g)
         x0 = 0.25 * (c_tot + gam)
         x1 = (c_tot * rx + xi_l / gam) / (4.0 * rm)
         x3 = ((weighted @ g.r_minus) + xi_u / gam) / (4.0 * rm)
