@@ -1,12 +1,16 @@
 """Quantum-operation calculus on density matrices and Choi matrices.
 
-A channel acting on ``d``-dimensional states is represented by its Choi matrix
+A channel Phi acting on ``d``-dimensional states is represented by its Choi matrix
 
-    C = (I (x) C)(|Psi><Psi|),   |Psi> = sum_i |i>|i>   (unnormalized),
+    C = (I (x) Phi)(|Psi><Psi|) = sum_ij |i><j| (x) Phi(|i><j|),   |Psi> = sum_i |i>|i>,
 
 which is PSD iff the map is completely positive and satisfies
-``tr_2 C = I_d`` iff the map is trace preserving.  The map acts as
-``C(rho) = tr_1[(rho^T (x) I) C]``.
+``tr_2 C = I_d`` iff the map is trace preserving.
+
+Every linear map on Choi matrices is one index contraction over the
+``(d, d, d, d)`` view ``C[i, k, j, l] = Phi(|i><j|)_kl``: the map acts as
+``Phi(rho)_kl = sum_ij rho_ij C[i, k, j, l]``, and x -> b(a(x)) has
+``C[i, k, j, l] = sum_mn A[i, m, j, n] B[m, k, n, l]``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .linalg import (
     min_eig,
     partial_trace,
     partial_transpose,
-    perm_d4,
     stacked_dot,
     vec,
 )
@@ -34,6 +37,8 @@ PSD_TOL = 1e-9
 TP_TOL = 1e-9
 _EYE2 = np.eye(2)
 _EYE3 = np.eye(3)
+# I/2 and the states (I + sigma_j)/2, whose images give a qubit channel's Bloch action
+_BLOCH_PROBES = 0.5 * np.array([PAULI[0], *(PAULI[0] + p for p in PAULI[1:])])
 
 
 @dataclass(frozen=True)
@@ -121,9 +126,9 @@ class KrausSet:
         ops = tuple(np.asarray(k, dtype=complex) for k in operators)
         if not ops:
             raise LinalgError("empty Kraus set")
-        d = ops[0].shape[0]
-        if any(k.shape != (d, d) for k in ops):
-            raise LinalgError("Kraus operators must share a square shape")
+        shape = ops[0].shape
+        if len(shape) != 2 or any(k.shape != (shape[0], shape[0]) for k in ops):
+            raise LinalgError("Kraus operators must be square matrices of one shape")
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -140,13 +145,10 @@ class KrausSet:
 
 
 def choi_from_kraus(kraus: KrausSet) -> ChoiMatrix:
-    """Choi matrix as the sum of vec(K) vec(K)^dag over the Kraus operators."""
+    """Choi matrix sum_K vec(K) vec(K)^dag: one product of the stacked vec(K) rows."""
     d = kraus.d
-    acc = np.zeros((d * d, d * d), dtype=complex)
-    for k in kraus.operators:
-        v = vec(k)
-        acc += np.outer(v, v.conj())
-    return ChoiMatrix(d, acc)
+    rows = np.array(kraus.operators).mT.reshape(-1, d * d)  # row a is vec(K_a)
+    return ChoiMatrix(d, rows.T @ rows.conj())
 
 
 def kraus_from_choi(choi: ChoiMatrix) -> KrausSet:
@@ -163,29 +165,26 @@ def kraus_from_choi(choi: ChoiMatrix) -> KrausSet:
 
 
 def apply_choi(choi: ChoiMatrix, rho: DensityMatrix) -> DensityMatrix:
-    """Act with the channel: C(rho) = tr_1[(rho^T (x) I) C]."""
+    """Act with the channel: Phi(rho)_kl = sum_ij rho_ij C[i, k, j, l]."""
     if rho.d != choi.d:
         raise LinalgError("dimension mismatch between channel and state")
     return DensityMatrix(apply_choi_raw(choi.mat, rho.mat))
 
 
 def apply_choi_raw(choi_mat, rho_mat):
-    """Same as :func:`apply_choi` on bare arrays (no normalization checks)."""
-    d = rho_mat.shape[0]
-    big = np.kron(rho_mat.T, np.eye(d)) @ choi_mat
-    return partial_trace(big, (d, d), 1)
+    """Same as :func:`apply_choi` on bare arrays, over ``(..., d, d)`` stacks of
+    states (no normalization checks)."""
+    d = rho_mat.shape[-1]
+    return np.einsum("...ij,ikjl->...kl", rho_mat, choi_mat.reshape(d, d, d, d))
 
 
 def compose(a: ChoiMatrix, b: ChoiMatrix) -> ChoiMatrix:
-    """Choi matrix of x -> b(a(x)) via tr_1[(C_a^T (x) I) P (|Psi><Psi| (x) C_b) P]."""
+    """Choi matrix of x -> b(a(x)): C[i, k, j, l] = sum_mn A[i, m, j, n] B[m, k, n, l]."""
     if a.d != b.d:
         raise LinalgError("channels act on different dimensions")
     d = a.d
-    p = perm_d4(d)
-    psi = ChoiMatrix.identity(d).mat
-    inner = p @ np.kron(psi, b.mat) @ p
-    big = np.kron(a.mat.T, np.eye(d * d)) @ inner
-    return ChoiMatrix(d, partial_trace(big, (d * d, d * d), 1))
+    c = np.einsum("imjn,mknl->ikjl", a.mat.reshape(d, d, d, d), b.mat.reshape(d, d, d, d))
+    return ChoiMatrix(d, c.reshape(d * d, d * d))
 
 
 def check_cptp(choi: ChoiMatrix):
@@ -367,13 +366,9 @@ def canonical_qubit(choi: ChoiMatrix) -> QubitChannelCanonical:
     if not (report["cp"] and report["tp"]):
         raise LinalgError(f"channel is not CPTP: {report}")
     # Bloch action: out = M r + tau
-    m_aff = np.zeros((3, 3))
-    basis = np.eye(3)
-    out0 = bloch_of(apply_choi_raw(choi.mat, 0.5 * np.eye(2)))
-    for j in range(3):
-        rho_j = 0.5 * (np.eye(2) + sum(x * p for x, p in zip(basis[j], PAULI[1:])))
-        m_aff[:, j] = bloch_of(apply_choi_raw(choi.mat, rho_j)) - out0
-    tau = out0
+    out = bloch_of(apply_choi_raw(choi.mat, _BLOCH_PROBES))
+    tau = out[0]
+    m_aff = (out[1:] - tau).T
     o2, sing, o1t = np.linalg.svd(m_aff)
     o1 = o1t.T
     # deterministic column signs before absorbing inversions

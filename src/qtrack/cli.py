@@ -196,9 +196,8 @@ def _cmd_solve(args):
     if tp.d == 2:
         # the controller's trace error is already reported under "cptp", so
         # its outputs are not re-validated as states
-        out["output_bloch"] = [
-            bloch_of(apply_choi_raw(res.controller.mat, s.mat)).tolist() for s in src.states
-        ]
+        sources = np.array([s.mat for s in src.states])
+        out["output_bloch"] = bloch_of(apply_choi_raw(res.controller.mat, sources)).tolist()
     return _result_text(out)
 
 

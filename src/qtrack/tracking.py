@@ -202,12 +202,10 @@ OBJECTIVES = tuple(_OBJECTIVES)
 
 
 def choi_from_coefficients(x, d):
-    """Rebuild the Choi matrix from the traceless expansion coefficients."""
+    """Rebuild the Choi matrix I/d + sum x_munu H^mu (x) H^nu over the pairs nu >= 2."""
     kron, _ = _kron_table(d)
-    c = np.eye(d * d, dtype=complex) / d
-    for (mu, nu), val in zip(_choi_pairs(d), x):
-        c += val * kron[mu, nu]
-    return ChoiMatrix(d, c)
+    x = np.reshape(x, (d * d, d * d - 1))  # [mu, nu - 1], in _choi_pairs order
+    return ChoiMatrix(d, np.eye(d * d) / d + np.tensordot(x, kron[:, 1:], 2))
 
 
 def _choi_is_dual(tp: TrackingProblem):

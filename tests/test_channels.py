@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qtrack import channels as ch
-from qtrack.linalg import PAULI, LinalgError, hermitian_basis, partial_trace, vec
+from qtrack.linalg import PAULI, LinalgError, hermitian_basis, partial_trace, perm_d4, vec
 
 
 def dephasing_kraus(p):
@@ -106,6 +106,87 @@ def test_compose_associative():
     lhs = ch.compose(ch.compose(a, b), c)
     rhs = ch.compose(a, ch.compose(b, c))
     assert np.abs(lhs.mat - rhs.mat).max() < 1e-9
+
+
+def _ref_choi_from_kraus(kraus):
+    """The sum of vec(K) vec(K)^dag, one Kraus operator at a time."""
+    d = kraus.d
+    acc = np.zeros((d * d, d * d), dtype=complex)
+    for k in kraus.operators:
+        v = vec(k)
+        acc += np.outer(v, v.conj())
+    return acc
+
+
+def _ref_apply(choi_mat, rho_mat):
+    """C(rho) = tr_1[(rho^T (x) I) C], with np.kron and a partial trace."""
+    d = rho_mat.shape[0]
+    return partial_trace(np.kron(rho_mat.T, np.eye(d)) @ choi_mat, (d, d), 1)
+
+
+def _ref_compose(a, b):
+    """Choi matrix of x -> b(a(x)) as tr_1[(C_a^T (x) I) P (|Psi><Psi| (x) C_b) P]."""
+    d = a.d
+    p = perm_d4(d)
+    inner = p @ np.kron(ch.ChoiMatrix.identity(d).mat, b.mat) @ p
+    big = np.kron(a.mat.T, np.eye(d * d)) @ inner
+    return partial_trace(big, (d * d, d * d), 1)
+
+
+def _ref_bloch_action(choi_mat):
+    """(M, tau) of out = M r + tau: I/2 and each axis state applied one call at a time."""
+    m_aff = np.zeros((3, 3))
+    out0 = ch.bloch_of(_ref_apply(choi_mat, 0.5 * np.eye(2)))
+    for j in range(3):
+        rho_j = 0.5 * (np.eye(2) + sum(x * p for x, p in zip(np.eye(3)[j], PAULI[1:])))
+        m_aff[:, j] = ch.bloch_of(_ref_apply(choi_mat, rho_j)) - out0
+    return m_aff, out0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_contractions_match_the_kron_references(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(10):
+        a, b = ch.random_channel(d, rng), ch.random_channel(d, rng)
+        rho = ch.random_state(d, rng).mat
+        kraus = ch.kraus_from_choi(a)
+        assert np.abs(ch.apply_choi_raw(a.mat, rho) - _ref_apply(a.mat, rho)).max() <= 1e-14
+        assert np.abs(ch.compose(a, b).mat - _ref_compose(a, b)).max() <= 1e-14
+        assert np.abs(ch.choi_from_kraus(kraus).mat - _ref_choi_from_kraus(kraus)).max() <= 1e-14
+
+
+def test_canonical_bloch_action_matches_the_reference():
+    # the canonical form's M = R_U diag(mu) R_V and tau = R_U s against the
+    # reference's one-state-at-a-time Bloch action
+    rng = np.random.default_rng(44)
+    for _ in range(100):
+        choi = ch.random_channel(2, rng)
+        q = ch.canonical_qubit(choi)
+        m_aff, tau = _ref_bloch_action(choi.mat)
+        assert np.abs(q.ru @ np.diag(q.mu) @ q.rv - m_aff).max() <= 1e-14
+        assert np.abs(q.ru @ q.s - tau).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_apply_over_a_stack_is_each_states_own_output(d):
+    rng = np.random.default_rng(45 + d)
+    choi = ch.random_channel(d, rng).mat
+    stack = np.array([ch.random_state(d, rng, pure=k % 2 == 0).mat for k in range(7)])
+    out = ch.apply_choi_raw(choi, stack)
+    assert out.shape == stack.shape
+    for rho, got in zip(stack, out):
+        assert np.array_equal(got, ch.apply_choi_raw(choi, rho))
+
+
+@pytest.mark.parametrize(
+    "ops", [[1.0], [np.float64(0.5)], [np.ones(2)], [np.ones((2, 2, 2))], [np.eye(2), 1.0],
+            [np.ones((2, 3))]],
+    ids=["scalar", "numpy-scalar", "vector", "3-d", "matrix-then-scalar", "rectangular"],
+)
+def test_kraus_set_rejects_operators_that_are_not_square_matrices(ops):
+    # a scalar first operator used to raise a bare IndexError reading its shape
+    with pytest.raises(LinalgError, match="square matrices"):
+        ch.KrausSet(ops)
 
 
 def test_check_cptp_transposition_map():

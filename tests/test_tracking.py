@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qtrack import cli, sdp, serialize, tracking
-from qtrack.channels import ChoiMatrix, DensityMatrix, apply_choi, check_cptp, random_state
+from qtrack.channels import (ChoiMatrix, DensityMatrix, apply_choi, check_cptp, random_channel,
+                             random_state)
 from qtrack.distances import WeightedSequence
 from qtrack.linalg import LinalgError, hermitian_basis, vec
 
@@ -145,6 +146,39 @@ def test_depolarizing_short_circuit():
     for s in src.states:
         out = apply_choi(res.controller, s)
         assert np.abs(out.mat - np.eye(2) / 2).max() < 1e-12
+
+
+def _ref_choi_from_coefficients(x, d):
+    """I/d + sum x_munu H^mu (x) H^nu, one np.kron per pair (mu, nu >= 2), mu-major."""
+    basis = hermitian_basis(d)
+    pairs = [(mu, nu) for mu in range(d * d) for nu in range(1, d * d)]
+    c = np.eye(d * d, dtype=complex) / d
+    for (mu, nu), val in zip(pairs, x):
+        c += val * np.kron(basis[mu], basis[nu])
+    return c
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_choi_from_coefficients_matches_the_pair_loop(d):
+    rng = np.random.default_rng(60 + d)
+    for _ in range(10):
+        x = rng.uniform(-1.0, 1.0, d * d * (d * d - 1))
+        got = tracking.choi_from_coefficients(x, d).mat
+        assert np.abs(got - _ref_choi_from_coefficients(x, d)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_choi_from_coefficients_rebuilds_a_channel(d):
+    # the traceless coefficients x_munu = tr(C H^mu (x) H^nu) / (n_mu n_nu) of a
+    # CPTP map's Choi matrix, where tr(H^a H^a) = n_a, give that matrix back
+    rng = np.random.default_rng(64 + d)
+    basis = hermitian_basis(d)
+    norms = [float(d)] + [2.0] * (d * d - 1)
+    for _ in range(10):
+        choi = random_channel(d, rng).mat
+        x = [np.trace(choi @ np.kron(basis[mu], basis[nu])).real / (norms[mu] * norms[nu])
+             for mu in range(d * d) for nu in range(1, d * d)]
+        assert np.abs(tracking.choi_from_coefficients(x, d).mat - choi).max() <= 1e-14
 
 
 def test_ppt_report_has_the_same_fields_on_the_maximally_mixed_shortcut():
