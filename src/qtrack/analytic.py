@@ -31,6 +31,9 @@ from .channels import (
 from .distances import check_priorities
 from .linalg import LinalgError, hermitize, stacked_dot
 
+# Omega ties with 0 within OMEGA_TIE (S + T + 2 |R x| |Rb x|), the sum of its terms' magnitudes,
+# so the tie scales with the pair; as Gamma_A^2 - Gamma_B^2 = Omega^2 / (2 (S + T)), a call
+# inside the tie costs Gamma O(OMEGA_TIE^2)
 OMEGA_TIE = 1e-12
 _EYE3 = np.eye(3)
 _WRAP3 = np.array([0, 1, 2, 0, 1])
@@ -189,9 +192,9 @@ def _geometry(r1, r2, rb1, rb2):
     array, each a component-first block; their BLAS dots r1.r1, r1.r2, r2.r2,
     rb1.rb1, rb1.rb2, rb2.rb2, |R-|^2, |R x|^2, |Rb x|^2, |Rb+|^2, r1.R-, r2.R-
     as ``(12, n)``; T, S and Omega as ``(n,)``; and, the one place the tie
-    ``OMEGA_TIE`` is applied, the masks Omega > tie (procedure A) and
-    |Omega| > tie (a unique optimum).  Each row is computed from its own data
-    only, so it rounds the same in any stack.
+    OMEGA_TIE (S + T + 2 |R x| |Rb x|) is applied, the masks Omega > tie
+    (procedure A) and |Omega| > tie (a unique optimum).  Each row is
+    computed from its own data only, so it rounds the same in any stack.
     Callers run it under ``np.errstate`` for the rows of degenerate pairs.
     """
     given = np.array([r1, rb1, r2, rb2], dtype=float)
@@ -208,8 +211,10 @@ def _geometry(r1, r2, rb1, rb2):
     terms = (1.0 - dots[:3]) * dots[3:6]
     t_val = terms[0] + terms[1] + terms[1] + terms[2]
     s_val = np.sqrt(t_val * t_val + 4.0 * dots[8] * (dots[6] - dots[7]))
-    omega = s_val + t_val - 2.0 * np.sqrt(dots[8] * dots[7])
-    return lead, vecs, dots, t_val, s_val, omega, omega > OMEGA_TIE, np.abs(omega) > OMEGA_TIE
+    cross = 2.0 * np.sqrt(dots[8] * dots[7])
+    omega = s_val + t_val - cross
+    tie = OMEGA_TIE * (s_val + t_val + cross)
+    return lead, vecs, dots, t_val, s_val, omega, omega > tie, np.abs(omega) > tie
 
 
 def optimal_frames(r1, r2, rb1, rb2, stage=None):

@@ -206,6 +206,8 @@ def _cmd_analytic(args):
     tgts = [serialize.state_from_json(serialize.load_json(p)) for p in args.tgt]
     distances.check_priorities(args.pi)
     res = analytic.track_pair(srcs[0], srcs[1], tgts[0], tgts[1], args.pi[0])
+    if not res.certificate.valid:
+        raise SolverError("the dual certificate does not certify the closed-form optimum")
     out = {
         "omega": res.omega,
         "procedure": res.procedure,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DensityMatrix
-from .linalg import LinalgError, vec
+from .linalg import LinalgError, direct_sum, vec
 
 MEASURES = ("F", "FN", "FHS", "Q", "D", "H", "O")
 SCHEMES = ("avg1", "avg2")
@@ -254,11 +254,7 @@ class WeightedSequence:
 
     def direct_sum(self):
         """Block-diagonal density matrix  (+)_i pi_i rho_i  of dimension I*d."""
-        i, d = len(self), self.d
-        out = np.zeros((i * d, i * d), dtype=complex)
-        for k, (p, s) in enumerate(zip(self.priorities, self.states)):
-            out[k * d : (k + 1) * d, k * d : (k + 1) * d] = p * s.mat
-        return out
+        return direct_sum([p * s.mat for p, s in zip(self.priorities, self.states)])
 
 
 def sequence_distance(tag, scheme, src: WeightedSequence, tgt: WeightedSequence):

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-PSD_EIG_CLAMP = 1e-10
-
 
 class LinalgError(ValueError):
     """Raised when an input violates a structural precondition."""
@@ -104,6 +102,17 @@ def partial_transpose(m):
     return r.transpose(0, 3, 2, 1).reshape(n, n)
 
 
+def direct_sum(blocks):
+    """The direct sum of square blocks, over the leading axes they share."""
+    size = sum(b.shape[-1] for b in blocks)
+    out = np.zeros((*blocks[0].shape[:-2], size, size), dtype=complex)
+    at = 0
+    for b in blocks:
+        out[..., at : at + b.shape[-1], at : at + b.shape[-1]] = b
+        at += b.shape[-1]
+    return out
+
+
 def _gell_mann(d):
     """Generalized Gell-Mann matrices, each normalized to tr(G^2) = 2."""
     out = []
@@ -132,31 +141,10 @@ def hermitian_basis(d):
     """
     if d < 2:
         raise LinalgError("d must be >= 2")
-    if d == 2:
-        return [
-            np.eye(2, dtype=complex),
-            np.array([[0, 1], [1, 0]], dtype=complex),
-            np.array([[0, -1j], [1j, 0]], dtype=complex),
-            np.array([[1, 0], [0, -1]], dtype=complex),
-        ]
     return [np.eye(d, dtype=complex)] + _gell_mann(d)
 
 
 PAULI = hermitian_basis(2)
-
-
-def matrix_sqrt(m):
-    """Unique PSD square root of a Hermitian PSD matrix (eigendecomposition route).
-
-    Eigenvalues in ``[-PSD_EIG_CLAMP, 0)`` are clamped to zero; anything more
-    negative is an error.
-    """
-    m = hermitize(m)
-    w, u = np.linalg.eigh(m)
-    if w.min() < -PSD_EIG_CLAMP:
-        raise LinalgError(f"matrix has negative eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.conj().T
 
 
 def min_eig(m):

@@ -61,10 +61,6 @@ NEWTON_AFTER = 20
 MAX_NEWTON = 25
 
 
-def identity_canonical() -> QubitChannelCanonical:
-    return diagonal_noise(np.ones(3), np.zeros(3))
-
-
 def diagonal_noise(lam, t) -> QubitChannelCanonical:
     """Noise scaling Bloch components by ``lam`` then translating by ``t``.
 

@@ -84,13 +84,12 @@ padding rows added (X -> 0 and the slack at scale there).  The loop takes the
 check's eigenvalue floors only once its cheaper conjuncts pass.  A solve
 whose converged iterates do not certify returns the first of them 15 passes
 later, so ``passes <= iterations + 15``.  The tolerances are module
-constants (``GAP_TOL``, ``FEAS_TOL``, ``CERT_TOL``); ``solve``'s one
-setting, ``trace_iterates``, keeps every pass's iterate.
+constants (``GAP_TOL``, ``FEAS_TOL``, ``CERT_TOL``); ``solve`` has no setting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -173,7 +172,6 @@ class SdpSolution:
     iterations: int  # index of the accepted iterate
     passes: int  # loop passes, one Newton step each
     residuals: dict
-    iterates: list = field(default_factory=list)
 
 
 def _flat(h, axes=2):
@@ -353,8 +351,8 @@ def _solve_textbook(c_mat, a_stack, b, trace_iterates):
         a_p, a_d = steps
         aim = (1 - a_p) * rp
         d *= steps[spread]
+        # (X, S) and the direction are Hermitian and the steps real, so the sum is too
         xs += d
-        _herm(xs, out=xs)
         y = y + a_d * dy
 
     if accepted is not None:
@@ -504,14 +502,10 @@ def _solve_live(c_mat, a_stack, b, trace_iterates):
     return x, y, info, iterates
 
 
-def solve(problem, trace_iterates=False) -> SdpSolution:
-    """Solve a program and its dual: x at ``primal_value``, the dual's Z as ``z`` at ``dual_value``.
-
-    With ``trace_iterates``, ``SdpSolution.iterates`` holds (X, y, S) of every
-    loop pass at full size.
-    """
+def solve(problem) -> SdpSolution:
+    """Solve a program and its dual: x at ``primal_value``, the dual's Z as ``z`` at ``dual_value``."""
     c_mat, a_stack, b = _prepare(problem)
-    x, y, info, iterates = _solve_live(c_mat, a_stack, b, trace_iterates)
+    x, y, info, _ = _solve_live(c_mat, a_stack, b, False)
     primal = -float(b @ y)  # c^T x, with the program's x the loop's y
     dual = -float(np.trace(c_mat @ x).real)  # -tr(F0 Z), with Z the loop's X
     return SdpSolution(
@@ -524,7 +518,6 @@ def solve(problem, trace_iterates=False) -> SdpSolution:
         iterations=info["iterations"],
         passes=info["passes"],
         residuals={"primal": info["pres"], "dual": info["dres"]},
-        iterates=iterates,
     )
 
 

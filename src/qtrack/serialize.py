@@ -186,10 +186,12 @@ def sdp_problem_to_json(problem):
 
 def load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested past the stack
+        raise FormatError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror}") from exc
 

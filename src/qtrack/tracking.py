@@ -36,7 +36,7 @@ from . import sdp
 from .channels import TP_TOL, ChoiMatrix, DensityMatrix, apply_choi_raw, check_cptp, check_ppt
 from .distances import (WeightedSequence, check_matching, check_priorities, hs_distance,
                         sequence_distance)
-from .linalg import LinalgError, hermitian_basis
+from .linalg import LinalgError, direct_sum, hermitian_basis
 
 FEASIBLE_SETS = ("cptp", "ppt")
 
@@ -58,17 +58,6 @@ class TrackingProblem:
     @property
     def d(self):
         return self.source.d
-
-
-def _dsum(blocks):
-    """The direct sum of square blocks, over the leading axes they share."""
-    size = sum(b.shape[-1] for b in blocks)
-    out = np.zeros((*blocks[0].shape[:-2], size, size), dtype=complex)
-    at = 0
-    for b in blocks:
-        out[..., at : at + b.shape[-1], at : at + b.shape[-1]] = b
-        at += b.shape[-1]
-    return out
 
 
 def _choi_pairs(d):
@@ -102,8 +91,8 @@ def _off_diagonal(layout, blocks):
 
 def _plus_minus(blocks):
     """M (+) -M for the Hermitian M = (+)_i R_i."""
-    m = _dsum(blocks)
-    return _dsum([m, -m])
+    m = direct_sum(blocks)
+    return direct_sum([m, -m])
 
 
 def _trace_norm(i_count, d):
@@ -116,7 +105,7 @@ def _trace_norm(i_count, d):
     extras = []
     for i in range(i_count):
         for a, h in enumerate(hermitian_basis(d)):
-            p_k = _dsum([h if j == i else zero for j in range(i_count)])
+            p_k = direct_sum([h if j == i else zero for j in range(i_count)])
             extras.append(([p_k, p_k], float(d) if a == 0 else 0.0))
     return _plus_minus, extras
 
@@ -143,7 +132,7 @@ def _mean_hs_squared(i_count, d):
 
 def _inverse_priorities(pis, d):
     """H2avg1's fixed part: P = (+)_i I / p_i beside Q's zero."""
-    return _dsum([np.eye(d * d) / p for p in pis] + [np.zeros((1, 1))])
+    return direct_sum([np.eye(d * d) / p for p in pis] + [np.zeros((1, 1))])
 
 
 def _linear(i_count, d):
@@ -192,7 +181,7 @@ _OBJECTIVES = {
     "Havg2": _Objective(
         partial(sequence_distance, "H", "avg2"), partial(_norm_epigraph, _residual_column)
     ),
-    "Oavg2": _Objective(partial(sequence_distance, "O", "avg2"), partial(_norm_epigraph, _dsum)),
+    "Oavg2": _Objective(partial(sequence_distance, "O", "avg2"), partial(_norm_epigraph, direct_sum)),
     "FHSavg1": _Objective(partial(sequence_distance, "FHS", "avg1"), closeness=True),
     "FHSavg2": _Objective(
         partial(sequence_distance, "FHS", "avg2"), weight=np.square, closeness=True
@@ -223,7 +212,7 @@ def _shape(objective, i_count, d):
     """
     layout, extras = _OBJECTIVES[objective].block(i_count, d)
     nb = layout([np.zeros((d, d))] * i_count).shape[0]
-    blocks = np.array([_dsum(diagonal) for diagonal, _ in extras], dtype=complex)
+    blocks = np.array([direct_sum(diagonal) for diagonal, _ in extras], dtype=complex)
     shape = (layout, nb, blocks.reshape(len(extras), nb, nb),
              np.array([0.0] * len(_choi_pairs(d)) + [cost for _, cost in extras]),
              np.array(hermitian_basis(d)))

@@ -714,13 +714,6 @@ def test_certificate_verdict_flips_just_past_each_bound(field, past, inside):
     assert not dataclasses.replace(cert, **{field: past}).valid
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 17: at extreme priorities Omega = 4.6e-13 falls under the "
-    "absolute tie OMEGA_TIE = 1e-12, so procedure B runs where A is optimal "
-    "(F = 0.50000018 against the SDP's 0.50000029974, min_eig -1.2e-7)",
-)
 def test_extreme_priority_pair_takes_the_optimal_procedure():
     s1, s2 = DensityMatrix.from_bloch([0.6, 0.0, 0.0]), DensityMatrix.from_bloch([0.0, 0.6, 0.0])
     t1, t2 = DensityMatrix(np.eye(2) / 2), DensityMatrix.from_bloch([0.0, 0.0, 0.6])

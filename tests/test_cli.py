@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from make_golden import write_inputs
-from qtrack import cli, distances, serialize
+from qtrack import analytic, cli, distances, serialize
 from qtrack.channels import random_channel, random_state
 from qtrack.distances import WeightedSequence
 
@@ -217,6 +217,15 @@ def test_cli_exit_code_solver_failure(workdir, monkeypatch):
         ["solve", "--problem", workdir["problem"], "--objective", "FHSavg1"]
     )
     assert code == 3
+
+
+def test_cli_analytic_invalid_certificate_exits_3(workdir, monkeypatch, capsys):
+    # an answer whose dual certificate is not valid fails as a broken solve does
+    monkeypatch.setattr(analytic.DualCertificate, "valid", property(lambda self: False))
+    argv = ["analytic", "--src", workdir["a"], workdir["b"], "--tgt", workdir["t1"], workdir["t2"]]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("qtrack: solver failure: ") and err.count("\n") == 1
 
 
 def test_cli_channel_inspection(tmp_path, capsys):
@@ -495,6 +504,10 @@ _QUTRIT = {"d": 3, "rho": {"rows": 3, "cols": 3, "re": (np.eye(3) / 3).ravel().t
         ({}, ["solve", "--problem", "problem", "--objective", "FHSavg1",
               "--dump-problem", "/nonexistent/d.json"]),
         ({}, ["solve", "--problem", "problem", "--objective", "FHSavg1", "--dump-problem", "."]),
+        # raw bytes: text that is not UTF-8, and an array nested past the recursion limit
+        ({"s": b"\xff\xfe{}"}, ["distances", "--measure", "F", "--a", "s", "--b", "s"]),
+        ({"s": b"[" * 100_000 + b"]" * 100_000},
+         ["distances", "--measure", "F", "--a", "s", "--b", "s"]),
     ],
     ids=["distances-state-5", "au-check-state-5", "distances-bloch-string",
          "distances-bloch-nan", "distances-rho-nan", "solve-pi-string", "solve-pi-nan", "solve-problem-5",
@@ -510,13 +523,13 @@ _QUTRIT = {"d": 3, "rho": {"rows": 3, "cols": 3, "re": (np.eye(3) / 3).ravel().t
          "solve-bloch-d-mismatch", "distances-rho-d-mismatch", "solve-pi-number-string",
          "solve-bloch-number-string", "multistep-noise-lam-number-strings",
          "clone-out-missing-dir", "clone-out-directory", "solve-dump-problem-missing-dir",
-         "solve-dump-problem-directory"],
+         "solve-dump-problem-directory", "distances-not-utf8", "distances-nested-100000"],
 )
 def test_cli_malformed_payloads_exit_2(files, argv, workdir, tmp_path, capsys):
     paths = dict(workdir)
     for name, payload in files.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(payload))
+        path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
         paths[name] = str(path)
     assert cli.main([paths.get(arg, arg) for arg in argv]) == 2
     out, err = capsys.readouterr()

@@ -157,25 +157,6 @@ def test_hermitian_basis_gram(d):
     assert np.abs(gram - want).max() < 1e-12
 
 
-def test_matrix_sqrt_trivial():
-    assert np.abs(la.matrix_sqrt(np.eye(3)) - np.eye(3)).max() < 1e-14
-    assert np.abs(la.matrix_sqrt(np.diag([4.0, 9.0])) - np.diag([2.0, 3.0])).max() < 1e-14
-
-
-def test_matrix_sqrt_random_psd():
-    rng = np.random.default_rng(8)
-    a = _rand_c(rng, 5)
-    m = a @ a.conj().T
-    s = la.matrix_sqrt(m)
-    assert np.abs(s @ s - m).max() <= 1e-10 * np.abs(m).max()
-    assert np.linalg.eigvalsh(s).min() >= -1e-12
-
-
-def test_matrix_sqrt_rejects_negative():
-    with pytest.raises(la.LinalgError):
-        la.matrix_sqrt(np.diag([1.0, -0.5]))
-
-
 def test_hermitize_checks_tolerance():
     with pytest.raises(la.LinalgError):
         la.hermitize(np.array([[0.0, 1.0], [0.0, 0.0]]))

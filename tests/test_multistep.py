@@ -66,7 +66,7 @@ def _ref_backward_target(c_next, rb_next, controller_next, noise):
 
 
 def test_identity_noise_and_controller_fix_targets():
-    ident = ms.identity_canonical()
+    ident = ms.diagonal_noise(np.ones(3), np.zeros(3))
     c, rb = ms.backward_target(0.5, np.array([0.1, -0.2, 0.3]), ident, ident)
     assert abs(c - 0.5) < 1e-14
     assert np.abs(rb - [0.1, -0.2, 0.3]).max() < 1e-14
@@ -100,7 +100,8 @@ def test_chain_without_noise_is_rejected():
 
 def test_backward_depolarizing_noise_kills_target():
     depol = ms.diagonal_noise([0, 0, 0], [0, 0, 0])
-    c, rb = ms.backward_target(0.5, np.array([0.3, 0.1, -0.2]), ms.identity_canonical(), depol)
+    ident = ms.diagonal_noise(np.ones(3), np.zeros(3))
+    c, rb = ms.backward_target(0.5, np.array([0.3, 0.1, -0.2]), ident, depol)
     assert np.abs(rb).max() < 1e-14
 
 
@@ -163,14 +164,15 @@ def test_backward_is_the_adjoint_of_forward():
 
 
 def test_forward_do_nothing_identity_noise():
-    ident = ms.identity_canonical()
+    ident = ms.diagonal_noise(np.ones(3), np.zeros(3))
     r = np.array([0.2, -0.4, 0.1])
     assert np.abs(ms.forward_state(r, ident, ident) - r).max() < 1e-14
 
 
 def test_unital_full_depolarizing_sends_to_origin():
     depol = ms.diagonal_noise([0, 0, 0], [0, 0, 0])
-    out = ms.forward_state([0.5, 0.1, -0.3], ms.identity_canonical(), depol)
+    ident = ms.diagonal_noise(np.ones(3), np.zeros(3))
+    out = ms.forward_state([0.5, 0.1, -0.3], ident, depol)
     assert np.abs(out).max() < 1e-14
 
 
@@ -390,7 +392,9 @@ def _ref_procedure_b(g):
 
 
 def _reference_canonical(g):
-    return _ref_procedure_a(g) if g.omega > analytic.OMEGA_TIE else _ref_procedure_b(g)
+    cross = 2.0 * g.r_cross_norm * g.rb_cross_norm
+    tie = analytic.OMEGA_TIE * (g.s_scalar + g.t_scalar + cross)
+    return _ref_procedure_a(g) if g.omega > tie else _ref_procedure_b(g)
 
 
 def _reference_controller(r1, r2, c_pair, rb_pair):
@@ -399,7 +403,7 @@ def _reference_controller(r1, r2, c_pair, rb_pair):
         g = analytic.PairGeometry(r1, r2, rb_pair[0], rb_pair[1], c_pair[0], c_pair[1])
         return _reference_canonical(g)
     except (analytic.DegenerateGeometryError, ms.LinalgError):
-        return ms.identity_canonical()
+        return ms.diagonal_noise(np.ones(3), np.zeros(3))
 
 
 def _reference_sweep(task, z):

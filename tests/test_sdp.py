@@ -26,6 +26,11 @@ def fhs_problem(rng, d=2, pi1=0.5):
     return standard_form(e0, cons)
 
 
+def _traced(program):
+    """(Z, y, info, iterates) of ``sdp.solve``'s loop, with every pass's (X, y, S) at full size."""
+    return sdp._solve_live(*sdp._prepare(program), True)
+
+
 def test_trivial_standard_problem():
     p = standard_form(-np.diag([1.0, 0.0]), [(np.eye(2), 1.0)])
     sol = sdp.solve(p)
@@ -91,13 +96,13 @@ def test_certificate_values_are_named_as_in_the_solution():
 def test_weak_duality_along_iterates():
     rng = np.random.default_rng(2)
     prob = fhs_problem(rng)
-    sol = sdp.solve(prob, trace_iterates=True)
+    *_, iterates = _traced(prob)
     # restore feasibility of each iterate by mixing toward a strictly feasible
     # point, then check p <= d + 1e-12
     a_mats = [np.kron(h, np.eye(2)) for h in hermitian_basis(2)]
     b = np.array([2.0, 0, 0, 0])
     feas = np.kron(np.eye(2), np.eye(2) / 2)  # maximally depolarizing Choi
-    for z, y, s in sol.iterates[1:]:
+    for z, y, s in iterates[1:]:
         resid = np.array([np.trace(e @ z).real for e in a_mats]) - b
         # affine restoration: absorb the residual into the feasible reference
         z_fixed = z - sum(
@@ -236,11 +241,11 @@ def test_one_eigendecomposition_per_iterate(objective, feasible, monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
-    sol = sdp.solve(program, trace_iterates=True)
-    assert sol.status == "optimal"
+    _, _, info, iterates = _traced(program)
+    assert info["status"] == "optimal"
     # one traced iterate per pass of the loop, the last of which returns
-    passes = len(sol.iterates) - 1
-    assert passes == sol.iterations
+    passes = len(iterates) - 1
+    assert passes == info["iterations"]
     assert len(calls) <= passes + 1
 
 
@@ -579,22 +584,22 @@ def test_passes_count_every_loop_pass(objective, feasible):
 
 
 def _assert_one_newton_step_per_pass(program):
-    sol = sdp.solve(program, trace_iterates=True)
-    assert sol.status == "optimal"
-    assert sol.passes == len(sol.iterates) - 1
-    assert sol.passes >= sol.iterations
-    ys = [y for _, y, _ in sol.iterates]
+    _, _, info, iterates = _traced(program)
+    assert info["status"] == "optimal"
+    assert info["passes"] == len(iterates) - 1
+    assert info["passes"] >= info["iterations"]
+    ys = [y for _, y, _ in iterates]
     assert all(not np.array_equal(y0, y1) for y0, y1 in zip(ys, ys[1:]))
-    return sol
+    return info, iterates
 
 
-def _longest_mu_stall(sol):
+def _longest_mu_stall(iterates):
     """The most passes in a row whose mu = tr(X S) / n stays above 0.9 times its least so far.
 
     The anti-stall lift counted passes this way and fired at 4.
     """
     least, stall, longest = np.inf, 0, 0
-    for x, _, s in sol.iterates[:-1]:
+    for x, _, s in iterates[:-1]:
         mu = np.trace(x @ s).real / x.shape[0]
         if mu < 0.9 * least:
             least, stall = mu, 0
@@ -610,10 +615,11 @@ def test_no_pass_without_a_newton_step():
     # and that runs the whole polish window (accepted at pass 11), where an
     # anti-stall lift, which moved X and S but left y, took an extra pass;
     # every pass is still one Newton step
-    sol = _assert_one_newton_step_per_pass(_bench_program([2009, 1, 87], 2, 2, "Davg", "cptp"))
-    assert _longest_mu_stall(sol) >= 4
-    assert sol.passes == sol.iterations + 15
-    assert sol.passes == 26
+    program = _bench_program([2009, 1, 87], 2, 2, "Davg", "cptp")
+    info, iterates = _assert_one_newton_step_per_pass(program)
+    assert _longest_mu_stall(iterates) >= 4
+    assert info["passes"] == info["iterations"] + 15
+    assert info["passes"] == 26
 
 
 # -- the polish window and the normal-equation solves ------------------------
@@ -676,21 +682,21 @@ def test_polish_window_closes_15_passes_after_acceptance():
 def test_loop_buffers_do_not_leak_into_results(objective, feasible):
     # the loop updates (X, S) in place; Havg2/cptp and FHSavg1/cptp reach it
     # as one block, so X and the iterates come back as the loop's own arrays
-    sol = sdp.solve(_bench_program([2009, 1, 111], 2, 2, objective, feasible), trace_iterates=True)
-    xs = [x for x, _, _ in sol.iterates]
-    assert len(xs) == sol.passes + 1
+    z, _, info, iterates = _traced(_bench_program([2009, 1, 111], 2, 2, objective, feasible))
+    xs = [x for x, _, _ in iterates]
+    assert len(xs) == info["passes"] + 1
     for j, x in enumerate(xs):
-        assert not np.shares_memory(x, sol.z)
+        assert not np.shares_memory(x, z)
         assert not any(np.shares_memory(x, other) for other in xs[j + 1 :])
 
 
 def test_fallback_returns_the_accepted_iterate_not_the_last():
     # pool pair 111 Davg/cptp returns through the 15-pass fallback: the
     # iterate kept at acceptance is returned as it was then
-    sol = sdp.solve(_bench_program([2009, 1, 111], 2, 2, "Davg", "cptp"), trace_iterates=True)
-    assert sol.passes == sol.iterations + 15
-    assert np.array_equal(sol.z, sol.iterates[sol.iterations][0])
-    assert not np.array_equal(sol.z, sol.iterates[-1][0])
+    z, _, info, iterates = _traced(_bench_program([2009, 1, 111], 2, 2, "Davg", "cptp"))
+    assert info["passes"] == info["iterations"] + 15
+    assert np.array_equal(z, iterates[info["iterations"]][0])
+    assert not np.array_equal(z, iterates[-1][0])
 
 
 def test_pool_pairs_0_to_7_stay_within_the_pass_budget():
@@ -807,14 +813,15 @@ def test_solution_and_iterates_are_full_size():
     c_mat, a_stack, _ = sdp._prepare(program)
     dropped = sdp._block_layout(c_mat, a_stack)[0]
     assert dropped.tolist() == [False, False, True]
-    sol = sdp.solve(program, trace_iterates=True)
+    sol = sdp.solve(program)
+    *_, iterates = _traced(program)
     assert sol.status == "optimal"
     assert abs(sol.dual_value + np.linalg.eigvalsh(e0[:2, :2]).min()) <= 1e-8
-    assert len(sol.iterates) > 1
-    for z in [sol.z] + [x for x, _, _ in sol.iterates]:
+    assert len(iterates) > 1
+    for z in [sol.z] + [x for x, _, _ in iterates]:
         assert z.shape == (program.dim, program.dim)
         assert not z[dropped].any() and not z[:, dropped].any()
-    for _, _, s in sol.iterates:
+    for _, _, s in iterates:
         # the dual slack C - sum_i y_i A_i is C's constant block there
         assert s.shape == (program.dim, program.dim)
         assert np.array_equal(s[np.ix_(dropped, dropped)], c_mat[np.ix_(dropped, dropped)])
@@ -828,16 +835,17 @@ def test_padded_solution_and_iterates_are_full_size():
     c_mat, a_stack, b = sdp._prepare(program)
     rows = sdp._block_layout(c_mat, a_stack)[1]
     assert rows.shape == (2, 9) and rows[1, -1] == -1 and (rows >= 0).sum() == program.dim
-    sol = sdp.solve(program, trace_iterates=True)
+    sol = sdp.solve(program)
+    *_, iterates = _traced(program)
     assert sol.status == "optimal" and sol.z.shape == (program.dim, program.dim)
-    assert np.array_equal(sol.z, sol.iterates[sol.iterations][0])
+    assert np.array_equal(sol.z, iterates[sol.iterations][0])
     *_, loop_iterates = sdp._solve_textbook(*sdp._gather(c_mat, a_stack, rows), b, True)
-    assert len(loop_iterates) == len(sol.iterates)
+    assert len(loop_iterates) == len(iterates)
     blocks = [np.ix_(r[r >= 0], r[r >= 0]) for r in rows]
     off = np.ones(c_mat.shape, dtype=bool)
     for block in blocks:
         off[block] = False
-    for (x, _, s), (x_loop, _, s_loop) in zip(sol.iterates, loop_iterates):
+    for (x, _, s), (x_loop, _, s_loop) in zip(iterates, loop_iterates):
         # the loop's X is positive on its padding row, and the full-size X and S
         # hold only the live rows of the loop's blocks; off them X, and C, are 0
         assert x_loop[1, -1, -1].real > 0

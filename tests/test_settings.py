@@ -24,8 +24,6 @@ SETTINGS = {
     "multistep.StepChain": ["seed_label", "restarts"],
     "multistep.solve_chain": ["restarts", "seed"],
     "multistep.sweep_2step": ["restarts", "seed", "mapper"],
-    "sdp.SdpSolution": ["iterates"],
-    "sdp.solve": ["trace_iterates"],
     "tracking.TrackingProblem": ["feasible"],
     "tracking.reduce_nto2": ["objective", "feasible"],
 }
