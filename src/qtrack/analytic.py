@@ -15,6 +15,7 @@ semidefinite program.  Pair data and priorities enter through one intake,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -347,7 +348,6 @@ class DualCertificate:
     min_eig: float
     weak_duality_residual: float
     slackness_residual: float
-    poly_roots: np.ndarray
     spectrum: np.ndarray
     canonical: QubitChannelCanonical  # the optimal channel this certifies
 
@@ -360,33 +360,13 @@ class DualCertificate:
         )
 
 
-def _monic_roots(*tail):
-    """Real parts, sorted, of ``np.roots([1, *tail])``, from the same companion matrix.
-
-    As in ``np.roots``, each trailing zero coefficient is a root at 0 and
-    the rest are the eigenvalues of the companion matrix whose first row is
-    -tail (the leading coefficient is 1), without its generic set-up.
-    """
-    tail = list(tail)
-    zeros = 0
-    while tail and tail[-1] == 0:
-        tail.pop()
-        zeros += 1
-    roots = np.zeros(zeros)
-    if tail:
-        companion = np.eye(len(tail), k=-1)
-        companion[0] = [-c for c in tail]
-        roots = np.concatenate([np.linalg.eigvals(companion).real, roots])
-    return np.sort(roots)
-
-
 def dual_certificate(g: PairGeometry) -> DualCertificate:
     """Dual-feasible coefficients proving optimality of the analytic tracker.
 
     The certificate matrix ``F`` must be PSD, reproduce the primal value via
     ``2 x0 = -tr(F0~ D)``, and annihilate the diagonal Choi matrix ``D``.
-    Its nonzero spectrum is cross-checked against the closed-form
-    characteristic polynomial of the matching procedure.
+    Its nonzero spectrum is the roots of the characteristic polynomial of
+    the matching procedure; tests compare :func:`characteristic_roots` with it.
 
     All of it lives in the SO(3) frames of the optimal channel: with sources
     (1, R_V r_i) and targets (c_i, R_U^T rb_i) there,
@@ -395,34 +375,16 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
     ``D = (I + s.(I (x) sigma) + sum_k mu_k sigma_k^T (x) sigma_k) / 2``.
     """
     canonical = optimal_canonical(g)
-    rm, rx, rbx = g.r_minus_norm, g.r_cross_norm, g.rb_cross_norm
-    xi_u = g.xi_upper
-    xi_l = g.xi_lower
+    rm, rx = g.r_minus_norm, g.r_cross_norm
     c_tot = g.c
     gam = g.gamma
     weighted = g.c1 * g.r1 + g.c2 * g.r2
     x0 = 0.25 * (c_tot + gam)
-    x3 = ((weighted @ g.r_minus) + xi_u / gam) / (4.0 * rm)
-
+    x3 = ((weighted @ g.r_minus) + g.xi_upper / gam) / (4.0 * rm)
     if g.procedure == "A":
         x1 = rx / (4.0 * rm) * (c_tot + gam)
-        s_val, t_val = g.s_scalar, g.t_scalar
-        st = s_val + t_val
-        upsilon = (4.0 * rm * rm * rbx * rbx + st * st) / (
-            8.0 * rm * rm * gam * gam * s_val * st
-        )
-        const = upsilon * (
-            (rm * rm - rx * rx) * gam**4 - xi_u * xi_u
-        )
-        roots = _monic_roots(-gam, const)
     else:
-        x1 = (c_tot * rx + xi_l / gam) / (4.0 * rm)
-        varpi = 0.25 * (-g.omega + g.s_scalar + rx * rbx)
-        omega_c = -(
-            (rx * gam * gam - xi_l)
-            * (rm * rm * gam * gam * xi_l - rx * (xi_l * xi_l + xi_u * xi_u))
-        ) / (8.0 * rm**4 * gam**3)
-        roots = _monic_roots(-gam, varpi, omega_c)
+        x1 = (c_tot * rx + g.xi_lower / gam) / (4.0 * rm)
 
     coeffs = np.array([x0, x1, 0.0, x3])
     rv, ru = canonical.rv, canonical.ru
@@ -442,10 +404,35 @@ def dual_certificate(g: PairGeometry) -> DualCertificate:
         min_eig=float(spectrum.min()),
         weak_duality_residual=float(weak),
         slackness_residual=slackness,
-        poly_roots=roots,
         spectrum=spectrum,
         canonical=canonical,
     )
+
+
+def characteristic_roots(g: PairGeometry) -> np.ndarray:
+    """Real parts, sorted, of the roots of the certificate's characteristic polynomial.
+
+    The spectrum of :func:`dual_certificate`'s ``F`` is these roots and
+    zeros: two beside procedure A's quadratic
+    ``l^2 - Gamma l + upsilon ((|R-|^2 - |R x|^2) Gamma^4 - xi_+^2)``, one
+    beside procedure B's cubic ``l^3 - Gamma l^2 + varpi l + omega_c``.
+    """
+    rm, rx, rbx = g.r_minus_norm, g.r_cross_norm, g.rb_cross_norm
+    xi_u, xi_l, gam = g.xi_upper, g.xi_lower, g.gamma
+    if g.procedure == "A":
+        s_val, st = g.s_scalar, g.s_scalar + g.t_scalar
+        upsilon = (4.0 * rm * rm * rbx * rbx + st * st) / (
+            8.0 * rm * rm * gam * gam * s_val * st
+        )
+        poly = [1.0, -gam, upsilon * ((rm * rm - rx * rx) * gam**4 - xi_u * xi_u)]
+    else:
+        varpi = 0.25 * (-g.omega + g.s_scalar + rx * rbx)
+        omega_c = -(
+            (rx * gam * gam - xi_l)
+            * (rm * rm * gam * gam * xi_l - rx * (xi_l * xi_l + xi_u * xi_u))
+        ) / (8.0 * rm**4 * gam**3)
+        poly = [1.0, -gam, varpi, omega_c]
+    return np.sort(np.roots(poly).real)
 
 
 @dataclass
@@ -455,8 +442,12 @@ class QubitTrackerResult:
     canonical: QubitChannelCanonical
     fidelity: float
     certificate: DualCertificate
-    choi: ChoiMatrix
     unique: bool
+
+    @cached_property
+    def choi(self) -> ChoiMatrix:
+        """The optimal channel's Choi matrix, built on first read."""
+        return assemble_qubit_choi(self.canonical)
 
 
 def track_pair(rho1, rho2, rbar1, rbar2, pi1=0.5) -> QubitTrackerResult:
@@ -477,7 +468,6 @@ def track_geometry(g: PairGeometry) -> QubitTrackerResult:
         canonical=certificate.canonical,
         fidelity=optimal_fidelity(g),
         certificate=certificate,
-        choi=assemble_qubit_choi(certificate.canonical),
         unique=g.unique,
     )
 

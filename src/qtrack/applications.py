@@ -255,12 +255,15 @@ def alberti_uhlmann(rho1, rho2, rbar1, rbar2):
 
     Checks ||rbar1 - t rbar2||_tr <= ||rho1 - t rho2||_tr over 600 values of
     t spaced logarithmically from 1e-3 to 1e3, with the closed-form corollary
-    as a fast path when both targets are pure.
+    as a fast path when both targets are pure.  Any state that is not a
+    qubit raises LinalgError, since the criterion is exact only for qubits.
     """
     states = [
         s if isinstance(s, DensityMatrix) else DensityMatrix(s)
         for s in (rho1, rho2, rbar1, rbar2)
     ]
+    if any(s.d != 2 for s in states):
+        raise LinalgError("the Alberti-Uhlmann test takes qubit states only")
     rho1, rho2, rbar1, rbar2 = states
     report = {"corollary": None}
     if rbar1.purity() > 1.0 - 1e-10 and rbar2.purity() > 1.0 - 1e-10:

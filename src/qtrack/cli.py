@@ -366,7 +366,7 @@ def build_parser():
     p = sub.add_parser("scatter-bounds", help="random-state scatter of D vs 1 - F_N")
     p.add_argument("--d", type=_int_in(2), required=True)
     p.add_argument("--n", type=_int_in(1), default=1000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_in(0), required=True)
     p.set_defaults(fn=_cmd_scatter)
 
     p = sub.add_parser("channel", help="inspect a channel (CPTP/PPT/canonical form)")
@@ -417,7 +417,7 @@ def build_parser():
     p.add_argument("--task", required=True, help="JSON with source/target sequences")
     p.add_argument("--restarts", type=_int_in(1, multistep.MAX_RESTARTS),
                    default=multistep.MAX_RESTARTS)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_in(0), required=True)
     p.add_argument("--sweep", type=_int_in(1),
                    help="grid size: sweep extremal noises instead")
     p.add_argument("--sweep-min", type=float, default=0.05)
@@ -428,13 +428,13 @@ def build_parser():
     p.add_argument("--cells", nargs="+", type=_cell, default=((2, 2),),
                    help="IxD cells, e.g. 2x2 3x2")
     p.add_argument("--samples", type=_int_in(1), default=20)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_in(0), required=True)
     p.set_defaults(fn=_cmd_compat)
 
     p = sub.add_parser("bench", help="relative measure-cost ordering")
     p.add_argument("--d", type=_int_in(2), default=32)
     p.add_argument("--repeats", type=_int_in(1), default=20)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_in(0), required=True)
     p.set_defaults(fn=_cmd_bench)
 
     for p in sub.choices.values():

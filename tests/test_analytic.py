@@ -356,13 +356,13 @@ def test_certificate_structure():
             rm2 = g.r_minus @ g.r_minus
             rx2 = g.r_cross @ g.r_cross
             assert (rm2 - rx2) * gam**4 - g.xi_upper**2 >= -1e-10
-            want = np.sort(np.concatenate([[0.0, 0.0], cert.poly_roots]))
+            want = np.sort(np.concatenate([[0.0, 0.0], analytic.characteristic_roots(g)]))
         else:
             varpi = 0.25 * (
                 -g.omega + g.s_scalar + np.linalg.norm(g.r_cross) * np.linalg.norm(g.rb_cross)
             )
             assert varpi >= -1e-10
-            want = np.sort(np.concatenate([[0.0], cert.poly_roots]))
+            want = np.sort(np.concatenate([[0.0], analytic.characteristic_roots(g)]))
         assert np.abs(np.sort(cert.spectrum) - want).max() < 1e-8
 
 
@@ -370,6 +370,25 @@ def test_certificate_trivial_task():
     s1, s2 = bloch_pair(1.0, 0.4)
     res = analytic.track_pair(s1, s2, s1, s2, 0.5)
     assert abs(res.certificate.coefficients[0] - 0.5) < 1e-12
+
+
+def test_choi_is_built_on_first_read(monkeypatch):
+    calls = []
+    assemble = analytic.assemble_qubit_choi
+
+    def counting(q):
+        calls.append(q)
+        return assemble(q)
+
+    monkeypatch.setattr(analytic, "assemble_qubit_choi", counting)
+    s1, s2 = bloch_pair(0.8, 0.3)
+    t1, t2 = bloch_pair(1.0, 0.5)
+    res = analytic.track_pair(s1, s2, t1, t2, 0.4)
+    assert calls == []
+    choi = res.choi
+    assert calls == [res.canonical]
+    assert res.choi is choi and len(calls) == 1
+    assert np.array_equal(choi.mat, assemble(res.canonical).mat)
 
 
 def test_continuity_across_omega_zero():
@@ -553,7 +572,15 @@ _REF_I_X = np.kron(np.eye(2), _PAULI[0])
 _REF_SIGMA_SIGMA = [np.kron(p, p) for p in _PAULI]
 
 
+def _reference_procedure(g):
+    """A where Omega passes the tie OMEGA_TIE (S + T + 2 |R x| |Rb x|), from its own norms."""
+    rx, rbx = np.linalg.norm(g.r_cross), np.linalg.norm(g.rb_cross)
+    tie = analytic.OMEGA_TIE * (g.s_scalar + g.t_scalar + 2.0 * rx * rbx)
+    return "A" if g.omega > tie else "B"
+
+
 def _reference_dual_certificate(g):
+    """The certificate of ``g`` through SU(2), and its characteristic roots."""
     canonical = analytic.optimal_canonical(g)
     rm = np.linalg.norm(g.r_minus)
     rx = np.linalg.norm(g.r_cross)
@@ -563,7 +590,7 @@ def _reference_dual_certificate(g):
     c_tot = g.c
     weighted = g.c1 * g.r1 + g.c2 * g.r2
 
-    if g.omega > analytic.OMEGA_TIE:
+    if _reference_procedure(g) == "A":
         gam = _reference_gamma_a(g)
         x0 = 0.25 * (c_tot + gam)
         x1 = rx / (4.0 * rm) * (c_tot + gam)
@@ -613,16 +640,16 @@ def _reference_dual_certificate(g):
     weak = abs(2.0 * coeffs[0] + np.trace(f0_tilde @ d_choi).real)
     slackness = float(np.abs(d_choi @ f_matrix).max())
     spectrum = np.linalg.eigvalsh(0.5 * (f_matrix + f_matrix.conj().T))
-    return analytic.DualCertificate(
+    certificate = analytic.DualCertificate(
         coefficients=coeffs,
         f_matrix=f_matrix,
         min_eig=float(spectrum.min()),
         weak_duality_residual=float(weak),
         slackness_residual=slackness,
-        poly_roots=np.sort(np.real(roots)),
         spectrum=spectrum,
         canonical=canonical,
     )
+    return certificate, np.sort(np.real(roots))
 
 
 @functools.lru_cache(maxsize=1)
@@ -659,6 +686,11 @@ def _special_geometries():
         (geo([0, 0, 1], [0, 0, 0.5], [0, 5e-11, -0.5], [0, 0, 0]), None),
         # Omega = 0: targets equal to pure sources
         (geo.from_states(up, dn, up, dn, 0.5), "B"),
+        # extreme priorities: Omega = 4.6e-13, under OMEGA_TIE but past the tie scaled to the pair
+        (geo.from_states(DensityMatrix.from_bloch([0.6, 0.0, 0.0]),
+                         DensityMatrix.from_bloch([0.0, 0.6, 0.0]),
+                         DensityMatrix(np.eye(2) / 2), DensityMatrix.from_bloch([0.0, 0.0, 0.6]),
+                         1.0 - 1e-6), "A"),
     ]
     return rows
 
@@ -666,11 +698,12 @@ def _special_geometries():
 def test_certificate_in_frames_matches_su2_reference():
     rows = [(g, None) for g in _criterion_2_draws()] + _special_geometries()
     for g, procedure in rows:
-        got, want = analytic.dual_certificate(g), _reference_dual_certificate(g)
+        got = analytic.dual_certificate(g)
+        want, want_roots = _reference_dual_certificate(g)
         if procedure is not None:
-            assert ("A" if g.omega > analytic.OMEGA_TIE else "B") == procedure
+            assert _reference_procedure(g) == procedure
         assert np.array_equal(got.coefficients, want.coefficients)
-        assert np.array_equal(got.poly_roots, want.poly_roots)
+        assert np.array_equal(analytic.characteristic_roots(g), want_roots)
         assert np.abs(got.f_matrix - want.f_matrix).max() <= 1e-12
         assert got.valid == want.valid
 

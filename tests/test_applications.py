@@ -242,6 +242,16 @@ def test_alberti_uhlmann_trivial_and_grid():
     assert rep["feasible"]
 
 
+def test_alberti_uhlmann_rejects_qutrits():
+    # the trace-norm criterion is exact for qubits only: a qutrit pair gets no verdict
+    rng = np.random.default_rng(6)
+    mixed = [random_state(3, rng) for _ in range(4)]
+    pure = [random_state(3, rng, pure=True) for _ in range(2)]
+    for states in (mixed, mixed[:2] + pure):
+        with pytest.raises(LinalgError, match="qubit states only"):
+            app.alberti_uhlmann(*states)
+
+
 def test_ddr2_channel_from_holevo_form():
     # measure in the z basis, reprepare the hedged states: an EBTP channel
     # whose average fidelity is exactly ddr2 and whose Choi matrix is PPT

@@ -331,13 +331,18 @@ def test_cli_solve_reports_controller_with_small_trace_error(workdir, monkeypatc
         ["bench", "--d", "1", "--seed", "0"],
         ["scatter-bounds", "--d", "2", "--n", "-1", "--seed", "0"],
         ["scatter-bounds", "--d", "2", "--n", "0", "--seed", "0"],
+        ["scatter-bounds", "--d", "2", "--n", "1", "--seed", "-1"],
+        ["multistep", "--task", "t.json", "--seed", "-1"],
+        ["compat", "--seed", "-1"],
+        ["bench", "--seed", "-1"],
     ],
     ids=["stabilize-no-point", "stabilize-no-theta", "compat-bad-cell", "scatter-d1",
          "scatter-d0", "solve-negative-gap-tol", "multistep-sweep-negative",
          "multistep-sweep-0", "multistep-restarts-negative", "multistep-restarts-0",
          "multistep-restarts-50", "multistep-steps-0", "multistep-steps-1",
          "stabilize-grid-negative", "stabilize-grid-0", "compat-samples-0", "bench-repeats-0",
-         "bench-d1", "scatter-n-negative", "scatter-n-0"],
+         "bench-d1", "scatter-n-negative", "scatter-n-0", "scatter-seed-negative",
+         "multistep-seed-negative", "compat-seed-negative", "bench-seed-negative"],
 )
 def test_cli_bad_arguments_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -480,6 +485,7 @@ _QUTRIT = {"d": 3, "rho": {"rows": 3, "cols": 3, "re": (np.eye(3) / 3).ravel().t
         ({"p": {"source": _PAIR, "target": _PAIR}, "n": [{"d": 2, "choi": _CHOI_4X3}]},
          ["multistep", "--task", "p", "--seed", "0", "--noise", "n"]),
         ({"s": _QUTRIT}, ["discriminate", "--a", "b", "--b", "s", "--p1", "0.4"]),
+        ({"s": _QUTRIT}, ["au-check", "--src", "s", "s", "--tgt", "s", "s"]),
         ({"p": {"source": [{"pi": 0.5, "rho": _RHO_INF}, _PAIR[1]], "target": _PAIR}},
          ["solve", "--problem", "p", "--objective", "Davg", "--feasible", "ppt"]),
         ({"p": {"source": [{"pi": 0.5, "rho": _RHO_1E308}, _PAIR[1]], "target": _PAIR}},
@@ -518,7 +524,8 @@ _QUTRIT = {"d": 3, "rho": {"rows": 3, "cols": 3, "re": (np.eye(3) / 3).ravel().t
          "channel-d-bool", "channel-kraus-not-a-list", "multistep-noise-kraus-not-d-by-d",
          "distances-rows-negative", "distances-rows-fraction", "distances-rows-string",
          "distances-rho-2x3", "distances-re-nested", "channel-choi-4x3", "multistep-noise-choi-4x3",
-         "discriminate-d2-d3", "solve-re-infinity", "solve-re-1e308", "solve-bloch-1e308",
+         "discriminate-d2-d3", "au-check-qutrits", "solve-re-infinity", "solve-re-1e308",
+         "solve-bloch-1e308",
          "distances-re-1e308", "discriminate-re-1e308", "channel-kraus-infinity",
          "solve-bloch-d-mismatch", "distances-rho-d-mismatch", "solve-pi-number-string",
          "solve-bloch-number-string", "multistep-noise-lam-number-strings",
